@@ -32,15 +32,12 @@ class UcbSchedule:
 
     delta: float
     d: int
-    mode: str = "srinivas2"
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise InputError(f"delta must be in (0,1), got {self.delta}")
         if self.d < 1:
             raise InputError(f"dimension must be >= 1, got {self.d}")
-        if self.mode != "srinivas2":
-            raise InputError(f"unknown beta schedule mode {self.mode!r}")
 
 
 def beta(schedule: UcbSchedule, t: int) -> float:
@@ -86,6 +83,13 @@ def candidate_values(subspace, search: AcqSearchConfig, lam_batch: np.ndarray) -
     return g
 
 
+def restart_seeds(search: AcqSearchConfig, d: int, rng) -> np.ndarray:
+    """The only random draws of one coordinate search: one uniform seed
+    per restart in [-box, box]^d.  Replay calls this to consume the same
+    draws without running the search."""
+    return rng.uniform(-search.lambda_box, search.lambda_box, size=(search.restarts, d))
+
+
 def golden_multistart(score_batch, d: int, search: AcqSearchConfig, rng):
     """Maximise a batched score over [-box, box]^d; returns (lam, value).
 
@@ -97,7 +101,7 @@ def golden_multistart(score_batch, d: int, search: AcqSearchConfig, rng):
     """
     box = search.lambda_box
     n = search.restarts
-    seeds = rng.uniform(-box, box, size=(n, d))
+    seeds = restart_seeds(search, d, rng)
     lam = seeds.copy()
     best_lam = seeds.copy()
     best_val = np.asarray(score_batch(lam), dtype=float).copy()
@@ -131,6 +135,22 @@ def golden_multistart(score_batch, d: int, search: AcqSearchConfig, rng):
     return best_lam[i].copy(), float(best_val[i])
 
 
+def ucb_search(model: gp.GPModel, rows_fn, d: int, search: AcqSearchConfig, rng, sqrt_beta: float):
+    """Maximise mean + sqrt_beta * sd over coordinates in [-box, box]^d;
+    returns (lam, value).
+
+    rows_fn maps an (n, d) array of coordinate rows to the model's query
+    rows (capped function values for a subspace, the coordinates
+    themselves for a model on the coordinates).
+    """
+
+    def score(lam_batch):
+        mean, var = gp.posterior_batch(model, rows_fn(lam_batch))
+        return mean + sqrt_beta * np.sqrt(var)
+
+    return golden_multistart(score, d, search, rng)
+
+
 def maximise(
     model: gp.GPModel,
     subspace,
@@ -146,46 +166,13 @@ def maximise(
     d = len(subspace.basis)
     if d < 1:
         raise InputError("subspace must have at least one basis function")
-    beta_t = beta(schedule, t)
-    sqrt_beta = math.sqrt(beta_t)
-
-    def score(lam_batch):
-        g = candidate_values(subspace, search, lam_batch)
-        mean, var = gp.posterior_batch(model, g)
-        return mean + sqrt_beta * np.sqrt(var)
-
-    lam, val = golden_multistart(score, d, search, rng)
-    g_row = candidate_values(subspace, search, lam[None, :])[0]
-    return lam, GridFunction(subspace.bias.spec, g_row), val
-
-
-def minimise_lcb(
-    model: gp.GPModel, subspace, search: AcqSearchConfig, rng
-) -> tuple[np.ndarray, GridFunction, float]:
-    """Minimise mean - sd over the subspace with the same multistart
-    machinery, sign flipped."""
-
-    def score(lam_batch):
-        g = candidate_values(subspace, search, lam_batch)
-        mean, var = gp.posterior_batch(model, g)
-        return -(mean - np.sqrt(var))
-
-    lam, val = golden_multistart(score, len(subspace.basis), search, rng)
-    g_row = candidate_values(subspace, search, lam[None, :])[0]
-    return lam, GridFunction(subspace.bias.spec, g_row), -val
-
-
-def maximise_ucb(
-    model: gp.GPModel, subspace, search: AcqSearchConfig, rng
-) -> tuple[np.ndarray, GridFunction, float]:
-    """Maximise mean + sd over the subspace (the upper edge of the simple
-    regret certificate for a maximisation run)."""
-
-    def score(lam_batch):
-        g = candidate_values(subspace, search, lam_batch)
-        mean, var = gp.posterior_batch(model, g)
-        return mean + np.sqrt(var)
-
-    lam, val = golden_multistart(score, len(subspace.basis), search, rng)
+    lam, val = ucb_search(
+        model,
+        lambda lam_batch: candidate_values(subspace, search, lam_batch),
+        d,
+        search,
+        rng,
+        math.sqrt(beta(schedule, t)),
+    )
     g_row = candidate_values(subspace, search, lam[None, :])[0]
     return lam, GridFunction(subspace.bias.spec, g_row), val

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import optimizer
 from .errors import ConfigError, InputError, ProtocolError
-from .gridfn import GridSpec, read_function_csv, write_function_csv
+from .gridfn import GridSpec, write_function_csv
 from .kernels import DISTANCE_KINDS, METRICS, SCALAR_KINDS, ScalarKernelSpec
 from .objectives import EffectiveDimObjective, MatchingObjective
 from .optimizer import ALGORITHMS, TERMINATIONS, OptConfig, RunRecord
@@ -299,28 +299,38 @@ def _lam_width(values: dict) -> int:
     return 1 if values["opt.algorithm"] == "linebo_bernstein" else values["opt.d"]
 
 
+def _trace_header(width: int) -> str:
+    lam_cols = [f"lambda{j}" for j in range(width)]
+    return ",".join(["eval_index", "s", "t", *lam_cols, "y", "best_y"])
+
+
 def save_state(path, values: dict, engine) -> None:
-    width = _lam_width(values)
     lines = ["# funcbo ask/tell state"]
     for key in sorted(SCHEMA):
         if key in _BENCH_KEYS:
             continue
         lines.append(f"{key} = {format_value(values[key])}")
     lines.append("[trace]")
-    lam_cols = [f"lambda{j}" for j in range(width)]
-    lines.append(",".join(["eval_index", "s", "t", *lam_cols, "y", "best_y"]))
+    lines.append(_trace_header(_lam_width(values)))
     for rec in engine.trace:
         row = [str(rec.eval_index), str(rec.s), str(rec.t)]
         row += [repr(v) for v in rec.lam]
         row += [repr(rec.y), repr(rec.best_y)]
         lines.append(",".join(row))
     if engine.pending is not None:
-        kind, s, t, lam = engine.pending[0], engine.pending[1], engine.pending[2], engine.pending[3]
+        kind, s, t, lam = engine.pending[:4]
         lines.append("[pending]")
         lines.append(",".join([kind, str(s), str(t), *[repr(float(v)) for v in lam]]))
     lines.append("[rng]")
     lines.append(f"draws = {engine.draw_count}")
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _state_number(parse, text: str, where: str):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad number {text!r} in the state {where}: {exc}") from exc
 
 
 def _parse_state_text(text: str):
@@ -342,18 +352,22 @@ def _parse_state_text(text: str):
     width = _lam_width(values)
     records = []
     body = [ln for ln in trace_lines if ln.strip()]
+    if body and body[0].strip() != _trace_header(width):
+        raise ConfigError(f"bad state trace header: {body[0]!r}")
     for line in body[1:]:
         parts = line.split(",")
         if len(parts) != 5 + width:
             raise ConfigError(f"bad state trace row: {line!r}")
+        ints = [_state_number(_parse_int, v, "trace") for v in parts[:3]]
+        floats = [_state_number(_parse_float, v, "trace") for v in parts[3:]]
         records.append(
             RunRecord(
-                eval_index=int(parts[0]),
-                s=int(parts[1]),
-                t=int(parts[2]),
-                lam=tuple(float(v) for v in parts[3 : 3 + width]),
-                y=float(parts[3 + width]),
-                best_y=float(parts[4 + width]),
+                eval_index=ints[0],
+                s=ints[1],
+                t=ints[2],
+                lam=tuple(floats[:width]),
+                y=floats[width],
+                best_y=floats[width + 1],
             )
         )
     pending = None
@@ -364,9 +378,9 @@ def _parse_state_text(text: str):
             raise ConfigError(f"bad pending suggestion line: {body[0]!r}")
         pending = (
             parts[0],
-            int(parts[1]),
-            int(parts[2]),
-            tuple(float(v) for v in parts[3:]),
+            _state_number(_parse_int, parts[1], "pending suggestion"),
+            _state_number(_parse_int, parts[2], "pending suggestion"),
+            tuple(_state_number(_parse_float, v, "pending suggestion") for v in parts[3:]),
         )
     draws = None
     for line in rng_lines:
@@ -376,7 +390,7 @@ def _parse_state_text(text: str):
         key, _, text_val = line.partition("=")
         if key.strip() != "draws":
             raise ConfigError(f"bad rng section line: {line!r}")
-        draws = int(text_val.strip())
+        draws = _state_number(_parse_int, text_val.strip(), "rng section")
     return values, records, pending, draws
 
 
@@ -432,7 +446,3 @@ def export_function(state_path, out_path) -> Path:
     best_g, _ = engine.best
     write_function_csv(best_g, out_path)
     return Path(out_path)
-
-
-def reload_function(path):
-    return read_function_csv(path)

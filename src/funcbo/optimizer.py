@@ -7,21 +7,31 @@ functions drive an engine against an in-process objective; the bench
 module drives the same engines through a state file, so simulated and
 external experiments share a single code path.
 
-The subspace engine alternates an outer loop that draws a fresh random
-subspace (bias = best function found so far, basis = GP sample paths)
-with an inner GP-UCB loop over the subspace coordinates.  The model of
-the objective is conditioned on every observation made so far, across
-all subspaces.
+The subspace engine and the Bernstein line baseline are one phased
+engine.  Each outer iteration starts a coordinate set, evaluates an
+initial design of N(0, I) coordinate draws, then runs GP-UCB over the
+coordinates until the inner budget or the simple-regret certificate
+ends it.  For the subspace engine the set is bias (the best function so
+far) + span(GP sample paths), modelled by one functional GP on every
+observation; for the line baseline it is a random line through the
+incumbent's Bernstein weights, modelled by a scalar GP on the line
+coordinate of that line's observations.  Both use the same UCB search
+and the same regret certificate.
 
 Determinism: all draws come from two streams derived from the config
 seed, one for optimiser decisions and one for observation noise, so an
-external ask/tell session reproduces an in-process run exactly.
+external ask/tell session reproduces an in-process run exactly.  Replay
+runs the same step as ``ask`` for every stored evaluation: it redraws
+the basis (or line direction) and the initial design, and consumes the
+restart seeds of each acquisition search without running it, taking the
+stored coordinates instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Protocol
 
 import numpy as np
@@ -57,6 +67,10 @@ class Subspace:
     @property
     def d(self) -> int:
         return len(self.basis)
+
+    def query_rows(self, search: AcqSearchConfig, lam_batch: np.ndarray) -> np.ndarray:
+        """Model query rows of coordinate rows: the capped functions."""
+        return acquisition.candidate_values(self, search, lam_batch)
 
 
 @dataclass(frozen=True)
@@ -178,8 +192,8 @@ def bernstein_matrix(degree: int, x: np.ndarray) -> np.ndarray:
 
 def simple_regret_err(
     model: gp.GPModel,
-    subspace: Subspace,
-    incumbent: GridFunction,
+    subspace,
+    incumbent,
     search: AcqSearchConfig | None = None,
     rng=None,
 ) -> float:
@@ -189,7 +203,9 @@ def simple_regret_err(
     subspace optimum, so values below epsilon justify ending the inner
     loop of a maximisation run.
 
-    The inner maximisation reuses the acquisition multistart machinery;
+    ``subspace`` is any coordinate set with ``d`` and ``query_rows`` (a
+    Subspace or a BernsteinLine); ``incumbent`` is a model point of it.
+    The inner maximisation is the acquisition UCB search with unit width;
     its restart seeds come from a fixed internal stream unless an rng is
     given, so the test does not perturb an optimiser's draw sequence.
     """
@@ -200,7 +216,9 @@ def simple_regret_err(
     if rng is None:
         rng = np.random.default_rng(_REGRET_SEARCH_SEED)
     mean, var = gp.posterior(model, incumbent)
-    _, _, ucb_max = acquisition.maximise_ucb(model, subspace, search, rng)
+    _, ucb_max = acquisition.ucb_search(
+        model, partial(subspace.query_rows, search), subspace.d, search, rng, 1.0
+    )
     return float(ucb_max - (mean - math.sqrt(var)))
 
 
@@ -208,7 +226,10 @@ def simple_regret_err(
 
 
 class _EngineBase:
-    """Trace and incumbent bookkeeping shared by all optimisers."""
+    """Trace, incumbent and ask/tell/replay bookkeeping shared by all
+    optimisers.  Subclasses supply ``done``, ``_step(lam=None)`` (set the
+    next pending suggestion; replay passes the stored coordinates) and
+    ``_observe`` (absorb a told value)."""
 
     def __init__(self, cfg: OptConfig, rng=None):
         self.cfg = cfg
@@ -216,8 +237,7 @@ class _EngineBase:
         self._trace: list[RunRecord] = []
         self._best_values: np.ndarray | None = None
         self._best_y = 0.0  # virtual incumbent value; real observations win ties
-        self.pending = None  # (kind, s, t, lam, g_values)
-        self._defer_model = False
+        self.pending = None  # (kind, s, t, lam, g_values[, engine extra])
 
     @property
     def trace(self) -> list[RunRecord]:
@@ -239,20 +259,6 @@ class _EngineBase:
             return np.zeros(self.cfg.grid.size)
         return np.array(self._best_values)
 
-    def _record(self, kind, s, t, lam, y, aux) -> RunRecord:
-        best_y = y if not self._trace else max(self._trace[-1].best_y, y)
-        rec = RunRecord(
-            eval_index=len(self._trace),
-            s=s,
-            t=-1 if kind == "init" else t,
-            lam=tuple(float(v) for v in np.atleast_1d(lam)),
-            y=float(y),
-            best_y=float(best_y),
-            aux=dict(aux or {}),
-        )
-        self._trace.append(rec)
-        return rec
-
     def _update_best(self, g_values: np.ndarray, y: float) -> bool:
         if self._best_values is None or y > self._best_y:
             self._best_values = np.array(g_values)
@@ -260,13 +266,34 @@ class _EngineBase:
             return True
         return False
 
-    def _require_pending(self):
-        if self.pending is None:
-            raise ProtocolError("no pending suggestion; call ask first")
-
-    def _require_no_pending(self):
+    def ask(self) -> GridFunction:
         if self.pending is not None:
             raise ProtocolError("a suggestion is pending; call tell first")
+        if self.done:
+            raise ProtocolError("run is complete")
+        self._step()
+        return GridFunction(self.cfg.grid, self.pending[4])
+
+    def tell(self, y: float, aux=None) -> RunRecord:
+        if self.pending is None:
+            raise ProtocolError("no pending suggestion; call ask first")
+        if not np.isfinite(y):
+            raise InputError(f"observed value must be finite, got {y}")
+        _, s, t, lam, g_values = self.pending[:5]
+        rec = RunRecord(
+            eval_index=len(self._trace),
+            s=s,
+            t=t,
+            lam=tuple(float(v) for v in np.atleast_1d(lam)),
+            y=float(y),
+            best_y=float(y if not self._trace else max(self._trace[-1].best_y, y)),
+            aux=dict(aux or {}),
+        )
+        self._trace.append(rec)
+        self._update_best(g_values, rec.y)
+        self._observe(rec)
+        self.pending = None
+        return rec
 
     def replay(self, records, pending_desc=None):
         """Rebuild internal state from stored records (see bench state files).
@@ -276,60 +303,65 @@ class _EngineBase:
         replayed ones so a corrupted or out-of-date state file fails
         loudly instead of diverging.
         """
-        self._defer_model = self._can_defer_model()
         for rec in records:
             kind = "init" if rec.t < 0 else "inner"
-            self._restore_step(kind, rec.s, rec.t, np.asarray(rec.lam))
-            if self.pending[3].shape != (len(rec.lam),) or not np.array_equal(
-                self.pending[3], np.asarray(rec.lam)
-            ):
-                raise ProtocolError(
-                    f"state replay diverged at evaluation {rec.eval_index}"
-                )
+            self._replay_step((kind, rec.s, rec.t, rec.lam), f"evaluation {rec.eval_index}")
             new = self.tell(rec.y, aux=rec.aux)
-            if (new.s, new.t, new.best_y) != (rec.s, rec.t, rec.best_y):
+            if (new.eval_index, new.s, new.t, new.best_y) != (
+                rec.eval_index, rec.s, rec.t, rec.best_y,
+            ):
                 raise ProtocolError(
                     f"state replay bookkeeping mismatch at evaluation {rec.eval_index}"
                 )
-        self._defer_model = False
-        self._rebuild_deferred()
         if pending_desc is not None:
-            kind, s, t, lam = pending_desc
-            self._restore_step(kind, s, t, np.asarray(lam))
-            if not np.array_equal(self.pending[3], np.asarray(lam)):
-                raise ProtocolError("state replay diverged at the pending suggestion")
+            self._replay_step(pending_desc, "the pending suggestion")
 
-    # engine-specific hooks
-    def _can_defer_model(self) -> bool:
-        return False
+    def _replay_step(self, desc, where: str):
+        """The step of ``ask`` with the stored coordinates in place of the
+        acquisition search, checked against the run schedule."""
+        kind, s, t, lam = desc
+        lam = np.asarray(lam, dtype=float)
+        if self.done:
+            raise ProtocolError("state contains more evaluations than the run allows")
+        self._step(lam)
+        if self.pending[:3] != (kind, s, t):
+            raise ProtocolError(f"state disagrees with the run schedule at {where}")
+        if self.pending[3].shape != lam.shape or not np.array_equal(self.pending[3], lam):
+            raise ProtocolError(f"state replay diverged at {where}")
 
-    def _rebuild_deferred(self):
+    def _observe(self, rec: RunRecord):
         pass
 
-    def _restore_step(self, kind, s, t, lam):
-        raise NotImplementedError
 
+class _PhasedEngine(_EngineBase):
+    """GP-UCB on a sequence of random coordinate sets.
 
-class SubspaceSearchEngine(_EngineBase):
-    """GP-UCB over a sequence of random function subspaces.
-
-    Per outer iteration: bias at the incumbent, draw `d` basis sample
-    paths from the solution prior, evaluate `n_init` coordinate draws
-    from N(0, I), then run the inner acquisition loop until its budget
-    or the simple regret test ends it.
+    Per outer iteration s: start a coordinate set (``_start_outer``),
+    evaluate ``n_init`` coordinate draws from N(0, I), then run the inner
+    UCB loop until its budget T or the simple-regret certificate ends it.
+    Subclasses supply the model kernel and how an outer iteration starts
+    (``_start_outer`` returns the set), how coordinates map to a function
+    (``_function(lam, cap)`` returns the function values and an engine
+    extra kept in the pending tuple) and to a model point
+    (``_model_point``); the set's ``query_rows`` maps coordinate rows to
+    model query rows.  With ``_model_per_outer`` the model sees only the
+    current outer iteration's observations, otherwise all of them.
     """
 
-    def __init__(self, cfg: OptConfig, rng=None):
+    _model_per_outer = False
+
+    def __init__(self, cfg: OptConfig, rng, kernel_template, d: int):
         super().__init__(cfg, rng)
         self.s = 0
         self.phase = "init"
         self.i_init = 0
         self.t = 0
-        self.subspace: Subspace | None = None
+        self.subspace = None  # the current coordinate set
         self.finished = False
         self._obs: list[gp.Observation] = []
-        self._outer_best: tuple[np.ndarray, float] | None = None
+        self._outer_best = None  # (model point, y) within the current set
         self._err_cache: dict[tuple[int, int], float] = {}
+        self._defer_model = False
         self._mle = cfg.k_lengthscale == "mle"
         self._mle_grid = tuple(
             np.geomspace(cfg.mle_grid_min, cfg.mle_grid_max, cfg.mle_grid_points)
@@ -339,18 +371,12 @@ class SubspaceSearchEngine(_EngineBase):
             if self._mle
             else float(cfg.k_lengthscale)
         )
-        base = ScalarKernelSpec(cfg.k_kind, gamma0)
-        gram = (
-            kernels.scalar_gram(cfg.kappa, grid_coordinates(cfg.grid))
-            if cfg.k_metric == "rkhs"
-            else None
-        )
-        self._template = FunctionalKernelSpec(base, cfg.k_metric, gram)
+        self._template = kernel_template(gamma0)
         self.model = gp.empty_model(self._template, cfg.noise_sq)
         self._search = AcqSearchConfig(
             cfg.acq_restarts, cfg.acq_local_steps, cfg.acq_lambda_box, cfg.l_max
         )
-        self._schedule = UcbSchedule(cfg.acq_delta, cfg.d)
+        self._schedule = UcbSchedule(cfg.acq_delta, d)
 
     @property
     def done(self) -> bool:
@@ -372,6 +398,9 @@ class SubspaceSearchEngine(_EngineBase):
             self.i_init = 0
             self.t = 0
             self._outer_best = None
+            if self._model_per_outer:
+                self._obs = []
+                self.model = gp.empty_model(self._template, self.cfg.noise_sq)
             if self.s >= self.cfg.S:
                 self.finished = True
                 return
@@ -382,209 +411,154 @@ class SubspaceSearchEngine(_EngineBase):
         if self.cfg.termination == "regret":
             key = (self.s, self.t)
             if key not in self._err_cache:
-                values, _ = self._outer_best
                 self._err_cache[key] = simple_regret_err(
-                    self.model,
-                    self.subspace,
-                    GridFunction(self.cfg.grid, values),
-                    self._search,
+                    self.model, self.subspace, self._outer_best[0], self._search
                 )
             return self._err_cache[key] < self.cfg.epsilon
         return False
 
-    def _start_outer(self):
+    def _step(self, lam=None):
+        """Set the next pending suggestion.  Replay passes the stored inner
+        coordinates: the search's draws are consumed but it is not run."""
+        if self.subspace is None:
+            self.subspace = self._start_outer()
+        d = self.subspace.d
+        if self.phase == "init":
+            lam = self._rng.standard_normal(d)
+        elif lam is None:
+            sqrt_beta = math.sqrt(acquisition.beta(self._schedule, self.t + 1))
+            lam, _ = acquisition.ucb_search(
+                self.model, partial(self.subspace.query_rows, self._search), d,
+                self._search, self._rng, sqrt_beta,
+            )
+        else:
+            acquisition.restart_seeds(self._search, d, self._rng)
+        inner = self.phase == "inner"
+        g_values, extra = self._function(lam, cap=inner)
+        self.pending = (self.phase, self.s, self.t if inner else -1, lam, g_values, extra)
+
+    def _observe(self, rec: RunRecord):
+        obs = gp.Observation(self._model_point(self.pending[3], self.pending[4]), rec.y)
+        if self._outer_best is None or rec.y > self._outer_best[1]:
+            self._outer_best = (obs.point, rec.y)
+        self._obs.append(obs)
+        if not self._defer_model:
+            if self._mle:
+                self._rebuild_model()
+            else:
+                self.model = gp.condition(self.model, obs)
+        if rec.t < 0:
+            self.i_init += 1
+        else:
+            self.t += 1
+
+    def _rebuild_model(self):
+        self._template, self.model = gp.tune_and_rebuild(
+            self._obs, self._template, self._mle_grid, self.cfg.noise_sq
+        )
+
+    def replay(self, records, pending_desc=None):
+        # Tuned rebuilds depend only on the data, so under budget
+        # termination, where nothing reads the model during replay, they
+        # wait until the end.  Regret termination reads the model at every
+        # inner step, and the incremental path must re-apply the identical
+        # update chain.
+        self._defer_model = self._mle and self.cfg.termination == "budget"
+        super().replay(records)
+        if self._defer_model and self._obs:
+            self._rebuild_model()
+        self._defer_model = False
+        if pending_desc is not None:
+            self._replay_step(pending_desc, "the pending suggestion")
+
+
+class SubspaceSearchEngine(_PhasedEngine):
+    """GP-UCB over a sequence of random function subspaces.
+
+    Per outer iteration: bias at the incumbent, draw `d` basis sample
+    paths from the solution prior, evaluate `n_init` coordinate draws
+    from N(0, I), then run the inner acquisition loop until its budget
+    or the simple regret test ends it.  The model is a functional GP on
+    every observation so far, across all subspaces.
+    """
+
+    def __init__(self, cfg: OptConfig, rng=None):
+        gram = (
+            kernels.scalar_gram(cfg.kappa, grid_coordinates(cfg.grid))
+            if cfg.k_metric == "rkhs"
+            else None
+        )
+        super().__init__(
+            cfg,
+            rng,
+            lambda gamma: FunctionalKernelSpec(
+                ScalarKernelSpec(cfg.k_kind, gamma), cfg.k_metric, gram
+            ),
+            cfg.d,
+        )
+
+    def _start_outer(self) -> Subspace:
         bias = GridFunction(self.cfg.grid, self._incumbent_values())
         basis = tuple(
             gp.sample_on_grid(self.cfg.kappa, self.cfg.grid, self._rng)
             for _ in range(self.cfg.d)
         )
-        self.subspace = Subspace(self.s, bias, basis)
+        return Subspace(self.s, bias, basis)
 
-    def ask(self) -> GridFunction:
-        self._require_no_pending()
-        self._advance()
-        if self.finished:
-            raise ProtocolError("run is complete")
-        if self.subspace is None:
-            self._start_outer()
-        if self.phase == "init":
-            lam = self._rng.standard_normal(self.cfg.d)
-            g_values = self.subspace.bias.values + lam @ np.array(
-                [h.values for h in self.subspace.basis]
-            )
-            self.pending = ("init", self.s, -1, lam, g_values)
-        else:
-            lam, g, _ = acquisition.maximise(
-                self.model, self.subspace, self._schedule, self._search,
-                self.t + 1, self._rng,
-            )
-            self.pending = ("inner", self.s, self.t, lam, g.values)
-        return GridFunction(self.cfg.grid, self.pending[4])
+    def _function(self, lam, cap):
+        if cap:
+            return self.subspace.query_rows(self._search, lam[None, :])[0], None
+        basis = np.array([h.values for h in self.subspace.basis])
+        return self.subspace.bias.values + lam @ basis, None
 
-    def tell(self, y: float, aux=None) -> RunRecord:
-        self._require_pending()
-        if not np.isfinite(y):
-            raise InputError(f"observed value must be finite, got {y}")
-        kind, s, t, lam, g_values = self.pending
-        rec = self._record(kind, s, t, lam, y, aux)
-        self._update_best(g_values, rec.y)
-        if self._outer_best is None or rec.y > self._outer_best[1]:
-            self._outer_best = (np.array(g_values), rec.y)
-        self._obs.append(gp.Observation(GridFunction(self.cfg.grid, g_values), rec.y))
-        if not self._defer_model:
-            self._update_model(self._obs[-1])
-        if kind == "init":
-            self.i_init += 1
-        else:
-            self.t += 1
-        self.pending = None
-        return rec
-
-    def _update_model(self, obs: gp.Observation):
-        if self._mle:
-            self._template, self.model = gp.tune_and_rebuild(
-                self._obs, self._template, self._mle_grid, self.cfg.noise_sq
-            )
-        else:
-            self.model = gp.condition(self.model, obs)
-
-    # replay hooks ------------------------------------------------------
-
-    def _can_defer_model(self) -> bool:
-        # Tuned rebuilds are memoryless, so they can wait until the end of
-        # replay; regret termination reads the model mid-replay, and the
-        # incremental path must re-apply the identical update chain.
-        return self._mle and self.cfg.termination == "budget"
-
-    def _rebuild_deferred(self):
-        if self._mle and self._obs and self.model.n != len(self._obs):
-            self._template, self.model = gp.tune_and_rebuild(
-                self._obs, self._template, self._mle_grid, self.cfg.noise_sq
-            )
-
-    def _restore_step(self, kind, s, t, lam):
-        self._require_no_pending()
-        self._advance()
-        if self.finished:
-            raise ProtocolError("state contains more evaluations than the run allows")
-        if self.subspace is None:
-            self._start_outer()
-        if (kind == "init") != (self.phase == "init") or s != self.s:
-            raise ProtocolError("state records disagree with the run schedule")
-        if kind == "init":
-            drawn = self._rng.standard_normal(self.cfg.d)
-            g_values = self.subspace.bias.values + drawn @ np.array(
-                [h.values for h in self.subspace.basis]
-            )
-            self.pending = ("init", self.s, -1, drawn, g_values)
-        else:
-            self._rng.uniform(
-                -self.cfg.acq_lambda_box,
-                self.cfg.acq_lambda_box,
-                size=(self.cfg.acq_restarts, self.cfg.d),
-            )
-            g_values = acquisition.candidate_values(
-                self.subspace, self._search, lam[None, :]
-            )[0]
-            self.pending = ("inner", self.s, self.t, np.asarray(lam, dtype=float), g_values)
+    def _model_point(self, lam, g_values):
+        return GridFunction(self.cfg.grid, g_values)
 
 
-class BernsteinLineEngine(_EngineBase):
+@dataclass(frozen=True, eq=False)
+class BernsteinLine:
+    """Line origin + theta * direction in Bernstein weight space; its
+    model is a scalar GP on theta, so query rows are the coordinates."""
+
+    origin: np.ndarray
+    direction: np.ndarray
+    d = 1
+
+    def query_rows(self, search: AcqSearchConfig, lam_batch: np.ndarray) -> np.ndarray:
+        return lam_batch
+
+
+class BernsteinLineEngine(_PhasedEngine):
     """GP-UCB line search over the weights of a degree-10 Bernstein
     polynomial: each outer iteration picks a random unit direction in
-    weight space through the incumbent and optimises the line coordinate
-    with a fresh scalar SE model."""
+    weight space through the incumbent's weights and optimises the line
+    coordinate with a fresh scalar SE model."""
+
+    _model_per_outer = True
 
     def __init__(self, cfg: OptConfig, rng=None):
         if cfg.grid.dim != 1:
             raise ConfigError("the Bernstein line optimiser needs a 1-d grid")
-        super().__init__(cfg, rng)
+        super().__init__(cfg, rng, lambda gamma: ScalarKernelSpec("se", gamma), 1)
         self._B = bernstein_matrix(BERNSTEIN_DEGREE, grid_coordinates(cfg.grid)[:, 0])
-        self._n_weights = BERNSTEIN_DEGREE + 1
-        self.s = 0
-        self.phase = "init"
-        self.i_init = 0
-        self.t = 0
-        self.finished = False
-        self._direction: np.ndarray | None = None
-        self._line_origin: np.ndarray | None = None
-        self._line_obs: list[gp.Observation] = []
-        self._line_best: tuple[float, float] | None = None  # (theta, y)
-        self._best_weights = np.zeros(self._n_weights)
-        self._err_cache: dict[tuple[int, int], float] = {}
-        self._mle = cfg.k_lengthscale == "mle"
-        self._mle_grid = tuple(
-            np.geomspace(cfg.mle_grid_min, cfg.mle_grid_max, cfg.mle_grid_points)
-        )
-        gamma0 = (
-            math.sqrt(cfg.mle_grid_min * cfg.mle_grid_max)
-            if self._mle
-            else float(cfg.k_lengthscale)
-        )
-        self._template = ScalarKernelSpec("se", gamma0)
-        self.model = gp.empty_model(self._template, cfg.noise_sq)
-        self._search = AcqSearchConfig(
-            cfg.acq_restarts, cfg.acq_local_steps, cfg.acq_lambda_box, cfg.l_max
-        )
-        self._schedule = UcbSchedule(cfg.acq_delta, 1)
+        self._best_weights = np.zeros(BERNSTEIN_DEGREE + 1)
 
-    @property
-    def done(self) -> bool:
-        self._advance()
-        return self.finished
+    def _update_best(self, g_values, y):
+        improved = super()._update_best(g_values, y)
+        if improved:
+            self._best_weights = np.array(self.pending[5])
+        return improved
 
-    def _advance(self):
-        if self.finished:
-            return
-        if self.phase == "init" and self._direction is not None:
-            if self.i_init >= self.cfg.n_init:
-                self.phase = "inner"
-                self.t = 0
-        while self.phase == "inner" and self._line_done():
-            self.s += 1
-            self._direction = None
-            self._line_obs = []
-            self._line_best = None
-            self.model = gp.empty_model(self._template, self.cfg.noise_sq)
-            self.phase = "init"
-            self.i_init = 0
-            self.t = 0
-            if self.s >= self.cfg.S:
-                self.finished = True
-                return
-
-    def _line_done(self) -> bool:
-        if self.t >= self.cfg.T:
-            return True
-        if self.cfg.termination == "regret":
-            key = (self.s, self.t)
-            if key not in self._err_cache:
-                self._err_cache[key] = self._line_err()
-            return self._err_cache[key] < self.cfg.epsilon
-        return False
-
-    def _line_err(self) -> float:
-        theta_best = self._line_best[0]
-        mean, var = gp.posterior(self.model, np.array([theta_best]))
-        rng = np.random.default_rng(_REGRET_SEARCH_SEED)
-
-        def score(th_batch):
-            m, v = gp.posterior_batch(self.model, th_batch)
-            return -(m - np.sqrt(v))
-
-        _, neg_min = acquisition.golden_multistart(score, 1, self._search, rng)
-        return float(mean + math.sqrt(var) - (-neg_min))
-
-    def _start_line(self):
-        u = self._rng.standard_normal(self._n_weights)
+    def _start_outer(self) -> BernsteinLine:
+        u = self._rng.standard_normal(BERNSTEIN_DEGREE + 1)
         norm = float(np.linalg.norm(u))
         if norm == 0.0:
             raise NumericalError("degenerate zero direction draw")
-        self._direction = u / norm
-        self._line_origin = np.array(self._best_weights)
+        return BernsteinLine(np.array(self._best_weights), u / norm)
 
-    def _point_on_line(self, theta: float, cap: bool):
-        w = self._line_origin + theta * self._direction
+    def _function(self, lam, cap):
+        """Function values and weights at theta = lam[0], radially capped."""
+        w = self.subspace.origin + float(lam[0]) * self.subspace.direction
         g = w @ self._B
         if cap:
             norm = math.sqrt(float(g @ g) * self.cfg.grid.weight)
@@ -592,104 +566,22 @@ class BernsteinLineEngine(_EngineBase):
                 scale = self.cfg.l_max / norm
                 w = w * scale
                 g = g * scale
-        return w, g
+        return g, w
 
-    def ask(self) -> GridFunction:
-        self._require_no_pending()
-        self._advance()
-        if self.finished:
-            raise ProtocolError("run is complete")
-        if self._direction is None:
-            self._start_line()
-        if self.phase == "init":
-            lam = self._rng.standard_normal(1)
-            w, g_values = self._point_on_line(float(lam[0]), cap=False)
-            self.pending = ("init", self.s, -1, lam, g_values, w)
-        else:
-            sqrt_beta = math.sqrt(acquisition.beta(self._schedule, self.t + 1))
-
-            def score(th_batch):
-                m, v = gp.posterior_batch(self.model, th_batch)
-                return m + sqrt_beta * np.sqrt(v)
-
-            lam, _ = acquisition.golden_multistart(score, 1, self._search, self._rng)
-            w, g_values = self._point_on_line(float(lam[0]), cap=True)
-            self.pending = ("inner", self.s, self.t, lam, g_values, w)
-        return GridFunction(self.cfg.grid, self.pending[4])
-
-    def tell(self, y: float, aux=None) -> RunRecord:
-        self._require_pending()
-        if not np.isfinite(y):
-            raise InputError(f"observed value must be finite, got {y}")
-        kind, s, t, lam, g_values, w = self.pending
-        rec = self._record(kind, s, t, lam, y, aux)
-        if self._update_best(g_values, rec.y):
-            self._best_weights = np.array(w)
-        theta = float(lam[0])
-        if self._line_best is None or rec.y > self._line_best[1]:
-            self._line_best = (theta, rec.y)
-        self._line_obs.append(gp.Observation(np.array([theta]), rec.y))
-        if not self._defer_model:
-            self._update_model(self._line_obs[-1])
-        if kind == "init":
-            self.i_init += 1
-        else:
-            self.t += 1
-        self.pending = None
-        return rec
-
-    def _update_model(self, obs: gp.Observation):
-        if self._mle:
-            self._template, self.model = gp.tune_and_rebuild(
-                self._line_obs, self._template, self._mle_grid, self.cfg.noise_sq
-            )
-        else:
-            self.model = gp.condition(self.model, obs)
-
-    # replay hooks ------------------------------------------------------
-    # The per-line model always gets rebuilt inside the active line, so
-    # deferral would have to track line boundaries; lines are short (at
-    # most n_init + T points), replaying them directly is cheap.
-
-    def _restore_step(self, kind, s, t, lam):
-        self._require_no_pending()
-        self._advance()
-        if self.finished:
-            raise ProtocolError("state contains more evaluations than the run allows")
-        if self._direction is None:
-            self._start_line()
-        if (kind == "init") != (self.phase == "init") or s != self.s:
-            raise ProtocolError("state records disagree with the run schedule")
-        if kind == "init":
-            drawn = self._rng.standard_normal(1)
-            w, g_values = self._point_on_line(float(drawn[0]), cap=False)
-            self.pending = ("init", self.s, -1, drawn, g_values, w)
-        else:
-            self._rng.uniform(
-                -self.cfg.acq_lambda_box,
-                self.cfg.acq_lambda_box,
-                size=(self.cfg.acq_restarts, 1),
-            )
-            lam = np.asarray(lam, dtype=float)
-            w, g_values = self._point_on_line(float(lam[0]), cap=True)
-            self.pending = ("inner", self.s, self.t, lam, g_values, w)
+    def _model_point(self, lam, g_values):
+        return np.array([float(lam[0])])
 
 
 class RandomSearchEngine(_EngineBase):
     """Control baseline: every step evaluates a fresh random point
     g = sum_j lam_j h_j with new GP basis draws, same total budget."""
 
-    def __init__(self, cfg: OptConfig, rng=None):
-        super().__init__(cfg, rng)
-
     @property
     def done(self) -> bool:
         return len(self._trace) >= self.cfg.budget
 
-    def ask(self) -> GridFunction:
-        self._require_no_pending()
-        if self.done:
-            raise ProtocolError("run is complete")
+    def _step(self, lam=None):
+        # every value is drawn, so replay only checks its stored coordinates
         basis = np.array(
             [
                 gp.sample_on_grid(self.cfg.kappa, self.cfg.grid, self._rng).values
@@ -697,22 +589,7 @@ class RandomSearchEngine(_EngineBase):
             ]
         )
         lam = self._rng.standard_normal(self.cfg.d)
-        g_values = lam @ basis
-        self.pending = ("init", len(self._trace), -1, lam, g_values)
-        return GridFunction(self.cfg.grid, g_values)
-
-    def tell(self, y: float, aux=None) -> RunRecord:
-        self._require_pending()
-        if not np.isfinite(y):
-            raise InputError(f"observed value must be finite, got {y}")
-        kind, s, t, lam, g_values = self.pending
-        rec = self._record(kind, s, t, lam, y, aux)
-        self._update_best(g_values, rec.y)
-        self.pending = None
-        return rec
-
-    def _restore_step(self, kind, s, t, lam):
-        self.ask()
+        self.pending = ("init", len(self._trace), -1, lam, lam @ basis)
 
 
 def make_engine(cfg: OptConfig, algorithm: str, rng=None) -> _EngineBase:

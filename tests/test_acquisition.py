@@ -11,7 +11,8 @@ from funcbo.acquisition import (
     beta,
     candidate_values,
     maximise,
-    minimise_lcb,
+    restart_seeds,
+    ucb_search,
     ucb_value,
 )
 from funcbo.errors import InputError
@@ -171,13 +172,36 @@ def test_minimise_lcb_below_posterior_means():
         )
         for _ in range(4)
     ]
-    model = rebuild_model(SE_L2, 0.01, obs)
+    # min (mean - sd) is minus the max UCB of the model of -f: same
+    # variances, negated means
+    negated = rebuild_model(SE_L2, 0.01, [Observation(o.point, -o.y) for o in obs])
     search = AcqSearchConfig()
-    _, _, lcb = minimise_lcb(model, sub, search, np.random.default_rng(17))
+    _, neg_lcb = ucb_search(
+        negated,
+        lambda lam: candidate_values(sub, search, lam),
+        1,
+        search,
+        np.random.default_rng(17),
+        1.0,
+    )
+    model = rebuild_model(SE_L2, 0.01, obs)
     grid = np.linspace(-search.lambda_box, search.lambda_box, 256)[:, None]
     rows = candidate_values(sub, search, grid)
     means, variances = gp.posterior_batch(model, rows)
-    assert lcb <= float((means - np.sqrt(variances)).min()) + 1e-3
+    assert -neg_lcb <= float((means - np.sqrt(variances)).min()) + 1e-3
+
+
+def test_restart_seeds_are_the_only_draws_of_a_search():
+    search = AcqSearchConfig(restarts=5)
+    seeds = restart_seeds(search, 3, np.random.default_rng(20))
+    assert seeds.shape == (5, 3)
+    assert np.all(np.abs(seeds) <= search.lambda_box)
+    model = empty_model(ScalarKernelSpec("se", 1.0), 0.01)
+    searched = np.random.default_rng(20)
+    ucb_search(model, lambda lam: lam, 3, search, searched, 1.0)
+    skipped = np.random.default_rng(20)
+    restart_seeds(search, 3, skipped)
+    assert searched.random() == skipped.random()
 
 
 def test_search_config_validation():

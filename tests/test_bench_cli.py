@@ -1,13 +1,18 @@
+import functools
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from funcbo import bench
-from funcbo.errors import ConfigError, ProtocolError
+from funcbo.errors import ConfigError, FuncboError, ProtocolError
 from funcbo.gridfn import read_function_csv
-from funcbo.optimizer import make_engine, rng_streams
+from funcbo.optimizer import ALGORITHMS, RUNNERS, make_engine, rng_streams
 
 SMALL = """
 opt.algorithm = random_search
@@ -108,8 +113,6 @@ def test_run_bench_effdim_uses_best_y_summary(tmp_path):
 
 
 def test_session_equivalence_under_regret_termination(tmp_path):
-    from funcbo.optimizer import RUNNERS
-
     state = tmp_path / "state.txt"
     state.write_text(
         "opt.S = 2\nopt.T = 6\nopt.n_init = 2\nopt.seed = 3\n"
@@ -161,18 +164,24 @@ def test_first_suggestion_is_first_initial_design_point(tmp_path):
     np.testing.assert_array_equal(suggested.values, expected.values)
 
 
-def test_session_reproduces_in_process_run(tmp_path):
-    from funcbo.optimizer import RUNNERS
-
-    state = _fresh_state(tmp_path, extra="objective.noise = 0.05\n")
+@pytest.mark.parametrize("metric", ["l2grid", "rkhs"])
+@pytest.mark.parametrize("termination", ["budget", "regret"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_session_reproduces_in_process_run(tmp_path, algorithm, termination, metric):
+    state = tmp_path / "state.txt"
+    state.write_text(
+        "grid.points_per_axis = 40\nopt.S = 2\nopt.T = 4\nopt.n_init = 2\n"
+        f"opt.seed = 8\nobjective.noise = 0.05\nopt.algorithm = {algorithm}\n"
+        f"opt.termination = {termination}\nK.metric = {metric}\n"
+    )
     values = bench.parse_config(state)
     cfg = bench.build_opt_config(values)
     objective = bench.build_objective(values, cfg.grid)
-    _, reference = RUNNERS["s3bfo"](objective, cfg)
+    _, reference = RUNNERS[algorithm](objective, cfg)
 
     _, noise_rng = rng_streams(cfg.seed)
     out = tmp_path / "g.csv"
-    for _ in range(cfg.budget):
+    for _ in range(len(reference)):
         bench.suggest(state, out)
         y = objective.evaluate(read_function_csv(out), noise_rng)
         bench.tell(state, y)
@@ -294,3 +303,74 @@ def test_cli_tell_nonfinite_is_input_error(tmp_path):
     _cli("suggest", "--state", str(state), "--out", str(fn))
     res = _cli("tell", "--state", str(state), "--y", "nan")
     assert res.returncode == 2
+
+
+def _state_with_pending(tmp_path):
+    """A state file with one told evaluation and a pending suggestion."""
+    state = _fresh_state(tmp_path)
+    bench.suggest(state, tmp_path / "g.csv")
+    bench.tell(state, 0.5)
+    bench.suggest(state, tmp_path / "g.csv")
+    return state
+
+
+def _edit_field(text, prefix, field, value):
+    """Set one comma-separated field of the line starting with prefix."""
+    lines = text.splitlines()
+    i = next(k for k, line in enumerate(lines) if line.startswith(prefix))
+    parts = lines[i].split(",")
+    parts[field] = value
+    lines[i] = ",".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "prefix, field, value, code",
+    [
+        ("0,0,-1,", 0, "x", 2),  # non-integer eval_index
+        ("inner,", 3, "abc", 2),  # non-number lambda0 of the pending line
+        ("draws = ", 0, "draws = many", 2),
+        ("0,0,-1,", 0, "7", 3),  # eval_index out of step with its position
+    ],
+)
+def test_cli_malformed_state_exits_cleanly(tmp_path, prefix, field, value, code):
+    state = _state_with_pending(tmp_path)
+    state.write_text(_edit_field(state.read_text(), prefix, field, value))
+    res = _cli("tell", "--state", str(state), "--y", "0.25")
+    assert res.returncode == code
+    assert "Traceback" not in res.stderr
+
+
+@functools.lru_cache(maxsize=1)
+def _regret_session_text():
+    with tempfile.TemporaryDirectory() as tmp:
+        state = Path(tmp) / "state.txt"
+        state.write_text(
+            "grid.points_per_axis = 20\nopt.S = 2\nopt.T = 2\nopt.n_init = 1\n"
+            "opt.seed = 8\nopt.termination = regret\nopt.epsilon = 0.001\n"
+        )
+        for y in (0.5, -0.25, 0.75):
+            bench.suggest(state, Path(tmp) / "g.csv")
+            bench.tell(state, y)
+        bench.suggest(state, Path(tmp) / "g.csv")
+        return state.read_text()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_edited_state_loads_or_raises_funcbo_error(data):
+    # one line of a valid state (one field of a CSV line) replaced by
+    # arbitrary text: the state either loads or fails with a documented error
+    lines = _regret_session_text().splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    fields = lines[i].split(",")
+    j = data.draw(st.integers(0, len(fields) - 1))
+    fields[j] = data.draw(st.text(alphabet="0123456789abcdefinrtx.,-+= []#_", max_size=24))
+    lines[i] = ",".join(fields)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.txt"
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            bench.load_state(path)
+        except FuncboError:
+            pass

@@ -222,13 +222,38 @@ def test_simple_regret_shrinks_over_inner_run():
                     simple_regret_err(
                         eng.model,
                         eng.subspace,
-                        GridFunction(GRID_1D, eng._outer_best[0]),
+                        eng._outer_best[0],
                         eng._search,
                     )
                 )
         assert errs[-1] < 0.01
         assert errs[-1] < errs[0]
         assert max(b - a for a, b in zip(errs, errs[1:])) < 0.1
+
+
+def test_linebo_regret_certificate_matches_dense_scan():
+    # the line baseline maximises, so its certificate is max UCB over the
+    # line minus the LCB at the line's best theta, as for subspaces
+    for seed in range(2):
+        cfg = _cfg(S=1, T=8, n_init=2, seed=seed, termination="regret", epsilon=1e-12)
+        dec, noise = rng_streams(cfg.seed)
+        eng = BernsteinLineEngine(cfg, dec)
+        obj = _match_obj()
+        checked = 0
+        while not eng.done:
+            if eng.phase == "inner":
+                line = [r for r in eng.trace if r.s == eng.s]
+                theta_best = max(line, key=lambda r: r.y).lam[0]
+                box = eng._search.lambda_box
+                thetas = np.linspace(-box, box, 4001)[:, None]
+                means, variances = gp.posterior_batch(eng.model, thetas)
+                m_inc, v_inc = gp.posterior(eng.model, np.array([theta_best]))
+                dense = float((means + np.sqrt(variances)).max()) - (m_inc - math.sqrt(v_inc))
+                assert eng._err_cache[(eng.s, eng.t)] == pytest.approx(dense, abs=1e-3)
+                checked += 1
+            g = eng.ask()
+            eng.tell(obj.evaluate(g, noise), obj.aux(g))
+        assert checked == cfg.T
 
 
 def test_regret_termination_can_stop_inner_loop_early():
@@ -260,7 +285,7 @@ def test_linebo_zero_weights_give_zero_function():
     # the first suggestion lies on a line through the zero incumbent
     g = eng.ask()
     theta = eng.pending[3][0]
-    w = theta * eng._direction
+    w = theta * eng.subspace.direction
     np.testing.assert_allclose(g.values, w @ eng._B, atol=1e-12)
 
 
