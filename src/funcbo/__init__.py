@@ -18,7 +18,6 @@ from .errors import (
 from .gp import (
     GPModel,
     Observation,
-    biased_posterior_equivalence_check,
     condition,
     empty_model,
     log_marginal_likelihood,
@@ -26,7 +25,6 @@ from .gp import (
     posterior_batch,
     rebuild_model,
     sample_on_grid,
-    tune_lengthscale,
 )
 from .gridfn import (
     GridFunction,
@@ -40,13 +38,7 @@ from .gridfn import (
     rkhs_dist_sq,
     write_function_csv,
 )
-from .kernels import (
-    FunctionalKernelSpec,
-    ScalarKernelSpec,
-    functional_eval,
-    gram_matrix,
-    scalar_eval,
-)
+from .kernels import FunctionalKernelSpec, ScalarKernelSpec
 from .objectives import (
     EffectiveDimObjective,
     MatchingObjective,

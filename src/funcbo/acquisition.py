@@ -10,6 +10,16 @@ evaluated is returned, so a restart can never end below its own seed.
 Candidates whose function exceeds the norm cap are pulled back onto the
 ball by radial scaling before scoring, so the returned function always
 satisfies the constraint.
+
+The search scores candidates from their coordinates, never from their
+N grid values.  A candidate of the subspace b + span(h_1..h_d) is
+c * (a @ A) with A = [b; h_1..h_d], a = [1, lam] and c the cap scale.
+Once per search ``subspace_posterior`` computes the L2 Gram A Aᵀ, and
+``gp.span_posterior`` the metric Gram and the projections of A on the
+model's points.  Per row, a (A Aᵀ) aᵀ is the squared norm that sets c,
+and the squared distances to the n observations cost O(d n) instead of
+O(N n).  Only the pick is mapped to its N values, by
+``candidate_values``; both paths take c from ``cap_scale``.
 """
 
 from __future__ import annotations
@@ -70,17 +80,40 @@ class AcqSearchConfig:
                 raise InputError(f"{name} must be positive")
 
 
+def cap_scale(sq_norms: np.ndarray, l_max: float) -> np.ndarray:
+    """Radial scale factors that pull functions of the given squared L2
+    norms back onto the ball of radius l_max: 1 inside it."""
+    norms = np.sqrt(np.maximum(sq_norms, 0.0))
+    scale = np.ones_like(norms)
+    over = norms > l_max
+    scale[over] = l_max / norms[over]
+    return scale
+
+
 def candidate_values(subspace, search: AcqSearchConfig, lam_batch: np.ndarray) -> np.ndarray:
     """Map coordinate rows to function value rows, radially capped at l_max."""
     lam_batch = np.atleast_2d(np.asarray(lam_batch, dtype=float))
     basis = np.array([h.values for h in subspace.basis])
     g = subspace.bias.values[None, :] + lam_batch @ basis
-    weight = subspace.bias.spec.weight
-    norms = np.sqrt(np.einsum("ij,ij->i", g, g) * weight)
-    over = norms > search.l_max
-    if np.any(over):
-        g[over] *= (search.l_max / norms[over])[:, None]
-    return g
+    sq_norms = np.einsum("ij,ij->i", g, g) * subspace.bias.spec.weight
+    return g * cap_scale(sq_norms, search.l_max)[:, None]
+
+
+def subspace_posterior(model: gp.GPModel, subspace, search: AcqSearchConfig):
+    """Batched lam -> (mean, var) at the capped candidates of a subspace,
+    computed from the coordinates: equal to posterior_batch on
+    candidate_values(subspace, search, lam) up to rounding."""
+    A = np.array([subspace.bias.values] + [h.values for h in subspace.basis])
+    l2_gram = (A @ A.T) * subspace.bias.spec.weight
+    span = gp.span_posterior(model, A)
+
+    def posterior(lam_batch):
+        lam_batch = np.atleast_2d(np.asarray(lam_batch, dtype=float))
+        a = np.hstack([np.ones((lam_batch.shape[0], 1)), lam_batch])
+        sq_norms = np.einsum("ij,ij->i", a @ l2_gram, a)
+        return span(a, cap_scale(sq_norms, search.l_max))
+
+    return posterior
 
 
 def restart_seeds(search: AcqSearchConfig, d: int, rng) -> np.ndarray:
@@ -135,17 +168,17 @@ def golden_multistart(score_batch, d: int, search: AcqSearchConfig, rng):
     return best_lam[i].copy(), float(best_val[i])
 
 
-def ucb_search(model: gp.GPModel, rows_fn, d: int, search: AcqSearchConfig, rng, sqrt_beta: float):
+def ucb_search(posterior, d: int, search: AcqSearchConfig, rng, sqrt_beta: float):
     """Maximise mean + sqrt_beta * sd over coordinates in [-box, box]^d;
     returns (lam, value).
 
-    rows_fn maps an (n, d) array of coordinate rows to the model's query
-    rows (capped function values for a subspace, the coordinates
-    themselves for a model on the coordinates).
+    posterior maps an (n, d) array of coordinate rows to the posterior
+    (means, variances) there: ``subspace_posterior`` for a subspace, or
+    ``gp.posterior_batch`` of a model on the coordinates themselves.
     """
 
     def score(lam_batch):
-        mean, var = gp.posterior_batch(model, rows_fn(lam_batch))
+        mean, var = posterior(lam_batch)
         return mean + sqrt_beta * np.sqrt(var)
 
     return golden_multistart(score, d, search, rng)
@@ -167,8 +200,7 @@ def maximise(
     if d < 1:
         raise InputError("subspace must have at least one basis function")
     lam, val = ucb_search(
-        model,
-        lambda lam_batch: candidate_values(subspace, search, lam_batch),
+        subspace_posterior(model, subspace, search),
         d,
         search,
         rng,

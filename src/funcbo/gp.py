@@ -12,6 +12,15 @@ the regularised Gram matrix, so queries cost one triangular solve and
 be grid functions (functional kernels) or coordinate vectors (scalar
 kernels, used by the line-search baseline); the distance bookkeeping for
 both lives in the private helpers below.
+
+A posterior query is two steps: the squared distances from the queries
+to the model's points, then ``posterior_from_sqdist``, the one step that
+turns them into means and variances.  ``posterior_batch`` takes the
+distances from raw query rows (N grid values per function).
+``span_posterior`` takes them from coefficient rows over a few fixed
+functions A, such as the bias and basis of a search subspace: the metric
+Gram of A's rows and their inner products with the model's points are
+computed once, after which a query costs O(d n) per row, not O(N n).
 """
 
 from __future__ import annotations
@@ -105,19 +114,22 @@ def _weight(mode: str, grid: GridSpec | None) -> float:
     return grid.weight if mode == "l2grid" else 1.0
 
 
-def _cross_sq(model_mode, kernel, grid, V, row_q, GV, Q: np.ndarray) -> np.ndarray:
-    """Squared metric distances (or inner products for linear), shape (q, n)."""
-    if model_mode == "coord_linear":
-        return Q @ V.T
-    if model_mode == "rkhs":
-        QG = Q @ kernel.rkhs_gram
-        q_sq = np.einsum("ij,ij->i", QG, Q)
-        cross = Q @ GV.T
-    else:
-        q_sq = np.einsum("ij,ij->i", Q, Q)
-        cross = Q @ V.T
-    r2 = (q_sq[:, None] + row_q[None, :] - 2.0 * cross) * _weight(model_mode, grid)
+def _sqdist(model: GPModel, q_sq: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """Squared metric distances, shape (q, n), from the queries' squared
+    norms and their inner products with the model's points."""
+    r2 = (q_sq[:, None] + model.row_q[None, :] - 2.0 * cross) * _weight(model.mode, model.grid)
     return np.maximum(r2, 0.0)
+
+
+def query_sqdist(model: GPModel, Q: np.ndarray) -> np.ndarray:
+    """Squared metric distances from query rows to the model's points,
+    shape (q, n); inner products instead for the linear kind."""
+    if model.mode == "coord_linear":
+        return Q @ model.V.T
+    if model.mode == "rkhs":
+        QG = Q @ model.kernel.rkhs_gram
+        return _sqdist(model, np.einsum("ij,ij->i", QG, Q), Q @ model.GV.T)
+    return _sqdist(model, np.einsum("ij,ij->i", Q, Q), Q @ model.V.T)
 
 
 def _pairwise_raw(mode, grid, V, row_q, GV) -> np.ndarray:
@@ -129,8 +141,15 @@ def _pairwise_raw(mode, grid, V, row_q, GV) -> np.ndarray:
     return np.maximum(r2, 0.0)
 
 
+def _cov_from_raw(base: ScalarKernelSpec, mode, raw) -> np.ndarray:
+    """Kernel values from squared distances (inner products for linear)."""
+    if mode == "coord_linear":
+        return base.variance * raw
+    return kernels.value_from_sqdist(base, raw)
+
+
 def _gram_from_raw(base: ScalarKernelSpec, mode, raw) -> np.ndarray:
-    k = base.variance * raw if mode == "coord_linear" else kernels.value_from_sqdist(base, raw)
+    k = _cov_from_raw(base, mode, raw)
     return (k + k.T) / 2.0
 
 
@@ -144,13 +163,6 @@ def _prior_var(kernel, Q: np.ndarray) -> np.ndarray:
     if _mode_of(kernel) == "coord_linear":
         return base.variance * np.einsum("ij,ij->i", Q, Q)
     return np.full(Q.shape[0], base.variance)
-
-
-def _cross_k(model: GPModel, Q: np.ndarray) -> np.ndarray:
-    raw = _cross_sq(model.mode, model.kernel, model.grid, model.V, model.row_q, model.GV, Q)
-    if model.mode == "coord_linear":
-        return _base_of(model.kernel).variance * raw
-    return kernels.value_from_sqdist(_base_of(model.kernel), raw)
 
 
 def empty_model(kernel, noise_sq: float) -> GPModel:
@@ -221,7 +233,8 @@ def condition(model: GPModel, obs: Observation) -> GPModel:
         s_sq = k_nn
         V = x_row.copy()
     else:
-        k_vec = _cross_k(model, x_row)[0]
+        raw = query_sqdist(model, x_row)
+        k_vec = _cov_from_raw(_base_of(model.kernel), model.mode, raw)[0]
         ell = solve_triangular(model.L, k_vec, lower=True)
         s_sq = k_nn - float(ell @ ell)
         V = np.vstack([model.V, x_row])
@@ -251,6 +264,21 @@ def condition(model: GPModel, obs: Observation) -> GPModel:
     )
 
 
+def posterior_from_sqdist(
+    model: GPModel, raw: np.ndarray, prior: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior means and variances of a batch of queries from their
+    squared distances to the model's points (inner products for the
+    linear kind), shape (q, n), and their prior variances.  The model
+    holds at least one point.  Variances are clamped at zero; every
+    posterior query ends here."""
+    k = _cov_from_raw(_base_of(model.kernel), model.mode, raw)
+    mean = k @ model.alpha
+    w = solve_triangular(model.L, k.T, lower=True)
+    var = prior - np.einsum("ij,ij->j", w, w)
+    return mean, np.maximum(var, 0.0)
+
+
 def posterior_batch(model: GPModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means and variances at a batch of raw query rows.
 
@@ -262,11 +290,35 @@ def posterior_batch(model: GPModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarr
     prior = _prior_var(model.kernel, Q)
     if model.n == 0:
         return np.zeros(Q.shape[0]), prior
-    k = _cross_k(model, Q)
-    mean = k @ model.alpha
-    w = solve_triangular(model.L, k.T, lower=True)
-    var = prior - np.einsum("ij,ij->j", w, w)
-    return mean, np.maximum(var, 0.0)
+    return posterior_from_sqdist(model, query_sqdist(model, Q), prior)
+
+
+def span_posterior(model: GPModel, A: np.ndarray):
+    """Posterior queries at scaled combinations of the rows of A.
+
+    Returns ``posterior(a, c)``: the posterior means and variances at the
+    points c_i * (a_i @ A) for coefficient rows a (q, r) and scales c (q,).
+    The metric Gram of A's rows (A Aᵀ, or A G Aᵀ under rkhs) and their
+    inner products with the model's points (A Vᵀ, or A G Vᵀ) are computed
+    once here, so a query costs O(q r n) and never forms a point of the
+    grid's width.  Functional kernels only; A's rows lie on the model's grid.
+    """
+    variance = _base_of(model.kernel).variance
+    if model.n == 0:
+        return lambda a, c: (np.zeros(len(a)), np.full(len(a), variance))
+    if model.mode == "rkhs":
+        gram = A @ model.kernel.rkhs_gram @ A.T
+        proj = A @ model.GV.T
+    else:
+        gram = A @ A.T
+        proj = A @ model.V.T
+
+    def posterior(a, c):
+        q_sq = c * c * np.einsum("ij,ij->i", a @ gram, a)
+        raw = _sqdist(model, q_sq, c[:, None] * (a @ proj))
+        return posterior_from_sqdist(model, raw, np.full(len(a), variance))
+
+    return posterior
 
 
 def posterior(model: GPModel, point) -> tuple[float, float]:
@@ -381,89 +433,3 @@ def tune_and_rebuild(observations, template, candidates, noise_sq: float):
         GV=GV,
     )
     return spec, model
-
-
-def tune_lengthscale(observations, template, candidates, noise_sq: float):
-    """As tune_and_rebuild, returning only the tuned kernel spec."""
-    spec, _ = tune_and_rebuild(observations, template, candidates, noise_sq)
-    return spec
-
-
-# --- posterior identity used to validate subspace chaining -------------
-
-
-def _cross_gram(kernel, pts_a, pts_b) -> np.ndarray:
-    grid = None
-    rows_a, rows_b = [], []
-    for p in pts_a:
-        x, g = _rep(kernel, p, grid)
-        grid = g if grid is None else grid
-        rows_a.append(x)
-    for p in pts_b:
-        x, _ = _rep(kernel, p, grid)
-        rows_b.append(x)
-    A, B = np.array(rows_a), np.array(rows_b)
-    row_q, GV = _caches(kernel, B, grid)
-    raw = _cross_sq(_mode_of(kernel), kernel, grid, B, row_q, GV, A)
-    if _mode_of(kernel) == "coord_linear":
-        return _base_of(kernel).variance * raw
-    return kernels.value_from_sqdist(_base_of(kernel), raw)
-
-
-def biased_posterior_equivalence_check(
-    kernel, noise_sq: float, obs_prev, obs_new, probes, tol: float = 1e-6
-) -> bool:
-    """Check that conditioning on all data at once equals conditioning a
-    prior already biased by the earlier data on the new data only.
-
-    Side one is the plain posterior given obs_prev + obs_new.  Side two
-    treats the posterior given obs_prev as a new (non-zero-mean) prior
-    and conditions it on obs_new.  Returns True when posterior mean and
-    variance agree at every probe within tol.  Diagnostic utility.
-    """
-    obs_prev, obs_new, probes = list(obs_prev), list(obs_new), list(probes)
-    joint = rebuild_model(kernel, noise_sq, obs_prev + obs_new)
-    mean1 = np.array([posterior(joint, p)[0] for p in probes])
-    var1 = np.array([posterior(joint, p)[1] for p in probes])
-
-    if not obs_prev:
-        prior_mean_new = np.zeros(len(obs_new))
-        prior_mean_q = np.zeros(len(probes))
-
-        def post_cov(pa, pb):
-            return _cross_gram(kernel, pa, pb)
-
-    else:
-        pts_prev = [o.point for o in obs_prev]
-        y_prev = np.array([o.y for o in obs_prev])
-        k_pp = _cross_gram(kernel, pts_prev, pts_prev)
-        k_pp[np.diag_indices_from(k_pp)] += noise_sq
-        k_pp_inv = np.linalg.inv(k_pp)
-
-        def prior_mean(pts):
-            return _cross_gram(kernel, pts, pts_prev) @ k_pp_inv @ y_prev
-
-        def post_cov(pa, pb):
-            kab = _cross_gram(kernel, pa, pb)
-            ka = _cross_gram(kernel, pa, pts_prev)
-            kb = _cross_gram(kernel, pb, pts_prev)
-            return kab - ka @ k_pp_inv @ kb.T
-
-        pts_new = [o.point for o in obs_new]
-        prior_mean_new = prior_mean(pts_new)
-        prior_mean_q = prior_mean(probes)
-
-    pts_new = [o.point for o in obs_new]
-    y_new = np.array([o.y for o in obs_new])
-    c_nn = post_cov(pts_new, pts_new)
-    c_nn[np.diag_indices_from(c_nn)] += noise_sq
-    c_qn = post_cov(probes, pts_new)
-    w = np.linalg.solve(c_nn, y_new - prior_mean_new)
-    mean2 = prior_mean_q + c_qn @ w
-    var2 = np.array(
-        [post_cov([p], [p])[0, 0] for p in probes]
-    ) - np.einsum("ij,ij->i", c_qn, np.linalg.solve(c_nn, c_qn.T).T)
-
-    return bool(
-        np.max(np.abs(mean1 - mean2)) <= tol and np.max(np.abs(var1 - var2)) <= tol
-    )

@@ -24,9 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gridfn
 from .errors import InputError, NumericalError, ShapeError
-from .gridfn import GridFunction
 
 SCALAR_KINDS = ("se", "matern12", "matern32", "linear")
 DISTANCE_KINDS = ("se", "matern12", "matern32")
@@ -105,30 +103,6 @@ def value_from_sqdist(base: ScalarKernelSpec, r_sq) -> np.ndarray:
     return base.variance * (1.0 + a) * np.exp(-a)
 
 
-def scalar_eval(spec: ScalarKernelSpec, x, y) -> float:
-    """kappa(x, y) for points in [0,1]^m."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.shape != y.shape:
-        raise ShapeError(f"point shape mismatch: {x.shape} vs {y.shape}")
-    if spec.kind == "linear":
-        return float(spec.variance * np.dot(x, y))
-    d = x - y
-    return float(value_from_sqdist(spec, np.dot(d, d)))
-
-
-def functional_eval(spec: FunctionalKernelSpec, g: GridFunction, h: GridFunction) -> float:
-    """K(g, h) with the squared distance taken under the configured metric."""
-    if spec.metric == "l2grid":
-        r_sq = gridfn.l2_dist_sq(g, h)
-    else:
-        # values are read as coefficient vectors of the gram's basis
-        if g.spec != h.spec:
-            raise ShapeError(f"grid mismatch: {g.spec} vs {h.spec}")
-        r_sq = gridfn.rkhs_dist_sq(g.values, h.values, spec.rkhs_gram)
-    return float(value_from_sqdist(spec.base, r_sq))
-
-
 def scalar_gram(spec: ScalarKernelSpec, coords) -> np.ndarray:
     """Vectorised gram of a scalar kernel at coordinate rows (n, m)."""
     x = np.atleast_2d(np.asarray(coords, dtype=float))
@@ -139,18 +113,3 @@ def scalar_gram(spec: ScalarKernelSpec, coords) -> np.ndarray:
         r2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * x @ x.T, 0.0)
         gram = value_from_sqdist(spec, r2)
     return (gram + gram.T) / 2.0
-
-
-def gram_matrix(spec, points) -> np.ndarray:
-    """Pairwise covariance matrix; upper triangle evaluated, mirrored down."""
-    points = list(points)
-    if not points:
-        raise InputError("gram_matrix needs at least one point")
-    evaluate = functional_eval if isinstance(spec, FunctionalKernelSpec) else scalar_eval
-    n = len(points)
-    m = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            m[i, j] = evaluate(spec, points[i], points[j])
-            m[j, i] = m[i, j]
-    return m

@@ -16,7 +16,12 @@ far) + span(GP sample paths), modelled by one functional GP on every
 observation; for the line baseline it is a random line through the
 incumbent's Bernstein weights, modelled by a scalar GP on the line
 coordinate of that line's observations.  Both use the same UCB search
-and the same regret certificate.
+and the same regret certificate, and both score in coordinates: the set
+hands the search a batched lam -> (mean, var) function (``posterior_fn``).
+A subspace builds it once per search from the projections of its bias
+and basis on the model's points (``acquisition.subspace_posterior``), so
+no candidate's N grid values are formed until the pick is mapped to its
+capped function.
 
 Determinism: all draws come from two streams derived from the config
 seed, one for optimiser decisions and one for observation noise, so an
@@ -47,6 +52,9 @@ ALGORITHMS = ("s3bfo", "linebo_bernstein", "fixed_subspace", "random_search")
 TERMINATIONS = ("budget", "regret")
 
 _REGRET_SEARCH_SEED = 0x5EED
+# Largest grid the dense prior factor is built for: its N x N gram takes
+# 8 N^2 bytes, 800 MB at this limit.
+MAX_GRID_POINTS = 10_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,9 +76,9 @@ class Subspace:
     def d(self) -> int:
         return len(self.basis)
 
-    def query_rows(self, search: AcqSearchConfig, lam_batch: np.ndarray) -> np.ndarray:
-        """Model query rows of coordinate rows: the capped functions."""
-        return acquisition.candidate_values(self, search, lam_batch)
+    def posterior_fn(self, model: gp.GPModel, search: AcqSearchConfig):
+        """Batched lam -> (mean, var) at the capped functions, from coordinates."""
+        return acquisition.subspace_posterior(model, self, search)
 
 
 @dataclass(frozen=True)
@@ -100,6 +108,11 @@ class OptConfig:
     mle_grid_points: int = 17
 
     def __post_init__(self):
+        if self.grid.size > MAX_GRID_POINTS:
+            raise ConfigError(
+                f"grid has N = {self.grid.size} points; the dense prior supports "
+                f"at most N = {MAX_GRID_POINTS}"
+            )
         for name in ("d", "S", "T", "n_init"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -203,7 +216,7 @@ def simple_regret_err(
     subspace optimum, so values below epsilon justify ending the inner
     loop of a maximisation run.
 
-    ``subspace`` is any coordinate set with ``d`` and ``query_rows`` (a
+    ``subspace`` is any coordinate set with ``d`` and ``posterior_fn`` (a
     Subspace or a BernsteinLine); ``incumbent`` is a model point of it.
     The inner maximisation is the acquisition UCB search with unit width;
     its restart seeds come from a fixed internal stream unless an rng is
@@ -217,7 +230,7 @@ def simple_regret_err(
         rng = np.random.default_rng(_REGRET_SEARCH_SEED)
     mean, var = gp.posterior(model, incumbent)
     _, ucb_max = acquisition.ucb_search(
-        model, partial(subspace.query_rows, search), subspace.d, search, rng, 1.0
+        subspace.posterior_fn(model, search), subspace.d, search, rng, 1.0
     )
     return float(ucb_max - (mean - math.sqrt(var)))
 
@@ -343,9 +356,10 @@ class _PhasedEngine(_EngineBase):
     (``_start_outer`` returns the set), how coordinates map to a function
     (``_function(lam, cap)`` returns the function values and an engine
     extra kept in the pending tuple) and to a model point
-    (``_model_point``); the set's ``query_rows`` maps coordinate rows to
-    model query rows.  With ``_model_per_outer`` the model sees only the
-    current outer iteration's observations, otherwise all of them.
+    (``_model_point``); the set's ``posterior_fn`` gives the UCB search
+    the model posterior at coordinate rows.  With ``_model_per_outer`` the
+    model sees only the current outer iteration's observations, otherwise
+    all of them.
     """
 
     _model_per_outer = False
@@ -428,7 +442,7 @@ class _PhasedEngine(_EngineBase):
         elif lam is None:
             sqrt_beta = math.sqrt(acquisition.beta(self._schedule, self.t + 1))
             lam, _ = acquisition.ucb_search(
-                self.model, partial(self.subspace.query_rows, self._search), d,
+                self.subspace.posterior_fn(self.model, self._search), d,
                 self._search, self._rng, sqrt_beta,
             )
         else:
@@ -507,7 +521,8 @@ class SubspaceSearchEngine(_PhasedEngine):
 
     def _function(self, lam, cap):
         if cap:
-            return self.subspace.query_rows(self._search, lam[None, :])[0], None
+            g = acquisition.candidate_values(self.subspace, self._search, lam[None, :])
+            return g[0], None
         basis = np.array([h.values for h in self.subspace.basis])
         return self.subspace.bias.values + lam @ basis, None
 
@@ -518,14 +533,14 @@ class SubspaceSearchEngine(_PhasedEngine):
 @dataclass(frozen=True, eq=False)
 class BernsteinLine:
     """Line origin + theta * direction in Bernstein weight space; its
-    model is a scalar GP on theta, so query rows are the coordinates."""
+    model is a scalar GP on theta, so it is queried at the coordinates."""
 
     origin: np.ndarray
     direction: np.ndarray
     d = 1
 
-    def query_rows(self, search: AcqSearchConfig, lam_batch: np.ndarray) -> np.ndarray:
-        return lam_batch
+    def posterior_fn(self, model: gp.GPModel, search: AcqSearchConfig):
+        return partial(gp.posterior_batch, model)
 
 
 class BernsteinLineEngine(_PhasedEngine):

@@ -1,0 +1,123 @@
+"""Reference implementations that only the tests use.
+
+Brute-force kernel evaluation (one pair at a time), the lengthscale
+choice without its model, and the biased-prior identity that validates
+chaining a model across subspaces.  The library's fast paths are checked
+against these.
+"""
+
+import numpy as np
+
+from funcbo import gp, gridfn
+from funcbo.errors import InputError, ShapeError
+from funcbo.gridfn import GridFunction
+from funcbo.kernels import FunctionalKernelSpec, ScalarKernelSpec, value_from_sqdist
+
+
+def scalar_eval(spec: ScalarKernelSpec, x, y) -> float:
+    """kappa(x, y) for points in [0,1]^m."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if x.shape != y.shape:
+        raise ShapeError(f"point shape mismatch: {x.shape} vs {y.shape}")
+    if spec.kind == "linear":
+        return float(spec.variance * np.dot(x, y))
+    d = x - y
+    return float(value_from_sqdist(spec, np.dot(d, d)))
+
+
+def functional_eval(spec: FunctionalKernelSpec, g: GridFunction, h: GridFunction) -> float:
+    """K(g, h) with the squared distance taken under the configured metric."""
+    if spec.metric == "l2grid":
+        r_sq = gridfn.l2_dist_sq(g, h)
+    else:
+        # values are read as coefficient vectors of the gram's basis
+        if g.spec != h.spec:
+            raise ShapeError(f"grid mismatch: {g.spec} vs {h.spec}")
+        r_sq = gridfn.rkhs_dist_sq(g.values, h.values, spec.rkhs_gram)
+    return float(value_from_sqdist(spec.base, r_sq))
+
+
+def gram_matrix(spec, points) -> np.ndarray:
+    """Pairwise covariance matrix; upper triangle evaluated, mirrored down."""
+    points = list(points)
+    if not points:
+        raise InputError("gram_matrix needs at least one point")
+    evaluate = functional_eval if isinstance(spec, FunctionalKernelSpec) else scalar_eval
+    n = len(points)
+    m = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            m[i, j] = evaluate(spec, points[i], points[j])
+            m[j, i] = m[i, j]
+    return m
+
+
+def tune_lengthscale(observations, template, candidates, noise_sq: float):
+    """As gp.tune_and_rebuild, returning only the tuned kernel spec."""
+    spec, _ = gp.tune_and_rebuild(observations, template, candidates, noise_sq)
+    return spec
+
+
+def _cross_gram(kernel, pts_a, pts_b) -> np.ndarray:
+    evaluate = functional_eval if isinstance(kernel, FunctionalKernelSpec) else scalar_eval
+    return np.array([[evaluate(kernel, a, b) for b in pts_b] for a in pts_a])
+
+
+def biased_posterior_equivalence_check(
+    kernel, noise_sq: float, obs_prev, obs_new, probes, tol: float = 1e-6
+) -> bool:
+    """Check that conditioning on all data at once equals conditioning a
+    prior already biased by the earlier data on the new data only.
+
+    Side one is the plain posterior given obs_prev + obs_new.  Side two
+    treats the posterior given obs_prev as a new (non-zero-mean) prior
+    and conditions it on obs_new.  Returns True when posterior mean and
+    variance agree at every probe within tol.
+    """
+    obs_prev, obs_new, probes = list(obs_prev), list(obs_new), list(probes)
+    joint = gp.rebuild_model(kernel, noise_sq, obs_prev + obs_new)
+    mean1 = np.array([gp.posterior(joint, p)[0] for p in probes])
+    var1 = np.array([gp.posterior(joint, p)[1] for p in probes])
+
+    if not obs_prev:
+        prior_mean_new = np.zeros(len(obs_new))
+        prior_mean_q = np.zeros(len(probes))
+
+        def post_cov(pa, pb):
+            return _cross_gram(kernel, pa, pb)
+
+    else:
+        pts_prev = [o.point for o in obs_prev]
+        y_prev = np.array([o.y for o in obs_prev])
+        k_pp = _cross_gram(kernel, pts_prev, pts_prev)
+        k_pp[np.diag_indices_from(k_pp)] += noise_sq
+        k_pp_inv = np.linalg.inv(k_pp)
+
+        def prior_mean(pts):
+            return _cross_gram(kernel, pts, pts_prev) @ k_pp_inv @ y_prev
+
+        def post_cov(pa, pb):
+            kab = _cross_gram(kernel, pa, pb)
+            ka = _cross_gram(kernel, pa, pts_prev)
+            kb = _cross_gram(kernel, pb, pts_prev)
+            return kab - ka @ k_pp_inv @ kb.T
+
+        pts_new = [o.point for o in obs_new]
+        prior_mean_new = prior_mean(pts_new)
+        prior_mean_q = prior_mean(probes)
+
+    pts_new = [o.point for o in obs_new]
+    y_new = np.array([o.y for o in obs_new])
+    c_nn = post_cov(pts_new, pts_new)
+    c_nn[np.diag_indices_from(c_nn)] += noise_sq
+    c_qn = post_cov(probes, pts_new)
+    w = np.linalg.solve(c_nn, y_new - prior_mean_new)
+    mean2 = prior_mean_q + c_qn @ w
+    var2 = np.array(
+        [post_cov([p], [p])[0, 0] for p in probes]
+    ) - np.einsum("ij,ij->i", c_qn, np.linalg.solve(c_nn, c_qn.T).T)
+
+    return bool(
+        np.max(np.abs(mean1 - mean2)) <= tol and np.max(np.abs(var1 - var2)) <= tol
+    )

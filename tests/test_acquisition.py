@@ -1,7 +1,10 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GRID_1D, random_grid_function
 from funcbo import gp
@@ -12,13 +15,14 @@ from funcbo.acquisition import (
     candidate_values,
     maximise,
     restart_seeds,
+    subspace_posterior,
     ucb_search,
     ucb_value,
 )
 from funcbo.errors import InputError
 from funcbo.gp import Observation, empty_model, rebuild_model
-from funcbo.gridfn import GridFunction, l2_norm, linear_combine, zeros
-from funcbo.kernels import FunctionalKernelSpec, ScalarKernelSpec
+from funcbo.gridfn import GridFunction, grid_coordinates, l2_norm, linear_combine, zeros
+from funcbo.kernels import FunctionalKernelSpec, ScalarKernelSpec, scalar_gram
 from funcbo.optimizer import Subspace
 
 SE_L2 = FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), "l2grid")
@@ -177,8 +181,7 @@ def test_minimise_lcb_below_posterior_means():
     negated = rebuild_model(SE_L2, 0.01, [Observation(o.point, -o.y) for o in obs])
     search = AcqSearchConfig()
     _, neg_lcb = ucb_search(
-        negated,
-        lambda lam: candidate_values(sub, search, lam),
+        subspace_posterior(negated, sub, search),
         1,
         search,
         np.random.default_rng(17),
@@ -198,7 +201,7 @@ def test_restart_seeds_are_the_only_draws_of_a_search():
     assert np.all(np.abs(seeds) <= search.lambda_box)
     model = empty_model(ScalarKernelSpec("se", 1.0), 0.01)
     searched = np.random.default_rng(20)
-    ucb_search(model, lambda lam: lam, 3, search, searched, 1.0)
+    ucb_search(partial(gp.posterior_batch, model), 3, search, searched, 1.0)
     skipped = np.random.default_rng(20)
     restart_seeds(search, 3, skipped)
     assert searched.random() == skipped.random()
@@ -213,3 +216,49 @@ def test_search_config_validation():
         AcqSearchConfig(lambda_box=0.0)
     with pytest.raises(InputError):
         AcqSearchConfig(l_max=-1.0)
+
+
+def _metric_kernel(metric, points, relative_lengthscale):
+    """SE functional kernel whose lengthscale is a multiple of the median
+    distance between the points, so it neither saturates nor vanishes."""
+    gram = (
+        scalar_gram(ScalarKernelSpec("se", 0.3), grid_coordinates(GRID_1D))
+        if metric == "rkhs"
+        else None
+    )
+    unit = FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), metric, gram)
+    model = rebuild_model(unit, 0.01, [Observation(p, 0.0) for p in points])
+    r2 = gp.query_sqdist(model, model.V)
+    scale = math.sqrt(float(np.median(r2[np.triu_indices(len(points), 1)])))
+    return FunctionalKernelSpec(
+        ScalarKernelSpec("se", relative_lengthscale * scale), metric, gram
+    )
+
+
+@pytest.mark.parametrize("metric", ["l2grid", "rkhs"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), relative_lengthscale=st.floats(0.3, 3.0))
+def test_subspace_posterior_equals_posterior_of_candidates(metric, d, seed, relative_lengthscale):
+    rng = np.random.default_rng(seed)
+    earlier = _subspace(rng, d=d, bias=random_grid_function(rng, scale=0.5))
+    sub = _subspace(rng, d=d, bias=random_grid_function(rng, scale=0.5))
+    # observations on an earlier subspace lie outside the current span
+    points = [
+        GridFunction(GRID_1D, candidate_values(s, AcqSearchConfig(), rng.normal(size=(1, d)))[0])
+        for s in (earlier, earlier, earlier, sub, sub)
+    ]
+    kernel = _metric_kernel(metric, points, relative_lengthscale)
+    model = rebuild_model(
+        kernel, 0.01, [Observation(p, float(rng.standard_normal())) for p in points]
+    )
+    lam = rng.uniform(-4.0, 4.0, size=(17, d))
+    uncapped = candidate_values(sub, AcqSearchConfig(l_max=np.inf), lam)
+    norms = np.sqrt(np.einsum("ij,ij->i", uncapped, uncapped) * GRID_1D.weight)
+    l_max = float(np.median(norms))
+    assert 0 < np.sum(norms > l_max) < len(lam)  # the cap fires on some rows only
+    for search in (AcqSearchConfig(l_max=1e6), AcqSearchConfig(l_max=l_max)):
+        mean, var = subspace_posterior(model, sub, search)(lam)
+        ref_mean, ref_var = gp.posterior_batch(model, candidate_values(sub, search, lam))
+        np.testing.assert_allclose(mean, ref_mean, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(var, ref_var, rtol=1e-9, atol=1e-12)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funcbo import bench
+from funcbo import bench, cli, kernels
 from funcbo.errors import ConfigError, FuncboError, ProtocolError
 from funcbo.gridfn import read_function_csv
 from funcbo.optimizer import ALGORITHMS, RUNNERS, make_engine, rng_streams
@@ -270,6 +270,25 @@ def test_cli_bench_and_exit_codes(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("opt.warp = 9\n")
     assert _cli("bench", "--config", str(bad), "--out", str(tmp_path / "o2")).returncode == 2
+
+
+def test_cli_grid_too_large_for_dense_prior_exits_cleanly(tmp_path, monkeypatch):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("grid.dim = 3\ngrid.points_per_axis = 100\n")
+    for args in (
+        ("bench", "--config", str(cfg), "--out", str(tmp_path / "out")),
+        ("suggest", "--state", str(cfg), "--out", str(tmp_path / "g.csv")),
+    ):
+        done = _cli(*args)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert "N = 1000000" in done.stderr and "N = 10000" in done.stderr
+
+    def no_gram(*args, **kwargs):
+        raise AssertionError("a gram was built before the grid size check")
+
+    monkeypatch.setattr(kernels, "scalar_gram", no_gram)
+    assert cli.main(["bench", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
 
 def test_cli_suggest_tell_export_cycle(tmp_path):

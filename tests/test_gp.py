@@ -8,7 +8,6 @@ from funcbo import gp
 from funcbo.errors import InputError, NumericalError
 from funcbo.gp import (
     Observation,
-    biased_posterior_equivalence_check,
     condition,
     empty_model,
     log_marginal_likelihood,
@@ -16,15 +15,10 @@ from funcbo.gp import (
     posterior_batch,
     rebuild_model,
     sample_on_grid,
-    tune_lengthscale,
 )
 from funcbo.gridfn import GridSpec, grid_coordinates
-from funcbo.kernels import (
-    FunctionalKernelSpec,
-    ScalarKernelSpec,
-    functional_eval,
-    scalar_gram,
-)
+from funcbo.kernels import FunctionalKernelSpec, ScalarKernelSpec, scalar_gram
+from reference import biased_posterior_equivalence_check, functional_eval, tune_lengthscale
 
 SE_L2 = FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), "l2grid")
 

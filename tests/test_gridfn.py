@@ -20,7 +20,8 @@ from funcbo.gridfn import (
     write_function_csv,
     zeros,
 )
-from funcbo.kernels import ScalarKernelSpec, scalar_eval
+from funcbo.kernels import ScalarKernelSpec
+from reference import scalar_eval
 
 # Midpoint-sum oracle for integral of x^2 on [0,1] at rho=100, computed
 # with plain Python before the implementation existed.

