@@ -36,6 +36,13 @@ def _parse_int(text: str) -> int:
     return int(text)
 
 
+def _parse_seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError("must be >= 0")
+    return value
+
+
 def _parse_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -91,15 +98,15 @@ SCHEMA = {
     "opt.n_init": (_parse_int, 5),
     "opt.termination": (_parse_enum(TERMINATIONS), "budget"),
     "opt.epsilon": (_parse_float, 0.01),
-    "opt.seed": (_parse_int, 0),
+    "opt.seed": (_parse_seed, 0),
     "objective.kind": (_parse_enum(OBJECTIVE_KINDS), "match"),
     "objective.target_kernel": (_parse_enum(SCALAR_KINDS), "se"),
     "objective.target_lengthscale": (_parse_float, 0.3),
-    "objective.target_seed": (_parse_int, 123),
+    "objective.target_seed": (_parse_seed, 123),
     "objective.noise": (_parse_float, 0.01),
     "objective.d_e": (_parse_int, 2),
     "bench.repeats": (_parse_int, 5),
-    "bench.base_seed": (_parse_int, 0),
+    "bench.base_seed": (_parse_seed, 0),
     "bench.algorithms": (_parse_algorithms, ("s3bfo",)),
 }
 

@@ -16,6 +16,12 @@ from .errors import ConfigError, InputError, NumericalError, ProtocolError, Shap
 from .objectives import lemma1_intersection_estimate
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="funcbo",
@@ -47,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--de", required=True, type=int, help="ambient (effective) dimension")
     p.add_argument("--beta", required=True, type=float, help="ball radius fraction in (0,1]")
     p.add_argument("--trials", required=True, type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     return parser
 
 

@@ -8,10 +8,17 @@ the posterior of f ~ GP(0, K) at a query x is
 
 A ``GPModel`` is an immutable snapshot holding the Cholesky factor L of
 the regularised Gram matrix, so queries cost one triangular solve and
-``condition`` extends L by one row instead of refactorising.  Points may
+conditioning extends L by one row instead of refactorising.  Points may
 be grid functions (functional kernels) or coordinate vectors (scalar
 kernels, used by the line-search baseline); the distance bookkeeping for
 both lives in the private helpers below.
+
+Lengthscale selection keeps one model per candidate lengthscale, all on
+the same points.  ``condition_all`` extends every candidate by one row,
+O(n^2) each, computing the new point's distances once for all of them;
+``most_likely`` picks the candidate with the highest log marginal
+likelihood (Rasmussen & Williams 2006, Alg. 2.1).  ``condition`` is the
+one-candidate case.
 
 A posterior query is two steps: the squared distances from the queries
 to the model's points, then ``posterior_from_sqdist``, the one step that
@@ -25,6 +32,7 @@ computed once, after which a query costs O(d n) per row, not O(N n).
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -37,6 +45,7 @@ from .gridfn import GridFunction, GridSpec, grid_coordinates
 from .kernels import FunctionalKernelSpec, ScalarKernelSpec
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +108,7 @@ def _rep(kernel, point, grid: GridSpec | None) -> tuple[np.ndarray, GridSpec | N
     return x, None
 
 
-def _caches(kernel, V: np.ndarray, grid: GridSpec | None):
+def _caches(kernel, V: np.ndarray):
     """Per-row quantities needed to expand squared distances quickly."""
     mode = _mode_of(kernel)
     if mode == "rkhs":
@@ -132,30 +141,11 @@ def query_sqdist(model: GPModel, Q: np.ndarray) -> np.ndarray:
     return _sqdist(model, np.einsum("ij,ij->i", Q, Q), Q @ model.V.T)
 
 
-def _pairwise_raw(mode, grid, V, row_q, GV) -> np.ndarray:
-    """Pairwise squared distances (inner products for the linear kind)."""
-    if mode == "coord_linear":
-        return V @ V.T
-    cross = V @ (GV if mode == "rkhs" else V).T
-    r2 = (row_q[:, None] + row_q[None, :] - 2.0 * cross) * _weight(mode, grid)
-    return np.maximum(r2, 0.0)
-
-
 def _cov_from_raw(base: ScalarKernelSpec, mode, raw) -> np.ndarray:
     """Kernel values from squared distances (inner products for linear)."""
     if mode == "coord_linear":
         return base.variance * raw
     return kernels.value_from_sqdist(base, raw)
-
-
-def _gram_from_raw(base: ScalarKernelSpec, mode, raw) -> np.ndarray:
-    k = _cov_from_raw(base, mode, raw)
-    return (k + k.T) / 2.0
-
-
-def _pairwise_gram(kernel, grid, V, row_q, GV) -> np.ndarray:
-    mode = _mode_of(kernel)
-    return _gram_from_raw(_base_of(kernel), mode, _pairwise_raw(mode, grid, V, row_q, GV))
 
 
 def _prior_var(kernel, Q: np.ndarray) -> np.ndarray:
@@ -186,11 +176,10 @@ def empty_model(kernel, noise_sq: float) -> GPModel:
 
 def rebuild_model(kernel, noise_sq: float, observations) -> GPModel:
     """Build a model from scratch on the full dataset."""
+    model = empty_model(kernel, noise_sq)
     observations = list(observations)
     if not observations:
-        return empty_model(kernel, noise_sq)
-    if not noise_sq > 0:
-        raise InputError(f"noise variance must be positive, got {noise_sq}")
+        return model
     grid = None
     rows = []
     for obs in observations:
@@ -198,69 +187,89 @@ def rebuild_model(kernel, noise_sq: float, observations) -> GPModel:
         grid = grid_i if grid is None else grid
         rows.append(x)
     V = np.array(rows)
-    row_q, GV = _caches(kernel, V, grid)
-    k = _pairwise_gram(kernel, grid, V, row_q, GV)
+    row_q, GV = _caches(kernel, V)
+    y = np.array([obs.y for obs in observations])
+    model = replace(model, points=tuple(obs.point for obs in observations), y=y,
+                    grid=grid, V=V, row_q=row_q, GV=GV)
+    k = _cov_from_raw(_base_of(kernel), model.mode, query_sqdist(model, V))
+    k = (k + k.T) / 2.0
     k[np.diag_indices_from(k)] += noise_sq
     try:
         L = np.linalg.cholesky(k)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("Cholesky of the regularised Gram matrix failed") from exc
-    y = np.array([obs.y for obs in observations])
     alpha = solve_triangular(L.T, solve_triangular(L, y, lower=True), lower=False)
-    return GPModel(
-        kernel=kernel,
-        noise_sq=float(noise_sq),
-        points=tuple(obs.point for obs in observations),
-        y=y,
-        L=L,
-        alpha=alpha,
-        mode=_mode_of(kernel),
-        grid=grid,
-        V=V,
-        row_q=row_q,
-        GV=GV,
-    )
+    return replace(model, L=L, alpha=alpha)
+
+
+def condition_all(models, obs: Observation) -> tuple[GPModel, ...]:
+    """Append obs to candidate models (rank-1 Cholesky extension of each).
+
+    The candidates share their points and noise and differ only in their
+    kernel's lengthscale, so the new point's distances to the old ones
+    and the point caches are computed once.  A candidate whose Schur
+    complement is not positive is dropped and logged; NumericalError is
+    raised when every candidate is dropped.
+    """
+    first = models[0]
+    x, grid = _rep(first.kernel, obs.point, first.grid)
+    n = first.n
+    x_row = x[None, :]
+    k_nn = float(_prior_var(first.kernel, x_row)[0]) + first.noise_sq
+    if n == 0:
+        V = x_row.copy()
+    else:
+        raw = query_sqdist(first, x_row)
+        V = np.vstack([first.V, x_row])
+    row_q, GV = _caches(first.kernel, V)
+    grid = first.grid if first.grid is not None else grid
+    y = np.append(first.y, obs.y)
+    extended = []
+    for model in models:
+        base = _base_of(model.kernel)
+        if n == 0:
+            ell = np.zeros(0)
+        else:
+            k_vec = _cov_from_raw(base, model.mode, raw)[0]
+            ell = solve_triangular(model.L, k_vec, lower=True)
+        s_sq = k_nn - float(ell @ ell)
+        if not s_sq > 0.0:
+            _log.debug(
+                "dropped lengthscale %r at n = %d: conditioning broke positive definiteness",
+                base.lengthscale, n + 1,
+            )
+            continue
+        L = np.zeros((n + 1, n + 1))
+        L[:n, :n] = model.L
+        L[n, :n] = ell
+        L[n, n] = np.sqrt(s_sq)
+        alpha = solve_triangular(L.T, solve_triangular(L, y, lower=True), lower=False)
+        extended.append(
+            replace(model, points=model.points + (obs.point,), y=y, L=L, alpha=alpha,
+                    grid=grid, V=V, row_q=row_q, GV=GV)
+        )
+    if not extended:
+        raise NumericalError(
+            "conditioning broke positive definiteness for every lengthscale; "
+            "add jitter and rebuild"
+        )
+    return tuple(extended)
 
 
 def condition(model: GPModel, obs: Observation) -> GPModel:
     """Return a new model with obs appended (rank-1 Cholesky extension)."""
-    x, grid = _rep(model.kernel, obs.point, model.grid)
-    n = model.n
-    x_row = x[None, :]
-    k_nn = float(_prior_var(model.kernel, x_row)[0]) + model.noise_sq
-    if n == 0:
-        ell = np.zeros(0)
-        s_sq = k_nn
-        V = x_row.copy()
-    else:
-        raw = query_sqdist(model, x_row)
-        k_vec = _cov_from_raw(_base_of(model.kernel), model.mode, raw)[0]
-        ell = solve_triangular(model.L, k_vec, lower=True)
-        s_sq = k_nn - float(ell @ ell)
-        V = np.vstack([model.V, x_row])
-    if s_sq <= 0.0:
-        raise NumericalError(
-            "conditioning broke positive definiteness; add jitter and rebuild"
-        )
-    L = np.zeros((n + 1, n + 1))
-    L[:n, :n] = model.L
-    L[n, :n] = ell
-    L[n, n] = np.sqrt(s_sq)
-    y = np.append(model.y, obs.y)
-    alpha = solve_triangular(L.T, solve_triangular(L, y, lower=True), lower=False)
-    row_q, GV = _caches(model.kernel, V, grid)
-    return GPModel(
-        kernel=model.kernel,
-        noise_sq=model.noise_sq,
-        points=model.points + (obs.point,),
-        y=y,
-        L=L,
-        alpha=alpha,
-        mode=model.mode,
-        grid=model.grid if model.grid is not None else grid,
-        V=V,
-        row_q=row_q,
-        GV=GV,
+    return condition_all((model,), obs)[0]
+
+
+def most_likely(models) -> GPModel:
+    """The candidate with the highest log marginal likelihood; ties go to
+    the larger lengthscale.  Without data every candidate ties."""
+    return max(
+        models,
+        key=lambda m: (
+            log_marginal_likelihood(m) if m.n else 0.0,
+            _base_of(m.kernel).lengthscale,
+        ),
     )
 
 
@@ -355,7 +364,7 @@ def sample_on_grid(kernel: ScalarKernelSpec, spec: GridSpec, rng) -> GridFunctio
     return GridFunction(spec, L @ rng.standard_normal(spec.size))
 
 
-# --- marginal likelihood and lengthscale tuning ------------------------
+# --- marginal likelihood ----------------------------------------------
 
 
 def log_marginal_likelihood(model: GPModel) -> float:
@@ -366,70 +375,3 @@ def log_marginal_likelihood(model: GPModel) -> float:
         - np.sum(np.log(np.diag(model.L)))
         - 0.5 * model.n * _LOG_2PI
     )
-
-
-def _with_lengthscale(template, lengthscale: float):
-    if isinstance(template, FunctionalKernelSpec):
-        return replace(template, base=replace(template.base, lengthscale=lengthscale))
-    return replace(template, lengthscale=lengthscale)
-
-
-def tune_and_rebuild(observations, template, candidates, noise_sq: float):
-    """Pick the max-likelihood lengthscale from `candidates` and return
-    (tuned spec, model built with it).  Ties go to the larger lengthscale.
-
-    The pairwise distance matrix does not depend on the lengthscale, so
-    it is shared across candidates; only the kernel transform, Cholesky
-    factor and likelihood are recomputed per candidate.
-    """
-    observations = list(observations)
-    if not observations:
-        raise InputError("lengthscale tuning needs data")
-    if not noise_sq > 0:
-        raise InputError(f"noise variance must be positive, got {noise_sq}")
-    candidates = sorted(float(c) for c in candidates)
-    if not candidates:
-        raise InputError("no candidate lengthscales")
-    grid = None
-    rows = []
-    for obs in observations:
-        x, grid_i = _rep(template, obs.point, grid)
-        grid = grid_i if grid is None else grid
-        rows.append(x)
-    V = np.array(rows)
-    row_q, GV = _caches(template, V, grid)
-    mode = _mode_of(template)
-    raw = _pairwise_raw(mode, grid, V, row_q, GV)
-    y = np.array([obs.y for obs in observations])
-    n = len(observations)
-    best = None
-    for gamma in candidates:
-        base = replace(_base_of(template), lengthscale=gamma)
-        k = _gram_from_raw(base, mode, raw)
-        k[np.diag_indices_from(k)] += noise_sq
-        try:
-            L = np.linalg.cholesky(k)
-        except np.linalg.LinAlgError:
-            continue
-        alpha = solve_triangular(L.T, solve_triangular(L, y, lower=True), lower=False)
-        lml = float(-0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * _LOG_2PI)
-        if best is None or lml >= best[0]:
-            best = (lml, gamma, L, alpha)
-    if best is None:
-        raise NumericalError("every candidate lengthscale failed to factorise")
-    _, gamma, L, alpha = best
-    spec = _with_lengthscale(template, gamma)
-    model = GPModel(
-        kernel=spec,
-        noise_sq=float(noise_sq),
-        points=tuple(obs.point for obs in observations),
-        y=y,
-        L=L,
-        alpha=alpha,
-        mode=mode,
-        grid=grid,
-        V=V,
-        row_q=row_q,
-        GV=GV,
-    )
-    return spec, model

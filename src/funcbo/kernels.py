@@ -20,7 +20,8 @@ Closed forms (r = distance, gamma = lengthscale, v = variance):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,6 +49,9 @@ class ScalarKernelSpec:
             raise InputError(f"lengthscale must be positive, got {self.lengthscale}")
         if not self.variance > 0:
             raise InputError(f"variance must be positive, got {self.variance}")
+
+    def with_lengthscale(self, lengthscale: float) -> ScalarKernelSpec:
+        return replace(self, lengthscale=lengthscale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,6 +82,13 @@ class FunctionalKernelSpec:
             object.__setattr__(self, "rkhs_gram", gram)
         elif self.rkhs_gram is not None:
             raise InputError("rkhs_gram only applies to metric 'rkhs'")
+
+    def with_lengthscale(self, lengthscale: float) -> FunctionalKernelSpec:
+        """This kernel with another base lengthscale.  The copy shares the
+        gram, which was validated when this spec was built, unchecked."""
+        spec = copy.copy(self)
+        object.__setattr__(spec, "base", self.base.with_lengthscale(lengthscale))
+        return spec
 
 
 def _validate_psd(gram: np.ndarray) -> None:

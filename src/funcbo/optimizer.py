@@ -29,7 +29,10 @@ external ask/tell session reproduces an in-process run exactly.  Replay
 runs the same step as ``ask`` for every stored evaluation: it redraws
 the basis (or line direction) and the initial design, and consumes the
 restart seeds of each acquisition search without running it, taking the
-stored coordinates instead.
+stored coordinates instead.  It then tells the stored value, so the
+model goes through the same update chain as in the original run: each
+candidate lengthscale's factor is extended by one row, and the most
+likely candidate is the model.
 """
 
 from __future__ import annotations
@@ -360,11 +363,17 @@ class _PhasedEngine(_EngineBase):
     the model posterior at coordinate rows.  With ``_model_per_outer`` the
     model sees only the current outer iteration's observations, otherwise
     all of them.
+
+    The engine keeps one candidate model per lengthscale: ``K.lengthscale``
+    itself, or the ``mle.grid_points`` log-spaced candidates under ``mle``.
+    Every observation extends each candidate, and ``model`` is the most
+    likely one.  ``kernel`` is the model kernel at any lengthscale; each
+    candidate replaces it.
     """
 
     _model_per_outer = False
 
-    def __init__(self, cfg: OptConfig, rng, kernel_template, d: int):
+    def __init__(self, cfg: OptConfig, rng, kernel, d: int):
         super().__init__(cfg, rng)
         self.s = 0
         self.phase = "init"
@@ -372,21 +381,15 @@ class _PhasedEngine(_EngineBase):
         self.t = 0
         self.subspace = None  # the current coordinate set
         self.finished = False
-        self._obs: list[gp.Observation] = []
         self._outer_best = None  # (model point, y) within the current set
         self._err_cache: dict[tuple[int, int], float] = {}
-        self._defer_model = False
-        self._mle = cfg.k_lengthscale == "mle"
-        self._mle_grid = tuple(
+        lengthscales = (
             np.geomspace(cfg.mle_grid_min, cfg.mle_grid_max, cfg.mle_grid_points)
+            if cfg.k_lengthscale == "mle"
+            else (cfg.k_lengthscale,)
         )
-        gamma0 = (
-            math.sqrt(cfg.mle_grid_min * cfg.mle_grid_max)
-            if self._mle
-            else float(cfg.k_lengthscale)
-        )
-        self._template = kernel_template(gamma0)
-        self.model = gp.empty_model(self._template, cfg.noise_sq)
+        self._kernels = tuple(kernel.with_lengthscale(float(g)) for g in lengthscales)
+        self._reset_model()
         self._search = AcqSearchConfig(
             cfg.acq_restarts, cfg.acq_local_steps, cfg.acq_lambda_box, cfg.l_max
         )
@@ -413,11 +416,14 @@ class _PhasedEngine(_EngineBase):
             self.t = 0
             self._outer_best = None
             if self._model_per_outer:
-                self._obs = []
-                self.model = gp.empty_model(self._template, self.cfg.noise_sq)
+                self._reset_model()
             if self.s >= self.cfg.S:
                 self.finished = True
                 return
+
+    def _reset_model(self):
+        self._candidates = tuple(gp.empty_model(k, self.cfg.noise_sq) for k in self._kernels)
+        self.model = gp.most_likely(self._candidates)
 
     def _inner_done(self) -> bool:
         if self.t >= self.cfg.T:
@@ -455,35 +461,12 @@ class _PhasedEngine(_EngineBase):
         obs = gp.Observation(self._model_point(self.pending[3], self.pending[4]), rec.y)
         if self._outer_best is None or rec.y > self._outer_best[1]:
             self._outer_best = (obs.point, rec.y)
-        self._obs.append(obs)
-        if not self._defer_model:
-            if self._mle:
-                self._rebuild_model()
-            else:
-                self.model = gp.condition(self.model, obs)
+        self._candidates = gp.condition_all(self._candidates, obs)
+        self.model = gp.most_likely(self._candidates)
         if rec.t < 0:
             self.i_init += 1
         else:
             self.t += 1
-
-    def _rebuild_model(self):
-        self._template, self.model = gp.tune_and_rebuild(
-            self._obs, self._template, self._mle_grid, self.cfg.noise_sq
-        )
-
-    def replay(self, records, pending_desc=None):
-        # Tuned rebuilds depend only on the data, so under budget
-        # termination, where nothing reads the model during replay, they
-        # wait until the end.  Regret termination reads the model at every
-        # inner step, and the incremental path must re-apply the identical
-        # update chain.
-        self._defer_model = self._mle and self.cfg.termination == "budget"
-        super().replay(records)
-        if self._defer_model and self._obs:
-            self._rebuild_model()
-        self._defer_model = False
-        if pending_desc is not None:
-            self._replay_step(pending_desc, "the pending suggestion")
 
 
 class SubspaceSearchEngine(_PhasedEngine):
@@ -502,14 +485,8 @@ class SubspaceSearchEngine(_PhasedEngine):
             if cfg.k_metric == "rkhs"
             else None
         )
-        super().__init__(
-            cfg,
-            rng,
-            lambda gamma: FunctionalKernelSpec(
-                ScalarKernelSpec(cfg.k_kind, gamma), cfg.k_metric, gram
-            ),
-            cfg.d,
-        )
+        kernel = FunctionalKernelSpec(ScalarKernelSpec(cfg.k_kind, 1.0), cfg.k_metric, gram)
+        super().__init__(cfg, rng, kernel, cfg.d)
 
     def _start_outer(self) -> Subspace:
         bias = GridFunction(self.cfg.grid, self._incumbent_values())
@@ -554,7 +531,7 @@ class BernsteinLineEngine(_PhasedEngine):
     def __init__(self, cfg: OptConfig, rng=None):
         if cfg.grid.dim != 1:
             raise ConfigError("the Bernstein line optimiser needs a 1-d grid")
-        super().__init__(cfg, rng, lambda gamma: ScalarKernelSpec("se", gamma), 1)
+        super().__init__(cfg, rng, ScalarKernelSpec("se", 1.0), 1)
         self._B = bernstein_matrix(BERNSTEIN_DEGREE, grid_coordinates(cfg.grid)[:, 0])
         self._best_weights = np.zeros(BERNSTEIN_DEGREE + 1)
 

@@ -1,9 +1,10 @@
 """Reference implementations that only the tests use.
 
-Brute-force kernel evaluation (one pair at a time), the lengthscale
-choice without its model, and the biased-prior identity that validates
-chaining a model across subspaces.  The library's fast paths are checked
-against these.
+Brute-force kernel evaluation (one pair at a time) and the biased-prior
+identity that validates chaining a model across subspaces; the library's
+fast paths are checked against these.  ``tune_lengthscale`` drives the
+library's candidate chain on a dataset, so that tests can check its
+choice against models rebuilt from scratch.
 """
 
 import numpy as np
@@ -54,9 +55,20 @@ def gram_matrix(spec, points) -> np.ndarray:
 
 
 def tune_lengthscale(observations, template, candidates, noise_sq: float):
-    """As gp.tune_and_rebuild, returning only the tuned kernel spec."""
-    spec, _ = gp.tune_and_rebuild(observations, template, candidates, noise_sq)
-    return spec
+    """The kernel the engines' candidate chain selects: one model per
+    candidate lengthscale, each conditioned on the observations in turn,
+    then the most likely one's spec."""
+    observations = list(observations)
+    if not observations:
+        raise InputError("lengthscale tuning needs data")
+    if len(candidates) == 0:
+        raise InputError("no candidate lengthscales")
+    models = tuple(
+        gp.empty_model(template.with_lengthscale(float(c)), noise_sq) for c in candidates
+    )
+    for obs in observations:
+        models = gp.condition_all(models, obs)
+    return gp.most_likely(models).kernel
 
 
 def _cross_gram(kernel, pts_a, pts_b) -> np.ndarray:

@@ -315,6 +315,39 @@ def test_cli_verify_lemma1(tmp_path):
     assert bad.returncode == 2
 
 
+def test_cli_negative_seed_exits_cleanly(tmp_path):
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text(SMALL + "objective.target_seed = -1\n")
+    res = _cli("bench", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert res.returncode == 2
+    assert "objective.target_seed" in res.stderr
+    assert "Traceback" not in res.stderr
+    res = _cli("verify-lemma1", "--d", "1", "--de", "2", "--beta", "0.3", "--trials", "10",
+               "--seed", "-1")
+    assert res.returncode == 2
+    assert "--seed" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_cli_every_lengthscale_breaking_is_numerical_error(tmp_path):
+    # at lengthscales of 1e9 and more the kernel between any two grid
+    # functions rounds to 1, so with noise below float resolution the
+    # second observation's Schur complement is zero for every candidate
+    state = tmp_path / "state.txt"
+    state.write_text(
+        "grid.points_per_axis = 20\nopt.S = 1\nopt.T = 1\nopt.n_init = 2\n"
+        "noise.sigma = 1e-12\nmle.grid_min = 1e9\nmle.grid_max = 1e10\nmle.grid_points = 3\n"
+    )
+    fn = tmp_path / "g.csv"
+    assert _cli("suggest", "--state", str(state), "--out", str(fn)).returncode == 0
+    assert _cli("tell", "--state", str(state), "--y", "0.5").returncode == 0
+    assert _cli("suggest", "--state", str(state), "--out", str(fn)).returncode == 0
+    res = _cli("tell", "--state", str(state), "--y", "-0.5")
+    assert res.returncode == 4
+    assert "every lengthscale" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_cli_tell_nonfinite_is_input_error(tmp_path):
     state = tmp_path / "state.txt"
     state.write_text("opt.S = 1\nopt.T = 1\nopt.n_init = 1\n")

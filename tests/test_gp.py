@@ -1,7 +1,10 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GRID_1D, random_grid_function
 from funcbo import gp
@@ -9,8 +12,10 @@ from funcbo.errors import InputError, NumericalError
 from funcbo.gp import (
     Observation,
     condition,
+    condition_all,
     empty_model,
     log_marginal_likelihood,
+    most_likely,
     posterior,
     posterior_batch,
     rebuild_model,
@@ -137,6 +142,77 @@ def test_condition_breakdown_raises():
     model = rebuild_model(SE_L2, 1e-17, [Observation(g0, 1.0)])
     with pytest.raises(NumericalError):
         condition(model, Observation(g0, 1.0))
+
+
+def test_condition_all_drops_broken_candidate_and_logs(caplog):
+    # at lengthscale 1e6 the kernel between the two nearby coordinates
+    # rounds to 1, so with noise below float resolution the Schur
+    # complement cancels to zero; at 1e-4 the points are nearly independent
+    models = tuple(
+        rebuild_model(ScalarKernelSpec("se", g), 1e-20, [Observation(np.array([0.0]), 1.0)])
+        for g in (1e-4, 1e6)
+    )
+    with caplog.at_level(logging.DEBUG, logger="funcbo"):
+        survivors = condition_all(models, Observation(np.array([1e-3]), -1.0))
+    assert [m.kernel.lengthscale for m in survivors] == [1e-4]
+    assert most_likely(survivors) is survivors[0]
+    assert survivors[0].n == 2
+    dropped = [r for r in caplog.records if "dropped lengthscale" in r.getMessage()]
+    assert len(dropped) == 1
+    assert dropped[0].levelno == logging.DEBUG
+    assert "1000000.0" in dropped[0].getMessage() and "n = 2" in dropped[0].getMessage()
+
+
+def test_most_likely_ties_go_to_larger_lengthscale():
+    kernels = [ScalarKernelSpec("se", g) for g in (0.5, 2.0, 1.0)]
+    assert most_likely([empty_model(k, 0.01) for k in kernels]).kernel.lengthscale == 2.0
+    obs = [Observation(np.array([0.3]), 0.5)]  # one point: every lengthscale ties
+    models = [rebuild_model(k, 0.01, obs) for k in kernels]
+    assert most_likely(models).kernel.lengthscale == 2.0
+
+
+_RKHS_GRAM = scalar_gram(ScalarKernelSpec("se", 0.3), grid_coordinates(GRID_1D))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    mode=st.sampled_from(["l2grid", "rkhs", "coord"]),
+    # not matern12: rebuild_model's pairwise expansion leaves ~1e-16 on
+    # the diagonal distances, and matern12's sqrt(r^2) / lengthscale
+    # turns that into errors up to ~1e-6 in the oracle itself
+    kind=st.sampled_from(["se", "matern32"]),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_candidate_chain_matches_rebuild(mode, kind, n, seed):
+    # after every step, each candidate of the chain equals its model
+    # rebuilt from scratch on the same data
+    rng = np.random.default_rng(seed)
+    if mode == "coord":
+        template = ScalarKernelSpec(kind, 1.0)
+        points = [rng.uniform(0.0, 1.0, 2) for _ in range(n)]
+        probes = [rng.uniform(0.0, 1.0, 2) for _ in range(3)]
+    else:
+        gram = _RKHS_GRAM if mode == "rkhs" else None
+        template = FunctionalKernelSpec(ScalarKernelSpec(kind, 1.0), mode, gram)
+        points = [random_grid_function(rng, scale=0.3) for _ in range(n)]
+        probes = [random_grid_function(rng, scale=0.3) for _ in range(3)]
+    noise_sq = 0.01
+    obs = [Observation(p, float(v)) for p, v in zip(points, rng.standard_normal(n))]
+    models = tuple(
+        empty_model(template.with_lengthscale(g), noise_sq) for g in np.geomspace(0.1, 10.0, 5)
+    )
+    for i, o in enumerate(obs, start=1):
+        models = condition_all(models, o)
+        assert len(models) == 5
+        for model in models:
+            rebuilt = rebuild_model(model.kernel, noise_sq, obs[:i])
+            assert log_marginal_likelihood(model) == pytest.approx(
+                log_marginal_likelihood(rebuilt), abs=1e-8
+            )
+            for p in probes:
+                for a, b in zip(posterior(model, p), posterior(rebuilt, p)):
+                    assert a == pytest.approx(b, abs=1e-8)
 
 
 def test_sample_on_grid_deterministic():

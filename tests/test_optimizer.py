@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import GRID_1D, random_grid_function
-from funcbo import acquisition, gp
+from funcbo import acquisition, gp, kernels
 from funcbo.acquisition import AcqSearchConfig, candidate_values
 from funcbo.errors import ConfigError, InputError, ProtocolError
 from funcbo.gridfn import GridFunction, GridSpec, l2_dist_sq, zeros
@@ -118,26 +118,62 @@ def test_incumbent_threading():
     assert seen_outer == {0, 1, 2}
 
 
-def test_model_matches_from_scratch_rebuild():
-    cfg = _cfg(S=2, T=5, n_init=3, seed=6, k_lengthscale=0.7)  # incremental path
+def _model_observations(model):
+    return [gp.Observation(p, float(y)) for p, y in zip(model.points, model.y)]
+
+
+@pytest.mark.parametrize("k_lengthscale", [0.7, "mle"])
+def test_model_matches_from_scratch_rebuild(k_lengthscale):
+    cfg = _cfg(S=2, T=5, n_init=3, seed=6, k_lengthscale=k_lengthscale)
     obj = _match_obj()
     dec, noise = rng_streams(cfg.seed)
     eng = SubspaceSearchEngine(cfg, dec)
     rng = np.random.default_rng(0)
     probes = [random_grid_function(rng) for _ in range(3)]
-    count = 0
+    candidates = (
+        np.geomspace(cfg.mle_grid_min, cfg.mle_grid_max, cfg.mle_grid_points)
+        if k_lengthscale == "mle"
+        else [k_lengthscale]
+    )
+    count = checked = 0
     while not eng.done:
         g = eng.ask()
         eng.tell(obj.evaluate(g, noise), obj.aux(g))
         count += 1
+        obs = _model_observations(eng.model)
+        assert len(obs) == count
+        if k_lengthscale == "mle":
+            lml = {
+                float(c): gp.log_marginal_likelihood(
+                    gp.rebuild_model(eng.model.kernel.with_lengthscale(float(c)),
+                                     cfg.noise_sq, obs)
+                )
+                for c in candidates
+            }
+            best = max(lml.values())
+            near = [c for c, v in lml.items() if best - v <= 1e-9]
+            if len(near) == 1:  # near-ties may go either way by rounding
+                assert eng.model.kernel.base.lengthscale == near[0]
+                checked += 1
         if count % 10 == 0:
-            rebuilt = gp.rebuild_model(eng.model.kernel, cfg.noise_sq, eng._obs)
+            rebuilt = gp.rebuild_model(eng.model.kernel, cfg.noise_sq, obs)
             for p in probes:
                 m1, v1 = gp.posterior(eng.model, p)
                 m2, v2 = gp.posterior(rebuilt, p)
                 assert m1 == pytest.approx(m2, abs=1e-6)
                 assert v1 == pytest.approx(v2, abs=1e-6)
     assert count == cfg.budget
+    assert checked >= (cfg.budget // 2 if k_lengthscale == "mle" else 0)
+
+
+def test_rkhs_mle_run_validates_gram_once(monkeypatch):
+    calls = []
+    validate = kernels._validate_psd
+    monkeypatch.setattr(kernels, "_validate_psd", lambda gram: calls.append(1) or validate(gram))
+    cfg = _cfg(S=2, T=6, n_init=2, k_metric="rkhs", k_lengthscale="mle")
+    _, trace = run_s3bfo(_match_obj(), cfg)
+    assert len(trace) == 16
+    assert len(calls) == 1
 
 
 def test_posterior_equivalence_at_inner_loop_starts():
@@ -152,8 +188,9 @@ def test_posterior_equivalence_at_inner_loop_starts():
         g = eng.ask()
         starting_inner = eng.phase == "inner" and eng.t == 0 and eng.s >= 1
         if starting_inner:
-            prev = [o for o, r in zip(eng._obs, eng.trace) if r.s < eng.s]
-            cur = [o for o, r in zip(eng._obs, eng.trace) if r.s == eng.s]
+            obs = _model_observations(eng.model)
+            prev = [o for o, r in zip(obs, eng.trace) if r.s < eng.s]
+            cur = [o for o, r in zip(obs, eng.trace) if r.s == eng.s]
             assert biased_posterior_equivalence_check(
                 eng.model.kernel, cfg.noise_sq, prev, cur, probes, tol=1e-6
             )
