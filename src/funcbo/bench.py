@@ -11,7 +11,10 @@ section, an optional ``[pending]`` suggestion and an ``[rng]`` draw
 counter.  Loading a state replays the recorded evaluations through a
 fresh engine (re-drawing every random value in order), which both
 reconstructs the exact internal state and verifies the file against the
-deterministic run schedule.
+deterministic run schedule.  Under regret termination the replay takes
+each inner-loop continuation from the trace and re-certifies only the
+recorded early ends; ``suggest`` and ``export`` certify the live
+position once.
 """
 
 from __future__ import annotations
@@ -407,7 +410,9 @@ def load_state(path):
     Returns (values, engine).  Replay re-draws every random value the
     original session drew and checks the stored draw count, so stale or
     hand-edited states fail with a ProtocolError instead of silently
-    diverging.
+    diverging.  A stored inner step counts as the original run's
+    decision to continue its inner loop; only a recorded early end has
+    its regret certificate recomputed, and it must be below epsilon.
     """
     state_path = Path(path)
     if not state_path.exists():

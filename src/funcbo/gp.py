@@ -191,7 +191,10 @@ def rebuild_model(kernel, noise_sq: float, observations) -> GPModel:
     y = np.array([obs.y for obs in observations])
     model = replace(model, points=tuple(obs.point for obs in observations), y=y,
                     grid=grid, V=V, row_q=row_q, GV=GV)
-    k = _cov_from_raw(_base_of(kernel), model.mode, query_sqdist(model, V))
+    raw = query_sqdist(model, V)
+    if model.mode != "coord_linear":
+        np.fill_diagonal(raw, 0.0)  # the expansion leaves rounding residue here
+    k = _cov_from_raw(_base_of(kernel), model.mode, raw)
     k = (k + k.T) / 2.0
     k[np.diag_indices_from(k)] += noise_sq
     try:
@@ -207,7 +210,8 @@ def condition_all(models, obs: Observation) -> tuple[GPModel, ...]:
 
     The candidates share their points and noise and differ only in their
     kernel's lengthscale, so the new point's distances to the old ones
-    and the point caches are computed once.  A candidate whose Schur
+    and the point caches are computed once; the caches gain the new
+    point's row instead of being recomputed.  A candidate whose Schur
     complement is not positive is dropped and logged; NumericalError is
     raised when every candidate is dropped.
     """
@@ -216,12 +220,14 @@ def condition_all(models, obs: Observation) -> tuple[GPModel, ...]:
     n = first.n
     x_row = x[None, :]
     k_nn = float(_prior_var(first.kernel, x_row)[0]) + first.noise_sq
+    q_x, gv_x = _caches(first.kernel, x_row)
     if n == 0:
-        V = x_row.copy()
+        V, row_q, GV = x_row.copy(), q_x, gv_x
     else:
         raw = query_sqdist(first, x_row)
         V = np.vstack([first.V, x_row])
-    row_q, GV = _caches(first.kernel, V)
+        row_q = q_x if q_x is None else np.append(first.row_q, q_x)
+        GV = gv_x if gv_x is None else np.vstack([first.GV, gv_x])
     grid = first.grid if first.grid is not None else grid
     y = np.append(first.y, obs.y)
     extended = []
@@ -351,6 +357,10 @@ def _prior_chol(kernel: ScalarKernelSpec, spec: GridSpec) -> np.ndarray:
             L = np.linalg.cholesky(gram + jitter * kernel.variance * eye)
         except np.linalg.LinAlgError:
             continue
+        if jitter != _JITTERS[0]:
+            _log.debug(
+                "prior factor of %r needed jitter %r at N = %d", kernel, jitter, spec.size
+            )
         L.setflags(write=False)
         return L
     raise NumericalError(

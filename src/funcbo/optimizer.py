@@ -32,7 +32,12 @@ restart seeds of each acquisition search without running it, taking the
 stored coordinates instead.  It then tells the stored value, so the
 model goes through the same update chain as in the original run: each
 candidate lengthscale's factor is extended by one row, and the most
-likely candidate is the model.
+likely candidate is the model.  Replay takes the inner-loop decisions
+from the trace in the same way: a stored inner step at (s, t) shows that
+the original run did not end the loop there, so its regret certificate
+is not recomputed.  The certificate runs only where the trace ends an
+inner loop early, which must be certified or the state is rejected, and
+at the live position after the trace.
 """
 
 from __future__ import annotations
@@ -251,6 +256,8 @@ class _EngineBase:
         self.cfg = cfg
         self._rng = _CountingRng(rng if rng is not None else rng_streams(cfg.seed)[0])
         self._trace: list[RunRecord] = []
+        # whether the inner loop ends at (s, t): certified, or taken from a trace
+        self._inner_ends: dict[tuple[int, int], bool] = {}
         self._best_values: np.ndarray | None = None
         self._best_y = 0.0  # virtual incumbent value; real observations win ties
         self.pending = None  # (kind, s, t, lam, g_values[, engine extra])
@@ -317,7 +324,10 @@ class _EngineBase:
         Deterministic replay: every rng draw the original run made is
         re-drawn in order, and stored values are checked against the
         replayed ones so a corrupted or out-of-date state file fails
-        loudly instead of diverging.
+        loudly instead of diverging.  A stored inner step at (s, t) is
+        taken as the original run's decision not to end the inner loop
+        there, so no regret certificate runs for it; a recorded early
+        end is certified before the next step is replayed.
         """
         for rec in records:
             kind = "init" if rec.t < 0 else "inner"
@@ -337,6 +347,8 @@ class _EngineBase:
         acquisition search, checked against the run schedule."""
         kind, s, t, lam = desc
         lam = np.asarray(lam, dtype=float)
+        if kind == "inner":
+            self._inner_ends[(s, t)] = False
         if self.done:
             raise ProtocolError("state contains more evaluations than the run allows")
         self._step(lam)
@@ -382,7 +394,6 @@ class _PhasedEngine(_EngineBase):
         self.subspace = None  # the current coordinate set
         self.finished = False
         self._outer_best = None  # (model point, y) within the current set
-        self._err_cache: dict[tuple[int, int], float] = {}
         lengthscales = (
             np.geomspace(cfg.mle_grid_min, cfg.mle_grid_max, cfg.mle_grid_points)
             if cfg.k_lengthscale == "mle"
@@ -430,11 +441,11 @@ class _PhasedEngine(_EngineBase):
             return True
         if self.cfg.termination == "regret":
             key = (self.s, self.t)
-            if key not in self._err_cache:
-                self._err_cache[key] = simple_regret_err(
+            if key not in self._inner_ends:
+                self._inner_ends[key] = simple_regret_err(
                     self.model, self.subspace, self._outer_best[0], self._search
-                )
-            return self._err_cache[key] < self.cfg.epsilon
+                ) < self.cfg.epsilon
+            return self._inner_ends[key]
         return False
 
     def _step(self, lam=None):

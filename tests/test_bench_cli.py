@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funcbo import bench, cli, kernels
+from funcbo import bench, cli, kernels, optimizer
 from funcbo.errors import ConfigError, FuncboError, ProtocolError
 from funcbo.gridfn import read_function_csv
 from funcbo.optimizer import ALGORITHMS, RUNNERS, make_engine, rng_streams
@@ -215,6 +215,77 @@ def test_state_draw_counter_detects_corruption(tmp_path):
     state.write_text(garbled)
     with pytest.raises(ProtocolError, match="rng cursor"):
         bench.load_state(state)
+
+
+# inner loop 0 ends early at t = 3 (T = 5); the state stops after two
+# inner steps of loop 1, with no suggestion pending
+EARLY_END = """
+grid.points_per_axis = 20
+opt.S = 2
+opt.T = 5
+opt.n_init = 2
+opt.seed = 2
+opt.termination = regret
+opt.epsilon = 0.3
+K.lengthscale = 0.7
+"""
+EARLY_END_SCHEDULE = [(0, -1), (0, -1), (0, 0), (0, 1), (0, 2), (1, -1), (1, -1), (1, 0), (1, 1)]
+
+
+def _early_end_state(tmp_path):
+    state = tmp_path / "state.txt"
+    state.write_text(EARLY_END)
+    values = bench.parse_config(state)
+    objective = bench.build_objective(values, bench.build_opt_config(values).grid)
+    _, noise_rng = rng_streams(values["opt.seed"])
+    out = tmp_path / "g.csv"
+    for _ in EARLY_END_SCHEDULE:
+        bench.suggest(state, out)
+        bench.tell(state, objective.evaluate(read_function_csv(out), noise_rng))
+    return state
+
+
+def _counting_regret_err(monkeypatch):
+    """Replace the regret certificate with a wrapper that records its values."""
+    values = []
+    real = optimizer.simple_regret_err
+
+    def counted(*args, **kwargs):
+        values.append(real(*args, **kwargs))
+        return values[-1]
+
+    monkeypatch.setattr(optimizer, "simple_regret_err", counted)
+    return values
+
+
+def test_load_certifies_only_the_recorded_early_end(tmp_path, monkeypatch):
+    # the stored inner steps show the loop went on, so only the early end
+    # of loop 0 is certified; the live position is certified by suggest
+    state = _early_end_state(tmp_path)
+    errs = _counting_regret_err(monkeypatch)
+    _, engine = bench.load_state(state)
+    assert [(r.s, r.t) for r in engine.trace] == EARLY_END_SCHEDULE
+    assert len(errs) == 1 and errs[0] < 0.3
+    bench.suggest(state, tmp_path / "g.csv")
+    assert len(errs) == 3  # its load's early end, then the live position
+    bench.tell(state, 0.0)
+    assert len(errs) == 4  # its load's early end; the pending inner step went on
+
+
+def test_uncertified_recorded_end_is_protocol_error(tmp_path, monkeypatch):
+    state = _early_end_state(tmp_path)
+    with monkeypatch.context() as patch:
+        errs = _counting_regret_err(patch)
+        bench.load_state(state)
+    # an epsilon at the recorded end's certificate (the smallest one the
+    # load computes) no longer ends loop 0 at t = 3
+    text = state.read_text().replace("opt.epsilon = 0.3", f"opt.epsilon = {min(errs)!r}")
+    state.write_text(text)
+    with pytest.raises(ProtocolError, match="run schedule"):
+        bench.load_state(state)
+    res = _cli("suggest", "--state", str(state), "--out", str(tmp_path / "g.csv"))
+    assert res.returncode == 3
+    assert "Traceback" not in res.stderr
 
 
 def test_export_requires_finished_run(tmp_path):

@@ -136,12 +136,13 @@ def test_condition_duplicate_point_moves_mean_little():
 
 
 def test_condition_breakdown_raises():
-    # noise below float resolution of the kernel diagonal: the Schur
-    # complement of a duplicated point cancels to exactly zero
-    g0 = random_grid_function(np.random.default_rng(7))
-    model = rebuild_model(SE_L2, 1e-17, [Observation(g0, 1.0)])
+    # at lengthscale 1e6 the kernel between the two nearby coordinates
+    # rounds to 1, and the noise is below float resolution of the kernel
+    # diagonal, so the Schur complement cancels to exactly zero
+    kernel = ScalarKernelSpec("se", 1e6)
+    model = rebuild_model(kernel, 1e-20, [Observation(np.array([0.0]), 1.0)])
     with pytest.raises(NumericalError):
-        condition(model, Observation(g0, 1.0))
+        condition(model, Observation(np.array([1e-3]), 1.0))
 
 
 def test_condition_all_drops_broken_candidate_and_logs(caplog):
@@ -177,10 +178,7 @@ _RKHS_GRAM = scalar_gram(ScalarKernelSpec("se", 0.3), grid_coordinates(GRID_1D))
 @settings(max_examples=30, deadline=None)
 @given(
     mode=st.sampled_from(["l2grid", "rkhs", "coord"]),
-    # not matern12: rebuild_model's pairwise expansion leaves ~1e-16 on
-    # the diagonal distances, and matern12's sqrt(r^2) / lengthscale
-    # turns that into errors up to ~1e-6 in the oracle itself
-    kind=st.sampled_from(["se", "matern32"]),
+    kind=st.sampled_from(["se", "matern12", "matern32"]),
     n=st.integers(1, 12),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -213,6 +211,19 @@ def test_candidate_chain_matches_rebuild(mode, kind, n, seed):
             for p in probes:
                 for a, b in zip(posterior(model, p), posterior(rebuilt, p)):
                     assert a == pytest.approx(b, abs=1e-8)
+
+
+def test_prior_jitter_escalation_is_logged(caplog, monkeypatch):
+    # the SE gram on 100 grid points is singular at zero jitter
+    monkeypatch.setattr(gp, "_JITTERS", (0.0, 1e-10))
+    gp._prior_chol.cache_clear()
+    kappa = ScalarKernelSpec("se", 0.3, variance=2.0)
+    with caplog.at_level(logging.DEBUG, logger="funcbo.gp"):
+        sample_on_grid(kappa, GRID_1D, np.random.default_rng(0))
+    gp._prior_chol.cache_clear()
+    (record,) = [r for r in caplog.records if "jitter" in r.getMessage()]
+    assert record.levelno == logging.DEBUG
+    assert "jitter 1e-10" in record.getMessage() and "N = 100" in record.getMessage()
 
 
 def test_sample_on_grid_deterministic():
