@@ -7,18 +7,20 @@ writing and re-reading any artifact is byte-stable and reruns of the
 same config produce byte-identical output.
 
 Ask/tell state files extend the config format with a ``[trace]`` CSV
-section, an optional ``[pending]`` suggestion and an ``[rng]`` draw
-counter.  Loading a state replays the recorded evaluations through a
-fresh engine (re-drawing every random value in order), which both
-reconstructs the exact internal state and verifies the file against the
-deterministic run schedule.  Under regret termination the replay takes
-each inner-loop continuation from the trace and re-certifies only the
-recorded early ends; ``suggest`` and ``export`` certify the live
-position once.
+section, an optional ``[pending]`` suggestion and a closing ``[digest]``
+line, the sha256 of the canonical config lines.  Loading a state
+rejects a config that no longer matches its digest, then replays the
+recorded evaluations through a fresh engine (re-drawing every random
+value in order), which both reconstructs the exact internal state and
+verifies the records against the deterministic run schedule.  Under
+regret termination the replay takes each inner-loop continuation from
+the trace and re-certifies only the recorded early ends; ``suggest``
+and ``export`` certify the live position once.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -314,14 +316,21 @@ def _trace_header(width: int) -> str:
     return ",".join(["eval_index", "s", "t", *lam_cols, "y", "best_y"])
 
 
+def _config_lines(values: dict) -> list[str]:
+    """The canonical config lines of a state: every session key, sorted."""
+    keys = sorted(set(SCHEMA) - set(_BENCH_KEYS))
+    return [f"{key} = {format_value(values[key])}" for key in keys]
+
+
+def _config_digest(values: dict) -> str:
+    """sha256 of the canonical config lines, each ending in a newline."""
+    text = "".join(line + "\n" for line in _config_lines(values))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def save_state(path, values: dict, engine) -> None:
-    lines = ["# funcbo ask/tell state"]
-    for key in sorted(SCHEMA):
-        if key in _BENCH_KEYS:
-            continue
-        lines.append(f"{key} = {format_value(values[key])}")
-    lines.append("[trace]")
-    lines.append(_trace_header(_lam_width(values)))
+    lines = ["# funcbo ask/tell state", *_config_lines(values)]
+    lines += ["[trace]", _trace_header(_lam_width(values))]
     for rec in engine.trace:
         row = [str(rec.eval_index), str(rec.s), str(rec.t)]
         row += [repr(v) for v in rec.lam]
@@ -331,8 +340,8 @@ def save_state(path, values: dict, engine) -> None:
         kind, s, t, lam = engine.pending[:4]
         lines.append("[pending]")
         lines.append(",".join([kind, str(s), str(t), *[repr(float(v)) for v in lam]]))
-    lines.append("[rng]")
-    lines.append(f"draws = {engine.draw_count}")
+    lines.append("[digest]")
+    lines.append(f"config_sha256 = {_config_digest(values)}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -344,27 +353,32 @@ def _state_number(parse, text: str, where: str):
 
 
 def _parse_state_text(text: str):
-    config_lines, trace_lines, pending_lines, rng_lines = [], [], [], []
+    config_lines, trace_lines, pending_lines, digest_lines = [], [], [], []
+    sections = {"[trace]": trace_lines, "[pending]": pending_lines, "[digest]": digest_lines}
     section = config_lines
     for raw in text.splitlines():
         line = raw.strip()
-        if line == "[trace]":
-            section = trace_lines
-        elif line == "[pending]":
-            section = pending_lines
-        elif line == "[rng]":
-            section = rng_lines
+        if line in sections:
+            section = sections[line]
         elif line.startswith("[") and line.endswith("]"):
             raise ConfigError(f"unknown state section {line!r}")
-        else:
+        elif line or section is config_lines:  # config errors name file lines
             section.append(raw)
+    digest = None
+    for line in digest_lines:
+        key, _, text_val = line.partition("=")
+        if key.strip() != "config_sha256":
+            raise ConfigError(f"bad digest section line: {line.strip()!r}")
+        digest = text_val.strip()
     values = parse_config_lines(config_lines)
+    # checked before the records, which the config tells how to read
+    if (trace_lines[1:] or pending_lines) and digest != _config_digest(values):
+        raise ProtocolError("the state's [digest] is missing or does not match its config")
     width = _lam_width(values)
+    if trace_lines and trace_lines[0].strip() != _trace_header(width):
+        raise ConfigError(f"bad state trace header: {trace_lines[0]!r}")
     records = []
-    body = [ln for ln in trace_lines if ln.strip()]
-    if body and body[0].strip() != _trace_header(width):
-        raise ConfigError(f"bad state trace header: {body[0]!r}")
-    for line in body[1:]:
+    for line in trace_lines[1:]:
         parts = line.split(",")
         if len(parts) != 5 + width:
             raise ConfigError(f"bad state trace row: {line!r}")
@@ -381,49 +395,40 @@ def _parse_state_text(text: str):
             )
         )
     pending = None
-    body = [ln for ln in pending_lines if ln.strip()]
-    if body:
-        parts = body[0].split(",")
+    if pending_lines:
+        parts = pending_lines[0].split(",")
         if len(parts) != 3 + width or parts[0] not in ("init", "inner"):
-            raise ConfigError(f"bad pending suggestion line: {body[0]!r}")
+            raise ConfigError(f"bad pending suggestion line: {pending_lines[0]!r}")
         pending = (
             parts[0],
             _state_number(_parse_int, parts[1], "pending suggestion"),
             _state_number(_parse_int, parts[2], "pending suggestion"),
             tuple(_state_number(_parse_float, v, "pending suggestion") for v in parts[3:]),
         )
-    draws = None
-    for line in rng_lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, text_val = line.partition("=")
-        if key.strip() != "draws":
-            raise ConfigError(f"bad rng section line: {line!r}")
-        draws = _state_number(_parse_int, text_val.strip(), "rng section")
-    return values, records, pending, draws
+    return values, records, pending
 
 
 def load_state(path):
     """Parse a state (or plain config) file and replay it into an engine.
 
-    Returns (values, engine).  Replay re-draws every random value the
-    original session drew and checks the stored draw count, so stale or
-    hand-edited states fail with a ProtocolError instead of silently
-    diverging.  A stored inner step counts as the original run's
-    decision to continue its inner loop; only a recorded early end has
-    its regret certificate recomputed, and it must be below epsilon.
+    Returns (values, engine).  A file with a trace record or a pending
+    suggestion must end with the digest of its parsed config, so an
+    edited config fails with a ProtocolError instead of silently
+    changing the run; a plain config starts a fresh session.  Deleting
+    trailing records (and the pending line) while keeping the digest
+    gives the file saved at that earlier tell: a valid rollback.
+    Replay re-draws every random value the original session drew and
+    checks each record against the run schedule.  A stored inner step
+    counts as the original run's decision to continue its inner loop;
+    only a recorded early end has its regret certificate recomputed, and
+    it must be below epsilon.
     """
     state_path = Path(path)
     if not state_path.exists():
         raise ConfigError(f"no such state file: {path}")
-    values, records, pending, draws = _parse_state_text(state_path.read_text())
+    values, records, pending = _parse_state_text(state_path.read_text())
     engine = optimizer.make_engine(build_opt_config(values), values["opt.algorithm"])
     engine.replay(records, pending)
-    if draws is not None and engine.draw_count != draws:
-        raise ProtocolError(
-            f"state rng cursor mismatch: replay drew {engine.draw_count}, file says {draws}"
-        )
     return values, engine
 
 

@@ -167,21 +167,25 @@ def read_function_csv(path) -> GridFunction:
     if not lines:
         raise InputError(f"empty function file: {path}")
     header = lines[0].split(",")
-    if header[-1] != "value" or any(h != f"x{k}" for k, h in enumerate(header[:-1])):
-        raise InputError(f"bad function CSV header: {lines[0]!r}")
     dim = len(header) - 1
+    if dim < 1 or header[-1] != "value" or any(h != f"x{k}" for k, h in enumerate(header[:-1])):
+        raise InputError(f"bad function CSV header: {lines[0]!r}")
     n = len(lines) - 1
     rho = round(n ** (1.0 / dim))
     if rho**dim != n:
         raise InputError(f"{n} rows is not a full {dim}-d grid")
     spec = GridSpec(dim, rho)
-    values = np.empty(n)
-    coords = grid_coordinates(spec)
+    table = np.empty((n, dim + 1))
     for i, line in enumerate(lines[1:]):
         parts = line.split(",")
         if len(parts) != dim + 1:
-            raise InputError(f"bad row in function CSV: {line!r}")
-        if not np.allclose([float(p) for p in parts[:-1]], coords[i], atol=1e-9):
-            raise InputError(f"row {i} coordinates do not match the cell-center grid")
-        values[i] = float(parts[-1])
-    return GridFunction(spec, values)
+            raise InputError(f"bad row {i} in function CSV: {line!r}")
+        try:
+            table[i] = [float(p) for p in parts]
+        except ValueError:
+            raise InputError(f"row {i} of the function CSV is not numeric: {line!r}") from None
+    off_grid = ~np.isclose(table[:, :-1], grid_coordinates(spec), atol=1e-9).all(axis=1)
+    if off_grid.any():
+        i = int(np.argmax(off_grid))
+        raise InputError(f"row {i} coordinates do not match the cell-center grid")
+    return GridFunction(spec, table[:, -1])

@@ -184,23 +184,6 @@ def rng_streams(seed: int):
     return np.random.default_rng(dec), np.random.default_rng(noise)
 
 
-class _CountingRng:
-    """Forwards draws to a Generator while counting values drawn; the
-    count is the replayable rng cursor stored in ask/tell state files."""
-
-    def __init__(self, gen):
-        self._gen = gen
-        self.draws = 0
-
-    def standard_normal(self, size=None):
-        self.draws += 1 if size is None else int(np.prod(size))
-        return self._gen.standard_normal(size)
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        self.draws += 1 if size is None else int(np.prod(size))
-        return self._gen.uniform(low, high, size)
-
-
 def bernstein_matrix(degree: int, x: np.ndarray) -> np.ndarray:
     """Rows of Bernstein basis polynomials B_{k,degree} evaluated at x."""
     x = np.asarray(x, dtype=float)
@@ -254,7 +237,7 @@ class _EngineBase:
 
     def __init__(self, cfg: OptConfig, rng=None):
         self.cfg = cfg
-        self._rng = _CountingRng(rng if rng is not None else rng_streams(cfg.seed)[0])
+        self._rng = rng if rng is not None else rng_streams(cfg.seed)[0]
         self._trace: list[RunRecord] = []
         # whether the inner loop ends at (s, t): certified, or taken from a trace
         self._inner_ends: dict[tuple[int, int], bool] = {}
@@ -265,10 +248,6 @@ class _EngineBase:
     @property
     def trace(self) -> list[RunRecord]:
         return self._trace
-
-    @property
-    def draw_count(self) -> int:
-        return self._rng.draws
 
     @property
     def best(self) -> tuple[GridFunction, float]:

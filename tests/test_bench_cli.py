@@ -61,6 +61,27 @@ def test_malformed_line_is_error():
         _values("what even is this")
 
 
+_CONFIG_VALUE = st.one_of(
+    st.integers(-3, 20_000).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["mle", "se", "linear", "rkhs", "regret", "s3bfo", "effdim", ""]),
+    st.text(alphabet="0123456789.-+eEinfamlxs_, =#", max_size=12),
+)
+_CONFIG_LINE = st.one_of(
+    st.tuples(st.sampled_from(sorted(bench.SCHEMA)), _CONFIG_VALUE).map(" = ".join),
+    st.text(alphabet="abcdegiklmnoprstx._ =#[]0123456789", max_size=20),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_CONFIG_LINE, max_size=6))
+def test_config_lines_build_or_raise_funcbo_error(lines):
+    try:
+        bench.build_opt_config(bench.parse_config_lines(lines))
+    except FuncboError:
+        pass
+
+
 def test_run_bench_trace_and_summary_shapes(tmp_path):
     result = bench.run_bench(_values(), tmp_path)
     trace_rows = bench.read_trace_csv(result.trace_paths[("random_search", 0)])
@@ -206,17 +227,6 @@ def test_state_file_roundtrip_is_byte_stable(tmp_path):
     assert state.read_bytes() == first
 
 
-def test_state_draw_counter_detects_corruption(tmp_path):
-    state = _fresh_state(tmp_path)
-    bench.suggest(state, tmp_path / "g.csv")
-    bench.tell(state, 0.5)
-    text = state.read_text()
-    garbled = text.replace("draws = ", "draws = 9")
-    state.write_text(garbled)
-    with pytest.raises(ProtocolError, match="rng cursor"):
-        bench.load_state(state)
-
-
 # inner loop 0 ends early at t = 3 (T = 5); the state stops after two
 # inner steps of loop 1, with no suggestion pending
 EARLY_END = """
@@ -276,11 +286,11 @@ def test_uncertified_recorded_end_is_protocol_error(tmp_path, monkeypatch):
     state = _early_end_state(tmp_path)
     with monkeypatch.context() as patch:
         errs = _counting_regret_err(patch)
-        bench.load_state(state)
+        values, engine = bench.load_state(state)
     # an epsilon at the recorded end's certificate (the smallest one the
-    # load computes) no longer ends loop 0 at t = 3
-    text = state.read_text().replace("opt.epsilon = 0.3", f"opt.epsilon = {min(errs)!r}")
-    state.write_text(text)
+    # load computes) no longer ends loop 0 at t = 3; saved with its own
+    # digest, the edit reaches the replay
+    bench.save_state(state, dict(values, **{"opt.epsilon": min(errs)}), engine)
     with pytest.raises(ProtocolError, match="run schedule"):
         bench.load_state(state)
     res = _cli("suggest", "--state", str(state), "--out", str(tmp_path / "g.csv"))
@@ -452,7 +462,8 @@ def _edit_field(text, prefix, field, value):
     [
         ("0,0,-1,", 0, "x", 2),  # non-integer eval_index
         ("inner,", 3, "abc", 2),  # non-number lambda0 of the pending line
-        ("draws = ", 0, "draws = many", 2),
+        ("config_sha256 = ", 0, "config_sha256 = 0123abc", 3),  # digest no longer matches
+        ("config_sha256 = ", 0, "config_sha2 = 0123abc", 2),  # not the digest key
         ("0,0,-1,", 0, "7", 3),  # eval_index out of step with its position
     ],
 )
@@ -462,6 +473,94 @@ def test_cli_malformed_state_exits_cleanly(tmp_path, prefix, field, value, code)
     res = _cli("tell", "--state", str(state), "--y", "0.25")
     assert res.returncode == code
     assert "Traceback" not in res.stderr
+
+
+# another valid value for every config key a state writes
+CONFIG_EDITS = {
+    "K.kind": "matern12",
+    "K.lengthscale": "0.5",
+    "K.metric": "rkhs",
+    "acq.delta": "0.2",
+    "acq.lambda_box": "3.0",
+    "acq.local_steps": "20",
+    "acq.restarts": "4",
+    "grid.dim": "2",
+    "grid.points_per_axis": "50",
+    "kappa.kind": "matern32",
+    "kappa.lengthscale": "0.25",
+    "mle.grid_max": "5.0",
+    "mle.grid_min": "0.02",
+    "mle.grid_points": "9",
+    "noise.sigma": "0.02",
+    "objective.d_e": "3",
+    "objective.kind": "effdim",
+    "objective.noise": "0.0",
+    "objective.target_kernel": "matern12",
+    "objective.target_lengthscale": "0.2",
+    "objective.target_seed": "7",
+    "opt.S": "3",
+    "opt.T": "3",
+    "opt.algorithm": "fixed_subspace",
+    "opt.d": "2",
+    "opt.epsilon": "0.5",
+    "opt.l_max": "5.0",
+    "opt.n_init": "2",
+    "opt.seed": "9",
+    "opt.termination": "regret",
+}
+
+
+def _edit_config_line(text, key, value):
+    lines = text.splitlines()
+    i = next(k for k, line in enumerate(lines) if line.partition("=")[0].strip() == key)
+    lines[i] = f"{key} = {value}"
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "key", [key for key in sorted(bench.SCHEMA) if not key.startswith("bench.")]
+)
+def test_state_config_edit_is_protocol_error(tmp_path, capsys, key):
+    state = _state_with_pending(tmp_path)
+    text = state.read_text()
+    saved = bench.parse_config_lines(text.partition("[trace]")[0].splitlines())
+    assert bench.parse_config_lines([f"{key} = {CONFIG_EDITS[key]}"])[key] != saved[key]
+    state.write_text(_edit_config_line(text, key, CONFIG_EDITS[key]))
+    with pytest.raises(ProtocolError, match="digest"):
+        bench.load_state(state)
+    assert cli.main(["tell", "--state", str(state), "--y", "0.25"]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_state_config_respelling_still_loads(tmp_path):
+    # the digest covers parsed values, not their spelling
+    state = _state_with_pending(tmp_path)
+    saved = state.read_text()
+    text = saved.replace("kappa.lengthscale = 0.3\n", "kappa.lengthscale   =   0.30  \n")
+    text = text.replace("opt.T = 2\n", "  opt.T=2\n")
+    assert text != saved
+    state.write_text(text)
+    values, engine = bench.load_state(state)
+    bench.save_state(state, values, engine)
+    assert state.read_text() == saved
+
+
+def test_trailing_record_deletion_is_a_rollback(tmp_path):
+    # the digest covers the config only, so a state cut back to an earlier
+    # tell is the file saved at that tell
+    state = _fresh_state(tmp_path)
+    bench.suggest(state, tmp_path / "g.csv")
+    bench.tell(state, 0.5)
+    earlier = state.read_text()
+    bench.suggest(state, tmp_path / "g.csv")
+    bench.tell(state, -0.5)
+    bench.suggest(state, tmp_path / "g.csv")
+    lines = state.read_text().splitlines()
+    cut = lines.index("[pending]")
+    state.write_text("\n".join(lines[: cut - 1] + lines[cut + 2 :]) + "\n")
+    assert state.read_text() == earlier
+    _, engine = bench.load_state(state)
+    assert len(engine.trace) == 1
 
 
 @functools.lru_cache(maxsize=1)

@@ -1,10 +1,14 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import GRID_1D, random_grid_function
-from funcbo.errors import InputError, ShapeError
+from funcbo.errors import FuncboError, InputError, ShapeError
 from funcbo.gridfn import (
     GridFunction,
     GridSpec,
@@ -238,3 +242,64 @@ def test_function_csv_rejects_garbage(tmp_path):
     path.write_text("a,b\n1,2\n")
     with pytest.raises(InputError):
         read_function_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x0,value\n0.5,abc\n", "row 0 of the function CSV is not numeric"),
+        ("value\n1.0\n", "bad function CSV header"),
+        ("x0,value\n0.125,1.0\n0.375,2.0\n0.0,3.0\n0.875,4.0\n", "row 2 coordinates"),
+    ],
+)
+def test_function_csv_errors_name_the_row(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(InputError, match=message):
+        read_function_csv(path)
+
+
+def _csv_cells(rows):
+    return "\n".join(",".join(row) for row in rows) + "\n"
+
+
+_VALID_CSV_ROWS = [
+    [["x0", "value"], ["0.25", "1.5"], ["0.75", "-2.0"]],
+    [["x0", "x1", "value"], ["0.25", "0.25", "0.0"], ["0.25", "0.75", "1.0"],
+     ["0.75", "0.25", "2.0"], ["0.75", "0.75", "3.0"]],
+]
+_CELL = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["x0", "x1", "x2", "x3", "value", ""]),
+    st.text(alphabet="0123456789.-+eEinfaxv ,\n", max_size=8),
+)
+
+
+@st.composite
+def _function_csv_text(draw):
+    """A valid small function CSV with one cell replaced or removed, or
+    arbitrary rows of cells."""
+    if draw(st.booleans()):
+        rows = [list(row) for row in draw(st.sampled_from(_VALID_CSV_ROWS))]
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows[i]) - 1))
+        if draw(st.booleans()):
+            rows[i][j] = draw(_CELL)
+        else:
+            del rows[i][j]
+        return _csv_cells(rows)
+    return _csv_cells(draw(st.lists(st.lists(_CELL, min_size=1, max_size=4), max_size=5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_function_csv_text())
+@example(text="x0,value\n0.5,abc\n")
+@example(text="value\n1.0\n")
+def test_function_csv_parses_or_raises_funcbo_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fn.csv"
+        path.write_text(text)
+        try:
+            read_function_csv(path)
+        except FuncboError:
+            pass
