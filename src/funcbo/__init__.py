@@ -6,7 +6,7 @@ by Gaussian-process sample paths, with line-search and random-search
 baselines and a reproducible benchmark harness.
 """
 
-from .acquisition import AcqSearchConfig, UcbSchedule, beta, maximise, ucb_value
+from .acquisition import AcqSearchConfig, UcbSchedule, beta
 from .errors import (
     ConfigError,
     FuncboError,
@@ -18,7 +18,6 @@ from .errors import (
 from .gp import (
     GPModel,
     Observation,
-    condition,
     empty_model,
     log_marginal_likelihood,
     posterior,

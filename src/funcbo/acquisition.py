@@ -31,7 +31,6 @@ import numpy as np
 
 from . import gp
 from .errors import InputError
-from .gridfn import GridFunction
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -58,10 +57,6 @@ def beta(schedule: UcbSchedule, t: int) -> float:
         (schedule.d / 2.0 + 2.0) * math.log(t)
         + math.log(math.pi**2 / (3.0 * schedule.delta))
     )
-
-
-def ucb_value(mean: float, variance: float, beta_t: float) -> float:
-    return float(mean) + math.sqrt(beta_t) * math.sqrt(max(variance, 0.0))
 
 
 @dataclass(frozen=True)
@@ -183,28 +178,3 @@ def ucb_search(posterior, d: int, search: AcqSearchConfig, rng, sqrt_beta: float
 
     return golden_multistart(score, d, search, rng)
 
-
-def maximise(
-    model: gp.GPModel,
-    subspace,
-    schedule: UcbSchedule,
-    search: AcqSearchConfig,
-    t: int,
-    rng,
-) -> tuple[np.ndarray, GridFunction, float]:
-    """Multistart maximisation of the UCB over the subspace's coordinates.
-
-    Returns (coordinates, capped function, acquisition value).
-    """
-    d = len(subspace.basis)
-    if d < 1:
-        raise InputError("subspace must have at least one basis function")
-    lam, val = ucb_search(
-        subspace_posterior(model, subspace, search),
-        d,
-        search,
-        rng,
-        math.sqrt(beta(schedule, t)),
-    )
-    g_row = candidate_values(subspace, search, lam[None, :])[0]
-    return lam, GridFunction(subspace.bias.spec, g_row), val

@@ -423,10 +423,7 @@ def load_state(path):
     only a recorded early end has its regret certificate recomputed, and
     it must be below epsilon.
     """
-    state_path = Path(path)
-    if not state_path.exists():
-        raise ConfigError(f"no such state file: {path}")
-    values, records, pending = _parse_state_text(state_path.read_text())
+    values, records, pending = _parse_state_text(Path(path).read_text())
     engine = optimizer.make_engine(build_opt_config(values), values["opt.algorithm"])
     engine.replay(records, pending)
     return values, engine

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 ok, 2 config/input error, 3 protocol error, 4 numerical
-error.
+Exit codes: 0 ok, 2 config/input error or unreadable file, 3 protocol
+error, 4 numerical error.
 """
 
 from __future__ import annotations
@@ -82,6 +82,14 @@ def main(argv=None) -> int:
         _run(args)
     except (ConfigError, InputError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    except UnicodeError as exc:
+        # the only text a command decodes is its --state or --config file
+        path = args.state if "state" in args else args.config
+        print(f"error: {path}: {exc}", file=sys.stderr)
         return 2
     except ProtocolError as exc:
         print(f"protocol error: {exc}", file=sys.stderr)

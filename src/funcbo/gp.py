@@ -7,18 +7,23 @@ the posterior of f ~ GP(0, K) at a query x is
     var(x)  = K(x, x) - k(x, D) (K(D, D) + s2 I)^-1 k(D, x)
 
 A ``GPModel`` is an immutable snapshot holding the Cholesky factor L of
-the regularised Gram matrix, so queries cost one triangular solve and
-conditioning extends L by one row instead of refactorising.  Points may
-be grid functions (functional kernels) or coordinate vectors (scalar
-kernels, used by the line-search baseline); the distance bookkeeping for
-both lives in the private helpers below.
+the regularised Gram matrix and the whitened targets z = L^-1 y
+(Rasmussen & Williams 2006, Alg. 2.1, without its back-substitution).
+With w = L^-1 k(D, x), the mean is z·w and the variance K(x, x) - w·w,
+so a query costs one triangular solve; the log marginal likelihood is
+-z·z/2 - sum log L_ii - n/2 log 2 pi.  Conditioning extends L by one row
+l and z by one entry (y_n - l·z) / L_nn instead of refactorising.
+
+Kernels are distance-based: the GP takes functional kernels on grid
+functions, or distance-based scalar kernels on coordinate vectors (used
+by the line-search baseline); the distance bookkeeping for both lives in
+the private helpers below.
 
 Lengthscale selection keeps one model per candidate lengthscale, all on
 the same points.  ``condition_all`` extends every candidate by one row,
 O(n^2) each, computing the new point's distances once for all of them;
 ``most_likely`` picks the candidate with the highest log marginal
-likelihood (Rasmussen & Williams 2006, Alg. 2.1).  ``condition`` is the
-one-candidate case.
+likelihood.
 
 A posterior query is two steps: the squared distances from the queries
 to the model's points, then ``posterior_from_sqdist``, the one step that
@@ -69,7 +74,7 @@ class GPModel:
     points: tuple
     y: np.ndarray
     L: np.ndarray
-    alpha: np.ndarray
+    z: np.ndarray  # whitened targets L^-1 y
     # internal caches for fast cross-covariances
     mode: str
     grid: GridSpec | None
@@ -86,7 +91,9 @@ def _mode_of(kernel) -> str:
     if isinstance(kernel, FunctionalKernelSpec):
         return kernel.metric
     if isinstance(kernel, ScalarKernelSpec):
-        return "coord_linear" if kernel.kind == "linear" else "coord"
+        if kernel.kind not in kernels.DISTANCE_KINDS:
+            raise InputError(f"GP models need a distance-based kernel, got {kernel.kind!r}")
+        return "coord"
     raise InputError(f"unsupported kernel spec {type(kernel).__name__}")
 
 
@@ -114,8 +121,6 @@ def _caches(kernel, V: np.ndarray):
     if mode == "rkhs":
         GV = V @ kernel.rkhs_gram
         return np.einsum("ij,ij->i", V, GV), GV
-    if mode == "coord_linear":
-        return None, None
     return np.einsum("ij,ij->i", V, V), None
 
 
@@ -132,40 +137,23 @@ def _sqdist(model: GPModel, q_sq: np.ndarray, cross: np.ndarray) -> np.ndarray:
 
 def query_sqdist(model: GPModel, Q: np.ndarray) -> np.ndarray:
     """Squared metric distances from query rows to the model's points,
-    shape (q, n); inner products instead for the linear kind."""
-    if model.mode == "coord_linear":
-        return Q @ model.V.T
+    shape (q, n)."""
     if model.mode == "rkhs":
         QG = Q @ model.kernel.rkhs_gram
         return _sqdist(model, np.einsum("ij,ij->i", QG, Q), Q @ model.GV.T)
     return _sqdist(model, np.einsum("ij,ij->i", Q, Q), Q @ model.V.T)
 
 
-def _cov_from_raw(base: ScalarKernelSpec, mode, raw) -> np.ndarray:
-    """Kernel values from squared distances (inner products for linear)."""
-    if mode == "coord_linear":
-        return base.variance * raw
-    return kernels.value_from_sqdist(base, raw)
-
-
-def _prior_var(kernel, Q: np.ndarray) -> np.ndarray:
-    base = _base_of(kernel)
-    if _mode_of(kernel) == "coord_linear":
-        return base.variance * np.einsum("ij,ij->i", Q, Q)
-    return np.full(Q.shape[0], base.variance)
-
-
 def empty_model(kernel, noise_sq: float) -> GPModel:
     if not noise_sq > 0:
         raise InputError(f"noise variance must be positive, got {noise_sq}")
-    _mode_of(kernel)  # rejects unsupported kernel objects early
     return GPModel(
         kernel=kernel,
         noise_sq=float(noise_sq),
         points=(),
         y=np.zeros(0),
         L=np.zeros((0, 0)),
-        alpha=np.zeros(0),
+        z=np.zeros(0),
         mode=_mode_of(kernel),
         grid=None,
         V=None,
@@ -192,41 +180,41 @@ def rebuild_model(kernel, noise_sq: float, observations) -> GPModel:
     model = replace(model, points=tuple(obs.point for obs in observations), y=y,
                     grid=grid, V=V, row_q=row_q, GV=GV)
     raw = query_sqdist(model, V)
-    if model.mode != "coord_linear":
-        np.fill_diagonal(raw, 0.0)  # the expansion leaves rounding residue here
-    k = _cov_from_raw(_base_of(kernel), model.mode, raw)
+    np.fill_diagonal(raw, 0.0)  # the expansion leaves rounding residue here
+    k = kernels.value_from_sqdist(_base_of(kernel), raw)
     k = (k + k.T) / 2.0
     k[np.diag_indices_from(k)] += noise_sq
     try:
         L = np.linalg.cholesky(k)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("Cholesky of the regularised Gram matrix failed") from exc
-    alpha = solve_triangular(L.T, solve_triangular(L, y, lower=True), lower=False)
-    return replace(model, L=L, alpha=alpha)
+    return replace(model, L=L, z=solve_triangular(L, y, lower=True))
 
 
 def condition_all(models, obs: Observation) -> tuple[GPModel, ...]:
     """Append obs to candidate models (rank-1 Cholesky extension of each).
 
-    The candidates share their points and noise and differ only in their
-    kernel's lengthscale, so the new point's distances to the old ones
-    and the point caches are computed once; the caches gain the new
-    point's row instead of being recomputed.  A candidate whose Schur
-    complement is not positive is dropped and logged; NumericalError is
-    raised when every candidate is dropped.
+    Each candidate's factor gains the row [l, L_nn] and its whitened
+    targets the entry (y_n - l·z) / L_nn.  The candidates share their
+    points and noise and differ only in their kernel's lengthscale, so
+    the new point's distances to the old ones and the point caches are
+    computed once; the caches gain the new point's row instead of being
+    recomputed.  A candidate whose Schur complement is not positive is
+    dropped and logged; NumericalError is raised when every candidate is
+    dropped.
     """
     first = models[0]
     x, grid = _rep(first.kernel, obs.point, first.grid)
     n = first.n
     x_row = x[None, :]
-    k_nn = float(_prior_var(first.kernel, x_row)[0]) + first.noise_sq
+    k_nn = _base_of(first.kernel).variance + first.noise_sq
     q_x, gv_x = _caches(first.kernel, x_row)
     if n == 0:
         V, row_q, GV = x_row.copy(), q_x, gv_x
     else:
         raw = query_sqdist(first, x_row)
         V = np.vstack([first.V, x_row])
-        row_q = q_x if q_x is None else np.append(first.row_q, q_x)
+        row_q = np.append(first.row_q, q_x)
         GV = gv_x if gv_x is None else np.vstack([first.GV, gv_x])
     grid = first.grid if first.grid is not None else grid
     y = np.append(first.y, obs.y)
@@ -236,7 +224,7 @@ def condition_all(models, obs: Observation) -> tuple[GPModel, ...]:
         if n == 0:
             ell = np.zeros(0)
         else:
-            k_vec = _cov_from_raw(base, model.mode, raw)[0]
+            k_vec = kernels.value_from_sqdist(base, raw)[0]
             ell = solve_triangular(model.L, k_vec, lower=True)
         s_sq = k_nn - float(ell @ ell)
         if not s_sq > 0.0:
@@ -249,9 +237,9 @@ def condition_all(models, obs: Observation) -> tuple[GPModel, ...]:
         L[:n, :n] = model.L
         L[n, :n] = ell
         L[n, n] = np.sqrt(s_sq)
-        alpha = solve_triangular(L.T, solve_triangular(L, y, lower=True), lower=False)
+        z = np.append(model.z, (obs.y - float(ell @ model.z)) / L[n, n])
         extended.append(
-            replace(model, points=model.points + (obs.point,), y=y, L=L, alpha=alpha,
+            replace(model, points=model.points + (obs.point,), y=y, L=L, z=z,
                     grid=grid, V=V, row_q=row_q, GV=GV)
         )
     if not extended:
@@ -260,11 +248,6 @@ def condition_all(models, obs: Observation) -> tuple[GPModel, ...]:
             "add jitter and rebuild"
         )
     return tuple(extended)
-
-
-def condition(model: GPModel, obs: Observation) -> GPModel:
-    """Return a new model with obs appended (rank-1 Cholesky extension)."""
-    return condition_all((model,), obs)[0]
 
 
 def most_likely(models) -> GPModel:
@@ -283,13 +266,12 @@ def posterior_from_sqdist(
     model: GPModel, raw: np.ndarray, prior: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means and variances of a batch of queries from their
-    squared distances to the model's points (inner products for the
-    linear kind), shape (q, n), and their prior variances.  The model
-    holds at least one point.  Variances are clamped at zero; every
-    posterior query ends here."""
-    k = _cov_from_raw(_base_of(model.kernel), model.mode, raw)
-    mean = k @ model.alpha
+    squared distances to the model's points, shape (q, n), and their
+    prior variances.  The model holds at least one point.  Variances are
+    clamped at zero; every posterior query ends here."""
+    k = kernels.value_from_sqdist(_base_of(model.kernel), raw)
     w = solve_triangular(model.L, k.T, lower=True)
+    mean = model.z @ w
     var = prior - np.einsum("ij,ij->j", w, w)
     return mean, np.maximum(var, 0.0)
 
@@ -302,7 +284,7 @@ def posterior_batch(model: GPModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarr
     kernels.  Variances are clamped at zero.
     """
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    prior = _prior_var(model.kernel, Q)
+    prior = np.full(Q.shape[0], _base_of(model.kernel).variance)
     if model.n == 0:
         return np.zeros(Q.shape[0]), prior
     return posterior_from_sqdist(model, query_sqdist(model, Q), prior)
@@ -381,7 +363,7 @@ def log_marginal_likelihood(model: GPModel) -> float:
     if model.n == 0:
         raise InputError("log marginal likelihood needs at least one observation")
     return float(
-        -0.5 * model.y @ model.alpha
+        -0.5 * model.z @ model.z
         - np.sum(np.log(np.diag(model.L)))
         - 0.5 * model.n * _LOG_2PI
     )

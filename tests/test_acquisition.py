@@ -13,11 +13,9 @@ from funcbo.acquisition import (
     UcbSchedule,
     beta,
     candidate_values,
-    maximise,
     restart_seeds,
     subspace_posterior,
     ucb_search,
-    ucb_value,
 )
 from funcbo.errors import InputError
 from funcbo.gp import Observation, empty_model, rebuild_model
@@ -60,15 +58,14 @@ def test_beta_monotone_in_t_and_delta():
     assert beta(UcbSchedule(0.9, 1), 5) < beta(UcbSchedule(0.1, 1), 5)
 
 
-def test_ucb_value_cases():
-    assert ucb_value(0.7, 0.0, 3.0) == 0.7
-    assert ucb_value(0.5, 4.0, 4.0) == pytest.approx(4.5)
-    assert ucb_value(0.3, 2.0, 0.0) == 0.3
-
-
-def test_ucb_monotone_in_variance():
-    vals = [ucb_value(0.1, v, 2.0) for v in np.linspace(0, 3, 10)]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
+def maximise(model, sub, sched, search, t, rng):
+    """The engine's pick: the UCB search over the subspace's coordinates,
+    the winner mapped to its capped function.  Returns (lam, g, acq)."""
+    lam, acq = ucb_search(
+        subspace_posterior(model, sub, search), len(sub.basis), search, rng,
+        math.sqrt(beta(sched, t)),
+    )
+    return lam, GridFunction(GRID_1D, candidate_values(sub, search, lam[None, :])[0]), acq
 
 
 def test_maximise_flat_prior_surface():
@@ -95,7 +92,7 @@ def test_maximise_beats_probes_and_incumbent():
     def acq_at(lam_scalar):
         row = candidate_values(sub, search, np.array([[lam_scalar]]))[0]
         mean, var = gp.posterior(model, GridFunction(GRID_1D, row))
-        return ucb_value(mean, var, beta_t)
+        return mean + math.sqrt(beta_t) * math.sqrt(var)
 
     assert acq >= acq_at(0.0) - 1e-9
     for probe in np.linspace(-search.lambda_box, search.lambda_box, 64):

@@ -372,6 +372,27 @@ def test_cli_grid_too_large_for_dense_prior_exits_cleanly(tmp_path, monkeypatch)
     assert cli.main(["bench", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("suggest", "--state", "{bad}", "--out", "{tmp}/g.csv"),  # not UTF-8
+        ("suggest", "--state", "{tmp}", "--out", "{tmp}/g.csv"),  # a directory
+        ("bench", "--config", "{tmp}/missing.cfg", "--out", "{tmp}/out"),
+        ("suggest", "--state", "{ok}", "--out", "{tmp}/nodir/g.csv"),
+    ],
+    ids=["not-utf8", "directory", "missing-config", "missing-out-dir"],
+)
+def test_cli_file_errors_exit_cleanly(tmp_path, args):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"opt.S = 1\n\xff\xfe\n")
+    ok = tmp_path / "ok.txt"
+    ok.write_text("opt.S = 1\nopt.T = 1\nopt.n_init = 1\n")
+    res = _cli(*(a.format(tmp=tmp_path, bad=bad, ok=ok) for a in args))
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert str(tmp_path) in res.stderr
+
+
 def test_cli_suggest_tell_export_cycle(tmp_path):
     state = tmp_path / "state.txt"
     state.write_text("opt.S = 1\nopt.T = 1\nopt.n_init = 1\n")

@@ -11,7 +11,6 @@ from funcbo import gp
 from funcbo.errors import InputError, NumericalError
 from funcbo.gp import (
     Observation,
-    condition,
     condition_all,
     empty_model,
     log_marginal_likelihood,
@@ -89,7 +88,7 @@ def test_posterior_matches_dense_oracle(metric):
 def test_condition_on_empty_equals_rebuild():
     rng = np.random.default_rng(3)
     o = Observation(random_grid_function(rng), 1.3)
-    inc = condition(empty_model(SE_L2, 0.01), o)
+    inc = condition_all((empty_model(SE_L2, 0.01),), o)[0]
     reb = rebuild_model(SE_L2, 0.01, [o])
     q = random_grid_function(rng)
     assert posterior(inc, q) == pytest.approx(posterior(reb, q), abs=1e-12)
@@ -100,7 +99,7 @@ def test_condition_chain_equals_rebuild():
     obs = _functional_dataset(rng, 30)
     model = empty_model(SE_L2, 0.01)
     for o in obs:
-        model = condition(model, o)
+        model = condition_all((model,), o)[0]
     reb = rebuild_model(SE_L2, 0.01, obs)
     for _ in range(10):
         q = random_grid_function(rng)
@@ -116,7 +115,7 @@ def test_condition_leaves_original_untouched():
     n_before = base.n
     q = random_grid_function(rng)
     before = posterior(base, q)
-    condition(base, Observation(random_grid_function(rng), 0.5))
+    condition_all((base,), Observation(random_grid_function(rng), 0.5))
     assert base.n == n_before
     assert posterior(base, q) == before
 
@@ -127,7 +126,7 @@ def test_condition_duplicate_point_moves_mean_little():
     noise_sq = 0.01
     model = rebuild_model(SE_L2, noise_sq, [Observation(g0, 2.0)])
     before, _ = posterior(model, g0)
-    model2 = condition(model, Observation(g0, 2.0))
+    model2 = condition_all((model,), Observation(g0, 2.0))[0]
     after, _ = posterior(model2, g0)
     assert abs(after - before) < 2 * noise_sq * 2.0
     # and the chain still matches a rebuild
@@ -142,7 +141,7 @@ def test_condition_breakdown_raises():
     kernel = ScalarKernelSpec("se", 1e6)
     model = rebuild_model(kernel, 1e-20, [Observation(np.array([0.0]), 1.0)])
     with pytest.raises(NumericalError):
-        condition(model, Observation(np.array([1e-3]), 1.0))
+        condition_all((model,), Observation(np.array([1e-3]), 1.0))
 
 
 def test_condition_all_drops_broken_candidate_and_logs(caplog):
@@ -162,6 +161,15 @@ def test_condition_all_drops_broken_candidate_and_logs(caplog):
     assert len(dropped) == 1
     assert dropped[0].levelno == logging.DEBUG
     assert "1000000.0" in dropped[0].getMessage() and "n = 2" in dropped[0].getMessage()
+
+
+def test_linear_scalar_kernel_is_rejected():
+    # the GP models with distance-based kernels only; linear is for prior draws
+    kernel = ScalarKernelSpec("linear", 1.0)
+    with pytest.raises(InputError):
+        empty_model(kernel, 0.01)
+    with pytest.raises(InputError):
+        rebuild_model(kernel, 0.01, [Observation(np.array([0.3]), 0.5)])
 
 
 def test_most_likely_ties_go_to_larger_lengthscale():
@@ -205,6 +213,7 @@ def test_candidate_chain_matches_rebuild(mode, kind, n, seed):
         assert len(models) == 5
         for model in models:
             rebuilt = rebuild_model(model.kernel, noise_sq, obs[:i])
+            np.testing.assert_allclose(model.z, rebuilt.z, rtol=0.0, atol=1e-8)
             assert log_marginal_likelihood(model) == pytest.approx(
                 log_marginal_likelihood(rebuilt), abs=1e-8
             )
@@ -375,9 +384,9 @@ def test_cholesky_factor_reconstructs_regularised_gram():
     rebuilt = model.L @ model.L.T
     rel = np.linalg.norm(rebuilt - gram) / np.linalg.norm(gram)
     assert rel < 1e-8
-    # alpha solves the regularised system
+    # z whitens the targets: L z = y
     y = np.array([o.y for o in obs])
-    np.testing.assert_allclose(gram @ model.alpha, y, atol=1e-8)
+    np.testing.assert_allclose(model.L @ model.z, y, atol=1e-8)
 
 
 def test_posterior_variance_never_exceeds_prior():
