@@ -223,25 +223,6 @@ def write_trace_csv(path, trace: list[RunRecord]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_trace_csv(path) -> list[dict]:
-    """Trace rows as dicts (the CSV does not carry coordinates or aux
-    structure beyond its columns)."""
-    lines = Path(path).read_text().strip().splitlines()
-    header = lines[0].split(",")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise InputError(f"bad trace row: {line!r}")
-        row = dict(zip(header, parts))
-        for key in ("eval_index", "s", "t"):
-            row[key] = int(row[key])
-        for key in header[3:]:
-            row[key] = float(row[key])
-        rows.append(row)
-    return rows
-
-
 def write_summary_csv(path, series: list[np.ndarray]) -> None:
     """Per-index median/min/max across repeat series of equal meaning."""
     length = min(len(s) for s in series)

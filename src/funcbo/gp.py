@@ -6,24 +6,26 @@ the posterior of f ~ GP(0, K) at a query x is
     mean(x) = k(x, D) (K(D, D) + s2 I)^-1 y
     var(x)  = K(x, x) - k(x, D) (K(D, D) + s2 I)^-1 k(D, x)
 
-A ``GPModel`` is an immutable snapshot holding the Cholesky factor L of
-the regularised Gram matrix and the whitened targets z = L^-1 y
-(Rasmussen & Williams 2006, Alg. 2.1, without its back-substitution).
-With w = L^-1 k(D, x), the mean is z·w and the variance K(x, x) - w·w,
-so a query costs one triangular solve; the log marginal likelihood is
--z·z/2 - sum log L_ii - n/2 log 2 pi.  Conditioning extends L by one row
-l and z by one entry (y_n - l·z) / L_nn instead of refactorising.
+A ``GPModel`` is an immutable snapshot holding W = L^-1, the inverse of
+the Cholesky factor L of the regularised Gram matrix, and the whitened
+targets z = W y (Rasmussen & Williams 2006, Alg. 2.1, with an explicit
+inverse factor).  With w = W k(D, x), one matrix product, the mean is
+z·w and the variance K(x, x) - w·w; the log marginal likelihood is
+-z·z/2 + sum log W_ii - n/2 log 2 pi.
 
 Kernels are distance-based: the GP takes functional kernels on grid
 functions, or distance-based scalar kernels on coordinate vectors (used
 by the line-search baseline); the distance bookkeeping for both lives in
 the private helpers below.
 
-Lengthscale selection keeps one model per candidate lengthscale, all on
-the same points.  ``condition_all`` extends every candidate by one row,
-O(n^2) each, computing the new point's distances once for all of them;
-``most_likely`` picks the candidate with the highest log marginal
-likelihood.
+Lengthscale selection keeps a ``CandidateSet``: one model per candidate
+lengthscale on the same points, with all W and z stacked in buffers of
+capacity cap >= n that double when full.  ``condition_all`` writes the
+new point's row for every candidate in place with a few batched
+products, O(C n^2); rows below n never change, so models taken from
+earlier sets stay valid, and a set whose successor already wrote row n
+cannot be conditioned again.  ``most_likely`` picks the candidate with
+the highest log marginal likelihood.
 
 A posterior query is two steps: the squared distances from the queries
 to the model's points, then ``posterior_from_sqdist``, the one step that
@@ -73,8 +75,8 @@ class GPModel:
     noise_sq: float
     points: tuple
     y: np.ndarray
-    L: np.ndarray
-    z: np.ndarray  # whitened targets L^-1 y
+    W: np.ndarray  # inverse Cholesky factor L^-1, lower triangular
+    z: np.ndarray  # whitened targets W y
     # internal caches for fast cross-covariances
     mode: str
     grid: GridSpec | None
@@ -152,7 +154,7 @@ def empty_model(kernel, noise_sq: float) -> GPModel:
         noise_sq=float(noise_sq),
         points=(),
         y=np.zeros(0),
-        L=np.zeros((0, 0)),
+        W=np.zeros((0, 0)),
         z=np.zeros(0),
         mode=_mode_of(kernel),
         grid=None,
@@ -188,78 +190,97 @@ def rebuild_model(kernel, noise_sq: float, observations) -> GPModel:
         L = np.linalg.cholesky(k)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("Cholesky of the regularised Gram matrix failed") from exc
-    return replace(model, L=L, z=solve_triangular(L, y, lower=True))
+    Wz = solve_triangular(L, np.column_stack((np.eye(len(y)), y)), lower=True)
+    return replace(model, W=Wz[:, :-1], z=Wz[:, -1])
 
 
-def condition_all(models, obs: Observation) -> tuple[GPModel, ...]:
-    """Append obs to candidate models (rank-1 Cholesky extension of each).
+@dataclass(frozen=True, eq=False)
+class CandidateSet:
+    """GP models on the same observations, one per candidate lengthscale
+    of the template's kernel; candidate c's W and z are the views
+    ``W[c, :n, :n]`` and ``z[c, :n]`` of the stacked buffers."""
 
-    Each candidate's factor gains the row [l, L_nn] and its whitened
-    targets the entry (y_n - l·z) / L_nn.  The candidates share their
-    points and noise and differ only in their kernel's lengthscale, so
-    the new point's distances to the old ones and the point caches are
-    computed once; the caches gain the new point's row instead of being
-    recomputed.  A candidate whose Schur complement is not positive is
-    dropped and logged; NumericalError is raised when every candidate is
-    dropped.
-    """
-    first = models[0]
+    lengthscales: np.ndarray
+    template: GPModel  # shared points and caches; its W and z are None
+    W: np.ndarray  # (C, cap, cap)
+    z: np.ndarray  # (C, cap)
+
+    def __getitem__(self, c) -> GPModel:
+        n, g = self.template.n, float(self.lengthscales[c])
+        return replace(self.template, kernel=self.template.kernel.with_lengthscale(g),
+                       W=self.W[c, :n, :n], z=self.z[c, :n])
+
+
+def candidate_set(models) -> CandidateSet:
+    """The candidate set of models of one kernel on the same observations,
+    such as ``empty_model`` at each lengthscale; W and z are copied."""
+    models = list(models)
+    return CandidateSet(np.array([_base_of(m.kernel).lengthscale for m in models]),
+                        replace(models[0], W=None, z=None),
+                        np.stack([m.W for m in models]), np.stack([m.z for m in models]))
+
+
+def condition_all(cands: CandidateSet, obs: Observation) -> CandidateSet:
+    """Append obs to every candidate at once: with l = W k and the Schur
+    complement s^2 = k_nn - l·l, row n of each W becomes [-l W / s, 1/s]
+    and z_n = (y_n - l·z) / s, written in place; full buffers double.  A
+    candidate with s^2 <= 0 is dropped and logged, and the survivors move
+    to fresh buffers; NumericalError is raised when every candidate is
+    dropped, InputError when a successor already wrote row n."""
+    first, n, cap = cands.template, cands.template.n, cands.z.shape[1]
+    if n < cap and cands.W[0, n, n] != 0.0:  # a written row has W_nn = 1/s > 0
+        raise InputError("this candidate set was already conditioned; condition its successor")
     x, grid = _rep(first.kernel, obs.point, first.grid)
-    n = first.n
     x_row = x[None, :]
-    k_nn = _base_of(first.kernel).variance + first.noise_sq
+    base = _base_of(first.kernel)
     q_x, gv_x = _caches(first.kernel, x_row)
     if n == 0:
+        raw = np.zeros((1, 0))
         V, row_q, GV = x_row.copy(), q_x, gv_x
     else:
         raw = query_sqdist(first, x_row)
         V = np.vstack([first.V, x_row])
         row_q = np.append(first.row_q, q_x)
         GV = gv_x if gv_x is None else np.vstack([first.GV, gv_x])
-    grid = first.grid if first.grid is not None else grid
-    y = np.append(first.y, obs.y)
-    extended = []
-    for model in models:
-        base = _base_of(model.kernel)
-        if n == 0:
-            ell = np.zeros(0)
-        else:
-            k_vec = kernels.value_from_sqdist(base, raw)[0]
-            ell = solve_triangular(model.L, k_vec, lower=True)
-        s_sq = k_nn - float(ell @ ell)
-        if not s_sq > 0.0:
-            _log.debug(
-                "dropped lengthscale %r at n = %d: conditioning broke positive definiteness",
-                base.lengthscale, n + 1,
-            )
-            continue
-        L = np.zeros((n + 1, n + 1))
-        L[:n, :n] = model.L
-        L[n, :n] = ell
-        L[n, n] = np.sqrt(s_sq)
-        z = np.append(model.z, (obs.y - float(ell @ model.z)) / L[n, n])
-        extended.append(
-            replace(model, points=model.points + (obs.point,), y=y, L=L, z=z,
-                    grid=grid, V=V, row_q=row_q, GV=GV)
+    # every candidate's kernel row: its lengthscale only rescales distances
+    scale = (base.lengthscale / cands.lengthscales) ** 2
+    k_rows = kernels.value_from_sqdist(base, raw * scale[:, None])
+    ell = (cands.W[:, :n, :n] @ k_rows[:, :, None])[:, :, 0]
+    s_sq = base.variance + first.noise_sq - np.einsum("ci,ci->c", ell, ell)
+    keep = s_sq > 0.0
+    for c in np.flatnonzero(~keep):
+        _log.debug(
+            "dropped lengthscale %r at n = %d: conditioning broke positive definiteness",
+            float(cands.lengthscales[c]), n + 1,
         )
-    if not extended:
+    if not keep.any():
         raise NumericalError(
             "conditioning broke positive definiteness for every lengthscale; "
             "add jitter and rebuild"
         )
-    return tuple(extended)
+    W, z = cands.W, cands.z
+    if n == cap or not keep.all():
+        cap = max(2 * cap, 16) if n == cap else cap
+        W, z = np.zeros((keep.sum(), cap, cap)), np.zeros((keep.sum(), cap))
+        W[:, :n, :n], z[:, :n] = cands.W[keep, :n, :n], cands.z[keep, :n]
+        ell, s_sq = ell[keep], s_sq[keep]
+    s = np.sqrt(s_sq)
+    W[:, n, :n] = (ell[:, None, :] @ W[:, :n, :n])[:, 0, :] / -s[:, None]
+    W[:, n, n] = 1.0 / s
+    z[:, n] = (obs.y - np.einsum("ci,ci->c", ell, z[:, :n])) / s
+    template = replace(first, points=first.points + (obs.point,),
+                       y=np.append(first.y, obs.y),
+                       grid=first.grid if first.grid is not None else grid,
+                       V=V, row_q=row_q, GV=GV)
+    return CandidateSet(cands.lengthscales[keep], template, W, z)
 
 
-def most_likely(models) -> GPModel:
+def most_likely(cands: CandidateSet) -> GPModel:
     """The candidate with the highest log marginal likelihood; ties go to
     the larger lengthscale.  Without data every candidate ties."""
-    return max(
-        models,
-        key=lambda m: (
-            log_marginal_likelihood(m) if m.n else 0.0,
-            _base_of(m.kernel).lengthscale,
-        ),
-    )
+    n = cands.template.n
+    lml = _lml(cands.W[:, :n, :n], cands.z[:, :n])
+    return cands[np.lexsort((cands.lengthscales, lml))[-1]]
 
 
 def posterior_from_sqdist(
@@ -267,10 +288,11 @@ def posterior_from_sqdist(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means and variances of a batch of queries from their
     squared distances to the model's points, shape (q, n), and their
-    prior variances.  The model holds at least one point.  Variances are
-    clamped at zero; every posterior query ends here."""
+    prior variances.  The model holds at least one point.  With
+    w = W kᵀ, one matrix product, the means are z·w and the variances
+    prior - w·w, clamped at zero; every posterior query ends here."""
     k = kernels.value_from_sqdist(_base_of(model.kernel), raw)
-    w = solve_triangular(model.L, k.T, lower=True)
+    w = model.W @ k.T
     mean = model.z @ w
     var = prior - np.einsum("ij,ij->j", w, w)
     return mean, np.maximum(var, 0.0)
@@ -359,11 +381,16 @@ def sample_on_grid(kernel: ScalarKernelSpec, spec: GridSpec, rng) -> GridFunctio
 # --- marginal likelihood ----------------------------------------------
 
 
+def _lml(W: np.ndarray, z: np.ndarray):
+    """Log marginal likelihoods from stacked W (..., n, n) and z (..., n)."""
+    return (
+        -0.5 * np.einsum("...i,...i->...", z, z)
+        + np.log(np.diagonal(W, axis1=-2, axis2=-1)).sum(axis=-1)
+        - 0.5 * z.shape[-1] * _LOG_2PI
+    )
+
+
 def log_marginal_likelihood(model: GPModel) -> float:
     if model.n == 0:
         raise InputError("log marginal likelihood needs at least one observation")
-    return float(
-        -0.5 * model.z @ model.z
-        - np.sum(np.log(np.diag(model.L)))
-        - 0.5 * model.n * _LOG_2PI
-    )
+    return float(_lml(model.W, model.z))

@@ -412,7 +412,9 @@ class _PhasedEngine(_EngineBase):
                 return
 
     def _reset_model(self):
-        self._candidates = tuple(gp.empty_model(k, self.cfg.noise_sq) for k in self._kernels)
+        self._candidates = gp.candidate_set(
+            gp.empty_model(k, self.cfg.noise_sq) for k in self._kernels
+        )
         self.model = gp.most_likely(self._candidates)
 
     def _inner_done(self) -> bool:

@@ -4,8 +4,11 @@ Brute-force kernel evaluation (one pair at a time) and the biased-prior
 identity that validates chaining a model across subspaces; the library's
 fast paths are checked against these.  ``tune_lengthscale`` drives the
 library's candidate chain on a dataset, so that tests can check its
-choice against models rebuilt from scratch.
+choice against models rebuilt from scratch.  ``read_trace_csv`` reads a
+trace CSV of ``bench.run_bench`` back.
 """
+
+from pathlib import Path
 
 import numpy as np
 
@@ -63,7 +66,7 @@ def tune_lengthscale(observations, template, candidates, noise_sq: float):
         raise InputError("lengthscale tuning needs data")
     if len(candidates) == 0:
         raise InputError("no candidate lengthscales")
-    models = tuple(
+    models = gp.candidate_set(
         gp.empty_model(template.with_lengthscale(float(c)), noise_sq) for c in candidates
     )
     for obs in observations:
@@ -133,3 +136,22 @@ def biased_posterior_equivalence_check(
     return bool(
         np.max(np.abs(mean1 - mean2)) <= tol and np.max(np.abs(var1 - var2)) <= tol
     )
+
+
+def read_trace_csv(path) -> list[dict]:
+    """Rows of a trace CSV written by ``bench.run_bench``, as dicts (the CSV
+    carries no coordinates and no aux structure beyond its columns)."""
+    lines = Path(path).read_text().strip().splitlines()
+    header = lines[0].split(",")
+    rows = []
+    for line in lines[1:]:
+        parts = line.split(",")
+        if len(parts) != len(header):
+            raise InputError(f"bad trace row: {line!r}")
+        row = dict(zip(header, parts))
+        for key in ("eval_index", "s", "t"):
+            row[key] = int(row[key])
+        for key in header[3:]:
+            row[key] = float(row[key])
+        rows.append(row)
+    return rows

@@ -13,6 +13,7 @@ from funcbo import bench, cli, kernels, optimizer
 from funcbo.errors import ConfigError, FuncboError, ProtocolError
 from funcbo.gridfn import read_function_csv
 from funcbo.optimizer import ALGORITHMS, RUNNERS, make_engine, rng_streams
+from reference import read_trace_csv
 
 SMALL = """
 opt.algorithm = random_search
@@ -84,7 +85,7 @@ def test_config_lines_build_or_raise_funcbo_error(lines):
 
 def test_run_bench_trace_and_summary_shapes(tmp_path):
     result = bench.run_bench(_values(), tmp_path)
-    trace_rows = bench.read_trace_csv(result.trace_paths[("random_search", 0)])
+    trace_rows = read_trace_csv(result.trace_paths[("random_search", 0)])
     assert len(trace_rows) == 10  # 2 * (2 + 3)
     assert [r["eval_index"] for r in trace_rows] == list(range(10))
     summary = (result.summary_paths["random_search"]).read_text().strip().splitlines()
@@ -114,7 +115,7 @@ def test_trace_csv_columns_and_aux(tmp_path):
     path = result.trace_paths[("s3bfo", 0)]
     header = path.read_text().splitlines()[0]
     assert header == "eval_index,s,t,y,best_y,l2_gap"
-    rows = bench.read_trace_csv(path)
+    rows = read_trace_csv(path)
     assert all(row["l2_gap"] >= 0 for row in rows)
 
 

@@ -11,6 +11,7 @@ from funcbo import gp
 from funcbo.errors import InputError, NumericalError
 from funcbo.gp import (
     Observation,
+    candidate_set,
     condition_all,
     empty_model,
     log_marginal_likelihood,
@@ -20,7 +21,7 @@ from funcbo.gp import (
     rebuild_model,
     sample_on_grid,
 )
-from funcbo.gridfn import GridSpec, grid_coordinates
+from funcbo.gridfn import GridFunction, GridSpec, grid_coordinates, l2_dist_sq
 from funcbo.kernels import FunctionalKernelSpec, ScalarKernelSpec, scalar_gram
 from reference import biased_posterior_equivalence_check, functional_eval, tune_lengthscale
 
@@ -46,6 +47,10 @@ def _dense_posterior(kernel, noise_sq, observations, query):
     mean = k @ inv @ y
     var = functional_eval(kernel, query, query) - k @ inv @ k
     return float(mean), float(var)
+
+
+def _condition(model, obs):
+    return condition_all(candidate_set([model]), obs)[0]
 
 
 def test_posterior_empty_model_is_prior():
@@ -88,7 +93,7 @@ def test_posterior_matches_dense_oracle(metric):
 def test_condition_on_empty_equals_rebuild():
     rng = np.random.default_rng(3)
     o = Observation(random_grid_function(rng), 1.3)
-    inc = condition_all((empty_model(SE_L2, 0.01),), o)[0]
+    inc = _condition(empty_model(SE_L2, 0.01), o)
     reb = rebuild_model(SE_L2, 0.01, [o])
     q = random_grid_function(rng)
     assert posterior(inc, q) == pytest.approx(posterior(reb, q), abs=1e-12)
@@ -97,9 +102,10 @@ def test_condition_on_empty_equals_rebuild():
 def test_condition_chain_equals_rebuild():
     rng = np.random.default_rng(4)
     obs = _functional_dataset(rng, 30)
-    model = empty_model(SE_L2, 0.01)
+    cands = candidate_set([empty_model(SE_L2, 0.01)])
     for o in obs:
-        model = condition_all((model,), o)[0]
+        cands = condition_all(cands, o)
+    model = cands[0]
     reb = rebuild_model(SE_L2, 0.01, obs)
     for _ in range(10):
         q = random_grid_function(rng)
@@ -115,7 +121,7 @@ def test_condition_leaves_original_untouched():
     n_before = base.n
     q = random_grid_function(rng)
     before = posterior(base, q)
-    condition_all((base,), Observation(random_grid_function(rng), 0.5))
+    _condition(base, Observation(random_grid_function(rng), 0.5))
     assert base.n == n_before
     assert posterior(base, q) == before
 
@@ -126,7 +132,7 @@ def test_condition_duplicate_point_moves_mean_little():
     noise_sq = 0.01
     model = rebuild_model(SE_L2, noise_sq, [Observation(g0, 2.0)])
     before, _ = posterior(model, g0)
-    model2 = condition_all((model,), Observation(g0, 2.0))[0]
+    model2 = _condition(model, Observation(g0, 2.0))
     after, _ = posterior(model2, g0)
     assert abs(after - before) < 2 * noise_sq * 2.0
     # and the chain still matches a rebuild
@@ -141,21 +147,21 @@ def test_condition_breakdown_raises():
     kernel = ScalarKernelSpec("se", 1e6)
     model = rebuild_model(kernel, 1e-20, [Observation(np.array([0.0]), 1.0)])
     with pytest.raises(NumericalError):
-        condition_all((model,), Observation(np.array([1e-3]), 1.0))
+        _condition(model, Observation(np.array([1e-3]), 1.0))
 
 
 def test_condition_all_drops_broken_candidate_and_logs(caplog):
     # at lengthscale 1e6 the kernel between the two nearby coordinates
     # rounds to 1, so with noise below float resolution the Schur
     # complement cancels to zero; at 1e-4 the points are nearly independent
-    models = tuple(
+    models = candidate_set(
         rebuild_model(ScalarKernelSpec("se", g), 1e-20, [Observation(np.array([0.0]), 1.0)])
         for g in (1e-4, 1e6)
     )
     with caplog.at_level(logging.DEBUG, logger="funcbo"):
         survivors = condition_all(models, Observation(np.array([1e-3]), -1.0))
     assert [m.kernel.lengthscale for m in survivors] == [1e-4]
-    assert most_likely(survivors) is survivors[0]
+    assert most_likely(survivors).kernel.lengthscale == 1e-4
     assert survivors[0].n == 2
     dropped = [r for r in caplog.records if "dropped lengthscale" in r.getMessage()]
     assert len(dropped) == 1
@@ -174,9 +180,10 @@ def test_linear_scalar_kernel_is_rejected():
 
 def test_most_likely_ties_go_to_larger_lengthscale():
     kernels = [ScalarKernelSpec("se", g) for g in (0.5, 2.0, 1.0)]
-    assert most_likely([empty_model(k, 0.01) for k in kernels]).kernel.lengthscale == 2.0
+    empty = candidate_set(empty_model(k, 0.01) for k in kernels)
+    assert most_likely(empty).kernel.lengthscale == 2.0
     obs = [Observation(np.array([0.3]), 0.5)]  # one point: every lengthscale ties
-    models = [rebuild_model(k, 0.01, obs) for k in kernels]
+    models = candidate_set(rebuild_model(k, 0.01, obs) for k in kernels)
     assert most_likely(models).kernel.lengthscale == 2.0
 
 
@@ -205,12 +212,12 @@ def test_candidate_chain_matches_rebuild(mode, kind, n, seed):
         probes = [random_grid_function(rng, scale=0.3) for _ in range(3)]
     noise_sq = 0.01
     obs = [Observation(p, float(v)) for p, v in zip(points, rng.standard_normal(n))]
-    models = tuple(
+    models = candidate_set(
         empty_model(template.with_lengthscale(g), noise_sq) for g in np.geomspace(0.1, 10.0, 5)
     )
     for i, o in enumerate(obs, start=1):
         models = condition_all(models, o)
-        assert len(models) == 5
+        assert len(models.lengthscales) == 5
         for model in models:
             rebuilt = rebuild_model(model.kernel, noise_sq, obs[:i])
             np.testing.assert_allclose(model.z, rebuilt.z, rtol=0.0, atol=1e-8)
@@ -220,6 +227,97 @@ def test_candidate_chain_matches_rebuild(mode, kind, n, seed):
             for p in probes:
                 for a, b in zip(posterior(model, p), posterior(rebuilt, p)):
                     assert a == pytest.approx(b, abs=1e-8)
+
+
+def _assert_matches_rebuild(model, obs, probes, tol_z=1e-6, tol_post=1e-8):
+    rebuilt = rebuild_model(model.kernel, model.noise_sq, obs)
+    np.testing.assert_allclose(model.z, rebuilt.z, rtol=0.0, atol=tol_z)
+    assert log_marginal_likelihood(model) == pytest.approx(
+        log_marginal_likelihood(rebuilt), abs=tol_z
+    )
+    for p in probes:
+        for a, b in zip(posterior(model, p), posterior(rebuilt, p)):
+            assert a == pytest.approx(b, abs=tol_post)
+
+
+def test_buffer_long_chain_matches_rebuild():
+    # 140 smooth points, at distances from 3e-3 to 1 around one centre as
+    # in a search subspace, at the MLE grid's extremes; the chain crosses
+    # every capacity growth of the buffer (16, 32, 64, 128)
+    rng = np.random.default_rng(23)
+    kappa = ScalarKernelSpec("se", 0.3)
+    target = sample_on_grid(kappa, GRID_1D, rng)
+    centre = sample_on_grid(kappa, GRID_1D, rng).values
+    points = [
+        GridFunction(GRID_1D, centre + 10 ** rng.uniform(-2.5, 0.0)
+                     * sample_on_grid(kappa, GRID_1D, rng).values)
+        for _ in range(140)
+    ]
+    obs = [
+        Observation(p, -math.sqrt(l2_dist_sq(p, target)) + 0.01 * rng.standard_normal())
+        for p in points
+    ]
+    probes = [sample_on_grid(kappa, GRID_1D, rng) for _ in range(3)] + points[:2]
+    cands = candidate_set(
+        empty_model(SE_L2.with_lengthscale(g), 1e-4) for g in (0.01, 10.0)
+    )
+    for i, o in enumerate(obs, start=1):
+        cands = condition_all(cands, o)
+        if i in (1, 16, 17, 32, 33, 64, 65, 128, 129, 140):
+            assert len(cands.lengthscales) == 2
+            for model in cands:
+                _assert_matches_rebuild(model, obs[:i], probes)
+
+
+def test_buffer_branch_raises_and_keeps_first_branch():
+    # at n = 5 the successor writes row 5 of the same buffers, so a second
+    # branch from n = 5 would overwrite it and raises; at n = 16 the full
+    # buffers double into fresh ones, and a second branch writes only into
+    # the old ones, which no other set reads past row 16
+    rng = np.random.default_rng(24)
+    obs = _functional_dataset(rng, 20)
+    probes = [random_grid_function(rng) for _ in range(3)]
+    cands = candidate_set(empty_model(SE_L2.with_lengthscale(g), 0.01) for g in (0.5, 2.0))
+    for i, o in enumerate(obs[:18]):
+        if i in (5, 16):
+            old, old_model = cands, cands[1]
+            before = [posterior(old_model, p) for p in probes]
+            cands = condition_all(cands, o)
+            after = [posterior(m, p) for m in cands for p in probes]
+            if i == 5:
+                with pytest.raises(InputError):
+                    condition_all(old, obs[19])
+            else:
+                for model in condition_all(old, obs[19]):
+                    _assert_matches_rebuild(model, obs[:16] + [obs[19]], probes)
+            assert [posterior(m, p) for m in cands for p in probes] == after
+            assert [posterior(old_model, p) for p in probes] == before
+        else:
+            cands = condition_all(cands, o)
+    for model in cands:
+        _assert_matches_rebuild(model, obs[:18], probes)
+
+
+def test_buffer_drop_mid_chain_keeps_survivors_exact():
+    # the first ten points, 1.5e6 apart along one axis, are correlated only
+    # at lengthscale 1e6; the eleventh, 1e-3 off the first across that
+    # axis, has exactly the first point's kernel row at 1e6, so with noise
+    # below float resolution that candidate's Schur complement is exactly
+    # 0 and the middle candidate is dropped at n = 11
+    rng = np.random.default_rng(25)
+    xs = [(1.5e6 * i, 0.0) for i in range(10)] + [(0.0, 1e-3)]
+    xs += [(10.0 + 2.5 * i, 0.0) for i in range(30)]
+    obs = [Observation(np.array(x), float(rng.standard_normal())) for x in xs]
+    probes = [np.array(x) for x in ((0.0, 0.0), (0.0, 5e-4), (12.0, 0.0), (33.3, 1.0))]
+    cands = candidate_set(
+        empty_model(ScalarKernelSpec("se", g), 1e-20) for g in (1e-4, 1e6, 1.0)
+    )
+    for i, o in enumerate(obs, start=1):
+        cands = condition_all(cands, o)
+        assert len(cands.lengthscales) == (3 if i <= 10 else 2)
+    assert [m.kernel.lengthscale for m in cands] == [1e-4, 1.0]
+    for model in cands:
+        _assert_matches_rebuild(model, obs, probes)
 
 
 def test_prior_jitter_escalation_is_logged(caplog, monkeypatch):
@@ -381,12 +479,13 @@ def test_cholesky_factor_reconstructs_regularised_gram():
     gram = np.array(
         [[functional_eval(SE_L2, a, b) for b in pts] for a in pts]
     ) + noise_sq * np.eye(9)
-    rebuilt = model.L @ model.L.T
-    rel = np.linalg.norm(rebuilt - gram) / np.linalg.norm(gram)
+    # W = L^-1 whitens the gram: W gram Wᵀ = I
+    whitened = model.W @ gram @ model.W.T
+    rel = np.linalg.norm(whitened - np.eye(9)) / np.linalg.norm(np.eye(9))
     assert rel < 1e-8
-    # z whitens the targets: L z = y
+    # and the targets: z = W y
     y = np.array([o.y for o in obs])
-    np.testing.assert_allclose(model.L @ model.z, y, atol=1e-8)
+    np.testing.assert_allclose(model.W @ y, model.z, atol=1e-8)
 
 
 def test_posterior_variance_never_exceeds_prior():
