@@ -75,6 +75,8 @@ def _parse_algorithms(text: str) -> tuple[str, ...]:
     for name in names:
         if name not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {name!r}")
+    if len(set(names)) != len(names):
+        raise ValueError("lists an algorithm twice")
     return names
 
 
@@ -345,6 +347,8 @@ def _parse_state_text(text: str):
             raise ConfigError(f"unknown state section {line!r}")
         elif line or section is config_lines:  # config errors name file lines
             section.append(raw)
+    if len(pending_lines) > 1 or len(digest_lines) > 1:
+        raise ConfigError("the state's [pending] and [digest] sections hold one line each")
     digest = None
     for line in digest_lines:
         key, _, text_val = line.partition("=")

@@ -6,26 +6,27 @@ the posterior of f ~ GP(0, K) at a query x is
     mean(x) = k(x, D) (K(D, D) + s2 I)^-1 y
     var(x)  = K(x, x) - k(x, D) (K(D, D) + s2 I)^-1 k(D, x)
 
-A ``GPModel`` is an immutable snapshot holding W = L^-1, the inverse of
-the Cholesky factor L of the regularised Gram matrix, and the whitened
-targets z = W y (Rasmussen & Williams 2006, Alg. 2.1, with an explicit
-inverse factor).  With w = W k(D, x), one matrix product, the mean is
-z·w and the variance K(x, x) - w·w; the log marginal likelihood is
--z·z/2 + sum log W_ii - n/2 log 2 pi.
+A ``GPModel`` is an immutable snapshot with one candidate per
+lengthscale.  Each candidate keeps W = L^-1, the inverse of the Cholesky
+factor L of its regularised Gram matrix, and the whitened targets
+z = W y (Rasmussen & Williams 2006, Alg. 2.1, with an explicit inverse
+factor), stacked with the other candidates' in buffers of capacity
+cap >= n that double when full.  The model is the candidate ``pick``
+with the highest log marginal likelihood -z·z/2 + sum log W_ii -
+n/2 log 2 pi; ``kernel``, ``W`` and ``z`` are that candidate's.  With
+w = W k(D, x), one matrix product, the posterior mean is z·w and the
+variance K(x, x) - w·w.
+
+``condition`` writes the new point's row for every candidate in place
+with a few batched products, O(C n^2), and picks again; rows below n
+never change, so earlier models stay valid, and a model whose successor
+already wrote row n cannot be conditioned again.
 
 Kernels are distance-based: the GP takes functional kernels on grid
 functions, or distance-based scalar kernels on coordinate vectors (used
-by the line-search baseline); the distance bookkeeping for both lives in
-the private helpers below.
-
-Lengthscale selection keeps a ``CandidateSet``: one model per candidate
-lengthscale on the same points, with all W and z stacked in buffers of
-capacity cap >= n that double when full.  ``condition_all`` writes the
-new point's row for every candidate in place with a few batched
-products, O(C n^2); rows below n never change, so models taken from
-earlier sets stay valid, and a set whose successor already wrote row n
-cannot be conditioned again.  ``most_likely`` picks the candidate with
-the highest log marginal likelihood.
+by the line-search baseline).  A model keeps its points' metric rows
+``MV`` (the rows themselves, or V G under the rkhs metric) and their
+squared norms, which is all the distance expansion needs.
 
 A posterior query is two steps: the squared distances from the queries
 to the model's points, then ``posterior_from_sqdist``, the one step that
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -69,24 +70,33 @@ class Observation:
 
 @dataclass(eq=False)
 class GPModel:
-    """Immutable GP posterior snapshot (do not mutate fields after build)."""
+    """GP posteriors on the same observations, one per candidate
+    lengthscale; the most likely one, ``pick``, is the model.  Immutable
+    snapshot: do not mutate fields after build."""
 
-    kernel: object
+    kernel: object  # the kernel at the picked lengthscale
     noise_sq: float
     points: tuple
     y: np.ndarray
-    W: np.ndarray  # inverse Cholesky factor L^-1, lower triangular
-    z: np.ndarray  # whitened targets W y
-    # internal caches for fast cross-covariances
-    mode: str
+    lengthscales: np.ndarray  # (C,) candidate lengthscales
+    Ws: np.ndarray  # (C, cap, cap) inverse Cholesky factors L^-1, lower triangular
+    zs: np.ndarray  # (C, cap) whitened targets W y
+    pick: int  # the most likely candidate; ties go to the larger lengthscale
     grid: GridSpec | None
-    V: np.ndarray | None
-    row_q: np.ndarray | None
-    GV: np.ndarray | None
+    MV: np.ndarray | None  # metric rows of the points: V, or V G under rkhs
+    row_q: np.ndarray | None  # the points' squared metric norms
 
     @property
     def n(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def W(self) -> np.ndarray:
+        return self.Ws[self.pick, : self.n, : self.n]
+
+    @cached_property
+    def z(self) -> np.ndarray:
+        return self.zs[self.pick, : self.n]
 
 
 def _mode_of(kernel) -> str:
@@ -117,55 +127,57 @@ def _rep(kernel, point, grid: GridSpec | None) -> tuple[np.ndarray, GridSpec | N
     return x, None
 
 
-def _caches(kernel, V: np.ndarray):
-    """Per-row quantities needed to expand squared distances quickly."""
-    mode = _mode_of(kernel)
-    if mode == "rkhs":
-        GV = V @ kernel.rkhs_gram
-        return np.einsum("ij,ij->i", V, GV), GV
-    return np.einsum("ij,ij->i", V, V), None
-
-
-def _weight(mode: str, grid: GridSpec | None) -> float:
-    return grid.weight if mode == "l2grid" else 1.0
+def _metric_rows(kernel, X: np.ndarray) -> np.ndarray:
+    """The metric rows M of X: X G under rkhs, X itself otherwise; the
+    metric inner products of Y's rows with X's are Y @ M.T."""
+    gram = getattr(kernel, "rkhs_gram", None)
+    return X if gram is None else X @ gram
 
 
 def _sqdist(model: GPModel, q_sq: np.ndarray, cross: np.ndarray) -> np.ndarray:
     """Squared metric distances, shape (q, n), from the queries' squared
     norms and their inner products with the model's points."""
-    r2 = (q_sq[:, None] + model.row_q[None, :] - 2.0 * cross) * _weight(model.mode, model.grid)
+    weight = model.grid.weight if _mode_of(model.kernel) == "l2grid" else 1.0
+    r2 = (q_sq[:, None] + model.row_q[None, :] - 2.0 * cross) * weight
     return np.maximum(r2, 0.0)
 
 
 def query_sqdist(model: GPModel, Q: np.ndarray) -> np.ndarray:
     """Squared metric distances from query rows to the model's points,
     shape (q, n)."""
-    if model.mode == "rkhs":
-        QG = Q @ model.kernel.rkhs_gram
-        return _sqdist(model, np.einsum("ij,ij->i", QG, Q), Q @ model.GV.T)
-    return _sqdist(model, np.einsum("ij,ij->i", Q, Q), Q @ model.V.T)
+    q_sq = np.einsum("ij,ij->i", Q, _metric_rows(model.kernel, Q))
+    return _sqdist(model, q_sq, Q @ model.MV.T)
 
 
-def empty_model(kernel, noise_sq: float) -> GPModel:
+def _pick(lengthscales: np.ndarray, Ws: np.ndarray, zs: np.ndarray, n: int) -> int:
+    """The candidate with the highest log marginal likelihood; ties go to
+    the larger lengthscale.  Without data every candidate ties."""
+    return int(np.lexsort((lengthscales, _lml(Ws[:, :n, :n], zs[:, :n])))[-1])
+
+
+def empty_model(kernel, noise_sq: float, lengthscales=None) -> GPModel:
+    """The prior, with one candidate per lengthscale; ``None`` keeps the
+    kernel's own lengthscale as the only candidate."""
+    _mode_of(kernel)  # rejects kernels the GP cannot model
     if not noise_sq > 0:
         raise InputError(f"noise variance must be positive, got {noise_sq}")
-    return GPModel(
-        kernel=kernel,
-        noise_sq=float(noise_sq),
-        points=(),
-        y=np.zeros(0),
-        W=np.zeros((0, 0)),
-        z=np.zeros(0),
-        mode=_mode_of(kernel),
-        grid=None,
-        V=None,
-        row_q=None,
-        GV=None,
-    )
+    if lengthscales is None:
+        lengthscales = (_base_of(kernel).lengthscale,)
+    lengthscales = np.array(lengthscales, dtype=float)
+    if lengthscales.ndim != 1 or lengthscales.size == 0 or not (lengthscales > 0).all():
+        raise InputError("candidate lengthscales must be a non-empty list of positive values")
+    C = len(lengthscales)
+    Ws, zs = np.zeros((C, 0, 0)), np.zeros((C, 0))
+    pick = _pick(lengthscales, Ws, zs, 0)
+    return GPModel(kernel=kernel.with_lengthscale(float(lengthscales[pick])),
+                   noise_sq=float(noise_sq), points=(), y=np.zeros(0),
+                   lengthscales=lengthscales, Ws=Ws, zs=zs, pick=pick,
+                   grid=None, MV=None, row_q=None)
 
 
 def rebuild_model(kernel, noise_sq: float, observations) -> GPModel:
-    """Build a model from scratch on the full dataset."""
+    """Build a model from scratch on the full dataset, at the kernel's own
+    lengthscale."""
     model = empty_model(kernel, noise_sq)
     observations = list(observations)
     if not observations:
@@ -177,10 +189,10 @@ def rebuild_model(kernel, noise_sq: float, observations) -> GPModel:
         grid = grid_i if grid is None else grid
         rows.append(x)
     V = np.array(rows)
-    row_q, GV = _caches(kernel, V)
+    MV = _metric_rows(kernel, V)
     y = np.array([obs.y for obs in observations])
     model = replace(model, points=tuple(obs.point for obs in observations), y=y,
-                    grid=grid, V=V, row_q=row_q, GV=GV)
+                    grid=grid, MV=MV, row_q=np.einsum("ij,ij->i", V, MV))
     raw = query_sqdist(model, V)
     np.fill_diagonal(raw, 0.0)  # the expansion leaves rounding residue here
     k = kernels.value_from_sqdist(_base_of(kernel), raw)
@@ -191,96 +203,65 @@ def rebuild_model(kernel, noise_sq: float, observations) -> GPModel:
     except np.linalg.LinAlgError as exc:
         raise NumericalError("Cholesky of the regularised Gram matrix failed") from exc
     Wz = solve_triangular(L, np.column_stack((np.eye(len(y)), y)), lower=True)
-    return replace(model, W=Wz[:, :-1], z=Wz[:, -1])
+    return replace(model, Ws=Wz[None, :, :-1], zs=Wz[None, :, -1])
 
 
-@dataclass(frozen=True, eq=False)
-class CandidateSet:
-    """GP models on the same observations, one per candidate lengthscale
-    of the template's kernel; candidate c's W and z are the views
-    ``W[c, :n, :n]`` and ``z[c, :n]`` of the stacked buffers."""
+def condition(model: GPModel, obs: Observation) -> GPModel:
+    """Append obs to every candidate at once and pick the most likely.
 
-    lengthscales: np.ndarray
-    template: GPModel  # shared points and caches; its W and z are None
-    W: np.ndarray  # (C, cap, cap)
-    z: np.ndarray  # (C, cap)
-
-    def __getitem__(self, c) -> GPModel:
-        n, g = self.template.n, float(self.lengthscales[c])
-        return replace(self.template, kernel=self.template.kernel.with_lengthscale(g),
-                       W=self.W[c, :n, :n], z=self.z[c, :n])
-
-
-def candidate_set(models) -> CandidateSet:
-    """The candidate set of models of one kernel on the same observations,
-    such as ``empty_model`` at each lengthscale; W and z are copied."""
-    models = list(models)
-    return CandidateSet(np.array([_base_of(m.kernel).lengthscale for m in models]),
-                        replace(models[0], W=None, z=None),
-                        np.stack([m.W for m in models]), np.stack([m.z for m in models]))
-
-
-def condition_all(cands: CandidateSet, obs: Observation) -> CandidateSet:
-    """Append obs to every candidate at once: with l = W k and the Schur
-    complement s^2 = k_nn - l·l, row n of each W becomes [-l W / s, 1/s]
-    and z_n = (y_n - l·z) / s, written in place; full buffers double.  A
-    candidate with s^2 <= 0 is dropped and logged, and the survivors move
-    to fresh buffers; NumericalError is raised when every candidate is
-    dropped, InputError when a successor already wrote row n."""
-    first, n, cap = cands.template, cands.template.n, cands.z.shape[1]
-    if n < cap and cands.W[0, n, n] != 0.0:  # a written row has W_nn = 1/s > 0
-        raise InputError("this candidate set was already conditioned; condition its successor")
-    x, grid = _rep(first.kernel, obs.point, first.grid)
+    With l = W k and the Schur complement s^2 = k_nn - l·l, row n of each
+    W becomes [-l W / s, 1/s] and z_n = (y_n - l·z) / s, written in place;
+    full buffers double.  Rows below n never change, so the given model
+    stays valid.  A candidate with s^2 <= 0 is dropped and logged, and the
+    survivors move to fresh buffers; NumericalError is raised when every
+    candidate is dropped, InputError when a successor already wrote row n.
+    """
+    n, cap = model.n, model.zs.shape[1]
+    if n < cap and model.Ws[0, n, n] != 0.0:  # a written row has W_nn = 1/s > 0
+        raise InputError("this model was already conditioned; condition its successor")
+    x, grid = _rep(model.kernel, obs.point, model.grid)
     x_row = x[None, :]
-    base = _base_of(first.kernel)
-    q_x, gv_x = _caches(first.kernel, x_row)
+    mx = _metric_rows(model.kernel, x_row)
+    q_x = np.einsum("ij,ij->i", x_row, mx)
     if n == 0:
-        raw = np.zeros((1, 0))
-        V, row_q, GV = x_row.copy(), q_x, gv_x
+        raw, MV, row_q = np.zeros((1, 0)), np.array(mx), q_x
     else:
-        raw = query_sqdist(first, x_row)
-        V = np.vstack([first.V, x_row])
-        row_q = np.append(first.row_q, q_x)
-        GV = gv_x if gv_x is None else np.vstack([first.GV, gv_x])
-    # every candidate's kernel row: its lengthscale only rescales distances
-    scale = (base.lengthscale / cands.lengthscales) ** 2
+        raw = _sqdist(model, q_x, x_row @ model.MV.T)
+        MV, row_q = np.vstack([model.MV, mx]), np.append(model.row_q, q_x)
+    # every candidate's kernel row: its lengthscale only rescales the
+    # distances, always from the first candidate's
+    lengthscales = model.lengthscales
+    base = _base_of(model.kernel).with_lengthscale(float(lengthscales[0]))
+    scale = (base.lengthscale / lengthscales) ** 2
     k_rows = kernels.value_from_sqdist(base, raw * scale[:, None])
-    ell = (cands.W[:, :n, :n] @ k_rows[:, :, None])[:, :, 0]
-    s_sq = base.variance + first.noise_sq - np.einsum("ci,ci->c", ell, ell)
+    ell = (model.Ws[:, :n, :n] @ k_rows[:, :, None])[:, :, 0]
+    s_sq = base.variance + model.noise_sq - np.einsum("ci,ci->c", ell, ell)
     keep = s_sq > 0.0
     for c in np.flatnonzero(~keep):
         _log.debug(
             "dropped lengthscale %r at n = %d: conditioning broke positive definiteness",
-            float(cands.lengthscales[c]), n + 1,
+            float(lengthscales[c]), n + 1,
         )
     if not keep.any():
         raise NumericalError(
             "conditioning broke positive definiteness for every lengthscale; "
             "add jitter and rebuild"
         )
-    W, z = cands.W, cands.z
+    W, z = model.Ws, model.zs
     if n == cap or not keep.all():
         cap = max(2 * cap, 16) if n == cap else cap
         W, z = np.zeros((keep.sum(), cap, cap)), np.zeros((keep.sum(), cap))
-        W[:, :n, :n], z[:, :n] = cands.W[keep, :n, :n], cands.z[keep, :n]
-        ell, s_sq = ell[keep], s_sq[keep]
+        W[:, :n, :n], z[:, :n] = model.Ws[keep, :n, :n], model.zs[keep, :n]
+        ell, s_sq, lengthscales = ell[keep], s_sq[keep], lengthscales[keep]
     s = np.sqrt(s_sq)
     W[:, n, :n] = (ell[:, None, :] @ W[:, :n, :n])[:, 0, :] / -s[:, None]
     W[:, n, n] = 1.0 / s
     z[:, n] = (obs.y - np.einsum("ci,ci->c", ell, z[:, :n])) / s
-    template = replace(first, points=first.points + (obs.point,),
-                       y=np.append(first.y, obs.y),
-                       grid=first.grid if first.grid is not None else grid,
-                       V=V, row_q=row_q, GV=GV)
-    return CandidateSet(cands.lengthscales[keep], template, W, z)
-
-
-def most_likely(cands: CandidateSet) -> GPModel:
-    """The candidate with the highest log marginal likelihood; ties go to
-    the larger lengthscale.  Without data every candidate ties."""
-    n = cands.template.n
-    lml = _lml(cands.W[:, :n, :n], cands.z[:, :n])
-    return cands[np.lexsort((cands.lengthscales, lml))[-1]]
+    pick = _pick(lengthscales, W, z, n + 1)
+    return replace(model, kernel=model.kernel.with_lengthscale(float(lengthscales[pick])),
+                   points=model.points + (obs.point,), y=np.append(model.y, obs.y),
+                   lengthscales=lengthscales, Ws=W, zs=z, pick=pick,
+                   grid=model.grid if model.grid is not None else grid, MV=MV, row_q=row_q)
 
 
 def posterior_from_sqdist(
@@ -325,12 +306,8 @@ def span_posterior(model: GPModel, A: np.ndarray):
     variance = _base_of(model.kernel).variance
     if model.n == 0:
         return lambda a, c: (np.zeros(len(a)), np.full(len(a), variance))
-    if model.mode == "rkhs":
-        gram = A @ model.kernel.rkhs_gram @ A.T
-        proj = A @ model.GV.T
-    else:
-        gram = A @ A.T
-        proj = A @ model.V.T
+    gram = _metric_rows(model.kernel, A) @ A.T
+    proj = A @ model.MV.T
 
     def posterior(a, c):
         q_sq = c * c * np.einsum("ij,ij->i", a @ gram, a)

@@ -150,6 +150,14 @@ class OptConfig:
         return self.noise_sigma**2
 
     @property
+    def lengthscales(self):
+        """The model's candidate lengthscales: ``K.lengthscale`` itself, or
+        ``mle.grid_points`` log-spaced ones under ``mle``."""
+        if self.k_lengthscale == "mle":
+            return np.geomspace(self.mle_grid_min, self.mle_grid_max, self.mle_grid_points)
+        return (self.k_lengthscale,)
+
+    @property
     def budget(self) -> int:
         """Evaluations per run when every inner loop uses its full budget."""
         return self.S * (self.n_init + self.T)
@@ -355,11 +363,10 @@ class _PhasedEngine(_EngineBase):
     model sees only the current outer iteration's observations, otherwise
     all of them.
 
-    The engine keeps one candidate model per lengthscale: ``K.lengthscale``
-    itself, or the ``mle.grid_points`` log-spaced candidates under ``mle``.
-    Every observation extends each candidate, and ``model`` is the most
-    likely one.  ``kernel`` is the model kernel at any lengthscale; each
-    candidate replaces it.
+    The model holds one candidate per lengthscale of
+    ``cfg.lengthscales``; every observation extends each candidate, and
+    the model's posterior is the most likely one's.  ``kernel`` is the
+    model kernel at any lengthscale.
     """
 
     _model_per_outer = False
@@ -373,13 +380,7 @@ class _PhasedEngine(_EngineBase):
         self.subspace = None  # the current coordinate set
         self.finished = False
         self._outer_best = None  # (model point, y) within the current set
-        lengthscales = (
-            np.geomspace(cfg.mle_grid_min, cfg.mle_grid_max, cfg.mle_grid_points)
-            if cfg.k_lengthscale == "mle"
-            else (cfg.k_lengthscale,)
-        )
-        self._kernels = tuple(kernel.with_lengthscale(float(g)) for g in lengthscales)
-        self._reset_model()
+        self.model = gp.empty_model(kernel, cfg.noise_sq, cfg.lengthscales)
         self._search = AcqSearchConfig(
             cfg.acq_restarts, cfg.acq_local_steps, cfg.acq_lambda_box, cfg.l_max
         )
@@ -412,10 +413,7 @@ class _PhasedEngine(_EngineBase):
                 return
 
     def _reset_model(self):
-        self._candidates = gp.candidate_set(
-            gp.empty_model(k, self.cfg.noise_sq) for k in self._kernels
-        )
-        self.model = gp.most_likely(self._candidates)
+        self.model = gp.empty_model(self.model.kernel, self.cfg.noise_sq, self.cfg.lengthscales)
 
     def _inner_done(self) -> bool:
         if self.t >= self.cfg.T:
@@ -453,8 +451,7 @@ class _PhasedEngine(_EngineBase):
         obs = gp.Observation(self._model_point(self.pending[3], self.pending[4]), rec.y)
         if self._outer_best is None or rec.y > self._outer_best[1]:
             self._outer_best = (obs.point, rec.y)
-        self._candidates = gp.condition_all(self._candidates, obs)
-        self.model = gp.most_likely(self._candidates)
+        self.model = gp.condition(self.model, obs)
         if rec.t < 0:
             self.i_init += 1
         else:
@@ -545,11 +542,9 @@ class BernsteinLineEngine(_PhasedEngine):
         w = self.subspace.origin + float(lam[0]) * self.subspace.direction
         g = w @ self._B
         if cap:
-            norm = math.sqrt(float(g @ g) * self.cfg.grid.weight)
-            if norm > self.cfg.l_max:
-                scale = self.cfg.l_max / norm
-                w = w * scale
-                g = g * scale
+            scale = acquisition.cap_scale(np.array([g @ g]) * self.cfg.grid.weight,
+                                          self.cfg.l_max)[0]
+            w, g = w * scale, g * scale
         return g, w
 
     def _model_point(self, lam, g_values):
@@ -576,29 +571,26 @@ class RandomSearchEngine(_EngineBase):
         self.pending = ("init", len(self._trace), -1, lam, lam @ basis)
 
 
-def make_engine(cfg: OptConfig, algorithm: str, rng=None) -> _EngineBase:
+def make_engine(cfg: OptConfig, algorithm: str) -> _EngineBase:
+    """A fresh engine; ``fixed_subspace`` is the subspace engine with S = 1."""
     if algorithm == "s3bfo":
-        return SubspaceSearchEngine(cfg, rng)
+        return SubspaceSearchEngine(cfg)
     if algorithm == "fixed_subspace":
-        return SubspaceSearchEngine(replace(cfg, S=1), rng)
+        return SubspaceSearchEngine(replace(cfg, S=1))
     if algorithm == "linebo_bernstein":
-        return BernsteinLineEngine(cfg, rng)
+        return BernsteinLineEngine(cfg)
     if algorithm == "random_search":
-        return RandomSearchEngine(cfg, rng)
+        return RandomSearchEngine(cfg)
     raise ConfigError(f"unknown algorithm {algorithm!r}")
 
 
 # --- runners ------------------------------------------------------------
 
 
-def _streams(cfg: OptConfig, rng):
-    if rng is None:
-        return rng_streams(cfg.seed)
-    seeds = rng.integers(0, 2**63 - 1, size=2)
-    return np.random.default_rng(int(seeds[0])), np.random.default_rng(int(seeds[1]))
-
-
-def _drive(engine: _EngineBase, objective: Objective, noise_rng):
+def _run(algorithm: str, objective: Objective, cfg: OptConfig):
+    """Drive a fresh engine against the objective until it is done; the
+    observation noise comes from the config seed's noise stream."""
+    engine, noise_rng = make_engine(cfg, algorithm), rng_streams(cfg.seed)[1]
     aux_fn = getattr(objective, "aux", None)
     while not engine.done:
         g = engine.ask()
@@ -611,26 +603,22 @@ def _drive(engine: _EngineBase, objective: Objective, noise_rng):
     return engine.best, engine.trace
 
 
-def run_s3bfo(objective: Objective, cfg: OptConfig, rng=None):
+def run_s3bfo(objective: Objective, cfg: OptConfig):
     """Full subspace-search run; returns ((best g, best y), trace)."""
-    decisions, noise = _streams(cfg, rng)
-    return _drive(SubspaceSearchEngine(cfg, decisions), objective, noise)
+    return _run("s3bfo", objective, cfg)
 
 
-def run_fixed_subspace(objective: Objective, cfg: OptConfig, rng=None):
+def run_fixed_subspace(objective: Objective, cfg: OptConfig):
     """Single random subspace with the full inner budget (S forced to 1)."""
-    decisions, noise = _streams(cfg, rng)
-    return _drive(SubspaceSearchEngine(replace(cfg, S=1), decisions), objective, noise)
+    return _run("fixed_subspace", objective, cfg)
 
 
-def run_linebo_bernstein(objective: Objective, cfg: OptConfig, rng=None):
-    decisions, noise = _streams(cfg, rng)
-    return _drive(BernsteinLineEngine(cfg, decisions), objective, noise)
+def run_linebo_bernstein(objective: Objective, cfg: OptConfig):
+    return _run("linebo_bernstein", objective, cfg)
 
 
-def run_random_search(objective: Objective, cfg: OptConfig, rng=None):
-    decisions, noise = _streams(cfg, rng)
-    return _drive(RandomSearchEngine(cfg, decisions), objective, noise)
+def run_random_search(objective: Objective, cfg: OptConfig):
+    return _run("random_search", objective, cfg)
 
 
 RUNNERS = {

@@ -3,11 +3,13 @@
 Brute-force kernel evaluation (one pair at a time) and the biased-prior
 identity that validates chaining a model across subspaces; the library's
 fast paths are checked against these.  ``tune_lengthscale`` drives the
-library's candidate chain on a dataset, so that tests can check its
-choice against models rebuilt from scratch.  ``read_trace_csv`` reads a
+library's candidate chain on a dataset, and ``candidates`` splits a model
+into one model per lengthscale, so that tests can check them against
+models rebuilt from scratch.  ``read_trace_csv`` reads a
 trace CSV of ``bench.run_bench`` back.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -66,12 +68,19 @@ def tune_lengthscale(observations, template, candidates, noise_sq: float):
         raise InputError("lengthscale tuning needs data")
     if len(candidates) == 0:
         raise InputError("no candidate lengthscales")
-    models = gp.candidate_set(
-        gp.empty_model(template.with_lengthscale(float(c)), noise_sq) for c in candidates
-    )
+    model = gp.empty_model(template, noise_sq, candidates)
     for obs in observations:
-        models = gp.condition_all(models, obs)
-    return gp.most_likely(models).kernel
+        model = gp.condition(model, obs)
+    return model.kernel
+
+
+def candidates(model):
+    """One model per candidate lengthscale of a GP model, each picking its
+    own candidate."""
+    return [
+        replace(model, pick=c, kernel=model.kernel.with_lengthscale(float(g)))
+        for c, g in enumerate(model.lengthscales)
+    ]
 
 
 def _cross_gram(kernel, pts_a, pts_b) -> np.ndarray:

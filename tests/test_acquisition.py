@@ -225,7 +225,7 @@ def _metric_kernel(metric, points, relative_lengthscale):
     )
     unit = FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), metric, gram)
     model = rebuild_model(unit, 0.01, [Observation(p, 0.0) for p in points])
-    r2 = gp.query_sqdist(model, model.V)
+    r2 = gp.query_sqdist(model, np.array([p.values for p in points]))
     scale = math.sqrt(float(np.median(r2[np.triu_indices(len(points), 1)])))
     return FunctionalKernelSpec(
         ScalarKernelSpec("se", relative_lengthscale * scale), metric, gram

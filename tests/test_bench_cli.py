@@ -55,6 +55,8 @@ def test_bad_value_is_error_naming_the_key():
         _values("opt.termination = whenever")
     with pytest.raises(ConfigError, match="bench.algorithms"):
         _values("bench.algorithms = s3bfo,warp_drive")
+    with pytest.raises(ConfigError, match="bench.algorithms"):
+        _values("bench.algorithms = random_search,random_search")
 
 
 def test_malformed_line_is_error():
@@ -487,6 +489,8 @@ def _edit_field(text, prefix, field, value):
         ("config_sha256 = ", 0, "config_sha256 = 0123abc", 3),  # digest no longer matches
         ("config_sha256 = ", 0, "config_sha2 = 0123abc", 2),  # not the digest key
         ("0,0,-1,", 0, "7", 3),  # eval_index out of step with its position
+        ("[digest]", 0, "inner,0,5,123.0\n[digest]", 2),  # a second pending line
+        ("[digest]", 0, "[digest]\nconfig_sha256 = 0123abc", 2),  # a wrong digest first
     ],
 )
 def test_cli_malformed_state_exits_cleanly(tmp_path, prefix, field, value, code):

@@ -11,11 +11,9 @@ from funcbo import gp
 from funcbo.errors import InputError, NumericalError
 from funcbo.gp import (
     Observation,
-    candidate_set,
-    condition_all,
+    condition,
     empty_model,
     log_marginal_likelihood,
-    most_likely,
     posterior,
     posterior_batch,
     rebuild_model,
@@ -23,7 +21,12 @@ from funcbo.gp import (
 )
 from funcbo.gridfn import GridFunction, GridSpec, grid_coordinates, l2_dist_sq
 from funcbo.kernels import FunctionalKernelSpec, ScalarKernelSpec, scalar_gram
-from reference import biased_posterior_equivalence_check, functional_eval, tune_lengthscale
+from reference import (
+    biased_posterior_equivalence_check,
+    candidates,
+    functional_eval,
+    tune_lengthscale,
+)
 
 SE_L2 = FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), "l2grid")
 
@@ -47,10 +50,6 @@ def _dense_posterior(kernel, noise_sq, observations, query):
     mean = k @ inv @ y
     var = functional_eval(kernel, query, query) - k @ inv @ k
     return float(mean), float(var)
-
-
-def _condition(model, obs):
-    return condition_all(candidate_set([model]), obs)[0]
 
 
 def test_posterior_empty_model_is_prior():
@@ -93,7 +92,7 @@ def test_posterior_matches_dense_oracle(metric):
 def test_condition_on_empty_equals_rebuild():
     rng = np.random.default_rng(3)
     o = Observation(random_grid_function(rng), 1.3)
-    inc = _condition(empty_model(SE_L2, 0.01), o)
+    inc = condition(empty_model(SE_L2, 0.01), o)
     reb = rebuild_model(SE_L2, 0.01, [o])
     q = random_grid_function(rng)
     assert posterior(inc, q) == pytest.approx(posterior(reb, q), abs=1e-12)
@@ -102,10 +101,9 @@ def test_condition_on_empty_equals_rebuild():
 def test_condition_chain_equals_rebuild():
     rng = np.random.default_rng(4)
     obs = _functional_dataset(rng, 30)
-    cands = candidate_set([empty_model(SE_L2, 0.01)])
+    model = empty_model(SE_L2, 0.01)
     for o in obs:
-        cands = condition_all(cands, o)
-    model = cands[0]
+        model = condition(model, o)
     reb = rebuild_model(SE_L2, 0.01, obs)
     for _ in range(10):
         q = random_grid_function(rng)
@@ -121,7 +119,7 @@ def test_condition_leaves_original_untouched():
     n_before = base.n
     q = random_grid_function(rng)
     before = posterior(base, q)
-    _condition(base, Observation(random_grid_function(rng), 0.5))
+    condition(base, Observation(random_grid_function(rng), 0.5))
     assert base.n == n_before
     assert posterior(base, q) == before
 
@@ -132,7 +130,7 @@ def test_condition_duplicate_point_moves_mean_little():
     noise_sq = 0.01
     model = rebuild_model(SE_L2, noise_sq, [Observation(g0, 2.0)])
     before, _ = posterior(model, g0)
-    model2 = _condition(model, Observation(g0, 2.0))
+    model2 = condition(model, Observation(g0, 2.0))
     after, _ = posterior(model2, g0)
     assert abs(after - before) < 2 * noise_sq * 2.0
     # and the chain still matches a rebuild
@@ -147,22 +145,22 @@ def test_condition_breakdown_raises():
     kernel = ScalarKernelSpec("se", 1e6)
     model = rebuild_model(kernel, 1e-20, [Observation(np.array([0.0]), 1.0)])
     with pytest.raises(NumericalError):
-        _condition(model, Observation(np.array([1e-3]), 1.0))
+        condition(model, Observation(np.array([1e-3]), 1.0))
 
 
-def test_condition_all_drops_broken_candidate_and_logs(caplog):
+def test_condition_drops_broken_candidate_and_logs(caplog):
     # at lengthscale 1e6 the kernel between the two nearby coordinates
     # rounds to 1, so with noise below float resolution the Schur
     # complement cancels to zero; at 1e-4 the points are nearly independent
-    models = candidate_set(
-        rebuild_model(ScalarKernelSpec("se", g), 1e-20, [Observation(np.array([0.0]), 1.0)])
-        for g in (1e-4, 1e6)
+    models = condition(
+        empty_model(ScalarKernelSpec("se", 1.0), 1e-20, (1e-4, 1e6)),
+        Observation(np.array([0.0]), 1.0),
     )
     with caplog.at_level(logging.DEBUG, logger="funcbo"):
-        survivors = condition_all(models, Observation(np.array([1e-3]), -1.0))
-    assert [m.kernel.lengthscale for m in survivors] == [1e-4]
-    assert most_likely(survivors).kernel.lengthscale == 1e-4
-    assert survivors[0].n == 2
+        survivors = condition(models, Observation(np.array([1e-3]), -1.0))
+    assert [m.kernel.lengthscale for m in candidates(survivors)] == [1e-4]
+    assert survivors.kernel.lengthscale == 1e-4
+    assert survivors.n == 2
     dropped = [r for r in caplog.records if "dropped lengthscale" in r.getMessage()]
     assert len(dropped) == 1
     assert dropped[0].levelno == logging.DEBUG
@@ -178,13 +176,11 @@ def test_linear_scalar_kernel_is_rejected():
         rebuild_model(kernel, 0.01, [Observation(np.array([0.3]), 0.5)])
 
 
-def test_most_likely_ties_go_to_larger_lengthscale():
-    kernels = [ScalarKernelSpec("se", g) for g in (0.5, 2.0, 1.0)]
-    empty = candidate_set(empty_model(k, 0.01) for k in kernels)
-    assert most_likely(empty).kernel.lengthscale == 2.0
-    obs = [Observation(np.array([0.3]), 0.5)]  # one point: every lengthscale ties
-    models = candidate_set(rebuild_model(k, 0.01, obs) for k in kernels)
-    assert most_likely(models).kernel.lengthscale == 2.0
+def test_pick_ties_go_to_larger_lengthscale():
+    empty = empty_model(ScalarKernelSpec("se", 1.0), 0.01, (0.5, 2.0, 1.0))
+    assert empty.kernel.lengthscale == 2.0
+    obs = Observation(np.array([0.3]), 0.5)  # one point: every lengthscale ties
+    assert condition(empty, obs).kernel.lengthscale == 2.0
 
 
 _RKHS_GRAM = scalar_gram(ScalarKernelSpec("se", 0.3), grid_coordinates(GRID_1D))
@@ -212,13 +208,11 @@ def test_candidate_chain_matches_rebuild(mode, kind, n, seed):
         probes = [random_grid_function(rng, scale=0.3) for _ in range(3)]
     noise_sq = 0.01
     obs = [Observation(p, float(v)) for p, v in zip(points, rng.standard_normal(n))]
-    models = candidate_set(
-        empty_model(template.with_lengthscale(g), noise_sq) for g in np.geomspace(0.1, 10.0, 5)
-    )
+    models = empty_model(template, noise_sq, np.geomspace(0.1, 10.0, 5))
     for i, o in enumerate(obs, start=1):
-        models = condition_all(models, o)
+        models = condition(models, o)
         assert len(models.lengthscales) == 5
-        for model in models:
+        for model in candidates(models):
             rebuilt = rebuild_model(model.kernel, noise_sq, obs[:i])
             np.testing.assert_allclose(model.z, rebuilt.z, rtol=0.0, atol=1e-8)
             assert log_marginal_likelihood(model) == pytest.approx(
@@ -258,14 +252,12 @@ def test_buffer_long_chain_matches_rebuild():
         for p in points
     ]
     probes = [sample_on_grid(kappa, GRID_1D, rng) for _ in range(3)] + points[:2]
-    cands = candidate_set(
-        empty_model(SE_L2.with_lengthscale(g), 1e-4) for g in (0.01, 10.0)
-    )
+    cands = empty_model(SE_L2, 1e-4, (0.01, 10.0))
     for i, o in enumerate(obs, start=1):
-        cands = condition_all(cands, o)
+        cands = condition(cands, o)
         if i in (1, 16, 17, 32, 33, 64, 65, 128, 129, 140):
             assert len(cands.lengthscales) == 2
-            for model in cands:
+            for model in candidates(cands):
                 _assert_matches_rebuild(model, obs[:i], probes)
 
 
@@ -273,28 +265,28 @@ def test_buffer_branch_raises_and_keeps_first_branch():
     # at n = 5 the successor writes row 5 of the same buffers, so a second
     # branch from n = 5 would overwrite it and raises; at n = 16 the full
     # buffers double into fresh ones, and a second branch writes only into
-    # the old ones, which no other set reads past row 16
+    # the old ones, which no other model reads past row 16
     rng = np.random.default_rng(24)
     obs = _functional_dataset(rng, 20)
     probes = [random_grid_function(rng) for _ in range(3)]
-    cands = candidate_set(empty_model(SE_L2.with_lengthscale(g), 0.01) for g in (0.5, 2.0))
+    cands = empty_model(SE_L2, 0.01, (0.5, 2.0))
     for i, o in enumerate(obs[:18]):
         if i in (5, 16):
-            old, old_model = cands, cands[1]
+            old, old_model = cands, candidates(cands)[1]
             before = [posterior(old_model, p) for p in probes]
-            cands = condition_all(cands, o)
-            after = [posterior(m, p) for m in cands for p in probes]
+            cands = condition(cands, o)
+            after = [posterior(m, p) for m in candidates(cands) for p in probes]
             if i == 5:
                 with pytest.raises(InputError):
-                    condition_all(old, obs[19])
+                    condition(old, obs[19])
             else:
-                for model in condition_all(old, obs[19]):
+                for model in candidates(condition(old, obs[19])):
                     _assert_matches_rebuild(model, obs[:16] + [obs[19]], probes)
-            assert [posterior(m, p) for m in cands for p in probes] == after
+            assert [posterior(m, p) for m in candidates(cands) for p in probes] == after
             assert [posterior(old_model, p) for p in probes] == before
         else:
-            cands = condition_all(cands, o)
-    for model in cands:
+            cands = condition(cands, o)
+    for model in candidates(cands):
         _assert_matches_rebuild(model, obs[:18], probes)
 
 
@@ -309,14 +301,12 @@ def test_buffer_drop_mid_chain_keeps_survivors_exact():
     xs += [(10.0 + 2.5 * i, 0.0) for i in range(30)]
     obs = [Observation(np.array(x), float(rng.standard_normal())) for x in xs]
     probes = [np.array(x) for x in ((0.0, 0.0), (0.0, 5e-4), (12.0, 0.0), (33.3, 1.0))]
-    cands = candidate_set(
-        empty_model(ScalarKernelSpec("se", g), 1e-20) for g in (1e-4, 1e6, 1.0)
-    )
+    cands = empty_model(ScalarKernelSpec("se", 1.0), 1e-20, (1e-4, 1e6, 1.0))
     for i, o in enumerate(obs, start=1):
-        cands = condition_all(cands, o)
+        cands = condition(cands, o)
         assert len(cands.lengthscales) == (3 if i <= 10 else 2)
-    assert [m.kernel.lengthscale for m in cands] == [1e-4, 1.0]
-    for model in cands:
+    assert [m.kernel.lengthscale for m in candidates(cands)] == [1e-4, 1.0]
+    for model in candidates(cands):
         _assert_matches_rebuild(model, obs, probes)
 
 
