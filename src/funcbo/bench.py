@@ -262,14 +262,14 @@ def run_bench(values: dict, out_dir) -> BenchResult:
     repeats of the best-so-far matching gap (or best_y for objectives
     without a gap diagnostic).
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     opt_cfg = build_opt_config(values)
     objective = build_objective(values, opt_cfg.grid)
     matching = values["objective.kind"] == "match"
     repeats = values["bench.repeats"]
     if repeats < 1:
         raise ConfigError("bench.repeats must be >= 1")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     trace_paths, summary_paths, traces = {}, {}, {}
     for algorithm in values["bench.algorithms"]:
         series = []

@@ -164,8 +164,13 @@ def empty_model(kernel, noise_sq: float, lengthscales=None) -> GPModel:
     if lengthscales is None:
         lengthscales = (_base_of(kernel).lengthscale,)
     lengthscales = np.array(lengthscales, dtype=float)
-    if lengthscales.ndim != 1 or lengthscales.size == 0 or not (lengthscales > 0).all():
-        raise InputError("candidate lengthscales must be a non-empty list of positive values")
+    with np.errstate(over="ignore"):  # condition divides by the squares
+        sq = lengthscales**2
+    if lengthscales.ndim != 1 or lengthscales.size == 0 or not (
+        (lengthscales > 0) & (sq >= np.finfo(float).tiny) & (sq < np.inf)
+    ).all():
+        raise InputError("candidate lengthscales must be a non-empty list of positive values "
+                         "whose squares are normal floats (about 1.5e-154 to 1.3e154)")
     C = len(lengthscales)
     Ws, zs = np.zeros((C, 0, 0)), np.zeros((C, 0))
     pick = _pick(lengthscales, Ws, zs, 0)

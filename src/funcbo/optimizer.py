@@ -8,26 +8,27 @@ module drives the same engines through a state file, so simulated and
 external experiments share a single code path.
 
 The subspace engine and the Bernstein line baseline are one phased
-engine.  Each outer iteration starts a coordinate set, evaluates an
-initial design of N(0, I) coordinate draws, then runs GP-UCB over the
-coordinates until the inner budget or the simple-regret certificate
-ends it.  For the subspace engine the set is bias (the best function so
-far) + span(GP sample paths), modelled by one functional GP on every
-observation; for the line baseline it is a random line through the
-incumbent's Bernstein weights, modelled by a scalar GP on the line
-coordinate of that line's observations.  Both use the same UCB search
-and the same regret certificate, and both score in coordinates: the set
-hands the search a batched lam -> (mean, var) function (``posterior_fn``).
-A subspace builds it once per search from the projections of its bias
-and basis on the model's points (``acquisition.subspace_posterior``), so
-no candidate's N grid values are formed until the pick is mapped to its
-capped function.
+engine.  Each outer iteration starts a ``Subspace``, bias (the best
+function so far) + span(basis), evaluates an initial design of N(0, I)
+coordinate draws, then runs GP-UCB over the coordinates until the inner
+budget or the simple-regret certificate ends it.  For the subspace
+engine the basis is d GP sample paths, modelled by one functional GP on
+every observation; the line baseline is the d = 1 case, a random
+direction in Bernstein-weight space mapped to the grid, modelled by a
+scalar GP on the line coordinate of that line's observations.  Both map
+coordinates to functions through ``acquisition.candidate_values``, use
+the same UCB search and the same regret certificate, and score in
+coordinates: the subspace hands the search a batched lam -> (mean, var)
+function (``posterior_fn``).  For a functional model it is built once
+per search from the projections of the bias and basis on the model's
+points (``acquisition.subspace_posterior``), so no candidate's N grid
+values are formed until the pick is mapped to its capped function.
 
 Determinism: all draws come from two streams derived from the config
 seed, one for optimiser decisions and one for observation noise, so an
 external ask/tell session reproduces an in-process run exactly.  Replay
 runs the same step as ``ask`` for every stored evaluation: it redraws
-the basis (or line direction) and the initial design, and consumes the
+the basis (the line's direction) and the initial design, and consumes the
 restart seeds of each acquisition search without running it, taking the
 stored coordinates instead.  It then tells the stored value, so the
 model goes through the same update chain as in the original run: each
@@ -85,8 +86,11 @@ class Subspace:
         return len(self.basis)
 
     def posterior_fn(self, model: gp.GPModel, search: AcqSearchConfig):
-        """Batched lam -> (mean, var) at the capped functions, from coordinates."""
-        return acquisition.subspace_posterior(model, self, search)
+        """Batched lam -> (mean, var): at the capped functions for a model
+        of functions, at the coordinates themselves for a model on them."""
+        if isinstance(model.kernel, FunctionalKernelSpec):
+            return acquisition.subspace_posterior(model, self, search)
+        return partial(gp.posterior_batch, model)
 
 
 @dataclass(frozen=True)
@@ -144,6 +148,14 @@ class OptConfig:
             raise ConfigError("mle grid bounds must satisfy 0 < min <= max")
         if self.mle_grid_points < 1:
             raise ConfigError("mle.grid_points must be >= 1")
+        # the model's and the acquisition's own checks, run before any engine
+        # is built, so a bad value stops a bench before its first cell
+        try:
+            gp.empty_model(ScalarKernelSpec(self.k_kind, 1.0), self.noise_sq, self.lengthscales)
+            UcbSchedule(self.acq_delta, self.d)
+            self.search  # built only to be checked
+        except InputError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @property
     def noise_sq(self) -> float:
@@ -156,6 +168,12 @@ class OptConfig:
         if self.k_lengthscale == "mle":
             return np.geomspace(self.mle_grid_min, self.mle_grid_max, self.mle_grid_points)
         return (self.k_lengthscale,)
+
+    @property
+    def search(self) -> AcqSearchConfig:
+        return AcqSearchConfig(
+            self.acq_restarts, self.acq_local_steps, self.acq_lambda_box, self.l_max
+        )
 
     @property
     def budget(self) -> int:
@@ -215,8 +233,9 @@ def simple_regret_err(
     subspace optimum, so values below epsilon justify ending the inner
     loop of a maximisation run.
 
-    ``subspace`` is any coordinate set with ``d`` and ``posterior_fn`` (a
-    Subspace or a BernsteinLine); ``incumbent`` is a model point of it.
+    ``subspace`` is a Subspace, the Bernstein line included (d = 1);
+    ``incumbent`` is a model point of it: a function, or the line
+    coordinate under a model on coordinates.
     The inner maximisation is the acquisition UCB search with unit width;
     its restart seeds come from a fixed internal stream unless an rng is
     given, so the test does not perturb an optimiser's draw sequence.
@@ -251,7 +270,7 @@ class _EngineBase:
         self._inner_ends: dict[tuple[int, int], bool] = {}
         self._best_values: np.ndarray | None = None
         self._best_y = 0.0  # virtual incumbent value; real observations win ties
-        self.pending = None  # (kind, s, t, lam, g_values[, engine extra])
+        self.pending = None  # (kind, s, t, lam, g_values)
 
     @property
     def trace(self) -> list[RunRecord]:
@@ -263,18 +282,6 @@ class _EngineBase:
         if self._best_values is None:
             return GridFunction(self.cfg.grid, np.zeros(self.cfg.grid.size)), 0.0
         return GridFunction(self.cfg.grid, self._best_values), self._best_y
-
-    def _incumbent_values(self) -> np.ndarray:
-        if self._best_values is None:
-            return np.zeros(self.cfg.grid.size)
-        return np.array(self._best_values)
-
-    def _update_best(self, g_values: np.ndarray, y: float) -> bool:
-        if self._best_values is None or y > self._best_y:
-            self._best_values = np.array(g_values)
-            self._best_y = float(y)
-            return True
-        return False
 
     def ask(self) -> GridFunction:
         if self.pending is not None:
@@ -289,7 +296,7 @@ class _EngineBase:
             raise ProtocolError("no pending suggestion; call ask first")
         if not np.isfinite(y):
             raise InputError(f"observed value must be finite, got {y}")
-        _, s, t, lam, g_values = self.pending[:5]
+        _, s, t, lam, g_values = self.pending
         rec = RunRecord(
             eval_index=len(self._trace),
             s=s,
@@ -300,7 +307,8 @@ class _EngineBase:
             aux=dict(aux or {}),
         )
         self._trace.append(rec)
-        self._update_best(g_values, rec.y)
+        if self._best_values is None or rec.y > self._best_y:
+            self._best_values, self._best_y = np.array(g_values), rec.y
         self._observe(rec)
         self.pending = None
         return rec
@@ -349,19 +357,17 @@ class _EngineBase:
 
 
 class _PhasedEngine(_EngineBase):
-    """GP-UCB on a sequence of random coordinate sets.
+    """GP-UCB on a sequence of random affine subspaces.
 
-    Per outer iteration s: start a coordinate set (``_start_outer``),
-    evaluate ``n_init`` coordinate draws from N(0, I), then run the inner
-    UCB loop until its budget T or the simple-regret certificate ends it.
-    Subclasses supply the model kernel and how an outer iteration starts
-    (``_start_outer`` returns the set), how coordinates map to a function
-    (``_function(lam, cap)`` returns the function values and an engine
-    extra kept in the pending tuple) and to a model point
-    (``_model_point``); the set's ``posterior_fn`` gives the UCB search
-    the model posterior at coordinate rows.  With ``_model_per_outer`` the
-    model sees only the current outer iteration's observations, otherwise
-    all of them.
+    Per outer iteration s: start a Subspace (``_start_outer``), evaluate
+    ``n_init`` coordinate draws from N(0, I), then run the inner UCB loop
+    until its budget T or the simple-regret certificate ends it.
+    Subclasses supply the model kernel, how an outer iteration starts and
+    how coordinates map to a model point (``_model_point``).
+    ``_function`` maps coordinates to a function of the subspace, and its
+    ``posterior_fn`` gives the UCB search the model posterior at
+    coordinate rows.  With ``_model_per_outer`` the model sees only the
+    current outer iteration's observations, otherwise all of them.
 
     The model holds one candidate per lengthscale of
     ``cfg.lengthscales``; every observation extends each candidate, and
@@ -377,13 +383,11 @@ class _PhasedEngine(_EngineBase):
         self.phase = "init"
         self.i_init = 0
         self.t = 0
-        self.subspace = None  # the current coordinate set
+        self.subspace = None  # the current outer iteration's Subspace
         self.finished = False
-        self._outer_best = None  # (model point, y) within the current set
+        self._outer_best = None  # (model point, y) within the current subspace
         self.model = gp.empty_model(kernel, cfg.noise_sq, cfg.lengthscales)
-        self._search = AcqSearchConfig(
-            cfg.acq_restarts, cfg.acq_local_steps, cfg.acq_lambda_box, cfg.l_max
-        )
+        self._search = cfg.search
         self._schedule = UcbSchedule(cfg.acq_delta, d)
 
     @property
@@ -407,13 +411,11 @@ class _PhasedEngine(_EngineBase):
             self.t = 0
             self._outer_best = None
             if self._model_per_outer:
-                self._reset_model()
+                self.model = gp.empty_model(self.model.kernel, self.cfg.noise_sq,
+                                            self.cfg.lengthscales)
             if self.s >= self.cfg.S:
                 self.finished = True
                 return
-
-    def _reset_model(self):
-        self.model = gp.empty_model(self.model.kernel, self.cfg.noise_sq, self.cfg.lengthscales)
 
     def _inner_done(self) -> bool:
         if self.t >= self.cfg.T:
@@ -444,8 +446,15 @@ class _PhasedEngine(_EngineBase):
         else:
             acquisition.restart_seeds(self._search, d, self._rng)
         inner = self.phase == "inner"
-        g_values, extra = self._function(lam, cap=inner)
-        self.pending = (self.phase, self.s, self.t if inner else -1, lam, g_values, extra)
+        self.pending = (self.phase, self.s, self.t if inner else -1, lam,
+                        self._function(lam, cap=inner))
+
+    def _function(self, lam, cap):
+        """bias + lam @ basis, radially capped for inner steps."""
+        if cap:
+            return acquisition.candidate_values(self.subspace, self._search, lam[None, :])[0]
+        basis = np.array([h.values for h in self.subspace.basis])
+        return self.subspace.bias.values + lam @ basis
 
     def _observe(self, rec: RunRecord):
         obs = gp.Observation(self._model_point(self.pending[3], self.pending[4]), rec.y)
@@ -478,42 +487,22 @@ class SubspaceSearchEngine(_PhasedEngine):
         super().__init__(cfg, rng, kernel, cfg.d)
 
     def _start_outer(self) -> Subspace:
-        bias = GridFunction(self.cfg.grid, self._incumbent_values())
         basis = tuple(
             gp.sample_on_grid(self.cfg.kappa, self.cfg.grid, self._rng)
             for _ in range(self.cfg.d)
         )
-        return Subspace(self.s, bias, basis)
-
-    def _function(self, lam, cap):
-        if cap:
-            g = acquisition.candidate_values(self.subspace, self._search, lam[None, :])
-            return g[0], None
-        basis = np.array([h.values for h in self.subspace.basis])
-        return self.subspace.bias.values + lam @ basis, None
+        return Subspace(self.s, self.best[0], basis)
 
     def _model_point(self, lam, g_values):
         return GridFunction(self.cfg.grid, g_values)
 
 
-@dataclass(frozen=True, eq=False)
-class BernsteinLine:
-    """Line origin + theta * direction in Bernstein weight space; its
-    model is a scalar GP on theta, so it is queried at the coordinates."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-    d = 1
-
-    def posterior_fn(self, model: gp.GPModel, search: AcqSearchConfig):
-        return partial(gp.posterior_batch, model)
-
-
 class BernsteinLineEngine(_PhasedEngine):
     """GP-UCB line search over the weights of a degree-10 Bernstein
-    polynomial: each outer iteration picks a random unit direction in
-    weight space through the incumbent's weights and optimises the line
-    coordinate with a fresh scalar SE model."""
+    polynomial: each outer iteration searches the line through the
+    incumbent along a random unit direction u of weight space, the
+    one-dimensional Subspace incumbent + theta * (u @ B), with a fresh
+    scalar SE model on theta."""
 
     _model_per_outer = True
 
@@ -522,30 +511,14 @@ class BernsteinLineEngine(_PhasedEngine):
             raise ConfigError("the Bernstein line optimiser needs a 1-d grid")
         super().__init__(cfg, rng, ScalarKernelSpec("se", 1.0), 1)
         self._B = bernstein_matrix(BERNSTEIN_DEGREE, grid_coordinates(cfg.grid)[:, 0])
-        self._best_weights = np.zeros(BERNSTEIN_DEGREE + 1)
 
-    def _update_best(self, g_values, y):
-        improved = super()._update_best(g_values, y)
-        if improved:
-            self._best_weights = np.array(self.pending[5])
-        return improved
-
-    def _start_outer(self) -> BernsteinLine:
+    def _start_outer(self) -> Subspace:
         u = self._rng.standard_normal(BERNSTEIN_DEGREE + 1)
         norm = float(np.linalg.norm(u))
         if norm == 0.0:
             raise NumericalError("degenerate zero direction draw")
-        return BernsteinLine(np.array(self._best_weights), u / norm)
-
-    def _function(self, lam, cap):
-        """Function values and weights at theta = lam[0], radially capped."""
-        w = self.subspace.origin + float(lam[0]) * self.subspace.direction
-        g = w @ self._B
-        if cap:
-            scale = acquisition.cap_scale(np.array([g @ g]) * self.cfg.grid.weight,
-                                          self.cfg.l_max)[0]
-            w, g = w * scale, g * scale
-        return g, w
+        direction = GridFunction(self.cfg.grid, (u / norm) @ self._B)
+        return Subspace(self.s, self.best[0], (direction,))
 
     def _model_point(self, lam, g_values):
         return np.array([float(lam[0])])

@@ -355,6 +355,22 @@ def test_cli_bench_and_exit_codes(tmp_path):
     bad.write_text("opt.warp = 9\n")
     assert _cli("bench", "--config", str(bad), "--out", str(tmp_path / "o2")).returncode == 2
 
+    # acq.* values are checked for every algorithm before any cell runs
+    for setting in ("acq.delta = 1.5", "acq.restarts = 0"):
+        bad.write_text(SMALL.replace("bench.algorithms = random_search",
+                                     "bench.algorithms = random_search,s3bfo") + setting)
+        res = _cli("bench", "--config", str(bad), "--out", str(tmp_path / "o3"))
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "o3").exists()
+
+    # a candidate lengthscale whose square underflows is an input error
+    state = tmp_path / "state.txt"
+    state.write_text("opt.S = 1\nopt.T = 1\nopt.n_init = 1\nmle.grid_min = 1e-160\n")
+    res = _cli("suggest", "--state", str(state), "--out", str(tmp_path / "g.csv"))
+    assert res.returncode == 2
+    assert "normal float" in res.stderr and "Traceback" not in res.stderr
+
 
 def test_cli_grid_too_large_for_dense_prior_exits_cleanly(tmp_path, monkeypatch):
     cfg = tmp_path / "huge.cfg"

@@ -435,6 +435,10 @@ def test_tune_needs_data_and_candidates():
     rng = np.random.default_rng(14)
     with pytest.raises(InputError):
         tune_lengthscale(_functional_dataset(rng, 2), SE_L2, [], 0.01)
+    # every candidate's kernel row is rescaled from the first's square
+    for tiny_or_huge in (1e-160, 1e-300, 1e200):
+        with pytest.raises(InputError, match="normal float"):
+            tune_lengthscale(_functional_dataset(rng, 2), SE_L2, [tiny_or_huge, 10.0], 0.01)
 
 
 def test_biased_equivalence_empty_prev():

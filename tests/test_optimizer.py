@@ -63,6 +63,13 @@ def test_config_validation():
         _cfg(noise_sigma=0.0)
     with pytest.raises(ConfigError):
         _cfg(mle_grid_min=0.5, mle_grid_max=0.1)
+    # the acquisition and model checks run for every algorithm's config
+    with pytest.raises(ConfigError, match="delta"):
+        _cfg(acq_delta=1.5)
+    with pytest.raises(ConfigError, match="restarts"):
+        _cfg(acq_restarts=0)
+    with pytest.raises(ConfigError, match="normal float"):
+        _cfg(mle_grid_min=1e-160)
 
 
 def test_budget_accounting_minimal():
@@ -199,9 +206,14 @@ def test_posterior_equivalence_at_inner_loop_starts():
     assert checked == 2  # inner starts of s = 1, 2
 
 
-def test_inner_step_scores_in_coordinates(monkeypatch):
-    cfg = _cfg(grid=GridSpec(2, 40), S=1, T=2, n_init=2)
-    eng = SubspaceSearchEngine(cfg)
+@pytest.mark.parametrize(
+    "engine_cls, grid",
+    [(SubspaceSearchEngine, GridSpec(2, 40)), (BernsteinLineEngine, GRID_1D)],
+    ids=["subspace", "linebo"],
+)
+def test_inner_step_scores_in_coordinates(monkeypatch, engine_cls, grid):
+    cfg = _cfg(grid=grid, S=1, T=2, n_init=2)
+    eng = engine_cls(cfg)
     rng = np.random.default_rng(3)
     for _ in range(cfg.n_init):
         eng.ask()
@@ -353,8 +365,30 @@ def test_linebo_zero_weights_give_zero_function():
     # the first suggestion lies on a line through the zero incumbent
     g = eng.ask()
     theta = eng.pending[3][0]
-    w = theta * eng.subspace.direction
-    np.testing.assert_allclose(g.values, w @ eng._B, atol=1e-12)
+    direction = eng.subspace.basis[0].values
+    assert not eng.subspace.bias.values.any()
+    np.testing.assert_allclose(g.values, theta * direction, atol=1e-12)
+    # the direction is a unit vector of Bernstein weights mapped to the grid
+    weights = np.linalg.lstsq(eng._B.T, direction, rcond=None)[0]
+    np.testing.assert_allclose(weights @ eng._B, direction, atol=1e-12)
+    assert np.linalg.norm(weights) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_linebo_line_passes_through_incumbent():
+    cfg = _cfg(S=2, T=1, n_init=1, seed=4)
+    eng = BernsteinLineEngine(cfg)
+    obj, noise = _match_obj(), np.random.default_rng(0)
+    for _ in range(cfg.n_init + cfg.T):  # the first line
+        g = eng.ask()
+        eng.tell(obj.evaluate(g, noise))
+    # the second line starts at the best function of the first
+    g = eng.ask()
+    assert eng.pending[:3] == ("init", 1, -1)
+    best = eng.best[0].values
+    assert best.any()
+    np.testing.assert_array_equal(eng.subspace.bias.values, best)
+    theta = eng.pending[3][0]
+    np.testing.assert_allclose(g.values, best + theta * eng.subspace.basis[0].values, atol=1e-12)
 
 
 def test_linebo_budget_and_monotone():
