@@ -19,10 +19,8 @@ from .gp import (
     GPModel,
     Observation,
     empty_model,
-    log_marginal_likelihood,
     posterior,
     posterior_batch,
-    rebuild_model,
     sample_on_grid,
 )
 from .gridfn import (
@@ -31,10 +29,7 @@ from .gridfn import (
     grid_coordinates,
     l2_dist_sq,
     l2_inner,
-    l2_norm,
-    linear_combine,
     read_function_csv,
-    rkhs_dist_sq,
     write_function_csv,
 )
 from .kernels import FunctionalKernelSpec, ScalarKernelSpec

@@ -26,7 +26,8 @@ Kernels are distance-based: the GP takes functional kernels on grid
 functions, or distance-based scalar kernels on coordinate vectors (used
 by the line-search baseline).  A model keeps its points' metric rows
 ``MV`` (the rows themselves, or V G under the rkhs metric) and their
-squared norms, which is all the distance expansion needs.
+squared norms, which is all the distance expansion needs; it keeps
+neither the points nor their values, only their count ``n``.
 
 A posterior query is two steps: the squared distances from the queries
 to the model's points, then ``posterior_from_sqdist``, the one step that
@@ -45,7 +46,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import kernels
 from .errors import InputError, NumericalError, ShapeError
@@ -76,8 +76,7 @@ class GPModel:
 
     kernel: object  # the kernel at the picked lengthscale
     noise_sq: float
-    points: tuple
-    y: np.ndarray
+    n: int  # the number of observations
     lengthscales: np.ndarray  # (C,) candidate lengthscales
     Ws: np.ndarray  # (C, cap, cap) inverse Cholesky factors L^-1, lower triangular
     zs: np.ndarray  # (C, cap) whitened targets W y
@@ -85,10 +84,6 @@ class GPModel:
     grid: GridSpec | None
     MV: np.ndarray | None  # metric rows of the points: V, or V G under rkhs
     row_q: np.ndarray | None  # the points' squared metric norms
-
-    @property
-    def n(self) -> int:
-        return len(self.points)
 
     @cached_property
     def W(self) -> np.ndarray:
@@ -171,44 +166,17 @@ def empty_model(kernel, noise_sq: float, lengthscales=None) -> GPModel:
     ).all():
         raise InputError("candidate lengthscales must be a non-empty list of positive values "
                          "whose squares are normal floats (about 1.5e-154 to 1.3e154)")
+    with np.errstate(over="ignore"):  # condition rescales by ratios to earlier candidates
+        ratio_sq = (np.maximum.accumulate(lengthscales) / lengthscales) ** 2
+    if not np.isfinite(ratio_sq).all():
+        raise InputError("no candidate lengthscale may be 1.3e154 or more times smaller "
+                         "than an earlier one: their squared ratio overflows")
     C = len(lengthscales)
     Ws, zs = np.zeros((C, 0, 0)), np.zeros((C, 0))
     pick = _pick(lengthscales, Ws, zs, 0)
     return GPModel(kernel=kernel.with_lengthscale(float(lengthscales[pick])),
-                   noise_sq=float(noise_sq), points=(), y=np.zeros(0),
-                   lengthscales=lengthscales, Ws=Ws, zs=zs, pick=pick,
-                   grid=None, MV=None, row_q=None)
-
-
-def rebuild_model(kernel, noise_sq: float, observations) -> GPModel:
-    """Build a model from scratch on the full dataset, at the kernel's own
-    lengthscale."""
-    model = empty_model(kernel, noise_sq)
-    observations = list(observations)
-    if not observations:
-        return model
-    grid = None
-    rows = []
-    for obs in observations:
-        x, grid_i = _rep(kernel, obs.point, grid)
-        grid = grid_i if grid is None else grid
-        rows.append(x)
-    V = np.array(rows)
-    MV = _metric_rows(kernel, V)
-    y = np.array([obs.y for obs in observations])
-    model = replace(model, points=tuple(obs.point for obs in observations), y=y,
-                    grid=grid, MV=MV, row_q=np.einsum("ij,ij->i", V, MV))
-    raw = query_sqdist(model, V)
-    np.fill_diagonal(raw, 0.0)  # the expansion leaves rounding residue here
-    k = kernels.value_from_sqdist(_base_of(kernel), raw)
-    k = (k + k.T) / 2.0
-    k[np.diag_indices_from(k)] += noise_sq
-    try:
-        L = np.linalg.cholesky(k)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("Cholesky of the regularised Gram matrix failed") from exc
-    Wz = solve_triangular(L, np.column_stack((np.eye(len(y)), y)), lower=True)
-    return replace(model, Ws=Wz[None, :, :-1], zs=Wz[None, :, -1])
+                   noise_sq=float(noise_sq), n=0, lengthscales=lengthscales,
+                   Ws=Ws, zs=zs, pick=pick, grid=None, MV=None, row_q=None)
 
 
 def condition(model: GPModel, obs: Observation) -> GPModel:
@@ -264,8 +232,7 @@ def condition(model: GPModel, obs: Observation) -> GPModel:
     z[:, n] = (obs.y - np.einsum("ci,ci->c", ell, z[:, :n])) / s
     pick = _pick(lengthscales, W, z, n + 1)
     return replace(model, kernel=model.kernel.with_lengthscale(float(lengthscales[pick])),
-                   points=model.points + (obs.point,), y=np.append(model.y, obs.y),
-                   lengthscales=lengthscales, Ws=W, zs=z, pick=pick,
+                   n=n + 1, lengthscales=lengthscales, Ws=W, zs=z, pick=pick,
                    grid=model.grid if model.grid is not None else grid, MV=MV, row_q=row_q)
 
 
@@ -370,9 +337,3 @@ def _lml(W: np.ndarray, z: np.ndarray):
         + np.log(np.diagonal(W, axis1=-2, axis2=-1)).sum(axis=-1)
         - 0.5 * z.shape[-1] * _LOG_2PI
     )
-
-
-def log_marginal_likelihood(model: GPModel) -> float:
-    if model.n == 0:
-        raise InputError("log marginal likelihood needs at least one observation")
-    return float(_lml(model.W, model.z))

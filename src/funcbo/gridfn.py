@@ -3,9 +3,10 @@
 A function g: [0,1]^m -> R is stored as its values on a uniform grid of
 cell centers, rho points per axis, so every point carries the same
 histogram quadrature weight tau^m (tau = 1/rho).  All L2 quantities are
-midpoint sums under that weight.  Values are immutable after
-construction; arithmetic returns fresh instances, which makes cached
-basis evaluations safe to share.
+midpoint sums under that weight: the squared distance and the inner
+product that the objectives take.  Values are immutable after
+construction, which makes cached basis evaluations safe to share.
+Functions are read from and written to CSV files bit for bit.
 """
 
 from __future__ import annotations
@@ -85,34 +86,9 @@ def zeros(spec: GridSpec) -> GridFunction:
     return GridFunction(spec, np.zeros(spec.size))
 
 
-def constant(spec: GridSpec, value: float) -> GridFunction:
-    return GridFunction(spec, np.full(spec.size, float(value)))
-
-
-def from_callable(spec: GridSpec, fn) -> GridFunction:
-    """Sample fn at the grid points; fn takes an (N, dim) coordinate array."""
-    return GridFunction(spec, np.asarray(fn(grid_coordinates(spec)), dtype=float))
-
-
 def _check_same_spec(a: GridFunction, b: GridFunction) -> None:
     if a.spec != b.spec:
         raise ShapeError(f"grid mismatch: {a.spec} vs {b.spec}")
-
-
-def linear_combine(
-    bias: GridFunction, basis: list[GridFunction], lam: np.ndarray
-) -> GridFunction:
-    """Return bias + sum_j lam[j] * basis[j]."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (len(basis),):
-        raise ShapeError(f"{len(basis)} basis functions but {lam.shape} coordinates")
-    if not np.all(np.isfinite(lam)):
-        raise InputError("coordinates must be finite")
-    out = bias.values.copy()
-    for coeff, h in zip(lam, basis):
-        _check_same_spec(bias, h)
-        out += coeff * h.values
-    return GridFunction(bias.spec, out)
 
 
 def l2_dist_sq(g: GridFunction, h: GridFunction) -> float:
@@ -122,29 +98,10 @@ def l2_dist_sq(g: GridFunction, h: GridFunction) -> float:
     return float(np.dot(diff, diff) * g.spec.weight)
 
 
-def l2_norm(g: GridFunction) -> float:
-    return float(np.sqrt(np.dot(g.values, g.values) * g.spec.weight))
-
-
 def l2_inner(g: GridFunction, h: GridFunction) -> float:
     """Quadrature inner product sum g*h * tau^m."""
     _check_same_spec(g, h)
     return float(np.dot(g.values, h.values) * g.spec.weight)
-
-
-def rkhs_dist_sq(
-    alpha: np.ndarray, alpha_prime: np.ndarray, gram: np.ndarray
-) -> float:
-    """Squared RKHS distance (a - a')^T G (a - a') between coefficient vectors."""
-    a = np.asarray(alpha, dtype=float)
-    b = np.asarray(alpha_prime, dtype=float)
-    gram = np.asarray(gram, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ShapeError(f"coefficient shape mismatch: {a.shape} vs {b.shape}")
-    if gram.shape != (a.size, a.size):
-        raise ShapeError(f"gram shape {gram.shape} does not match {a.size} coefficients")
-    d = a - b
-    return max(float(d @ gram @ d), 0.0)
 
 
 # --- CSV serialisation -------------------------------------------------

@@ -2,22 +2,79 @@
 
 Brute-force kernel evaluation (one pair at a time) and the biased-prior
 identity that validates chaining a model across subspaces; the library's
-fast paths are checked against these.  ``tune_lengthscale`` drives the
-library's candidate chain on a dataset, and ``candidates`` splits a model
-into one model per lengthscale, so that tests can check them against
-models rebuilt from scratch.  ``read_trace_csv`` reads a
-trace CSV of ``bench.run_bench`` back.
+fast paths are checked against these.  ``rebuild_model`` builds a GP
+model from scratch on a whole dataset with one dense Cholesky factor,
+and ``log_marginal_likelihood`` reads a model's evidence; the library's
+incremental ``gp.condition`` is checked against them.
+``tune_lengthscale`` drives the library's candidate chain on a dataset,
+and ``candidates`` splits a model into one model per lengthscale, so
+that tests can check them against models rebuilt from scratch.  The
+grid-function helpers ``constant``, ``from_callable``,
+``linear_combine``, ``l2_norm`` and ``rkhs_dist_sq`` build and measure
+test functions.  ``read_trace_csv`` reads a trace CSV of
+``bench.run_bench`` back.
 """
 
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from funcbo import gp, gridfn
-from funcbo.errors import InputError, ShapeError
-from funcbo.gridfn import GridFunction
+from funcbo.errors import InputError, NumericalError, ShapeError
+from funcbo.gridfn import GridFunction, GridSpec, grid_coordinates
 from funcbo.kernels import FunctionalKernelSpec, ScalarKernelSpec, value_from_sqdist
+
+
+# --- grid functions ------------------------------------------------------
+
+
+def constant(spec: GridSpec, value: float) -> GridFunction:
+    return GridFunction(spec, np.full(spec.size, float(value)))
+
+
+def from_callable(spec: GridSpec, fn) -> GridFunction:
+    """Sample fn at the grid points; fn takes an (N, dim) coordinate array."""
+    return GridFunction(spec, np.asarray(fn(grid_coordinates(spec)), dtype=float))
+
+
+def linear_combine(
+    bias: GridFunction, basis: list[GridFunction], lam: np.ndarray
+) -> GridFunction:
+    """Return bias + sum_j lam[j] * basis[j]."""
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != (len(basis),):
+        raise ShapeError(f"{len(basis)} basis functions but {lam.shape} coordinates")
+    if not np.all(np.isfinite(lam)):
+        raise InputError("coordinates must be finite")
+    out = bias.values.copy()
+    for coeff, h in zip(lam, basis):
+        gridfn._check_same_spec(bias, h)
+        out += coeff * h.values
+    return GridFunction(bias.spec, out)
+
+
+def l2_norm(g: GridFunction) -> float:
+    return float(np.sqrt(np.dot(g.values, g.values) * g.spec.weight))
+
+
+def rkhs_dist_sq(
+    alpha: np.ndarray, alpha_prime: np.ndarray, gram: np.ndarray
+) -> float:
+    """Squared RKHS distance (a - a')^T G (a - a') between coefficient vectors."""
+    a = np.asarray(alpha, dtype=float)
+    b = np.asarray(alpha_prime, dtype=float)
+    gram = np.asarray(gram, dtype=float)
+    if a.shape != b.shape or a.ndim != 1:
+        raise ShapeError(f"coefficient shape mismatch: {a.shape} vs {b.shape}")
+    if gram.shape != (a.size, a.size):
+        raise ShapeError(f"gram shape {gram.shape} does not match {a.size} coefficients")
+    d = a - b
+    return max(float(d @ gram @ d), 0.0)
+
+
+# --- kernels and GP models -------------------------------------------------
 
 
 def scalar_eval(spec: ScalarKernelSpec, x, y) -> float:
@@ -40,7 +97,7 @@ def functional_eval(spec: FunctionalKernelSpec, g: GridFunction, h: GridFunction
         # values are read as coefficient vectors of the gram's basis
         if g.spec != h.spec:
             raise ShapeError(f"grid mismatch: {g.spec} vs {h.spec}")
-        r_sq = gridfn.rkhs_dist_sq(g.values, h.values, spec.rkhs_gram)
+        r_sq = rkhs_dist_sq(g.values, h.values, spec.rkhs_gram)
     return float(value_from_sqdist(spec.base, r_sq))
 
 
@@ -57,6 +114,45 @@ def gram_matrix(spec, points) -> np.ndarray:
             m[i, j] = evaluate(spec, points[i], points[j])
             m[j, i] = m[i, j]
     return m
+
+
+def rebuild_model(kernel, noise_sq: float, observations) -> gp.GPModel:
+    """Build a model from scratch on the full dataset, at the kernel's own
+    lengthscale: one Cholesky factor L of the regularised Gram matrix,
+    then W = L^-1 and z = W y by a triangular solve."""
+    model = gp.empty_model(kernel, noise_sq)
+    observations = list(observations)
+    if not observations:
+        return model
+    grid = None
+    rows = []
+    for obs in observations:
+        x, grid_i = gp._rep(kernel, obs.point, grid)
+        grid = grid_i if grid is None else grid
+        rows.append(x)
+    V = np.array(rows)
+    MV = gp._metric_rows(kernel, V)
+    y = np.array([obs.y for obs in observations])
+    model = replace(model, n=len(y), grid=grid, MV=MV, row_q=np.einsum("ij,ij->i", V, MV))
+    raw = gp.query_sqdist(model, V)
+    np.fill_diagonal(raw, 0.0)  # the expansion leaves rounding residue here
+    k = value_from_sqdist(gp._base_of(kernel), raw)
+    k = (k + k.T) / 2.0
+    k[np.diag_indices_from(k)] += noise_sq
+    try:
+        L = np.linalg.cholesky(k)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("Cholesky of the regularised Gram matrix failed") from exc
+    Wz = solve_triangular(L, np.column_stack((np.eye(len(y)), y)), lower=True)
+    return replace(model, Ws=Wz[None, :, :-1], zs=Wz[None, :, -1])
+
+
+def log_marginal_likelihood(model: gp.GPModel) -> float:
+    """log p(y) of the model's picked candidate, -z·z/2 + sum log W_ii -
+    n/2 log 2 pi."""
+    if model.n == 0:
+        raise InputError("log marginal likelihood needs at least one observation")
+    return float(gp._lml(model.W, model.z))
 
 
 def tune_lengthscale(observations, template, candidates, noise_sq: float):
@@ -100,7 +196,7 @@ def biased_posterior_equivalence_check(
     variance agree at every probe within tol.
     """
     obs_prev, obs_new, probes = list(obs_prev), list(obs_new), list(probes)
-    joint = gp.rebuild_model(kernel, noise_sq, obs_prev + obs_new)
+    joint = rebuild_model(kernel, noise_sq, obs_prev + obs_new)
     mean1 = np.array([gp.posterior(joint, p)[0] for p in probes])
     var1 = np.array([gp.posterior(joint, p)[1] for p in probes])
 

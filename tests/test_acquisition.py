@@ -18,10 +18,11 @@ from funcbo.acquisition import (
     ucb_search,
 )
 from funcbo.errors import InputError
-from funcbo.gp import Observation, empty_model, rebuild_model
-from funcbo.gridfn import GridFunction, grid_coordinates, l2_norm, linear_combine, zeros
+from funcbo.gp import Observation, empty_model
+from funcbo.gridfn import GridFunction, grid_coordinates, zeros
 from funcbo.kernels import FunctionalKernelSpec, ScalarKernelSpec, scalar_gram
 from funcbo.optimizer import Subspace
+from reference import l2_norm, linear_combine, rebuild_model
 
 SE_L2 = FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), "l2grid")
 
@@ -150,7 +151,7 @@ def test_maximise_d1_close_to_dense_scan():
 
 def test_maximise_enforces_norm_cap():
     rng = np.random.default_rng(13)
-    from funcbo.gridfn import constant
+    from reference import constant
 
     sub = _subspace(np.random.default_rng(14), bias=constant(GRID_1D, 3.0))
     model = empty_model(SE_L2, 0.01)

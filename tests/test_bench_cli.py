@@ -428,6 +428,47 @@ def test_cli_suggest_tell_export_cycle(tmp_path):
     assert (tmp_path / "b.csv").exists()
 
 
+# Runs a suggest/tell/export cycle in a process where scipy cannot be
+# imported, as in an install without the test extra.
+_WITHOUT_SCIPY = """
+import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+from funcbo import cli
+
+state, fn, best = sys.argv[1:]
+codes = [
+    cli.main(["suggest", "--state", state, "--out", fn]),
+    cli.main(["tell", "--state", state, "--y", "0.25"]),
+    cli.main(["suggest", "--state", state, "--out", fn]),
+    cli.main(["tell", "--state", state, "--y", "-1.0"]),
+    cli.main(["export", "--state", state, "--out", best]),
+]
+assert codes == [0] * 5, codes
+loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
+assert not loaded, loaded
+"""
+
+
+def test_cli_session_runs_without_scipy(tmp_path):
+    state = tmp_path / "state.txt"
+    state.write_text("opt.S = 1\nopt.T = 1\nopt.n_init = 1\n")
+    paths = [str(state), str(tmp_path / "g.csv"), str(tmp_path / "b.csv")]
+    res = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, *paths], capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "b.csv").exists()
+
+
 def test_cli_verify_lemma1(tmp_path):
     ok = _cli("verify-lemma1", "--d", "2", "--de", "2", "--beta", "0.3", "--trials", "500")
     assert ok.returncode == 0

@@ -13,10 +13,8 @@ from funcbo.gp import (
     Observation,
     condition,
     empty_model,
-    log_marginal_likelihood,
     posterior,
     posterior_batch,
-    rebuild_model,
     sample_on_grid,
 )
 from funcbo.gridfn import GridFunction, GridSpec, grid_coordinates, l2_dist_sq
@@ -25,6 +23,8 @@ from reference import (
     biased_posterior_equivalence_check,
     candidates,
     functional_eval,
+    log_marginal_likelihood,
+    rebuild_model,
     tune_lengthscale,
 )
 
@@ -439,6 +439,23 @@ def test_tune_needs_data_and_candidates():
     for tiny_or_huge in (1e-160, 1e-300, 1e200):
         with pytest.raises(InputError, match="normal float"):
             tune_lengthscale(_functional_dataset(rng, 2), SE_L2, [tiny_or_huge, 10.0], 0.01)
+
+
+def test_empty_model_rejects_candidates_whose_ratio_overflows():
+    # condition scales each candidate's distances by its squared ratio to
+    # the first surviving candidate, which can be any earlier one
+    kernel = ScalarKernelSpec("se", 1.0)
+    for lengthscales in ([1e150, 1e-150, 1.0], [1.0, 1e150, 1e-150]):
+        with pytest.raises(InputError, match="ratio"):
+            empty_model(kernel, 0.01, lengthscales)
+    # ascending candidates never rescale up, whatever their spread
+    assert empty_model(kernel, 0.01, [1e-150, 1.0, 1e150]).lengthscales.size == 3
+    model = empty_model(kernel, 0.01, [1e100, 1e-50, 1.0])
+    with np.errstate(over="raise", invalid="raise"):
+        for x in (0.0, 0.5, 0.5):
+            model = condition(model, Observation(np.array([x]), 1.0))
+    assert model.n == 3 and model.lengthscales.size == 3
+    assert np.isfinite(model.W).all() and np.isfinite(model.z).all()
 
 
 def test_biased_equivalence_empty_prev():

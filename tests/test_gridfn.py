@@ -12,20 +12,22 @@ from funcbo.errors import FuncboError, InputError, ShapeError
 from funcbo.gridfn import (
     GridFunction,
     GridSpec,
-    constant,
-    from_callable,
     grid_coordinates,
     l2_dist_sq,
     l2_inner,
-    l2_norm,
-    linear_combine,
     read_function_csv,
-    rkhs_dist_sq,
     write_function_csv,
     zeros,
 )
 from funcbo.kernels import ScalarKernelSpec
-from reference import scalar_eval
+from reference import (
+    constant,
+    from_callable,
+    l2_norm,
+    linear_combine,
+    rkhs_dist_sq,
+    scalar_eval,
+)
 
 # Midpoint-sum oracle for integral of x^2 on [0,1] at rho=100, computed
 # with plain Python before the implementation existed.

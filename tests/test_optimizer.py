@@ -26,7 +26,11 @@ from funcbo.optimizer import (
     run_s3bfo,
     simple_regret_err,
 )
-from reference import biased_posterior_equivalence_check
+from reference import (
+    biased_posterior_equivalence_check,
+    log_marginal_likelihood,
+    rebuild_model,
+)
 
 KAPPA = ScalarKernelSpec("se", 0.3)
 
@@ -125,10 +129,6 @@ def test_incumbent_threading():
     assert seen_outer == {0, 1, 2}
 
 
-def _model_observations(model):
-    return [gp.Observation(p, float(y)) for p, y in zip(model.points, model.y)]
-
-
 @pytest.mark.parametrize("k_lengthscale", [0.7, "mle"])
 def test_model_matches_from_scratch_rebuild(k_lengthscale):
     cfg = _cfg(S=2, T=5, n_init=3, seed=6, k_lengthscale=k_lengthscale)
@@ -143,17 +143,19 @@ def test_model_matches_from_scratch_rebuild(k_lengthscale):
         else [k_lengthscale]
     )
     count = checked = 0
+    obs = []  # the subspace engine's model sees every evaluation
     while not eng.done:
         g = eng.ask()
-        eng.tell(obj.evaluate(g, noise), obj.aux(g))
+        y = obj.evaluate(g, noise)
+        eng.tell(y, obj.aux(g))
         count += 1
-        obs = _model_observations(eng.model)
-        assert len(obs) == count
+        obs.append(gp.Observation(g, y))
+        assert eng.model.n == len(obs) == count
         if k_lengthscale == "mle":
             lml = {
-                float(c): gp.log_marginal_likelihood(
-                    gp.rebuild_model(eng.model.kernel.with_lengthscale(float(c)),
-                                     cfg.noise_sq, obs)
+                float(c): log_marginal_likelihood(
+                    rebuild_model(eng.model.kernel.with_lengthscale(float(c)),
+                                  cfg.noise_sq, obs)
                 )
                 for c in candidates
             }
@@ -163,7 +165,7 @@ def test_model_matches_from_scratch_rebuild(k_lengthscale):
                 assert eng.model.kernel.base.lengthscale == near[0]
                 checked += 1
         if count % 10 == 0:
-            rebuilt = gp.rebuild_model(eng.model.kernel, cfg.noise_sq, obs)
+            rebuilt = rebuild_model(eng.model.kernel, cfg.noise_sq, obs)
             for p in probes:
                 m1, v1 = gp.posterior(eng.model, p)
                 m2, v2 = gp.posterior(rebuilt, p)
@@ -191,18 +193,21 @@ def test_posterior_equivalence_at_inner_loop_starts():
     rng = np.random.default_rng(1)
     probes = [random_grid_function(rng) for _ in range(3)]
     checked = 0
+    obs = []  # the subspace engine's model sees every evaluation
     while not eng.done:
         g = eng.ask()
         starting_inner = eng.phase == "inner" and eng.t == 0 and eng.s >= 1
         if starting_inner:
-            obs = _model_observations(eng.model)
+            assert eng.model.n == len(obs)
             prev = [o for o, r in zip(obs, eng.trace) if r.s < eng.s]
             cur = [o for o, r in zip(obs, eng.trace) if r.s == eng.s]
             assert biased_posterior_equivalence_check(
                 eng.model.kernel, cfg.noise_sq, prev, cur, probes, tol=1e-6
             )
             checked += 1
-        eng.tell(obj.evaluate(g, noise), obj.aux(g))
+        y = obj.evaluate(g, noise)
+        eng.tell(y, obj.aux(g))
+        obs.append(gp.Observation(g, y))
     assert checked == 2  # inner starts of s = 1, 2
 
 
@@ -244,7 +249,7 @@ def test_simple_regret_constant_posterior():
     # data so far away in kernel distance that the posterior is the prior
     kernel = FunctionalKernelSpec(ScalarKernelSpec("se", 0.01), "l2grid")
     far = GridFunction(GRID_1D, np.full(GRID_1D.size, 100.0))
-    model = gp.rebuild_model(kernel, 0.01, [gp.Observation(far, 1.0)])
+    model = rebuild_model(kernel, 0.01, [gp.Observation(far, 1.0)])
     rng = np.random.default_rng(2)
     basis = tuple(gp.sample_on_grid(KAPPA, GRID_1D, rng) for _ in range(1))
     sub = Subspace(0, zeros(GRID_1D), basis)
@@ -262,7 +267,7 @@ def test_simple_regret_nonnegative_and_matches_dense_scan():
     for lam in (-1.0, 0.4, 2.2):
         row = candidate_values(sub, search, np.array([[lam]]))[0]
         obs.append(gp.Observation(GridFunction(GRID_1D, row), float(rng.standard_normal())))
-    model = gp.rebuild_model(kernel, 0.01, obs)
+    model = rebuild_model(kernel, 0.01, obs)
     incumbent = obs[1].point  # feasible: lies in the subspace
     err = simple_regret_err(model, sub, incumbent, search)
     grid = np.linspace(-search.lambda_box, search.lambda_box, 1024)[:, None]
