@@ -8,7 +8,9 @@ same config produce byte-identical output.
 
 Ask/tell state files extend the config format with a ``[trace]`` CSV
 section, an optional ``[pending]`` suggestion and a closing ``[digest]``
-line, the sha256 of the canonical config lines.  Loading a state
+line, the sha256 of the canonical config lines (followed, for SE bases
+on a 2-d or 3-d grid, by a marker of their per-axis prior factor, so
+states saved with the dense factor fail to load).  Loading a state
 rejects a config that no longer matches its digest, then replays the
 recorded evaluations through a fresh engine (re-drawing every random
 value in order), which both reconstructs the exact internal state and
@@ -305,10 +307,25 @@ def _config_lines(values: dict) -> list[str]:
     return [f"{key} = {format_value(values[key])}" for key in keys]
 
 
+# Hashed after the config lines of a session whose bases are SE draws on a
+# 2-d or 3-d grid.  Those priors are factored per axis, which maps the same
+# normal draws to other bases than the dense factor did before, so a state
+# saved with the dense factor must not replay onto them.
+_PER_AXIS_PRIOR_LINE = "# kappa: se prior factored per axis"
+
+
+def _digest(lines) -> str:
+    """sha256 of the lines, each ending in a newline."""
+    return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+
+
 def _config_digest(values: dict) -> str:
-    """sha256 of the canonical config lines, each ending in a newline."""
-    text = "".join(line + "\n" for line in _config_lines(values))
-    return hashlib.sha256(text.encode()).hexdigest()
+    """The digest of the canonical config lines, with the per-axis prior
+    marker for SE bases on a 2-d or 3-d grid."""
+    lines = _config_lines(values)
+    if values["kappa.kind"] == "se" and values["grid.dim"] >= 2:
+        lines.append(_PER_AXIS_PRIOR_LINE)
+    return _digest(lines)
 
 
 def save_state(path, values: dict, engine) -> None:
@@ -358,6 +375,11 @@ def _parse_state_text(text: str):
     values = parse_config_lines(config_lines)
     # checked before the records, which the config tells how to read
     if (trace_lines[1:] or pending_lines) and digest != _config_digest(values):
+        if digest == _digest(_config_lines(values)):
+            raise ProtocolError(
+                "the state was saved before SE priors on 2-d and 3-d grids were factored "
+                "per axis, which draws other bases; it cannot be replayed, start a new session"
+            )
         raise ProtocolError("the state's [digest] is missing or does not match its config")
     width = _lam_width(values)
     if trace_lines and trace_lines[0].strip() != _trace_header(width):

@@ -82,10 +82,6 @@ class GridFunction:
         object.__setattr__(self, "values", vals)
 
 
-def zeros(spec: GridSpec) -> GridFunction:
-    return GridFunction(spec, np.zeros(spec.size))
-
-
 def _check_same_spec(a: GridFunction, b: GridFunction) -> None:
     if a.spec != b.spec:
         raise ShapeError(f"grid mismatch: {a.spec} vs {b.spec}")

@@ -61,8 +61,9 @@ ALGORITHMS = ("s3bfo", "linebo_bernstein", "fixed_subspace", "random_search")
 TERMINATIONS = ("budget", "regret")
 
 _REGRET_SEARCH_SEED = 0x5EED
-# Largest grid the dense prior factor is built for: its N x N gram takes
-# 8 N^2 bytes, 800 MB at this limit.
+# Largest grid: the Matern and linear prior factors and the rkhs gram
+# are dense, 8 N^2 bytes each, 800 MB at this limit (an SE prior on a
+# 2-d or 3-d grid is factored per axis and needs far less).
 MAX_GRID_POINTS = 10_000
 
 
@@ -122,8 +123,8 @@ class OptConfig:
     def __post_init__(self):
         if self.grid.size > MAX_GRID_POINTS:
             raise ConfigError(
-                f"grid has N = {self.grid.size} points; the dense prior supports "
-                f"at most N = {MAX_GRID_POINTS}"
+                f"grid has N = {self.grid.size} points; at most N = {MAX_GRID_POINTS} "
+                "are supported: the Matern and linear priors and the rkhs metric are dense"
             )
         for name in ("d", "S", "T", "n_init"):
             if getattr(self, name) < 1:

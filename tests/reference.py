@@ -9,7 +9,7 @@ incremental ``gp.condition`` is checked against them.
 ``tune_lengthscale`` drives the library's candidate chain on a dataset,
 and ``candidates`` splits a model into one model per lengthscale, so
 that tests can check them against models rebuilt from scratch.  The
-grid-function helpers ``constant``, ``from_callable``,
+grid-function helpers ``zeros``, ``constant``, ``from_callable``,
 ``linear_combine``, ``l2_norm`` and ``rkhs_dist_sq`` build and measure
 test functions.  ``read_trace_csv`` reads a trace CSV of
 ``bench.run_bench`` back.
@@ -28,6 +28,10 @@ from funcbo.kernels import FunctionalKernelSpec, ScalarKernelSpec, value_from_sq
 
 
 # --- grid functions ------------------------------------------------------
+
+
+def zeros(spec: GridSpec) -> GridFunction:
+    return GridFunction(spec, np.zeros(spec.size))
 
 
 def constant(spec: GridSpec, value: float) -> GridFunction:

@@ -19,10 +19,10 @@ from funcbo.acquisition import (
 )
 from funcbo.errors import InputError
 from funcbo.gp import Observation, empty_model
-from funcbo.gridfn import GridFunction, grid_coordinates, zeros
+from funcbo.gridfn import GridFunction, grid_coordinates
 from funcbo.kernels import FunctionalKernelSpec, ScalarKernelSpec, scalar_gram
 from funcbo.optimizer import Subspace
-from reference import l2_norm, linear_combine, rebuild_model
+from reference import l2_norm, linear_combine, rebuild_model, zeros
 
 SE_L2 = FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), "l2grid")
 

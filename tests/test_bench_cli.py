@@ -615,6 +615,43 @@ def test_state_config_edit_is_protocol_error(tmp_path, capsys, key):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_state_saved_with_the_dense_se_prior_is_protocol_error(tmp_path, capsys):
+    # a 2-d SE session saved while the prior was a dense factor carries the
+    # digest of its config lines alone; its replay would draw other bases
+    state = tmp_path / "state.txt"
+    state.write_text("grid.dim = 2\ngrid.points_per_axis = 8\nopt.S = 2\nopt.T = 2\n"
+                     "opt.n_init = 1\n")
+    bench.suggest(state, tmp_path / "g.csv")
+    bench.tell(state, 0.5)
+    text = state.read_text()
+    values = bench.parse_config_lines(text.partition("[trace]")[0].splitlines())
+    dense, per_axis = bench._digest(bench._config_lines(values)), bench._config_digest(values)
+    assert dense != per_axis and text.endswith(f"config_sha256 = {per_axis}\n")
+    state.write_text(text.replace(per_axis, dense))
+    with pytest.raises(ProtocolError, match="factored per axis"):
+        bench.load_state(state)
+    assert cli.main(["suggest", "--state", str(state), "--out", str(tmp_path / "h.csv")]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, marked",
+    [
+        ("", False),
+        ("grid.dim = 2\ngrid.points_per_axis = 8", True),
+        ("grid.dim = 3\ngrid.points_per_axis = 4\nobjective.target_kernel = linear", True),
+        ("grid.dim = 2\ngrid.points_per_axis = 8\nkappa.kind = matern32", False),
+    ],
+)
+def test_state_digest_marks_only_se_bases_on_2d_and_3d_grids(text, marked):
+    # 1-d sessions and Matern or linear bases keep the digest of the config
+    # lines alone, so their state files do not change; sessions never draw
+    # the objective, so its target kernel does not matter
+    values = _values(text)
+    plain = bench._digest(bench._config_lines(values))
+    assert (bench._config_digest(values) != plain) == marked
+
+
 def test_state_config_respelling_still_loads(tmp_path):
     # the digest covers parsed values, not their spelling
     state = _state_with_pending(tmp_path)

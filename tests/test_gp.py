@@ -1,3 +1,4 @@
+import functools
 import logging
 import math
 
@@ -310,17 +311,85 @@ def test_buffer_drop_mid_chain_keeps_survivors_exact():
         _assert_matches_rebuild(model, obs, probes)
 
 
-def test_prior_jitter_escalation_is_logged(caplog, monkeypatch):
+def _jitter_log(caplog, monkeypatch, spec) -> str:
     # the SE gram on 100 grid points is singular at zero jitter
     monkeypatch.setattr(gp, "_JITTERS", (0.0, 1e-10))
     gp._prior_chol.cache_clear()
     kappa = ScalarKernelSpec("se", 0.3, variance=2.0)
     with caplog.at_level(logging.DEBUG, logger="funcbo.gp"):
-        sample_on_grid(kappa, GRID_1D, np.random.default_rng(0))
+        sample_on_grid(kappa, spec, np.random.default_rng(0))
     gp._prior_chol.cache_clear()
     (record,) = [r for r in caplog.records if "jitter" in r.getMessage()]
     assert record.levelno == logging.DEBUG
-    assert "jitter 1e-10" in record.getMessage() and "N = 100" in record.getMessage()
+    return record.getMessage()
+
+
+def test_prior_jitter_escalation_is_logged(caplog, monkeypatch):
+    message = _jitter_log(caplog, monkeypatch, GRID_1D)
+    assert "jitter 1e-10" in message and message.endswith("at N = 100")
+
+
+def test_prior_jitter_escalation_on_one_axis_is_logged(caplog, monkeypatch):
+    # on a 100 x 100 grid the escalation happens on the 100-point axis factor
+    message = _jitter_log(caplog, monkeypatch, GridSpec(2, 100))
+    assert "jitter 1e-10" in message
+    assert message.endswith("at n = 100 per axis of the 2-d grid of N = 10000")
+
+
+@pytest.mark.parametrize("spec", [GRID_1D, GridSpec(2, 100)], ids=["1d", "2d"])
+def test_prior_not_pd_at_any_jitter_raises(monkeypatch, spec):
+    monkeypatch.setattr(gp, "_JITTERS", (0.0,))
+    gp._prior_chol.cache_clear()
+    try:
+        with pytest.raises(NumericalError, match="not PD"):
+            sample_on_grid(ScalarKernelSpec("se", 0.3), spec, np.random.default_rng(0))
+    finally:
+        gp._prior_chol.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "kind, dim",
+    [(kind, 1) for kind in ("se", "matern12", "matern32", "linear")]
+    + [(kind, 2) for kind in ("matern12", "matern32", "linear")],
+)
+def test_prior_dense_factor_draw_is_bit_identical(kind, dim):
+    # every kernel on a 1-d grid, and the non-separable ones on 2-d, keep
+    # the one dense factor and its product L @ z
+    spec = GRID_1D if dim == 1 else GridSpec(2, 6)
+    kappa = ScalarKernelSpec(kind, 0.3, variance=1.5)
+    L = gp._prior_chol(kappa, spec)
+    assert L.shape == (spec.size, spec.size)
+    draw = sample_on_grid(kappa, spec, np.random.default_rng(11)).values
+    z = np.random.default_rng(11).standard_normal(spec.size)
+    np.testing.assert_array_equal(draw, L @ z)
+
+
+@pytest.mark.parametrize(
+    "dim, n, variance", [(2, 12, 1.0), (2, 9, 2.5), (3, 6, 2.0), (2, 1, 1.0), (3, 1, 0.5)]
+)
+def test_prior_per_axis_factor_matches_gram(dim, n, variance):
+    kappa = ScalarKernelSpec("se", 0.3, variance=variance)
+    spec = GridSpec(dim, n)
+    axis = gp._prior_chol(ScalarKernelSpec("se", 0.3), GridSpec(1, n), spec)
+    assert axis.shape == (n, n) and not axis.flags.writeable
+    L = math.sqrt(variance) * functools.reduce(np.kron, [axis] * dim)
+    gram = scalar_gram(kappa, grid_coordinates(spec))
+    assert np.abs(L @ L.T - gram).max() < 1e-8
+    # the draw is the Kronecker factor applied in the grid's C order
+    draw = sample_on_grid(kappa, spec, np.random.default_rng(4)).values
+    z = np.random.default_rng(4).standard_normal(spec.size)
+    np.testing.assert_allclose(draw, L @ z, rtol=0, atol=1e-12)
+
+
+def test_prior_2d_se_draws_reproduce_gram():
+    # acceptance criterion 4's bounds on a small 2-d grid
+    kappa = ScalarKernelSpec("se", 0.3)
+    spec = GridSpec(2, 10)
+    rng = np.random.default_rng(0)
+    draws = np.array([sample_on_grid(kappa, spec, rng).values for _ in range(2000)])
+    assert np.abs(draws.mean(axis=0)).max() < 4 / math.sqrt(2000)
+    emp = draws.T @ draws / 2000
+    assert np.abs(emp - scalar_gram(kappa, grid_coordinates(spec))).max() < 0.1
 
 
 def test_sample_on_grid_deterministic():

@@ -17,7 +17,6 @@ from funcbo.gridfn import (
     l2_inner,
     read_function_csv,
     write_function_csv,
-    zeros,
 )
 from funcbo.kernels import ScalarKernelSpec
 from reference import (
@@ -27,6 +26,7 @@ from reference import (
     linear_combine,
     rkhs_dist_sq,
     scalar_eval,
+    zeros,
 )
 
 # Midpoint-sum oracle for integral of x^2 on [0,1] at rho=100, computed

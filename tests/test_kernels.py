@@ -5,14 +5,14 @@ import pytest
 
 from conftest import GRID_1D, random_grid_function
 from funcbo.errors import InputError
-from funcbo.gridfn import l2_dist_sq, zeros
+from funcbo.gridfn import l2_dist_sq
 from funcbo.kernels import (
     FunctionalKernelSpec,
     ScalarKernelSpec,
     scalar_gram,
     value_from_sqdist,
 )
-from reference import constant, functional_eval, gram_matrix, scalar_eval
+from reference import constant, functional_eval, gram_matrix, scalar_eval, zeros
 
 
 def test_spec_validation():

@@ -5,14 +5,14 @@ import pytest
 
 from conftest import GRID_1D, random_grid_function
 from funcbo.errors import InputError
-from funcbo.gridfn import l2_inner, zeros
+from funcbo.gridfn import l2_inner
 from funcbo.kernels import ScalarKernelSpec
 from funcbo.objectives import (
     EffectiveDimObjective,
     MatchingObjective,
     lemma1_intersection_estimate,
 )
-from reference import constant
+from reference import constant, zeros
 
 KAPPA = ScalarKernelSpec("se", 0.3)
 

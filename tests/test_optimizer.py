@@ -8,7 +8,7 @@ from conftest import GRID_1D, random_grid_function
 from funcbo import acquisition, gp, kernels
 from funcbo.acquisition import AcqSearchConfig, candidate_values
 from funcbo.errors import ConfigError, InputError, ProtocolError
-from funcbo.gridfn import GridFunction, GridSpec, l2_dist_sq, zeros
+from funcbo.gridfn import GridFunction, GridSpec, l2_dist_sq
 from funcbo.kernels import FunctionalKernelSpec, ScalarKernelSpec
 from funcbo.objectives import EffectiveDimObjective, MatchingObjective
 from funcbo.optimizer import (
@@ -30,6 +30,7 @@ from reference import (
     biased_posterior_equivalence_check,
     log_marginal_likelihood,
     rebuild_model,
+    zeros,
 )
 
 KAPPA = ScalarKernelSpec("se", 0.3)
@@ -466,6 +467,25 @@ def test_ask_tell_protocol_guards():
     assert eng.done
     with pytest.raises(ProtocolError):
         eng.ask()
+
+
+def test_se_prior_on_2d_grid_builds_no_dense_gram(monkeypatch):
+    # the s3bfo basis and the matching target on a 40 x 40 grid factor
+    # the SE prior per axis: no gram may have more rows than one axis
+    grid = GridSpec(2, 40)
+    gram = kernels.scalar_gram
+
+    def axis_sized_gram(spec, coords):
+        rows = np.atleast_2d(coords).shape[0]
+        assert rows <= grid.points_per_axis, f"{rows}-row prior gram on a {grid}"
+        return gram(spec, coords)
+
+    monkeypatch.setattr(kernels, "scalar_gram", axis_sized_gram)
+    gp._prior_chol.cache_clear()
+    obj = MatchingObjective.from_kernel(grid, ScalarKernelSpec("se", 0.3), seed=123, noise=0.01)
+    engine = make_engine(_cfg(grid=grid), "s3bfo")
+    g = engine.ask()
+    assert g.spec == grid and np.isfinite(obj.evaluate(g, np.random.default_rng(0)))
 
 
 def test_make_engine_dispatch():
