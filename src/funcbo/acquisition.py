@@ -73,6 +73,8 @@ class AcqSearchConfig:
         for name in ("lambda_box", "l_max"):
             if not getattr(self, name) > 0:
                 raise InputError(f"{name} must be positive")
+        if not math.isfinite(2.0 * float(self.lambda_box)):  # the seeds' box width
+            raise InputError("lambda_box must be below 8.9e307, so that 2 * lambda_box is finite")
 
 
 def cap_scale(sq_norms: np.ndarray, l_max: float) -> np.ndarray:

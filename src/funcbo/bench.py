@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -82,32 +83,40 @@ def _parse_algorithms(text: str) -> tuple[str, ...]:
     return names
 
 
+# Optimiser key -> (parser, the OptConfig field it sets); a dotted field
+# is a field of the grid, kappa or search composite.  The field's dataclass
+# default is the key's default.
+OPT_FIELDS = {
+    "grid.dim": (_parse_int, "grid.dim"),
+    "grid.points_per_axis": (_parse_int, "grid.points_per_axis"),
+    "kappa.kind": (_parse_enum(SCALAR_KINDS), "kappa.kind"),
+    "kappa.lengthscale": (_parse_float, "kappa.lengthscale"),
+    "K.kind": (_parse_enum(DISTANCE_KINDS), "k_kind"),
+    "K.metric": (_parse_enum(METRICS), "k_metric"),
+    "K.lengthscale": (_parse_lengthscale, "k_lengthscale"),
+    "noise.sigma": (_parse_float, "noise_sigma"),
+    "mle.grid_min": (_parse_float, "mle_grid_min"),
+    "mle.grid_max": (_parse_float, "mle_grid_max"),
+    "mle.grid_points": (_parse_int, "mle_grid_points"),
+    "acq.delta": (_parse_float, "acq_delta"),
+    "acq.restarts": (_parse_int, "search.restarts"),
+    "acq.local_steps": (_parse_int, "search.local_steps"),
+    "acq.lambda_box": (_parse_float, "search.lambda_box"),
+    "opt.l_max": (_parse_float, "search.l_max"),
+    "opt.d": (_parse_int, "d"),
+    "opt.S": (_parse_int, "S"),
+    "opt.T": (_parse_int, "T"),
+    "opt.n_init": (_parse_int, "n_init"),
+    "opt.termination": (_parse_enum(TERMINATIONS), "termination"),
+    "opt.epsilon": (_parse_float, "epsilon"),
+    "opt.seed": (_parse_seed, "seed"),
+}
+
 # key -> (parser, default)
 SCHEMA = {
-    "grid.dim": (_parse_int, 1),
-    "grid.points_per_axis": (_parse_int, 100),
-    "kappa.kind": (_parse_enum(SCALAR_KINDS), "se"),
-    "kappa.lengthscale": (_parse_float, 0.3),
-    "K.kind": (_parse_enum(DISTANCE_KINDS), "se"),
-    "K.metric": (_parse_enum(METRICS), "l2grid"),
-    "K.lengthscale": (_parse_lengthscale, "mle"),
-    "noise.sigma": (_parse_float, 0.01),
-    "mle.grid_min": (_parse_float, 0.01),
-    "mle.grid_max": (_parse_float, 10.0),
-    "mle.grid_points": (_parse_int, 17),
-    "acq.delta": (_parse_float, 0.1),
-    "acq.restarts": (_parse_int, 8),
-    "acq.local_steps": (_parse_int, 40),
-    "acq.lambda_box": (_parse_float, 4.0),
-    "opt.l_max": (_parse_float, 10.0),
+    **{key: (parse, reduce(getattr, name.split("."), OptConfig))
+       for key, (parse, name) in OPT_FIELDS.items()},
     "opt.algorithm": (_parse_enum(ALGORITHMS), "s3bfo"),
-    "opt.d": (_parse_int, 1),
-    "opt.S": (_parse_int, 4),
-    "opt.T": (_parse_int, 30),
-    "opt.n_init": (_parse_int, 5),
-    "opt.termination": (_parse_enum(TERMINATIONS), "budget"),
-    "opt.epsilon": (_parse_float, 0.01),
-    "opt.seed": (_parse_seed, 0),
     "objective.kind": (_parse_enum(OBJECTIVE_KINDS), "match"),
     "objective.target_kernel": (_parse_enum(SCALAR_KINDS), "se"),
     "objective.target_lengthscale": (_parse_float, 0.3),
@@ -118,8 +127,6 @@ SCHEMA = {
     "bench.base_seed": (_parse_seed, 0),
     "bench.algorithms": (_parse_algorithms, ("s3bfo",)),
 }
-
-_BENCH_KEYS = ("bench.repeats", "bench.base_seed", "bench.algorithms")
 
 
 def default_config() -> dict:
@@ -165,30 +172,17 @@ def format_value(value) -> str:
 
 
 def build_opt_config(values: dict) -> OptConfig:
+    fields, composites = {}, {}
+    for key, (_, field) in OPT_FIELDS.items():
+        name, _, sub = field.partition(".")
+        if sub:
+            composites.setdefault(name, {})[sub] = values[key]
+        else:
+            fields[name] = values[key]
     try:
-        return OptConfig(
-            grid=GridSpec(values["grid.dim"], values["grid.points_per_axis"]),
-            kappa=ScalarKernelSpec(values["kappa.kind"], values["kappa.lengthscale"]),
-            k_kind=values["K.kind"],
-            k_metric=values["K.metric"],
-            k_lengthscale=values["K.lengthscale"],
-            noise_sigma=values["noise.sigma"],
-            d=values["opt.d"],
-            S=values["opt.S"],
-            T=values["opt.T"],
-            n_init=values["opt.n_init"],
-            termination=values["opt.termination"],
-            epsilon=values["opt.epsilon"],
-            seed=values["opt.seed"],
-            acq_delta=values["acq.delta"],
-            acq_restarts=values["acq.restarts"],
-            acq_local_steps=values["acq.local_steps"],
-            acq_lambda_box=values["acq.lambda_box"],
-            l_max=values["opt.l_max"],
-            mle_grid_min=values["mle.grid_min"],
-            mle_grid_max=values["mle.grid_max"],
-            mle_grid_points=values["mle.grid_points"],
-        )
+        for name, subs in composites.items():
+            fields[name] = replace(getattr(OptConfig, name), **subs)
+        return OptConfig(**fields)
     except InputError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -303,7 +297,7 @@ def _trace_header(width: int) -> str:
 
 def _config_lines(values: dict) -> list[str]:
     """The canonical config lines of a state: every session key, sorted."""
-    keys = sorted(set(SCHEMA) - set(_BENCH_KEYS))
+    keys = sorted(key for key in SCHEMA if not key.startswith("bench."))
     return [f"{key} = {format_value(values[key])}" for key in keys]
 
 

@@ -171,13 +171,11 @@ def empty_model(kernel, noise_sq: float, lengthscales=None) -> GPModel:
     if lengthscales is None:
         lengthscales = (_base_of(kernel).lengthscale,)
     lengthscales = np.array(lengthscales, dtype=float)
-    with np.errstate(over="ignore"):  # condition divides by the squares
-        sq = lengthscales**2
-    if lengthscales.ndim != 1 or lengthscales.size == 0 or not (
-        (lengthscales > 0) & (sq >= np.finfo(float).tiny) & (sq < np.inf)
-    ).all():
-        raise InputError("candidate lengthscales must be a non-empty list of positive values "
-                         "whose squares are normal floats (about 1.5e-154 to 1.3e154)")
+    if lengthscales.ndim != 1 or lengthscales.size == 0 or not all(
+        map(kernels.has_normal_square, lengthscales)
+    ):
+        raise InputError("candidate lengthscales must be a non-empty list, each "
+                         + kernels.NORMAL_SQUARE)
     with np.errstate(over="ignore"):  # condition rescales by ratios to earlier candidates
         ratio_sq = (np.maximum.accumulate(lengthscales) / lengthscales) ** 2
     if not np.isfinite(ratio_sq).all():

@@ -21,6 +21,8 @@ Closed forms (r = distance, gamma = lengthscale, v = variance):
 from __future__ import annotations
 
 import copy
+import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,6 +34,14 @@ DISTANCE_KINDS = ("se", "matern12", "matern32")
 METRICS = ("l2grid", "rkhs")
 
 _SQRT3 = np.sqrt(3.0)
+NORMAL_SQUARE = "positive with a square that is a normal float (about 1.5e-154 to 1.3e154)"
+
+
+def has_normal_square(value) -> bool:
+    """Whether value is positive and its square a normal float: the GP
+    divides by squared lengthscales and adds the squared noise level."""
+    value = float(value)
+    return value > 0 and sys.float_info.min <= value * value < math.inf
 
 
 @dataclass(frozen=True)
@@ -45,8 +55,8 @@ class ScalarKernelSpec:
     def __post_init__(self):
         if self.kind not in SCALAR_KINDS:
             raise InputError(f"unknown scalar kernel kind {self.kind!r}")
-        if not self.lengthscale > 0:
-            raise InputError(f"lengthscale must be positive, got {self.lengthscale}")
+        if not has_normal_square(self.lengthscale):
+            raise InputError(f"lengthscale must be {NORMAL_SQUARE}, got {self.lengthscale}")
         if not self.variance > 0:
             raise InputError(f"variance must be positive, got {self.variance}")
 

@@ -96,7 +96,9 @@ class Subspace:
 
 @dataclass(frozen=True)
 class OptConfig:
-    """Everything one optimiser run needs; mirrors the flat config keys."""
+    """Everything one optimiser run needs.  Each field, and each field of
+    the grid, kappa and search composites but the basis variance, is set
+    by one config key (``bench.OPT_FIELDS``), whose default it holds."""
 
     grid: GridSpec = GridSpec(1, 100)
     kappa: ScalarKernelSpec = ScalarKernelSpec("se", 0.3)
@@ -112,10 +114,7 @@ class OptConfig:
     epsilon: float = 0.01
     seed: int = 0
     acq_delta: float = 0.1
-    acq_restarts: int = 8
-    acq_local_steps: int = 40
-    acq_lambda_box: float = 4.0
-    l_max: float = 10.0
+    search: AcqSearchConfig = AcqSearchConfig()
     mle_grid_min: float = 0.01
     mle_grid_max: float = 10.0
     mle_grid_points: int = 17
@@ -141,20 +140,19 @@ class OptConfig:
             isinstance(self.k_lengthscale, (int, float)) and self.k_lengthscale > 0
         ):
             raise ConfigError("K.lengthscale must be positive or 'mle'")
-        if not self.noise_sigma > 0:
-            raise ConfigError("noise.sigma must be positive")
+        if not kernels.has_normal_square(self.noise_sigma):
+            raise ConfigError(f"noise.sigma must be {kernels.NORMAL_SQUARE}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 bits")
         if not (0 < self.mle_grid_min <= self.mle_grid_max):
             raise ConfigError("mle grid bounds must satisfy 0 < min <= max")
         if self.mle_grid_points < 1:
             raise ConfigError("mle.grid_points must be >= 1")
-        # the model's and the acquisition's own checks, run before any engine
+        # the model's and the UCB schedule's own checks, run before any engine
         # is built, so a bad value stops a bench before its first cell
         try:
             gp.empty_model(ScalarKernelSpec(self.k_kind, 1.0), self.noise_sq, self.lengthscales)
             UcbSchedule(self.acq_delta, self.d)
-            self.search  # built only to be checked
         except InputError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -169,12 +167,6 @@ class OptConfig:
         if self.k_lengthscale == "mle":
             return np.geomspace(self.mle_grid_min, self.mle_grid_max, self.mle_grid_points)
         return (self.k_lengthscale,)
-
-    @property
-    def search(self) -> AcqSearchConfig:
-        return AcqSearchConfig(
-            self.acq_restarts, self.acq_local_steps, self.acq_lambda_box, self.l_max
-        )
 
     @property
     def budget(self) -> int:

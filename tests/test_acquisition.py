@@ -214,6 +214,10 @@ def test_search_config_validation():
         AcqSearchConfig(lambda_box=0.0)
     with pytest.raises(InputError):
         AcqSearchConfig(l_max=-1.0)
+    # the seed draws need a finite box width 2 * lambda_box
+    AcqSearchConfig(lambda_box=8e307)
+    with pytest.raises(InputError, match="lambda_box"):
+        AcqSearchConfig(lambda_box=1e308)
 
 
 def _metric_kernel(metric, points, relative_lengthscale):

@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import re
 import subprocess
 import sys
 import tempfile
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from funcbo import bench, cli, kernels, optimizer
@@ -67,7 +69,9 @@ def test_malformed_line_is_error():
 _CONFIG_VALUE = st.one_of(
     st.integers(-3, 20_000).map(str),
     st.floats().map(repr),
-    st.sampled_from(["mle", "se", "linear", "rkhs", "regret", "s3bfo", "effdim", ""]),
+    st.sampled_from(
+        ["mle", "se", "linear", "rkhs", "regret", "s3bfo", "effdim", "", "1e200", "1e308", "1e-320"]
+    ),
     st.text(alphabet="0123456789.-+eEinfamlxs_, =#", max_size=12),
 )
 _CONFIG_LINE = st.one_of(
@@ -78,11 +82,37 @@ _CONFIG_LINE = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(lines=st.lists(_CONFIG_LINE, max_size=6))
+@example(lines=["noise.sigma = 1e200"])  # sampled in only about 1 run in 5
 def test_config_lines_build_or_raise_funcbo_error(lines):
     try:
         bench.build_opt_config(bench.parse_config_lines(lines))
     except FuncboError:
         pass
+
+
+def test_default_config_builds_the_default_opt_config():
+    assert bench.build_opt_config(bench.default_config()) == optimizer.OptConfig()
+
+
+def test_every_opt_config_field_is_set_by_exactly_one_key():
+    names = []
+    for f in dataclasses.fields(optimizer.OptConfig):
+        if dataclasses.is_dataclass(f.default):
+            names += [f"{f.name}.{sub.name}" for sub in dataclasses.fields(f.default)]
+        else:
+            names.append(f.name)
+    names.remove("kappa.variance")  # the basis prior keeps unit variance
+    assert sorted(name for _, name in bench.OPT_FIELDS.values()) == sorted(names)
+
+
+def test_readme_config_table_gives_every_key_its_default():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.partition("## Configuration")[2].partition("Every value is checked")[0]
+    pairs = re.findall(r"`([\w.]+)` \(([^)]*)\)", table)
+    assert sorted(key for key, _ in pairs) == sorted(bench.SCHEMA)
+    defaults = bench.default_config()
+    for key, text in pairs:
+        assert text == bench.format_value(defaults[key]), key
 
 
 def test_run_bench_trace_and_summary_shapes(tmp_path):
@@ -370,6 +400,25 @@ def test_cli_bench_and_exit_codes(tmp_path):
     res = _cli("suggest", "--state", str(state), "--out", str(tmp_path / "g.csv"))
     assert res.returncode == 2
     assert "normal float" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "setting, named",
+    [
+        ("noise.sigma = 1e200", "noise.sigma"),  # its square overflows
+        ("acq.lambda_box = 1e308", "lambda_box"),  # the seeds' box width overflows
+        ("kappa.lengthscale = 1e-200", "lengthscale"),  # its square underflows
+        ("objective.target_lengthscale = 1e-200", "lengthscale"),
+    ],
+)
+def test_cli_value_whose_square_or_box_overflows_exits_2(tmp_path, setting, named):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(f"{SMALL}{setting}\n")
+    res = _cli("bench", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert res.returncode == 2
+    assert named in res.stderr
+    assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_grid_too_large_for_dense_prior_exits_cleanly(tmp_path, monkeypatch):

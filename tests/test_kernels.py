@@ -7,6 +7,7 @@ from conftest import GRID_1D, random_grid_function
 from funcbo.errors import InputError
 from funcbo.gridfn import l2_dist_sq
 from funcbo.kernels import (
+    SCALAR_KINDS,
     FunctionalKernelSpec,
     ScalarKernelSpec,
     scalar_gram,
@@ -20,6 +21,13 @@ def test_spec_validation():
         ScalarKernelSpec("cubic", 1.0)
     with pytest.raises(InputError):
         ScalarKernelSpec("se", 0.0)
+    # every kind divides by the squared lengthscale: its square must be normal
+    for kind in SCALAR_KINDS:
+        for lengthscale in (1e-200, 1e-160, 1e160, 1e300, float("nan"), float("inf")):
+            with pytest.raises(InputError, match="normal float"):
+                ScalarKernelSpec(kind, lengthscale)
+        ScalarKernelSpec(kind, 1e-150)
+        ScalarKernelSpec(kind, 1e150)
     with pytest.raises(InputError):
         ScalarKernelSpec("se", 1.0, variance=-1.0)
     with pytest.raises(InputError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import GRID_1D, random_grid_function
-from funcbo import acquisition, gp, kernels
+from funcbo import acquisition, bench, gp, kernels
 from funcbo.acquisition import AcqSearchConfig, candidate_values
 from funcbo.errors import ConfigError, InputError, ProtocolError
 from funcbo.gridfn import GridFunction, GridSpec, l2_dist_sq
@@ -72,9 +72,13 @@ def test_config_validation():
     with pytest.raises(ConfigError, match="delta"):
         _cfg(acq_delta=1.5)
     with pytest.raises(ConfigError, match="restarts"):
-        _cfg(acq_restarts=0)
+        bench.build_opt_config(bench.parse_config_lines(["acq.restarts = 0"]))
     with pytest.raises(ConfigError, match="normal float"):
         _cfg(mle_grid_min=1e-160)
+    # the squared noise level must not overflow or underflow
+    for sigma in (1e200, 1e-160):
+        with pytest.raises(ConfigError, match="noise.sigma.*normal float"):
+            _cfg(noise_sigma=sigma)
 
 
 def test_budget_accounting_minimal():
