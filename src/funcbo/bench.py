@@ -25,12 +25,12 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import partial, reduce
 from pathlib import Path
 
 import numpy as np
 
-from . import optimizer
+from . import gp, optimizer
 from .errors import ConfigError, InputError, ProtocolError
 from .gridfn import GridSpec, write_function_csv
 from .kernels import DISTANCE_KINDS, METRICS, SCALAR_KINDS, ScalarKernelSpec
@@ -51,10 +51,12 @@ def _parse_seed(text: str) -> int:
     return value
 
 
-def _parse_float(text: str) -> float:
+def _parse_float(text: str, at_most: float = math.inf) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError("must be finite")
+    if value > at_most:
+        raise ValueError(f"must be at most {at_most:g}")
     return value
 
 
@@ -83,6 +85,10 @@ def _parse_algorithms(text: str) -> tuple[str, ...]:
     return names
 
 
+# A search candidate's squared norm is [1, lam] G [1, lam]^T, G the Gram of the
+# subspace's bias and basis; with |lam| <= 1e100 it stays far from overflow.
+LAMBDA_BOX_MAX = 1e100
+
 # Optimiser key -> (parser, the OptConfig field it sets); a dotted field
 # is a field of the grid, kappa or search composite.  The field's dataclass
 # default is the key's default.
@@ -101,7 +107,7 @@ OPT_FIELDS = {
     "acq.delta": (_parse_float, "acq_delta"),
     "acq.restarts": (_parse_int, "search.restarts"),
     "acq.local_steps": (_parse_int, "search.local_steps"),
-    "acq.lambda_box": (_parse_float, "search.lambda_box"),
+    "acq.lambda_box": (partial(_parse_float, at_most=LAMBDA_BOX_MAX), "search.lambda_box"),
     "opt.l_max": (_parse_float, "search.l_max"),
     "opt.d": (_parse_int, "d"),
     "opt.S": (_parse_int, "S"),
@@ -172,25 +178,27 @@ def format_value(value) -> str:
 
 
 def build_opt_config(values: dict) -> OptConfig:
-    fields, composites = {}, {}
+    fields = {}
     for key, (_, field) in OPT_FIELDS.items():
         name, _, sub = field.partition(".")
-        if sub:
-            composites.setdefault(name, {})[sub] = values[key]
-        else:
-            fields[name] = values[key]
+        try:  # a composite is checked at each of its keys, so an error names the key
+            fields[name] = replace(fields.get(name, getattr(OptConfig, name)),
+                                   **{sub: values[key]}) if sub else values[key]
+        except InputError as exc:
+            raise ConfigError(f"bad value for {key!r}: {exc}") from exc
     try:
-        for name, subs in composites.items():
-            fields[name] = replace(getattr(OptConfig, name), **subs)
         return OptConfig(**fields)
     except InputError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def build_objective(values: dict, grid: GridSpec):
-    kernel = ScalarKernelSpec(
-        values["objective.target_kernel"], values["objective.target_lengthscale"]
-    )
+    try:
+        kernel = ScalarKernelSpec(
+            values["objective.target_kernel"], values["objective.target_lengthscale"]
+        )
+    except InputError as exc:
+        raise ConfigError(f"bad value for 'objective.target_lengthscale': {exc}") from exc
     if values["objective.kind"] == "match":
         return MatchingObjective.from_kernel(
             grid, kernel, values["objective.target_seed"], values["objective.noise"]
@@ -317,7 +325,7 @@ def _config_digest(values: dict) -> str:
     """The digest of the canonical config lines, with the per-axis prior
     marker for SE bases on a 2-d or 3-d grid."""
     lines = _config_lines(values)
-    if values["kappa.kind"] == "se" and values["grid.dim"] >= 2:
+    if gp.prior_per_axis(values["kappa.kind"], values["grid.dim"]):
         lines.append(_PER_AXIS_PRIOR_LINE)
     return _digest(lines)
 

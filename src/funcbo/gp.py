@@ -336,9 +336,14 @@ def _prior_chol(
     )
 
 
+def prior_per_axis(kind: str, dim: int) -> bool:
+    """Whether the prior is factored per axis: SE on a 2-d or 3-d grid."""
+    return kind == "se" and dim >= 2
+
+
 def sample_on_grid(kernel: ScalarKernelSpec, spec: GridSpec, rng) -> GridFunction:
     """Draw one GP(0, kernel) sample path on the grid (deterministic per rng)."""
-    if kernel.kind == "se" and spec.dim >= 2:
+    if prior_per_axis(kernel.kind, spec.dim):
         n = spec.points_per_axis
         L = _prior_chol(ScalarKernelSpec("se", kernel.lengthscale), GridSpec(1, n), spec)
         z = rng.standard_normal(spec.size)

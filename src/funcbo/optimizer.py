@@ -11,7 +11,10 @@ The subspace engine and the Bernstein line baseline are one phased
 engine.  Each outer iteration starts a ``Subspace``, bias (the best
 function so far) + span(basis), evaluates an initial design of N(0, I)
 coordinate draws, then runs GP-UCB over the coordinates until the inner
-budget or the simple-regret certificate ends it.  For the subspace
+budget or the simple-regret certificate ends it.  The engine keeps no
+step counters: the next step's (kind, s, t) follows from the last trace
+record and the cached certificate decisions, and ``done`` is the end of
+that schedule.  For the subspace
 engine the basis is d GP sample paths, modelled by one functional GP on
 every observation; the line baseline is the d = 1 case, a random
 direction in Bernstein-weight space mapped to the grid, modelled by a
@@ -251,37 +254,38 @@ def simple_regret_err(
 
 class _EngineBase:
     """Trace, incumbent and ask/tell/replay bookkeeping shared by all
-    optimisers.  Subclasses supply ``done``, ``_step(lam=None)`` (set the
-    next pending suggestion; replay passes the stored coordinates) and
-    ``_observe`` (absorb a told value)."""
+    optimisers.  Subclasses supply ``_position()`` (the next step's
+    (kind, s, t), read from the trace; None once the run is done),
+    ``_step(position, lam=None)`` (set the pending suggestion there;
+    replay passes the stored coordinates) and ``_observe`` (absorb a
+    told value)."""
 
     def __init__(self, cfg: OptConfig, rng=None):
         self.cfg = cfg
         self._rng = rng if rng is not None else rng_streams(cfg.seed)[0]
-        self._trace: list[RunRecord] = []
+        self.trace: list[RunRecord] = []  # the run so far, and its position
         # whether the inner loop ends at (s, t): certified, or taken from a trace
         self._inner_ends: dict[tuple[int, int], bool] = {}
         self._best_values: np.ndarray | None = None
-        self._best_y = 0.0  # virtual incumbent value; real observations win ties
         self.pending = None  # (kind, s, t, lam, g_values)
 
     @property
-    def trace(self) -> list[RunRecord]:
-        return self._trace
+    def done(self) -> bool:
+        return self._position() is None
 
     @property
     def best(self) -> tuple[GridFunction, float]:
         """Best real observation so far; the zero function before any."""
         if self._best_values is None:
             return GridFunction(self.cfg.grid, np.zeros(self.cfg.grid.size)), 0.0
-        return GridFunction(self.cfg.grid, self._best_values), self._best_y
+        return GridFunction(self.cfg.grid, self._best_values), self.trace[-1].best_y
 
     def ask(self) -> GridFunction:
         if self.pending is not None:
             raise ProtocolError("a suggestion is pending; call tell first")
         if self.done:
             raise ProtocolError("run is complete")
-        self._step()
+        self._step(self._position())
         return GridFunction(self.cfg.grid, self.pending[4])
 
     def tell(self, y: float, aux=None) -> RunRecord:
@@ -290,18 +294,19 @@ class _EngineBase:
         if not np.isfinite(y):
             raise InputError(f"observed value must be finite, got {y}")
         _, s, t, lam, g_values = self.pending
+        prev = self.trace[-1].best_y if self.trace else -math.inf
         rec = RunRecord(
-            eval_index=len(self._trace),
+            eval_index=len(self.trace),
             s=s,
             t=t,
             lam=tuple(float(v) for v in np.atleast_1d(lam)),
             y=float(y),
-            best_y=float(y if not self._trace else max(self._trace[-1].best_y, y)),
+            best_y=float(max(prev, y)),
             aux=dict(aux or {}),
         )
-        self._trace.append(rec)
-        if self._best_values is None or rec.y > self._best_y:
-            self._best_values, self._best_y = np.array(g_values), rec.y
+        self.trace.append(rec)
+        if rec.y > prev:  # ties keep the earlier function
+            self._best_values = np.array(g_values)
         self._observe(rec)
         self.pending = None
         return rec
@@ -309,21 +314,17 @@ class _EngineBase:
     def replay(self, records, pending_desc=None):
         """Rebuild internal state from stored records (see bench state files).
 
-        Deterministic replay: every rng draw the original run made is
-        re-drawn in order, and stored values are checked against the
-        replayed ones so a corrupted or out-of-date state file fails
-        loudly instead of diverging.  A stored inner step at (s, t) is
-        taken as the original run's decision not to end the inner loop
-        there, so no regret certificate runs for it; a recorded early
-        end is certified before the next step is replayed.
+        Every rng draw the original run made is re-drawn in order, and the
+        stored records are checked against the schedule and the replayed
+        values, so a corrupted or out-of-date state file fails loudly
+        instead of diverging.  A stored inner step at (s, t) is the original
+        run's decision not to end the inner loop there (see the module).
         """
         for rec in records:
             kind = "init" if rec.t < 0 else "inner"
             self._replay_step((kind, rec.s, rec.t, rec.lam), f"evaluation {rec.eval_index}")
             new = self.tell(rec.y, aux=rec.aux)
-            if (new.eval_index, new.s, new.t, new.best_y) != (
-                rec.eval_index, rec.s, rec.t, rec.best_y,
-            ):
+            if (new.eval_index, new.best_y) != (rec.eval_index, rec.best_y):
                 raise ProtocolError(
                     f"state replay bookkeeping mismatch at evaluation {rec.eval_index}"
                 )
@@ -332,16 +333,17 @@ class _EngineBase:
 
     def _replay_step(self, desc, where: str):
         """The step of ``ask`` with the stored coordinates in place of the
-        acquisition search, checked against the run schedule."""
+        acquisition search, checked against the run schedule before any
+        value is drawn."""
         kind, s, t, lam = desc
         lam = np.asarray(lam, dtype=float)
         if kind == "inner":
             self._inner_ends[(s, t)] = False
         if self.done:
             raise ProtocolError("state contains more evaluations than the run allows")
-        self._step(lam)
-        if self.pending[:3] != (kind, s, t):
+        if self._position() != (kind, s, t):
             raise ProtocolError(f"state disagrees with the run schedule at {where}")
+        self._step((kind, s, t), lam)
         if self.pending[3].shape != lam.shape or not np.array_equal(self.pending[3], lam):
             raise ProtocolError(f"state replay diverged at {where}")
 
@@ -354,13 +356,13 @@ class _PhasedEngine(_EngineBase):
 
     Per outer iteration s: start a Subspace (``_start_outer``), evaluate
     ``n_init`` coordinate draws from N(0, I), then run the inner UCB loop
-    until its budget T or the simple-regret certificate ends it.
+    until its budget T or the simple-regret certificate ends it; the
+    position in that schedule is read from the trace (``_position``).
     Subclasses supply the model kernel, how an outer iteration starts and
     how coordinates map to a model point (``_model_point``).
     ``_function`` maps coordinates to a function of the subspace, and its
     ``posterior_fn`` gives the UCB search the model posterior at
-    coordinate rows.  With ``_model_per_outer`` the model sees only the
-    current outer iteration's observations, otherwise all of them.
+    coordinate rows.
 
     The model holds one candidate per lengthscale of
     ``cfg.lengthscales``; every observation extends each candidate, and
@@ -368,79 +370,53 @@ class _PhasedEngine(_EngineBase):
     model kernel at any lengthscale.
     """
 
-    _model_per_outer = False
-
     def __init__(self, cfg: OptConfig, rng, kernel, d: int):
         super().__init__(cfg, rng)
-        self.s = 0
-        self.phase = "init"
-        self.i_init = 0
-        self.t = 0
         self.subspace = None  # the current outer iteration's Subspace
-        self.finished = False
         self._outer_best = None  # (model point, y) within the current subspace
         self.model = gp.empty_model(kernel, cfg.noise_sq, cfg.lengthscales)
         self._search = cfg.search
         self._schedule = UcbSchedule(cfg.acq_delta, d)
 
-    @property
-    def done(self) -> bool:
-        self._advance()
-        return self.finished
+    def _position(self):
+        """The next step's (kind, s, t), or None once the run is done:
+        outer iteration s is n_init initial-design records, then inner
+        steps t = 0, 1, ... until T or the certificate ends the loop."""
+        if not self.trace:
+            return ("init", 0, -1)
+        cfg, last = self.cfg, self.trace[-1]
+        s, t = last.s, last.t + 1
+        # an init record last means outer s holds only init records, at most n_init
+        if last.t < 0 and sum(r.s == s for r in self.trace[-cfg.n_init:]) < cfg.n_init:
+            return ("init", s, -1)
+        if t < cfg.T and cfg.termination == "regret" and (s, t) not in self._inner_ends:
+            self._inner_ends[(s, t)] = simple_regret_err(
+                self.model, self.subspace, self._outer_best[0], self._search
+            ) < cfg.epsilon
+        if t < cfg.T and not self._inner_ends.get((s, t), False):
+            return ("inner", s, t)
+        return ("init", s + 1, -1) if s + 1 < cfg.S else None
 
-    def _advance(self):
-        """Resolve phase transitions; draws nothing, so safe to re-enter."""
-        if self.finished:
-            return
-        if self.phase == "init" and self.subspace is not None:
-            if self.i_init >= self.cfg.n_init:
-                self.phase = "inner"
-                self.t = 0
-        while self.phase == "inner" and self._inner_done():
-            self.s += 1
-            self.subspace = None
-            self.phase = "init"
-            self.i_init = 0
-            self.t = 0
+    def _step(self, position, lam=None):
+        """Set the pending suggestion at the position.  Replay passes the
+        stored inner coordinates: the search's draws are consumed but it
+        is not run."""
+        kind, s, t = position
+        if self.subspace is None or self.subspace.s != s:
             self._outer_best = None
-            if self._model_per_outer:
-                self.model = gp.empty_model(self.model.kernel, self.cfg.noise_sq,
-                                            self.cfg.lengthscales)
-            if self.s >= self.cfg.S:
-                self.finished = True
-                return
-
-    def _inner_done(self) -> bool:
-        if self.t >= self.cfg.T:
-            return True
-        if self.cfg.termination == "regret":
-            key = (self.s, self.t)
-            if key not in self._inner_ends:
-                self._inner_ends[key] = simple_regret_err(
-                    self.model, self.subspace, self._outer_best[0], self._search
-                ) < self.cfg.epsilon
-            return self._inner_ends[key]
-        return False
-
-    def _step(self, lam=None):
-        """Set the next pending suggestion.  Replay passes the stored inner
-        coordinates: the search's draws are consumed but it is not run."""
-        if self.subspace is None:
-            self.subspace = self._start_outer()
+            self.subspace = self._start_outer(s)
         d = self.subspace.d
-        if self.phase == "init":
+        if kind == "init":
             lam = self._rng.standard_normal(d)
         elif lam is None:
-            sqrt_beta = math.sqrt(acquisition.beta(self._schedule, self.t + 1))
+            sqrt_beta = math.sqrt(acquisition.beta(self._schedule, t + 1))
             lam, _ = acquisition.ucb_search(
                 self.subspace.posterior_fn(self.model, self._search), d,
                 self._search, self._rng, sqrt_beta,
             )
         else:
             acquisition.restart_seeds(self._search, d, self._rng)
-        inner = self.phase == "inner"
-        self.pending = (self.phase, self.s, self.t if inner else -1, lam,
-                        self._function(lam, cap=inner))
+        self.pending = (kind, s, t, lam, self._function(lam, cap=kind == "inner"))
 
     def _function(self, lam, cap):
         """bias + lam @ basis, radially capped for inner steps."""
@@ -454,10 +430,6 @@ class _PhasedEngine(_EngineBase):
         if self._outer_best is None or rec.y > self._outer_best[1]:
             self._outer_best = (obs.point, rec.y)
         self.model = gp.condition(self.model, obs)
-        if rec.t < 0:
-            self.i_init += 1
-        else:
-            self.t += 1
 
 
 class SubspaceSearchEngine(_PhasedEngine):
@@ -479,12 +451,12 @@ class SubspaceSearchEngine(_PhasedEngine):
         kernel = FunctionalKernelSpec(ScalarKernelSpec(cfg.k_kind, 1.0), cfg.k_metric, gram)
         super().__init__(cfg, rng, kernel, cfg.d)
 
-    def _start_outer(self) -> Subspace:
+    def _start_outer(self, s: int) -> Subspace:
         basis = tuple(
             gp.sample_on_grid(self.cfg.kappa, self.cfg.grid, self._rng)
             for _ in range(self.cfg.d)
         )
-        return Subspace(self.s, self.best[0], basis)
+        return Subspace(s, self.best[0], basis)
 
     def _model_point(self, lam, g_values):
         return GridFunction(self.cfg.grid, g_values)
@@ -497,21 +469,21 @@ class BernsteinLineEngine(_PhasedEngine):
     one-dimensional Subspace incumbent + theta * (u @ B), with a fresh
     scalar SE model on theta."""
 
-    _model_per_outer = True
-
     def __init__(self, cfg: OptConfig, rng=None):
         if cfg.grid.dim != 1:
             raise ConfigError("the Bernstein line optimiser needs a 1-d grid")
         super().__init__(cfg, rng, ScalarKernelSpec("se", 1.0), 1)
         self._B = bernstein_matrix(BERNSTEIN_DEGREE, grid_coordinates(cfg.grid)[:, 0])
 
-    def _start_outer(self) -> Subspace:
+    def _start_outer(self, s: int) -> Subspace:
+        # the model sees only this line's observations
+        self.model = gp.empty_model(self.model.kernel, self.cfg.noise_sq, self.cfg.lengthscales)
         u = self._rng.standard_normal(BERNSTEIN_DEGREE + 1)
         norm = float(np.linalg.norm(u))
         if norm == 0.0:
             raise NumericalError("degenerate zero direction draw")
         direction = GridFunction(self.cfg.grid, (u / norm) @ self._B)
-        return Subspace(self.s, self.best[0], (direction,))
+        return Subspace(s, self.best[0], (direction,))
 
     def _model_point(self, lam, g_values):
         return np.array([float(lam[0])])
@@ -521,11 +493,11 @@ class RandomSearchEngine(_EngineBase):
     """Control baseline: every step evaluates a fresh random point
     g = sum_j lam_j h_j with new GP basis draws, same total budget."""
 
-    @property
-    def done(self) -> bool:
-        return len(self._trace) >= self.cfg.budget
+    def _position(self):
+        n = len(self.trace)
+        return ("init", n, -1) if n < self.cfg.budget else None
 
-    def _step(self, lam=None):
+    def _step(self, position, lam=None):
         # every value is drawn, so replay only checks its stored coordinates
         basis = np.array(
             [
@@ -534,7 +506,7 @@ class RandomSearchEngine(_EngineBase):
             ]
         )
         lam = self._rng.standard_normal(self.cfg.d)
-        self.pending = ("init", len(self._trace), -1, lam, lam @ basis)
+        self.pending = (*position, lam, lam @ basis)
 
 
 def make_engine(cfg: OptConfig, algorithm: str) -> _EngineBase:

@@ -1,9 +1,11 @@
 import dataclasses
 import functools
+import gc
 import re
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +251,32 @@ def test_session_reproduces_in_process_run(tmp_path, algorithm, termination, met
         assert mine.best_y == ref.best_y
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_engine_dropped_mid_run_is_freed_by_refcount(tmp_path, algorithm):
+    # every suggest or tell drops the engine of its load mid-run; were the
+    # engine in a reference cycle, each would wait for the cyclic collector
+    state = tmp_path / "state.txt"
+    state.write_text(f"opt.algorithm = {algorithm}\nopt.S = 2\nopt.T = 3\nopt.n_init = 1\n"
+                     "opt.termination = regret\nopt.epsilon = 1e-12\n")
+    for y in (0.5, -0.25, 1.0):
+        bench.suggest(state, tmp_path / "g.csv")
+        bench.tell(state, y)
+    gc.disable()
+    try:
+        values, loaded = bench.load_state(state)
+        stepped = make_engine(bench.build_opt_config(values), algorithm)
+        for y in (0.5, -0.25, 1.0):
+            stepped.ask()
+            stepped.tell(y)
+        stepped.ask()
+        assert not loaded.done and stepped.pending is not None
+        refs = [weakref.ref(loaded), weakref.ref(stepped)]
+        del loaded, stepped
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
 def test_state_file_roundtrip_is_byte_stable(tmp_path):
     state = _fresh_state(tmp_path)
     out = tmp_path / "g.csv"
@@ -407,8 +435,9 @@ def test_cli_bench_and_exit_codes(tmp_path):
     [
         ("noise.sigma = 1e200", "noise.sigma"),  # its square overflows
         ("acq.lambda_box = 1e308", "lambda_box"),  # the seeds' box width overflows
-        ("kappa.lengthscale = 1e-200", "lengthscale"),  # its square underflows
-        ("objective.target_lengthscale = 1e-200", "lengthscale"),
+        ("acq.lambda_box = 1e200", "acq.lambda_box"),  # candidates' squared norms overflow
+        ("kappa.lengthscale = 1e-200", "kappa.lengthscale"),  # its square underflows
+        ("objective.target_lengthscale = 1e-200", "objective.target_lengthscale"),
     ],
 )
 def test_cli_value_whose_square_or_box_overflows_exits_2(tmp_path, setting, named):
@@ -419,6 +448,20 @@ def test_cli_value_whose_square_or_box_overflows_exits_2(tmp_path, setting, name
     assert named in res.stderr
     assert "Traceback" not in res.stderr and "Warning" not in res.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_session_with_overflowing_lambda_box_exits_2(tmp_path):
+    # at lambda_box = 1e200 a candidate's squared norm overflows, so its cap
+    # scale is 0: the third suggestion would be the zero function, exit 0
+    text = "opt.S = 1\nopt.T = 3\nopt.n_init = 2\nopt.termination = regret\n"
+    state = tmp_path / "state.txt"
+    state.write_text(text + "acq.lambda_box = 1e200\n")
+    res = _cli("suggest", "--state", str(state), "--out", str(tmp_path / "g.csv"))
+    assert res.returncode == 2
+    assert "acq.lambda_box" in res.stderr
+    assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+    assert state.read_text() == text + "acq.lambda_box = 1e200\n"
+    assert not (tmp_path / "g.csv").exists()
 
 
 def test_cli_grid_too_large_for_dense_prior_exits_cleanly(tmp_path, monkeypatch):

@@ -3,15 +3,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GRID_1D, random_grid_function
-from funcbo import acquisition, bench, gp, kernels
+from funcbo import acquisition, bench, gp, kernels, optimizer
 from funcbo.acquisition import AcqSearchConfig, candidate_values
 from funcbo.errors import ConfigError, InputError, ProtocolError
 from funcbo.gridfn import GridFunction, GridSpec, l2_dist_sq
 from funcbo.kernels import FunctionalKernelSpec, ScalarKernelSpec
 from funcbo.objectives import EffectiveDimObjective, MatchingObjective
 from funcbo.optimizer import (
+    ALGORITHMS,
     BernsteinLineEngine,
     OptConfig,
     RandomSearchEngine,
@@ -124,8 +127,9 @@ def test_incumbent_threading():
     seen_outer = set()
     while not eng.done:
         g = eng.ask()
-        if eng.s not in seen_outer:
-            seen_outer.add(eng.s)
+        s = eng.pending[1]
+        if s not in seen_outer:
+            seen_outer.add(s)
             np.testing.assert_array_equal(eng.subspace.bias.values, my_best_g)
         y = obj.evaluate(g, noise)
         eng.tell(y, obj.aux(g))
@@ -201,11 +205,11 @@ def test_posterior_equivalence_at_inner_loop_starts():
     obs = []  # the subspace engine's model sees every evaluation
     while not eng.done:
         g = eng.ask()
-        starting_inner = eng.phase == "inner" and eng.t == 0 and eng.s >= 1
-        if starting_inner:
+        kind, s, t = eng.pending[:3]
+        if kind == "inner" and t == 0 and s >= 1:
             assert eng.model.n == len(obs)
-            prev = [o for o, r in zip(obs, eng.trace) if r.s < eng.s]
-            cur = [o for o, r in zip(obs, eng.trace) if r.s == eng.s]
+            prev = [o for o, r in zip(obs, eng.trace) if r.s < s]
+            cur = [o for o, r in zip(obs, eng.trace) if r.s == s]
             assert biased_posterior_equivalence_check(
                 eng.model.kernel, cfg.noise_sq, prev, cur, probes, tol=1e-6
             )
@@ -330,8 +334,9 @@ def test_linebo_regret_certificate_matches_dense_scan():
         obj = _match_obj()
         checked = 0
         while not eng.done:
-            if eng.phase == "inner":
-                line = [r for r in eng.trace if r.s == eng.s]
+            kind, s, _ = eng._position()
+            if kind == "inner":
+                line = [r for r in eng.trace if r.s == s]
                 theta_best = max(line, key=lambda r: r.y).lam[0]
                 box = eng._search.lambda_box
                 thetas = np.linspace(-box, box, 4001)[:, None]
@@ -355,6 +360,59 @@ def test_regret_termination_can_stop_inner_loop_early():
     cfg_tight = _cfg(S=1, T=4, n_init=2, termination="regret", epsilon=1e-12)
     _, trace2 = run_s3bfo(_match_obj(), cfg_tight)
     assert len(trace2) == 6  # epsilon unreachable: the T cap fires
+
+
+@st.composite
+def _sizes(draw):
+    """S, n_init and T of a run of S (n_init + T) <= 12 evaluations."""
+    S, n_init = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return dict(S=S, n_init=n_init, T=draw(st.integers(1, 12 // S - n_init)))
+
+
+def _done_twice(eng, calls):
+    """eng.done, checked to be a pure read once its certificate is cached."""
+    pending, done = eng.pending, eng.done
+    before = len(calls)
+    assert eng.done == done and len(calls) == before and eng.pending is pending
+    return done
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    algorithm=st.sampled_from(ALGORITHMS),
+    termination=st.sampled_from(("budget", "regret")),
+    epsilon=st.sampled_from((1e-12, 0.3, 100.0)),
+    sizes=_sizes(),
+    seed=st.integers(0, 3),
+)
+def test_trace_follows_the_run_schedule(algorithm, termination, epsilon, sizes, seed):
+    cfg = _cfg(termination=termination, epsilon=epsilon, seed=seed, k_lengthscale=0.7, **sizes)
+    eng = make_engine(cfg, algorithm)
+    S, T, n_init = eng.cfg.S, cfg.T, cfg.n_init  # fixed_subspace runs S = 1
+    calls, real = [], optimizer.simple_regret_err
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizer, "simple_regret_err",
+                      lambda *a, **k: calls.append(1) or real(*a, **k))
+        while not _done_twice(eng, calls):
+            eng.ask()
+            _done_twice(eng, calls)
+            eng.tell(float(rng.standard_normal()))
+    pairs = [(r.s, r.t) for r in eng.trace]
+    if algorithm == "random_search":
+        assert pairs == [(i, -1) for i in range(cfg.budget)]
+        return
+    full = [(s, t) for s in range(S) for t in [-1] * n_init + list(range(T))]
+    if termination == "budget":
+        assert pairs == full
+        return
+    # each outer iteration: its initial design, then contiguous inner steps
+    assert [s for s, _ in pairs] == sorted(s for s, _ in pairs)
+    assert {s for s, _ in pairs} == set(range(S))
+    for s in range(S):
+        ts = [t for s2, t in pairs if s2 == s]
+        k = len(ts) - n_init
+        assert 0 <= k <= T and ts == [-1] * n_init + list(range(k))
 
 
 def test_bernstein_matrix_properties():
