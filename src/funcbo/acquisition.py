@@ -20,6 +20,19 @@ model's points.  Per row, a (A Aᵀ) aᵀ is the squared norm that sets c,
 and the squared distances to the n observations cost O(d n) instead of
 O(N n).  Only the pick is mapped to its N values, by
 ``candidate_values``; both paths take c from ``cap_scale``.
+
+A search step scores its 2 * restarts candidates in one call, and the
+call allocates little beyond its (q, n) arrays.  The golden-section loop
+refills one candidate array per search, and ``subspace_posterior``
+writes the rows [1, lam] into one buffer per search.  In
+``gp.span_posterior`` the squared distances become kernel values
+(``kernels.value_from_sqdist``), then posterior variances
+(``gp.posterior_from_sqdist``), then UCB scores (``ucb_search``), each
+in place in the array of the step before.  Every in-place step does the
+float operations of the plain expression in the same order, up to exact
+rewrites (y * x for x * y, x / -c for -x / c), so scores and picks are
+bit-identical to a search that allocates at every step
+(``tests/reference.py`` keeps that search as the test oracle).
 """
 
 from __future__ import annotations
@@ -59,6 +72,12 @@ def beta(schedule: UcbSchedule, t: int) -> float:
     )
 
 
+# A candidate's squared norm is [1, lam] G [1, lam]ᵀ, G the Gram of the
+# subspace's bias and basis: with |lam| <= 1e100 it stays far from overflow,
+# where the cap scale would turn to 0 and the scores to NaN.
+LAMBDA_BOX_MAX = 1e100
+
+
 @dataclass(frozen=True)
 class AcqSearchConfig:
     restarts: int = 8
@@ -73,18 +92,20 @@ class AcqSearchConfig:
         for name in ("lambda_box", "l_max"):
             if not getattr(self, name) > 0:
                 raise InputError(f"{name} must be positive")
-        if not math.isfinite(2.0 * float(self.lambda_box)):  # the seeds' box width
-            raise InputError("lambda_box must be below 8.9e307, so that 2 * lambda_box is finite")
+        if not self.lambda_box <= LAMBDA_BOX_MAX:
+            raise InputError(f"lambda_box must be at most {LAMBDA_BOX_MAX:g}, so that "
+                             "candidates' squared norms cannot overflow")
 
 
 def cap_scale(sq_norms: np.ndarray, l_max: float) -> np.ndarray:
     """Radial scale factors that pull functions of the given squared L2
-    norms back onto the ball of radius l_max: 1 inside it."""
+    norms back onto the ball of radius l_max: l_max / norm outside it, 1
+    inside it and at a NaN norm.  An infinite l_max caps nothing, and
+    would make the ratio inf / inf."""
     norms = np.sqrt(np.maximum(sq_norms, 0.0))
-    scale = np.ones_like(norms)
-    over = norms > l_max
-    scale[over] = l_max / norms[over]
-    return scale
+    if l_max == math.inf:
+        return np.ones_like(norms)
+    return l_max / np.fmax(norms, l_max)
 
 
 def candidate_values(subspace, search: AcqSearchConfig, lam_batch: np.ndarray) -> np.ndarray:
@@ -99,14 +120,19 @@ def candidate_values(subspace, search: AcqSearchConfig, lam_batch: np.ndarray) -
 def subspace_posterior(model: gp.GPModel, subspace, search: AcqSearchConfig):
     """Batched lam -> (mean, var) at the capped candidates of a subspace,
     computed from the coordinates: equal to posterior_batch on
-    candidate_values(subspace, search, lam) up to rounding."""
+    candidate_values(subspace, search, lam) up to rounding.  lam is a
+    (q, d) array; the coefficient rows [1, lam] live in one buffer per
+    search, reallocated only when q changes."""
     A = np.array([subspace.bias.values] + [h.values for h in subspace.basis])
     l2_gram = (A @ A.T) * subspace.bias.spec.weight
     span = gp.span_posterior(model, A)
+    a = np.ones((0, len(A)))
 
     def posterior(lam_batch):
-        lam_batch = np.atleast_2d(np.asarray(lam_batch, dtype=float))
-        a = np.hstack([np.ones((lam_batch.shape[0], 1)), lam_batch])
+        nonlocal a
+        if len(a) != len(lam_batch):
+            a = np.ones((len(lam_batch), len(A)))
+        a[:, 1:] = lam_batch
         sq_norms = np.einsum("ij,ij->i", a @ l2_gram, a)
         return span(a, cap_scale(sq_norms, search.l_max))
 
@@ -123,7 +149,9 @@ def restart_seeds(search: AcqSearchConfig, d: int, rng) -> np.ndarray:
 def golden_multistart(score_batch, d: int, search: AcqSearchConfig, rng):
     """Maximise a batched score over [-box, box]^d; returns (lam, value).
 
-    score_batch maps an (n, d) array of coordinate rows to n scores.
+    score_batch maps a (q, d) array of coordinate rows to a new array of
+    q scores, which the search overwrites; it must not keep the rows'
+    array, which the search refills for its next call.
     Per coordinate, each restart owns the segment of the box closest to
     its seed (midpoints between sorted seeds), so the restart brackets
     tile the whole box instead of collapsing into one identical search.
@@ -131,36 +159,42 @@ def golden_multistart(score_batch, d: int, search: AcqSearchConfig, rng):
     """
     box = search.lambda_box
     n = search.restarts
-    seeds = restart_seeds(search, d, rng)
-    lam = seeds.copy()
-    best_lam = seeds.copy()
-    best_val = np.asarray(score_batch(lam), dtype=float).copy()
+    lam = restart_seeds(search, d, rng)
+    best_lam = lam.copy()
+    best_val = score_batch(lam)
     lo = np.empty((n, d))
     hi = np.empty((n, d))
     for j in range(d):
-        order = np.argsort(seeds[:, j])
-        sorted_vals = seeds[order, j]
+        order = np.argsort(lam[:, j])
+        sorted_vals = lam[order, j]
         mids = (sorted_vals[:-1] + sorted_vals[1:]) / 2.0
         lo[order, j] = np.concatenate(([-box], mids))
         hi[order, j] = np.concatenate((mids, [box]))
+    # the two interior points of every restart: cand[0] moves coordinate j
+    # to x1, cand[1] to x2, the other coordinates stay at lam; rows views
+    # cand as 2n coordinate rows
+    cand = np.empty((2, n, d))
+    rows = cand.reshape(2 * n, d)
+    columns = [(lo[:, j], hi[:, j], lam[:, j], cand[0, :, j], cand[1, :, j]) for j in range(d)]
     for step in range(search.local_steps):
-        j = step % d
-        span = hi[:, j] - lo[:, j]
-        x1 = hi[:, j] - _INVPHI * span
-        x2 = lo[:, j] + _INVPHI * span
-        cand = np.vstack([lam, lam])
-        cand[:n, j] = x1
-        cand[n:, j] = x2
-        vals = np.asarray(score_batch(cand), dtype=float)
+        lo_j, hi_j, lam_j, x1, x2 = columns[step % d]
+        cand[:] = lam
+        reach = hi_j - lo_j
+        reach *= _INVPHI
+        np.subtract(hi_j, reach, out=x1)
+        np.add(lo_j, reach, out=x2)
+        vals = score_batch(rows)
         f1, f2 = vals[:n], vals[n:]
         first_better = f1 > f2
-        hi[first_better, j] = x2[first_better]
-        lo[~first_better, j] = x1[~first_better]
-        lam[:, j] = np.where(first_better, x1, x2)
-        cur = np.where(first_better, f1, f2)
-        improved = cur > best_val
-        best_val[improved] = cur[improved]
-        best_lam[improved] = lam[improved]
+        second_better = ~first_better
+        np.copyto(hi_j, x2, where=first_better)
+        np.copyto(lo_j, x1, where=second_better)
+        np.copyto(lam_j, x1, where=first_better)
+        np.copyto(lam_j, x2, where=second_better)
+        np.copyto(f1, f2, where=second_better)  # f1 is now each restart's new value
+        improved = f1 > best_val
+        np.copyto(best_val, f1, where=improved)
+        np.copyto(best_lam, lam, where=improved[:, None])
     i = int(np.argmax(best_val))  # ties resolve to the lower restart index
     return best_lam[i].copy(), float(best_val[i])
 
@@ -169,14 +203,17 @@ def ucb_search(posterior, d: int, search: AcqSearchConfig, rng, sqrt_beta: float
     """Maximise mean + sqrt_beta * sd over coordinates in [-box, box]^d;
     returns (lam, value).
 
-    posterior maps an (n, d) array of coordinate rows to the posterior
-    (means, variances) there: ``subspace_posterior`` for a subspace, or
-    ``gp.posterior_batch`` of a model on the coordinates themselves.
+    posterior maps a (q, d) array of coordinate rows to new arrays of the
+    posterior (means, variances) there: ``subspace_posterior`` for a
+    subspace, or ``gp.posterior_batch`` of a model on the coordinates
+    themselves.  The score is formed in place in the variances' array.
     """
 
     def score(lam_batch):
         mean, var = posterior(lam_batch)
-        return mean + sqrt_beta * np.sqrt(var)
+        sd = np.sqrt(var, out=var)
+        sd *= sqrt_beta
+        sd += mean
+        return sd
 
     return golden_multistart(score, d, search, rng)
-

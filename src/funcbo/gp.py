@@ -141,19 +141,30 @@ def _metric_rows(kernel, X: np.ndarray) -> np.ndarray:
     return X if gram is None else X @ gram
 
 
-def _sqdist(model: GPModel, q_sq: np.ndarray, cross: np.ndarray) -> np.ndarray:
-    """Squared metric distances, shape (q, n), from the queries' squared
-    norms and their inner products with the model's points."""
-    weight = model.grid.weight if _mode_of(model.kernel) == "l2grid" else 1.0
-    r2 = (q_sq[:, None] + model.row_q[None, :] - 2.0 * cross) * weight
-    return np.maximum(r2, 0.0)
+def _weight(model: GPModel) -> float:
+    """The factor of the model's squared metric distances: the grid's cell
+    weight under l2grid, 1 otherwise."""
+    return model.grid.weight if _mode_of(model.kernel) == "l2grid" else 1.0
+
+
+def _sqdist(q_sq: np.ndarray, row_q: np.ndarray, cross: np.ndarray, weight: float) -> np.ndarray:
+    """Squared metric distances ((q_sq_i + row_q_k) - 2 cross_ik) weight,
+    shape (q, n), from the queries' squared norms, the points' squared
+    norms and their inner products.  Takes cross over as scratch space.
+    Rounding can leave a distance slightly below zero; the kernel
+    (``kernels.value_from_sqdist``) clamps it."""
+    cross *= 2.0
+    r2 = np.add.outer(q_sq, row_q)
+    r2 -= cross
+    r2 *= weight
+    return r2
 
 
 def query_sqdist(model: GPModel, Q: np.ndarray) -> np.ndarray:
     """Squared metric distances from query rows to the model's points,
-    shape (q, n)."""
+    shape (q, n), unclamped (see ``_sqdist``)."""
     q_sq = np.einsum("ij,ij->i", Q, _metric_rows(model.kernel, Q))
-    return _sqdist(model, q_sq, Q @ model.MV.T)
+    return _sqdist(q_sq, model.row_q, Q @ model.MV.T, _weight(model))
 
 
 def _pick(lengthscales: np.ndarray, Ws: np.ndarray, zs: np.ndarray, n: int) -> int:
@@ -209,7 +220,7 @@ def condition(model: GPModel, obs: Observation) -> GPModel:
     if n == 0:
         raw, MV, row_q = np.zeros((1, 0)), np.array(mx), q_x
     else:
-        raw = _sqdist(model, q_x, x_row @ model.MV.T)
+        raw = _sqdist(q_x, model.row_q, x_row @ model.MV.T, _weight(model))
         MV, row_q = np.vstack([model.MV, mx]), np.append(model.row_q, q_x)
     # every candidate's kernel row: its lengthscale only rescales the
     # distances, always from the first candidate's
@@ -247,18 +258,19 @@ def condition(model: GPModel, obs: Observation) -> GPModel:
 
 
 def posterior_from_sqdist(
-    model: GPModel, raw: np.ndarray, prior: np.ndarray
+    model: GPModel, raw: np.ndarray, prior
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means and variances of a batch of queries from their
     squared distances to the model's points, shape (q, n), and their
-    prior variances.  The model holds at least one point.  With
-    w = W kᵀ, one matrix product, the means are z·w and the variances
-    prior - w·w, clamped at zero; every posterior query ends here."""
-    k = kernels.value_from_sqdist(_base_of(model.kernel), raw)
+    prior variances (an array, or one scalar for all).  The model holds
+    at least one point.  With w = W kᵀ, one matrix product, the means are
+    z·w and the variances prior - w·w, clamped at zero; every posterior
+    query ends here.  The kernel values k overwrite raw."""
+    k = kernels.value_from_sqdist(_base_of(model.kernel), raw, out=raw)
     w = model.W @ k.T
-    mean = model.z @ w
-    var = prior - np.einsum("ij,ij->j", w, w)
-    return mean, np.maximum(var, 0.0)
+    var = np.einsum("ij,ij->j", w, w)
+    np.subtract(prior, var, out=var)
+    return model.z @ w, np.maximum(var, 0.0, out=var)
 
 
 def posterior_batch(model: GPModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -269,10 +281,10 @@ def posterior_batch(model: GPModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarr
     kernels.  Variances are clamped at zero.
     """
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    prior = np.full(Q.shape[0], _base_of(model.kernel).variance)
+    variance = _base_of(model.kernel).variance
     if model.n == 0:
-        return np.zeros(Q.shape[0]), prior
-    return posterior_from_sqdist(model, query_sqdist(model, Q), prior)
+        return np.zeros(Q.shape[0]), np.full(Q.shape[0], variance)
+    return posterior_from_sqdist(model, query_sqdist(model, Q), variance)
 
 
 def span_posterior(model: GPModel, A: np.ndarray):
@@ -283,18 +295,23 @@ def span_posterior(model: GPModel, A: np.ndarray):
     The metric Gram of A's rows (A Aᵀ, or A G Aᵀ under rkhs) and their
     inner products with the model's points (A Vᵀ, or A G Vᵀ) are computed
     once here, so a query costs O(q r n) and never forms a point of the
-    grid's width.  Functional kernels only; A's rows lie on the model's grid.
+    grid's width.  A query allocates its (q, n) inner products and the
+    distances, which then become the kernel values.  Functional kernels
+    only; A's rows lie on the model's grid.
     """
     variance = _base_of(model.kernel).variance
     if model.n == 0:
         return lambda a, c: (np.zeros(len(a)), np.full(len(a), variance))
     gram = _metric_rows(model.kernel, A) @ A.T
     proj = A @ model.MV.T
+    row_q, weight = model.row_q, _weight(model)
 
     def posterior(a, c):
-        q_sq = c * c * np.einsum("ij,ij->i", a @ gram, a)
-        raw = _sqdist(model, q_sq, c[:, None] * (a @ proj))
-        return posterior_from_sqdist(model, raw, np.full(len(a), variance))
+        q_sq = c * c
+        q_sq *= np.einsum("ij,ij->i", a @ gram, a)
+        cross = a @ proj
+        cross *= c[:, None]
+        return posterior_from_sqdist(model, _sqdist(q_sq, row_q, cross, weight), variance)
 
     return posterior
 

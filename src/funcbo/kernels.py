@@ -109,19 +109,33 @@ def _validate_psd(gram: np.ndarray) -> None:
         raise InputError("rkhs_gram is not positive semidefinite") from exc
 
 
-def value_from_sqdist(base: ScalarKernelSpec, r_sq) -> np.ndarray:
-    """Evaluate a distance-based kernel on squared distances (vectorised)."""
+def value_from_sqdist(base: ScalarKernelSpec, r_sq, out: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate a distance-based kernel on squared distances (vectorised),
+    into ``out`` when given (it may be r_sq itself), else a new array.
+    Each step runs in place on the result, in the order of the closed
+    forms above: x / -c is exactly -x / c."""
     if base.kind not in DISTANCE_KINDS:
         raise InputError(f"{base.kind!r} is not distance-based")
-    r_sq = np.maximum(np.asarray(r_sq, dtype=float), 0.0)
+    r_sq = np.asarray(r_sq, dtype=float)
+    k = np.maximum(r_sq, 0.0, out=np.empty_like(r_sq) if out is None else out)
     g = base.lengthscale
     if base.kind == "se":
-        return base.variance * np.exp(-r_sq / (2.0 * g * g))
-    r = np.sqrt(r_sq)
-    if base.kind == "matern12":
-        return base.variance * np.exp(-r / g)
-    a = _SQRT3 * r / g
-    return base.variance * (1.0 + a) * np.exp(-a)
+        k /= -(2.0 * g * g)
+    else:
+        np.sqrt(k, out=k)
+        if base.kind == "matern12":
+            k /= -g
+        else:  # matern32: (v (1 + a)) exp(-a), a = sqrt(3) r / g
+            k *= _SQRT3
+            k /= g
+            decay = np.exp(-k)
+            k += 1.0
+            k *= base.variance
+            k *= decay
+            return k
+    np.exp(k, out=k)
+    k *= base.variance
+    return k
 
 
 def scalar_gram(spec: ScalarKernelSpec, coords) -> np.ndarray:

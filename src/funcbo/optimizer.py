@@ -155,9 +155,14 @@ class OptConfig:
         # is built, so a bad value stops a bench before its first cell
         try:
             gp.empty_model(ScalarKernelSpec(self.k_kind, 1.0), self.noise_sq, self.lengthscales)
+        except InputError as exc:
+            keys = ("'mle.grid_min' or 'mle.grid_max'" if self.k_lengthscale == "mle"
+                    else "'K.lengthscale'")
+            raise ConfigError(f"bad value for {keys}: {exc}") from exc
+        try:
             UcbSchedule(self.acq_delta, self.d)
         except InputError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"bad value for 'acq.delta': {exc}") from exc
 
     @property
     def noise_sq(self) -> float:

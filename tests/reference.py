@@ -15,6 +15,7 @@ test functions.  ``read_trace_csv`` reads a trace CSV of
 ``bench.run_bench`` back.
 """
 
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -264,3 +265,130 @@ def read_trace_csv(path) -> list[dict]:
             row[key] = float(row[key])
         rows.append(row)
     return rows
+
+
+# --- the acquisition search, one fresh array per step -----------------------
+# The coordinate search as plain array expressions, from the UCB score down
+# to the kernel values: the oracle that the library's in-place search
+# (``acquisition.ucb_search`` on ``acquisition.subspace_posterior`` or on
+# ``gp.posterior_batch``) must match bit for bit, draws included.
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_SQRT3 = np.sqrt(3.0)
+
+
+def kernel_values(base: ScalarKernelSpec, r_sq) -> np.ndarray:
+    r_sq = np.maximum(np.asarray(r_sq, dtype=float), 0.0)
+    g = base.lengthscale
+    if base.kind == "se":
+        return base.variance * np.exp(-r_sq / (2.0 * g * g))
+    r = np.sqrt(r_sq)
+    if base.kind == "matern12":
+        return base.variance * np.exp(-r / g)
+    a = _SQRT3 * r / g
+    return base.variance * (1.0 + a) * np.exp(-a)
+
+
+def _sqdist(model, q_sq, cross):
+    weight = model.grid.weight if gp._mode_of(model.kernel) == "l2grid" else 1.0
+    r2 = (q_sq[:, None] + model.row_q[None, :] - 2.0 * cross) * weight
+    return np.maximum(r2, 0.0)
+
+
+def _posterior_from_sqdist(model, raw, prior):
+    k = kernel_values(gp._base_of(model.kernel), raw)
+    w = model.W @ k.T
+    mean = model.z @ w
+    var = prior - np.einsum("ij,ij->j", w, w)
+    return mean, np.maximum(var, 0.0)
+
+
+def posterior_batch(model, Q):
+    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    prior = np.full(Q.shape[0], gp._base_of(model.kernel).variance)
+    if model.n == 0:
+        return np.zeros(Q.shape[0]), prior
+    q_sq = np.einsum("ij,ij->i", Q, gp._metric_rows(model.kernel, Q))
+    return _posterior_from_sqdist(model, _sqdist(model, q_sq, Q @ model.MV.T), prior)
+
+
+def span_posterior(model, A):
+    variance = gp._base_of(model.kernel).variance
+    if model.n == 0:
+        return lambda a, c: (np.zeros(len(a)), np.full(len(a), variance))
+    gram = gp._metric_rows(model.kernel, A) @ A.T
+    proj = A @ model.MV.T
+
+    def posterior(a, c):
+        q_sq = c * c * np.einsum("ij,ij->i", a @ gram, a)
+        raw = _sqdist(model, q_sq, c[:, None] * (a @ proj))
+        return _posterior_from_sqdist(model, raw, np.full(len(a), variance))
+
+    return posterior
+
+
+def cap_scale(sq_norms, l_max):
+    norms = np.sqrt(np.maximum(sq_norms, 0.0))
+    scale = np.ones_like(norms)
+    over = norms > l_max
+    scale[over] = l_max / norms[over]
+    return scale
+
+
+def subspace_posterior(model, subspace, search):
+    A = np.array([subspace.bias.values] + [h.values for h in subspace.basis])
+    l2_gram = (A @ A.T) * subspace.bias.spec.weight
+    span = span_posterior(model, A)
+
+    def posterior(lam_batch):
+        lam_batch = np.atleast_2d(np.asarray(lam_batch, dtype=float))
+        a = np.hstack([np.ones((lam_batch.shape[0], 1)), lam_batch])
+        sq_norms = np.einsum("ij,ij->i", a @ l2_gram, a)
+        return span(a, cap_scale(sq_norms, search.l_max))
+
+    return posterior
+
+
+def golden_multistart(score_batch, d, search, rng):
+    box = search.lambda_box
+    n = search.restarts
+    seeds = rng.uniform(-box, box, size=(n, d))
+    lam = seeds.copy()
+    best_lam = seeds.copy()
+    best_val = np.asarray(score_batch(lam), dtype=float).copy()
+    lo = np.empty((n, d))
+    hi = np.empty((n, d))
+    for j in range(d):
+        order = np.argsort(seeds[:, j])
+        sorted_vals = seeds[order, j]
+        mids = (sorted_vals[:-1] + sorted_vals[1:]) / 2.0
+        lo[order, j] = np.concatenate(([-box], mids))
+        hi[order, j] = np.concatenate((mids, [box]))
+    for step in range(search.local_steps):
+        j = step % d
+        span = hi[:, j] - lo[:, j]
+        x1 = hi[:, j] - _INVPHI * span
+        x2 = lo[:, j] + _INVPHI * span
+        cand = np.vstack([lam, lam])
+        cand[:n, j] = x1
+        cand[n:, j] = x2
+        vals = np.asarray(score_batch(cand), dtype=float)
+        f1, f2 = vals[:n], vals[n:]
+        first_better = f1 > f2
+        hi[first_better, j] = x2[first_better]
+        lo[~first_better, j] = x1[~first_better]
+        lam[:, j] = np.where(first_better, x1, x2)
+        cur = np.where(first_better, f1, f2)
+        improved = cur > best_val
+        best_val[improved] = cur[improved]
+        best_lam[improved] = lam[improved]
+    i = int(np.argmax(best_val))
+    return best_lam[i].copy(), float(best_val[i])
+
+
+def ucb_search(posterior, d, search, rng, sqrt_beta):
+    def score(lam_batch):
+        mean, var = posterior(lam_batch)
+        return mean + sqrt_beta * np.sqrt(var)
+
+    return golden_multistart(score, d, search, rng)

@@ -21,7 +21,8 @@ from funcbo.errors import InputError
 from funcbo.gp import Observation, empty_model
 from funcbo.gridfn import GridFunction, grid_coordinates
 from funcbo.kernels import FunctionalKernelSpec, ScalarKernelSpec, scalar_gram
-from funcbo.optimizer import Subspace
+from funcbo.optimizer import OptConfig, Subspace, make_engine
+import reference
 from reference import l2_norm, linear_combine, rebuild_model, zeros
 
 SE_L2 = FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), "l2grid")
@@ -214,10 +215,19 @@ def test_search_config_validation():
         AcqSearchConfig(lambda_box=0.0)
     with pytest.raises(InputError):
         AcqSearchConfig(l_max=-1.0)
-    # the seed draws need a finite box width 2 * lambda_box
-    AcqSearchConfig(lambda_box=8e307)
+    # candidates' squared norms, which grow like lambda_box², must not overflow
+    AcqSearchConfig(lambda_box=1e100)
+    for too_wide in (1e200, 1e308, math.inf, math.nan):
+        with pytest.raises(InputError, match="lambda_box"):
+            AcqSearchConfig(lambda_box=too_wide)
+
+
+def test_engine_with_overflowing_lambda_box_is_input_error():
+    # at lambda_box = 1e200 a candidate's squared norm overflows, its cap
+    # scale is 0 and its score NaN: the fourth ask would be the zero function
     with pytest.raises(InputError, match="lambda_box"):
-        AcqSearchConfig(lambda_box=1e308)
+        make_engine(OptConfig(S=1, T=3, n_init=2, termination="regret",
+                              search=AcqSearchConfig(lambda_box=1e200)), "s3bfo")
 
 
 def _metric_kernel(metric, points, relative_lengthscale):
@@ -264,3 +274,69 @@ def test_subspace_posterior_equals_posterior_of_candidates(metric, d, seed, rela
         ref_mean, ref_var = gp.posterior_batch(model, candidate_values(sub, search, lam))
         np.testing.assert_allclose(mean, ref_mean, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(var, ref_var, rtol=1e-9, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    path=st.sampled_from(["l2grid", "rkhs", "line"]),
+    kind=st.sampled_from(["se", "matern12", "matern32"]),
+    variance=st.floats(0.2, 5.0),
+    d=st.integers(1, 3),
+    n_points=st.integers(1, 12),
+    l_max=st.sampled_from([0.3, 2.5, math.inf]),  # 0.3 caps every candidate
+    restarts=st.integers(1, 8),
+    local_steps=st.integers(1, 40),
+    lambda_box=st.floats(0.5, 8.0),
+    sqrt_beta=st.floats(0.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_search_matches_the_reference_bit_for_bit(
+    path, kind, variance, d, n_points, l_max, restarts, local_steps, lambda_box, sqrt_beta,
+    seed,
+):
+    """The in-place search returns the allocating reference's exact (lam,
+    value), draws the same and leaves the caller's arrays as they were."""
+    rng = np.random.default_rng(seed)
+    search = AcqSearchConfig(restarts, local_steps, lambda_box, l_max)
+    kernel = ScalarKernelSpec(kind, 1.0, variance)
+    if path == "line":  # the line engine: a scalar model on the coordinates
+        points = rng.uniform(-lambda_box, lambda_box, size=(n_points, d))
+        caller = [points]
+    else:
+        gram = (scalar_gram(ScalarKernelSpec("se", 0.3), grid_coordinates(GRID_1D))
+                if path == "rkhs" else None)
+        kernel = FunctionalKernelSpec(kernel, path, gram)
+        earlier = _subspace(rng, d=d, bias=random_grid_function(rng, scale=0.5))
+        sub = _subspace(rng, d=d, bias=random_grid_function(rng, scale=0.5))
+        # observations on an earlier subspace lie outside the current span
+        points = [
+            GridFunction(GRID_1D, candidate_values(s, search, rng.normal(size=(1, d)))[0])
+            for s in rng.choice([earlier, sub], n_points)
+        ]
+        caller = [sub.bias.values] + [h.values for h in sub.basis]
+    model = empty_model(kernel, 0.01, np.geomspace(0.05, 20.0, 5))
+    for p in points:
+        model = gp.condition(model, Observation(p, float(rng.standard_normal())))
+    caller += [model.Ws, model.zs, model.MV, model.row_q]
+    if path == "line":
+        posterior = partial(gp.posterior_batch, model)
+        ref_posterior = partial(reference.posterior_batch, model)
+    else:
+        posterior = subspace_posterior(model, sub, search)
+        ref_posterior = reference.subspace_posterior(model, sub, search)
+    before = [a.copy() for a in caller]
+
+    lam_rows = rng.uniform(-lambda_box, lambda_box, size=(17, d))
+    rows_before = lam_rows.copy()
+    for got, ref in zip(posterior(lam_rows), ref_posterior(lam_rows)):
+        assert np.array_equal(got, ref)
+    assert np.array_equal(lam_rows, rows_before)
+
+    mine, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    lam, value = ucb_search(posterior, d, search, mine, sqrt_beta)
+    ref_lam, ref_value = reference.ucb_search(ref_posterior, d, search, theirs, sqrt_beta)
+    assert np.array_equal(lam, ref_lam)
+    assert value == ref_value
+    assert mine.bit_generator.state == theirs.bit_generator.state
+    for now, then in zip(caller, before):
+        assert np.array_equal(now, then)

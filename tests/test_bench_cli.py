@@ -464,6 +464,25 @@ def test_cli_session_with_overflowing_lambda_box_exits_2(tmp_path):
     assert not (tmp_path / "g.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "setting, named",
+    [
+        ("acq.delta = 1.5", "'acq.delta'"),
+        ("K.lengthscale = 1e-200", "'K.lengthscale'"),
+        ("mle.grid_min = 1e-160", "'mle.grid_min' or 'mle.grid_max'"),
+    ],
+)
+def test_cli_session_error_of_model_or_schedule_names_its_key(tmp_path, setting, named):
+    text = f"opt.S = 1\nopt.T = 1\nopt.n_init = 1\n{setting}\n"
+    state = tmp_path / "state.txt"
+    state.write_text(text)
+    res = _cli("suggest", "--state", str(state), "--out", str(tmp_path / "g.csv"))
+    assert res.returncode == 2
+    assert named in res.stderr and "Traceback" not in res.stderr
+    assert state.read_text() == text
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_cli_grid_too_large_for_dense_prior_exits_cleanly(tmp_path, monkeypatch):
     cfg = tmp_path / "huge.cfg"
     cfg.write_text("grid.dim = 3\ngrid.points_per_axis = 100\n")
