@@ -18,14 +18,25 @@ verifies the records against the deterministic run schedule.  Under
 regret termination the replay takes each inner-loop continuation from
 the trace and re-certifies only the recorded early ends; ``suggest``
 and ``export`` certify the live position once.
+
+``suggest`` and ``tell`` also write ``<state>.snapshot``, the engine
+that produced the state text they wrote (its ``snapshot()``), keyed by
+that text and this code.  A load whose snapshot matches restores it in
+place of the replay; any other snapshot is ignored.  Both files are
+replaced atomically.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import json
+import logging
 import math
+import os
+import shutil
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cache, reduce
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +49,7 @@ from .objectives import EffectiveDimObjective, MatchingObjective
 from .optimizer import ALGORITHMS, TERMINATIONS, OptConfig, RunRecord
 
 OBJECTIVE_KINDS = ("match", "effdim")
+_log = logging.getLogger(__name__)
 
 
 def _parse_int(text: str) -> int:
@@ -324,7 +336,27 @@ def _config_digest(values: dict) -> str:
     return _digest(lines)
 
 
-def save_state(path, values: dict, engine) -> None:
+def _write_atomic(path, chunks) -> None:
+    """Write the byte chunks to a new file beside path, then move it onto
+    path, so an interrupted or failed write leaves the previous file whole.
+    The new file keeps the mode of the one it replaces."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as out:
+            for chunk in chunks:
+                out.write(chunk)
+        if os.path.exists(path):
+            shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def save_state(path, values: dict, engine) -> str:
+    """Write the engine's state file; returns its text."""
     lines = ["# funcbo ask/tell state", *_config_lines(values)]
     lines += ["[trace]", _trace_header(_lam_width(values))]
     for rec in engine.trace:
@@ -338,7 +370,9 @@ def save_state(path, values: dict, engine) -> None:
         lines.append(",".join([kind, str(s), str(t), *[repr(float(v)) for v in lam]]))
     lines.append("[digest]")
     lines.append(f"config_sha256 = {_config_digest(values)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    _write_atomic(path, [text.encode()])
+    return text
 
 
 def _state_number(parse, text: str, where: str):
@@ -411,6 +445,105 @@ def _parse_state_text(text: str):
     return values, records, pending
 
 
+# --- engine snapshots beside a state file ---------------------------------
+#
+# "<state>.snapshot" holds the engine that produced the state text:
+#
+#     funcbo engine snapshot <key>\n
+#     {"values": {name: JSON value}, "arrays": [[name, shape], ...]}\n
+#     each array's little-endian float64 values in C order
+#     <sha256 hex of every byte above>\n
+#
+# The key is the sha256 of ``_code_digest()`` and the state text.
+
+_SNAPSHOT_MAGIC = "funcbo engine snapshot"
+_SNAPSHOT_TRAILER = 65  # a sha256 in hex and a newline
+
+
+def snapshot_path(path) -> Path:
+    path = Path(path)
+    return path.with_name(path.name + ".snapshot")
+
+
+@cache
+def _code_digest() -> str:
+    """sha256 over funcbo's own modules and numpy's version: a snapshot
+    written by other code is stale."""
+    digest = hashlib.sha256(np.__version__.encode())
+    for module in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(module.name.encode() + b"\0" + module.read_bytes())
+    return digest.hexdigest()
+
+
+def _snapshot_key(text: str) -> str:
+    return hashlib.sha256(f"{_code_digest()}\n{text}".encode()).hexdigest()
+
+
+def _snapshot_chunks(key: str, snap: dict):
+    """The bytes of a snapshot file, in order; ``snap`` is an engine's
+    ``snapshot()``, JSON values and float arrays."""
+    arrays = [(name, value) for name, value in snap.items() if isinstance(value, np.ndarray)]
+    header = {"values": {name: value for name, value in snap.items()
+                         if not isinstance(value, np.ndarray)},
+              "arrays": [[name, list(value.shape)] for name, value in arrays]}
+    digest = hashlib.sha256()
+    head = f"{_SNAPSHOT_MAGIC} {key}\n{json.dumps(header)}\n".encode()
+    # one block per candidate of the model's stacked rows, so no array is copied whole
+    blocks = (np.ascontiguousarray(block, dtype="<f8")
+              for _, value in arrays for block in (value if value.ndim == 3 else (value,)))
+    for chunk in (head, *blocks):
+        digest.update(chunk)
+        yield chunk
+    yield f"{digest.hexdigest()}\n".encode()
+
+
+def _read_snapshot(path, text: str) -> dict | None:
+    """The snapshot beside a state file if it holds the engine of exactly
+    this text, written by this code; otherwise None, and a DEBUG line says
+    why."""
+    snap_path = snapshot_path(path)
+    try:
+        with open(snap_path, "rb") as src:
+            first = src.readline(256)
+            if first != f"{_SNAPSHOT_MAGIC} {_snapshot_key(text)}\n".encode():
+                return _snapshot_miss(snap_path, "it was written for other state text or code")
+            line = src.readline()
+            digest = hashlib.sha256(first + line)
+            header = json.loads(line)
+            shapes = [(name, tuple(shape)) for name, shape in header["arrays"]]
+            size = sum(8 * math.prod(shape) for _, shape in shapes)
+            if src.tell() + size + _SNAPSHOT_TRAILER != os.fstat(src.fileno()).st_size:
+                return _snapshot_miss(snap_path, "its length does not match its header")
+            snap = header["values"]
+            for name, shape in shapes:
+                snap[name] = np.empty(shape, dtype="<f8")
+                src.readinto(snap[name])
+                digest.update(snap[name])
+            if src.read() != f"{digest.hexdigest()}\n".encode():
+                return _snapshot_miss(snap_path, "its payload fails its sha256")
+    except FileNotFoundError:
+        return _snapshot_miss(snap_path, "there is none")
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        return _snapshot_miss(snap_path, f"it is unreadable ({type(exc).__name__}: {exc})")
+    return snap
+
+
+def _snapshot_miss(snap_path, why: str) -> None:
+    _log.debug("replaying the trace, not loading the snapshot %s: %s", snap_path, why)
+
+
+def _save(state_path, values: dict, engine) -> None:
+    """Save the state, then the snapshot of the engine beside it.  A
+    snapshot that cannot be written is logged and skipped: the next load
+    replays."""
+    text = save_state(state_path, values, engine)
+    try:
+        _write_atomic(snapshot_path(state_path),
+                      _snapshot_chunks(_snapshot_key(text), engine.snapshot()))
+    except OSError as exc:
+        _log.debug("could not write the snapshot %s: %s", snapshot_path(state_path), exc)
+
+
 def load_state(path):
     """Parse a state (or plain config) file and replay it into an engine.
 
@@ -424,11 +557,18 @@ def load_state(path):
     checks each record against the run schedule.  A stored inner step
     counts as the original run's decision to continue its inner loop;
     only a recorded early end has its regret certificate recomputed, and
-    it must be below epsilon.
+    it must be below epsilon.  A snapshot beside the file that this code
+    wrote for exactly this text is restored instead: those checks ran
+    when it was written.
     """
-    values, records, pending = _parse_state_text(Path(path).read_text())
+    text = Path(path).read_text()
+    values, records, pending = _parse_state_text(text)
     engine = optimizer.make_engine(build_opt_config(values), values["opt.algorithm"])
-    engine.replay(records, pending)
+    snap = _read_snapshot(path, text) if records or pending else None
+    if snap is None:
+        engine.replay(records, pending)
+    else:
+        engine.restore(snap, records, pending)
     return values, engine
 
 
@@ -441,7 +581,7 @@ def suggest(state_path, out_path) -> Path:
         raise ProtocolError("run is complete; no further suggestions")
     g = engine.ask()
     write_function_csv(g, out_path)
-    save_state(state_path, values, engine)
+    _save(state_path, values, engine)
     return Path(out_path)
 
 
@@ -451,7 +591,7 @@ def tell(state_path, y: float) -> RunRecord:
     if engine.pending is None:
         raise ProtocolError("no pending suggestion; run suggest first")
     rec = engine.tell(float(y))
-    save_state(state_path, values, engine)
+    _save(state_path, values, engine)
     return rec
 
 

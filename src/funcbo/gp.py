@@ -11,8 +11,8 @@ lengthscale.  Each candidate keeps W = L^-1, the inverse of the Cholesky
 factor L of its regularised Gram matrix, and the whitened targets
 z = W y (Rasmussen & Williams 2006, Alg. 2.1, with an explicit inverse
 factor), stacked with the other candidates' in buffers of capacity
-cap >= n that double when full.  The model is the candidate ``pick``
-with the highest log marginal likelihood -z·z/2 + sum log W_ii -
+cap >= n that grow by 16 rows when full.  The model is the candidate
+``pick`` with the highest log marginal likelihood -z·z/2 + sum log W_ii -
 n/2 log 2 pi; ``kernel``, ``W`` and ``z`` are that candidate's.  With
 w = W k(D, x), one matrix product, the posterior mean is z·w and the
 variance K(x, x) - w·w.
@@ -26,8 +26,11 @@ Kernels are distance-based: the GP takes functional kernels on grid
 functions, or distance-based scalar kernels on coordinate vectors (used
 by the line-search baseline).  A model keeps its points' metric rows
 ``MV`` (the rows themselves, or V G under the rkhs metric) and their
-squared norms, which is all the distance expansion needs; it keeps
-neither the points nor their values, only their count ``n``.
+squared norms, in buffers of the same capacity, which is all the
+distance expansion needs; it keeps neither the points nor their values,
+only their count ``n``.  A growth copies the buffers, so for that
+moment the model holds about twice its rows; a fixed step of 16 rows,
+not doubling, keeps the spare rows and that copy small.
 
 A posterior query is two steps: the squared distances from the queries
 to the model's points, then ``posterior_from_sqdist``, the one step that
@@ -65,6 +68,7 @@ from .gridfn import GridFunction, GridSpec, grid_coordinates
 from .kernels import FunctionalKernelSpec, ScalarKernelSpec
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+_GROWTH = 16  # rows a full model's buffers grow by
 _log = logging.getLogger(__name__)
 
 
@@ -94,8 +98,8 @@ class GPModel:
     zs: np.ndarray  # (C, cap) whitened targets W y
     pick: int  # the most likely candidate; ties go to the larger lengthscale
     grid: GridSpec | None
-    MV: np.ndarray | None  # metric rows of the points: V, or V G under rkhs
-    row_q: np.ndarray | None  # the points' squared metric norms
+    MVs: np.ndarray | None  # (cap, width) metric rows of the points: V, or V G under rkhs
+    row_qs: np.ndarray | None  # (cap,) the points' squared metric norms
 
     @cached_property
     def W(self) -> np.ndarray:
@@ -104,6 +108,14 @@ class GPModel:
     @cached_property
     def z(self) -> np.ndarray:
         return self.zs[self.pick, : self.n]
+
+    @cached_property
+    def MV(self) -> np.ndarray | None:
+        return None if self.MVs is None else self.MVs[: self.n]
+
+    @cached_property
+    def row_q(self) -> np.ndarray | None:
+        return None if self.row_qs is None else self.row_qs[: self.n]
 
 
 def _mode_of(kernel) -> str:
@@ -197,17 +209,18 @@ def empty_model(kernel, noise_sq: float, lengthscales=None) -> GPModel:
     pick = _pick(lengthscales, Ws, zs, 0)
     return GPModel(kernel=kernel.with_lengthscale(float(lengthscales[pick])),
                    noise_sq=float(noise_sq), n=0, lengthscales=lengthscales,
-                   Ws=Ws, zs=zs, pick=pick, grid=None, MV=None, row_q=None)
+                   Ws=Ws, zs=zs, pick=pick, grid=None, MVs=None, row_qs=None)
 
 
 def condition(model: GPModel, obs: Observation) -> GPModel:
     """Append obs to every candidate at once and pick the most likely.
 
     With l = W k and the Schur complement s^2 = k_nn - l·l, row n of each
-    W becomes [-l W / s, 1/s] and z_n = (y_n - l·z) / s, written in place;
-    full buffers double.  Rows below n never change, so the given model
-    stays valid.  A candidate with s^2 <= 0 is dropped and logged, and the
-    survivors move to fresh buffers; NumericalError is raised when every
+    W becomes [-l W / s, 1/s] and z_n = (y_n - l·z) / s, written in place
+    with the point's metric row; full buffers grow by 16 rows.  Rows below
+    n never change, so the given model stays valid.  A candidate with
+    s^2 <= 0 is dropped and logged, and the survivors move to fresh
+    buffers; NumericalError is raised when every
     candidate is dropped, InputError when a successor already wrote row n.
     """
     n, cap = model.n, model.zs.shape[1]
@@ -218,10 +231,9 @@ def condition(model: GPModel, obs: Observation) -> GPModel:
     mx = _metric_rows(model.kernel, x_row)
     q_x = np.einsum("ij,ij->i", x_row, mx)
     if n == 0:
-        raw, MV, row_q = np.zeros((1, 0)), np.array(mx), q_x
+        raw = np.zeros((1, 0))
     else:
         raw = _sqdist(q_x, model.row_q, x_row @ model.MV.T, _weight(model))
-        MV, row_q = np.vstack([model.MV, mx]), np.append(model.row_q, q_x)
     # every candidate's kernel row: its lengthscale only rescales the
     # distances, always from the first candidate's
     lengthscales = model.lengthscales
@@ -241,12 +253,18 @@ def condition(model: GPModel, obs: Observation) -> GPModel:
             "conditioning broke positive definiteness for every lengthscale; "
             "add jitter and rebuild"
         )
-    W, z = model.Ws, model.zs
+    W, z, MVs, row_qs = model.Ws, model.zs, model.MVs, model.row_qs
     if n == cap or not keep.all():
-        cap = max(2 * cap, 16) if n == cap else cap
+        cap = cap + _GROWTH if n == cap else cap
         W, z = np.zeros((keep.sum(), cap, cap)), np.zeros((keep.sum(), cap))
-        W[:, :n, :n], z[:, :n] = model.Ws[keep, :n, :n], model.zs[keep, :n]
+        MVs, row_qs = np.zeros((cap, mx.shape[1])), np.zeros(cap)
+        # a slice is a view; a mask would copy every candidate's rows once more
+        kept = slice(None) if keep.all() else keep
+        W[:, :n, :n], z[:, :n] = model.Ws[kept, :n, :n], model.zs[kept, :n]
+        if n:
+            MVs[:n], row_qs[:n] = model.MV, model.row_q
         ell, s_sq, lengthscales = ell[keep], s_sq[keep], lengthscales[keep]
+    MVs[n], row_qs[n] = mx[0], q_x[0]
     s = np.sqrt(s_sq)
     W[:, n, :n] = (ell[:, None, :] @ W[:, :n, :n])[:, 0, :] / -s[:, None]
     W[:, n, n] = 1.0 / s
@@ -254,7 +272,34 @@ def condition(model: GPModel, obs: Observation) -> GPModel:
     pick = _pick(lengthscales, W, z, n + 1)
     return replace(model, kernel=model.kernel.with_lengthscale(float(lengthscales[pick])),
                    n=n + 1, lengthscales=lengthscales, Ws=W, zs=z, pick=pick,
-                   grid=model.grid if model.grid is not None else grid, MV=MV, row_q=row_q)
+                   grid=model.grid if model.grid is not None else grid, MVs=MVs, row_qs=row_qs)
+
+
+def model_rows(model: GPModel) -> dict:
+    """The model's written rows and its pick and capacity: all that
+    ``from_rows`` needs to rebuild it."""
+    n = model.n
+    return {"n": n, "cap": model.zs.shape[1], "pick": model.pick,
+            "lengthscales": model.lengthscales, "W": model.Ws[:, :n, :n], "z": model.zs[:, :n],
+            "MV": model.MV, "row_q": model.row_q}
+
+
+def from_rows(empty: GPModel, rows: dict, grid: GridSpec) -> GPModel:
+    """The model of ``model_rows`` in buffers of its capacity, so that it
+    continues bit for bit like the model it was taken from.  ``empty``
+    gives the kernel and the noise; a functional model's points lie on
+    ``grid``."""
+    n, cap, pick, lengthscales = rows["n"], rows["cap"], rows["pick"], rows["lengthscales"]
+    Ws, zs = np.zeros((len(lengthscales), cap, cap)), np.zeros((len(lengthscales), cap))
+    Ws[:, :n, :n], zs[:, :n] = rows["W"], rows["z"]
+    MVs = row_qs = None
+    if n:
+        MVs, row_qs = np.zeros((cap, rows["MV"].shape[1])), np.zeros(cap)
+        MVs[:n], row_qs[:n] = rows["MV"], rows["row_q"]
+    functional = isinstance(empty.kernel, FunctionalKernelSpec) and n > 0
+    return replace(empty, kernel=empty.kernel.with_lengthscale(float(lengthscales[pick])),
+                   n=n, lengthscales=lengthscales, Ws=Ws, zs=zs, pick=pick,
+                   grid=grid if functional else None, MVs=MVs, row_qs=row_qs)
 
 
 def posterior_from_sqdist(

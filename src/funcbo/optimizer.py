@@ -41,7 +41,10 @@ from the trace in the same way: a stored inner step at (s, t) shows that
 the original run did not end the loop there, so its regret certificate
 is not recomputed.  The certificate runs only where the trace ends an
 inner loop early, which must be certified or the state is rejected, and
-at the live position after the trace.
+at the live position after the trace.  ``snapshot`` and ``restore``
+take, and put back, everything the replay rebuilds beyond the records,
+so that a load can skip it (``bench`` stores the snapshot beside the
+state file).
 """
 
 from __future__ import annotations
@@ -125,16 +128,17 @@ class OptConfig:
     def __post_init__(self):
         if self.grid.size > MAX_GRID_POINTS:
             raise ConfigError(
-                f"grid has N = {self.grid.size} points; at most N = {MAX_GRID_POINTS} "
-                "are supported: the Matern and linear priors and the rkhs metric are dense"
+                f"grid.dim and grid.points_per_axis give N = {self.grid.size} grid points; "
+                f"at most N = {MAX_GRID_POINTS} are supported: the Matern and linear priors "
+                "and the rkhs metric are dense"
             )
         for name in ("d", "S", "T", "n_init"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise ConfigError(f"opt.{name} must be >= 1, got {getattr(self, name)}")
         if self.termination not in TERMINATIONS:
-            raise ConfigError(f"unknown termination {self.termination!r}")
+            raise ConfigError(f"unknown opt.termination {self.termination!r}")
         if not self.epsilon > 0:
-            raise ConfigError("epsilon must be positive")
+            raise ConfigError("opt.epsilon must be positive")
         if self.k_kind not in kernels.DISTANCE_KINDS:
             raise ConfigError(f"K.kind must be distance-based, got {self.k_kind!r}")
         if self.k_metric not in kernels.METRICS:
@@ -146,9 +150,9 @@ class OptConfig:
         if not kernels.has_normal_square(self.noise_sigma):
             raise ConfigError(f"noise.sigma must be {kernels.NORMAL_SQUARE}")
         if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit in 64 bits")
+            raise ConfigError("opt.seed must fit in 64 bits")
         if not (0 < self.mle_grid_min <= self.mle_grid_max):
-            raise ConfigError("mle grid bounds must satisfy 0 < min <= max")
+            raise ConfigError("mle.grid_min and mle.grid_max must satisfy 0 < min <= max")
         if self.mle_grid_points < 1:
             raise ConfigError("mle.grid_points must be >= 1")
         # the model's and the UCB schedule's own checks, run before any engine
@@ -336,6 +340,30 @@ class _EngineBase:
         if pending_desc is not None:
             self._replay_step(pending_desc, "the pending suggestion")
 
+    def snapshot(self) -> dict:
+        """What ``replay`` rebuilds beyond the records, as JSON values and
+        float arrays; ``restore`` takes it back (bench writes it beside a
+        state file)."""
+        return {
+            "rng": self._rng.bit_generator.state,
+            "inner_ends": [[s, t, end] for (s, t), end in self._inner_ends.items()],
+            "best_values": self._best_values,
+            "pending_values": None if self.pending is None else self.pending[4],
+        }
+
+    def restore(self, snap: dict, records, pending_desc=None):
+        """Take the state of ``snapshot`` in place of ``replay(records,
+        pending_desc)``.  Nothing is redrawn and nothing is checked, so the
+        snapshot must be one that this code took of an engine whose trace
+        and pending suggestion are these."""
+        self._rng.bit_generator.state = snap["rng"]
+        self._inner_ends = {(s, t): end for s, t, end in snap["inner_ends"]}
+        self._best_values = snap["best_values"]
+        self.trace = list(records)
+        if pending_desc is not None:
+            kind, s, t, lam = pending_desc
+            self.pending = (kind, s, t, np.asarray(lam, dtype=float), snap["pending_values"])
+
     def _replay_step(self, desc, where: str):
         """The step of ``ask`` with the stored coordinates in place of the
         acquisition search, checked against the run schedule before any
@@ -382,6 +410,30 @@ class _PhasedEngine(_EngineBase):
         self.model = gp.empty_model(kernel, cfg.noise_sq, cfg.lengthscales)
         self._search = cfg.search
         self._schedule = UcbSchedule(cfg.acq_delta, d)
+
+    def snapshot(self) -> dict:
+        sub, best = self.subspace, self._outer_best
+        return {
+            **super().snapshot(),
+            "s": None if sub is None else sub.s,
+            "bias": None if sub is None else sub.bias.values,
+            "basis": None if sub is None else np.array([h.values for h in sub.basis]),
+            # the model point's own array: a function's values or the line coordinate
+            "outer_point": None if best is None else getattr(best[0], "values", best[0]),
+            "outer_y": None if best is None else best[1],
+            **gp.model_rows(self.model),
+        }
+
+    def restore(self, snap: dict, records, pending_desc=None):
+        super().restore(snap, records, pending_desc)
+        grid = self.cfg.grid
+        if snap["s"] is not None:
+            basis = tuple(GridFunction(grid, h) for h in snap["basis"])
+            self.subspace = Subspace(snap["s"], GridFunction(grid, snap["bias"]), basis)
+        if snap["outer_point"] is not None:
+            point = snap["outer_point"]
+            self._outer_best = (self._model_point(point, point), snap["outer_y"])
+        self.model = gp.from_rows(self.model, snap, grid)
 
     def _position(self):
         """The next step's (kind, s, t), or None once the run is done:

@@ -138,7 +138,7 @@ def rebuild_model(kernel, noise_sq: float, observations) -> gp.GPModel:
     V = np.array(rows)
     MV = gp._metric_rows(kernel, V)
     y = np.array([obs.y for obs in observations])
-    model = replace(model, n=len(y), grid=grid, MV=MV, row_q=np.einsum("ij,ij->i", V, MV))
+    model = replace(model, n=len(y), grid=grid, MVs=MV, row_qs=np.einsum("ij,ij->i", V, MV))
     raw = gp.query_sqdist(model, V)
     np.fill_diagonal(raw, 0.0)  # the expansion leaves rounding residue here
     k = value_from_sqdist(gp._base_of(kernel), raw)

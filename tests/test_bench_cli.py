@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import functools
 import gc
@@ -5,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 import weakref
 from pathlib import Path
 
@@ -82,14 +84,68 @@ _CONFIG_LINE = st.one_of(
 )
 
 
+# The size keys a run is scaled down to when the sampled lines leave them
+# alone; a sampled size is kept.
+_SMALL_RUN = {"grid.points_per_axis": 8, "opt.S": 2, "opt.T": 2, "opt.n_init": 1}
+
+
+def _api_values(lines):
+    """The config values of the key lines as a Python caller would pass
+    them: each in its key's type, without the parser's checks (finite
+    floats, seeds >= 0, listed names).  A line whose text is not of that
+    type is left out."""
+    values = bench.default_config()
+    for line in lines:
+        key, _, text = (part.strip() for part in line.partition("="))
+        if key not in bench.OPT_FIELDS:
+            continue
+        types = (float, str) if key == "K.lengthscale" else (type(values[key]),)
+        for kind in types:
+            with contextlib.suppress(ValueError):
+                values[key] = kind(text)
+                break
+    return values
+
+
+def _a_few_steps(cfg, algorithm):
+    engine = make_engine(cfg, algorithm)
+    for y in (0.5, -0.25, 1.0, 0.0):
+        if engine.done:
+            break
+        engine.ask()
+        engine.tell(y)
+
+
 @settings(max_examples=300, deadline=None)
-@given(lines=st.lists(_CONFIG_LINE, max_size=6))
-@example(lines=["noise.sigma = 1e200"])  # sampled in only about 1 run in 5
-def test_config_lines_build_or_raise_funcbo_error(lines):
+@given(lines=st.lists(_CONFIG_LINE, max_size=6), api=st.booleans())
+@example(lines=["noise.sigma = 1e200"], api=False)  # sampled in only about 1 run in 5
+# candidates' squared norms overflowed and every score was NaN: the bound on
+# acq.lambda_box held in config files only, not for Python callers
+@example(lines=["acq.lambda_box = 1e200"], api=True)
+@example(lines=["acq.delta = 1.5"], api=False)  # the error did not name its key
+def test_config_lines_build_or_raise_funcbo_error(lines, api):
+    # a config that builds runs a few ask/tell steps of every algorithm
+    # without a warning, or raises a FuncboError; a config of one key that
+    # does not build names that key
+    keys = {line.partition("=")[0].strip() for line in lines}
     try:
-        bench.build_opt_config(bench.parse_config_lines(lines))
-    except FuncboError:
-        pass
+        values = _api_values(lines) if api else bench.parse_config_lines(lines)
+        bench.build_opt_config(values)
+    except FuncboError as exc:
+        if len(keys) == 1 and keys <= set(bench.SCHEMA):
+            assert keys.pop() in str(exc)
+        return
+    cfg = bench.build_opt_config({**values, **{
+        key: size for key, size in _SMALL_RUN.items() if key not in keys}})
+    if cfg.grid.size > 512 or cfg.search.restarts * cfg.search.local_steps > 20_000:
+        return  # a sampled size this large takes seconds a step; it was built
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for algorithm in ALGORITHMS:
+            try:
+                _a_few_steps(cfg, algorithm)
+            except FuncboError:
+                pass
 
 
 def test_default_config_builds_the_default_opt_config():
@@ -220,10 +276,22 @@ def test_first_suggestion_is_first_initial_design_point(tmp_path):
     np.testing.assert_array_equal(suggested.values, expected.values)
 
 
-@pytest.mark.parametrize("metric", ["l2grid", "rkhs"])
-@pytest.mark.parametrize("termination", ["budget", "regret"])
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_session_reproduces_in_process_run(tmp_path, algorithm, termination, metric):
+def _drop_snapshot(state):
+    bench.snapshot_path(state).unlink(missing_ok=True)
+
+
+def _replaying(command):
+    """The session command with the snapshot beside its state deleted
+    first, so that its load replays the trace."""
+
+    def run(state, *args):
+        _drop_snapshot(state)
+        return command(state, *args)
+
+    return run
+
+
+def _session_equals_in_process_run(tmp_path, algorithm, termination, metric, replaying):
     state = tmp_path / "state.txt"
     state.write_text(
         "grid.points_per_axis = 40\nopt.S = 2\nopt.T = 4\nopt.n_init = 2\n"
@@ -235,13 +303,16 @@ def test_session_reproduces_in_process_run(tmp_path, algorithm, termination, met
     objective = bench.build_objective(values, cfg.grid)
     _, reference = RUNNERS[algorithm](objective, cfg)
 
+    load, suggest, tell = bench.load_state, bench.suggest, bench.tell
+    if replaying:
+        load, suggest, tell = _replaying(load), _replaying(suggest), _replaying(tell)
     _, noise_rng = rng_streams(cfg.seed)
     out = tmp_path / "g.csv"
     for _ in range(len(reference)):
-        bench.suggest(state, out)
+        suggest(state, out)
         y = objective.evaluate(read_function_csv(out), noise_rng)
-        bench.tell(state, y)
-    _, engine = bench.load_state(state)
+        tell(state, y)
+    _, engine = load(state)
     assert engine.done
     assert len(engine.trace) == len(reference)
     for mine, ref in zip(engine.trace, reference):
@@ -251,8 +322,25 @@ def test_session_reproduces_in_process_run(tmp_path, algorithm, termination, met
         assert mine.best_y == ref.best_y
 
 
+@pytest.mark.parametrize("metric", ["l2grid", "rkhs"])
+@pytest.mark.parametrize("termination", ["budget", "regret"])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_engine_dropped_mid_run_is_freed_by_refcount(tmp_path, algorithm):
+def test_session_reproduces_in_process_run(tmp_path, algorithm, termination, metric):
+    # every load but the first restores the snapshot the command before wrote
+    _session_equals_in_process_run(tmp_path, algorithm, termination, metric, False)
+
+
+@pytest.mark.parametrize("metric", ["l2grid", "rkhs"])
+@pytest.mark.parametrize("termination", ["budget", "regret"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_session_replaying_every_load_reproduces_in_process_run(
+    tmp_path, algorithm, termination, metric
+):
+    # the snapshot is deleted before every load, so every load replays
+    _session_equals_in_process_run(tmp_path, algorithm, termination, metric, True)
+
+
+def _dropped_engines_are_freed(tmp_path, algorithm, replaying):
     # every suggest or tell drops the engine of its load mid-run; were the
     # engine in a reference cycle, each would wait for the cyclic collector
     state = tmp_path / "state.txt"
@@ -261,6 +349,8 @@ def test_engine_dropped_mid_run_is_freed_by_refcount(tmp_path, algorithm):
     for y in (0.5, -0.25, 1.0):
         bench.suggest(state, tmp_path / "g.csv")
         bench.tell(state, y)
+    if replaying:
+        _drop_snapshot(state)
     gc.disable()
     try:
         values, loaded = bench.load_state(state)
@@ -277,6 +367,16 @@ def test_engine_dropped_mid_run_is_freed_by_refcount(tmp_path, algorithm):
         gc.enable()
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_engine_dropped_mid_run_is_freed_by_refcount(tmp_path, algorithm):
+    _dropped_engines_are_freed(tmp_path, algorithm, False)  # the load restores
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_replayed_engine_dropped_mid_run_is_freed_by_refcount(tmp_path, algorithm):
+    _dropped_engines_are_freed(tmp_path, algorithm, True)
+
+
 def test_state_file_roundtrip_is_byte_stable(tmp_path):
     state = _fresh_state(tmp_path)
     out = tmp_path / "g.csv"
@@ -286,6 +386,89 @@ def test_state_file_roundtrip_is_byte_stable(tmp_path):
     values, engine = bench.load_state(state)
     bench.save_state(state, values, engine)
     assert state.read_bytes() == first
+
+
+def _engine_state(engine):
+    """What a load rebuilds: the records, the pending suggestion and the
+    snapshot's values, with arrays as lists."""
+    snap = {key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in engine.snapshot().items()}
+    snap["inner_ends"] = sorted(snap["inner_ends"])
+    pending = engine.pending and (*engine.pending[:3], np.asarray(engine.pending[3]).tolist())
+    return engine.trace, pending, snap
+
+
+def _count_replays(monkeypatch):
+    replays = []
+    real = optimizer._EngineBase.replay
+
+    def counted(self, *args):
+        replays.append(len(args[0]))
+        return real(self, *args)
+
+    monkeypatch.setattr(optimizer._EngineBase, "replay", counted)
+    return replays
+
+
+def test_failed_writes_keep_the_previous_state(tmp_path, monkeypatch):
+    state = _state_with_pending(tmp_path)
+    before = state.read_bytes()
+
+    def fail(*args):
+        raise OSError("no space left on device")
+
+    def cut_short():
+        yield before[:40]
+        fail()
+
+    with pytest.raises(OSError, match="no space"):
+        bench._write_atomic(state, cut_short())
+    assert state.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv", "state.txt",
+                                                          "state.txt.snapshot"]
+    # a tell whose state write fails leaves the state and snapshot it loaded
+    with monkeypatch.context() as patch:
+        patch.setattr(bench.os, "replace", fail)
+        with pytest.raises(OSError):
+            bench.tell(state, 0.25)
+    assert state.read_bytes() == before
+    replays = _count_replays(monkeypatch)
+    _, engine = bench.load_state(state)
+    assert replays == [] and engine.pending is not None
+    # a snapshot write that fails midway is skipped: the tell is saved, and
+    # its next load replays past the stale snapshot
+    monkeypatch.setattr(bench, "_snapshot_chunks", lambda key, snap: cut_short())
+    bench.tell(state, 0.25)
+    _, engine = bench.load_state(state)
+    assert replays == [2] and engine.pending is None and len(engine.trace) == 2
+
+
+@pytest.mark.parametrize(
+    "miss", ["edited text", "another session", "truncated", "flipped byte", "other code"]
+)
+def test_snapshot_mismatch_replays(tmp_path, monkeypatch, caplog, miss):
+    state = _early_end_state(tmp_path)
+    snap = bench.snapshot_path(state)
+    if miss == "edited text":  # respelled: the same run, another text
+        state.write_text(state.read_text().replace("opt.T = 5\n", "opt.T =  5\n"))
+    elif miss == "another session":
+        (tmp_path / "other").mkdir()
+        snap.write_bytes(bench.snapshot_path(_state_with_pending(tmp_path / "other")).read_bytes())
+    elif miss == "truncated":
+        snap.write_bytes(snap.read_bytes()[: snap.stat().st_size // 2])
+    elif miss == "flipped byte":  # in the last array, before the payload's sha256
+        data = bytearray(snap.read_bytes())
+        data[-100] ^= 1
+        snap.write_bytes(bytes(data))
+    else:
+        monkeypatch.setattr(bench, "_code_digest", lambda: "0" * 64)
+    replays = _count_replays(monkeypatch)
+    with caplog.at_level("DEBUG", logger="funcbo.bench"):
+        _, engine = bench.load_state(state)
+    assert replays == [len(EARLY_END_SCHEDULE)]
+    assert "replaying the trace" in caplog.text
+    _, replayed = _replaying(bench.load_state)(state)
+    assert _engine_state(engine) == _engine_state(replayed)
 
 
 # inner loop 0 ends early at t = 3 (T = 5); the state stops after two
@@ -332,19 +515,37 @@ def _counting_regret_err(monkeypatch):
 def test_load_certifies_only_the_recorded_early_end(tmp_path, monkeypatch):
     # the stored inner steps show the loop went on, so only the early end
     # of loop 0 is certified; the live position is certified by suggest
+    # (each load replays: the snapshot is deleted before it)
     state = _early_end_state(tmp_path)
     errs = _counting_regret_err(monkeypatch)
-    _, engine = bench.load_state(state)
+    _, engine = _replaying(bench.load_state)(state)
     assert [(r.s, r.t) for r in engine.trace] == EARLY_END_SCHEDULE
     assert len(errs) == 1 and errs[0] < 0.3
-    bench.suggest(state, tmp_path / "g.csv")
+    _replaying(bench.suggest)(state, tmp_path / "g.csv")
     assert len(errs) == 3  # its load's early end, then the live position
-    bench.tell(state, 0.0)
+    _replaying(bench.tell)(state, 0.0)
     assert len(errs) == 4  # its load's early end; the pending inner step went on
+
+
+def test_snapshot_load_runs_no_certificate_search(tmp_path, monkeypatch):
+    # the snapshot holds every decision the replay would certify again
+    state = _early_end_state(tmp_path)
+    errs = _counting_regret_err(monkeypatch)
+    _, restored = bench.load_state(state)
+    assert errs == []
+    bench.suggest(state, tmp_path / "g.csv")
+    assert len(errs) == 1  # the live position only
+    bench.tell(state, 0.0)
+    assert len(errs) == 1
+    _, restored = bench.load_state(state)
+    _, replayed = _replaying(bench.load_state)(state)
+    assert len(errs) == 2  # the replay's recorded early end
+    assert _engine_state(restored) == _engine_state(replayed)
 
 
 def test_uncertified_recorded_end_is_protocol_error(tmp_path, monkeypatch):
     state = _early_end_state(tmp_path)
+    _drop_snapshot(state)
     with monkeypatch.context() as patch:
         errs = _counting_regret_err(patch)
         values, engine = bench.load_state(state)
@@ -615,6 +816,7 @@ def test_cli_every_lengthscale_breaking_is_numerical_error(tmp_path):
     assert _cli("suggest", "--state", str(state), "--out", str(fn)).returncode == 0
     assert _cli("tell", "--state", str(state), "--y", "0.5").returncode == 0
     assert _cli("suggest", "--state", str(state), "--out", str(fn)).returncode == 0
+    assert bench.snapshot_path(state).exists()  # the tell's load restores the model
     res = _cli("tell", "--state", str(state), "--y", "-0.5")
     assert res.returncode == 4
     assert "every lengthscale" in res.stderr
@@ -806,15 +1008,17 @@ def _regret_session_text():
             bench.suggest(state, Path(tmp) / "g.csv")
             bench.tell(state, y)
         bench.suggest(state, Path(tmp) / "g.csv")
-        return state.read_text()
+        return state.read_text(), bench.snapshot_path(state).read_bytes()
 
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_edited_state_loads_or_raises_funcbo_error(data):
     # one line of a valid state (one field of a CSV line) replaced by
-    # arbitrary text: the state either loads or fails with a documented error
-    lines = _regret_session_text().splitlines()
+    # arbitrary text: the state either loads or fails with a documented error,
+    # also with the snapshot of the unedited state beside it
+    text, snapshot = _regret_session_text()
+    lines = text.splitlines()
     i = data.draw(st.integers(0, len(lines) - 1))
     fields = lines[i].split(",")
     j = data.draw(st.integers(0, len(fields) - 1))
@@ -823,6 +1027,7 @@ def test_edited_state_loads_or_raises_funcbo_error(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "state.txt"
         path.write_text("\n".join(lines) + "\n")
+        bench.snapshot_path(path).write_bytes(snapshot)
         try:
             bench.load_state(path)
         except FuncboError:

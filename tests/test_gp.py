@@ -168,6 +168,20 @@ def test_condition_drops_broken_candidate_and_logs(caplog):
     assert "1000000.0" in dropped[0].getMessage() and "n = 2" in dropped[0].getMessage()
 
 
+def test_model_whose_successor_dropped_a_candidate_conditions_again():
+    # a drop moves the survivors to fresh buffers, metric rows included, so
+    # the given model can take another point without touching the successor
+    model = condition(
+        empty_model(ScalarKernelSpec("se", 1.0), 1e-20, (1e-4, 1e6)),
+        Observation(np.array([0.0]), 1.0),
+    )
+    survivors = condition(model, Observation(np.array([1e-3]), -1.0))
+    rows = survivors.MV.copy()
+    other = condition(model, Observation(np.array([0.5]), 0.0))
+    np.testing.assert_array_equal(survivors.MV, rows)
+    assert other.n == 2 and other.MV[1, 0] == 0.5
+
+
 def test_linear_scalar_kernel_is_rejected():
     # the GP models with distance-based kernels only; linear is for prior draws
     kernel = ScalarKernelSpec("linear", 1.0)
