@@ -19,7 +19,18 @@ Once per search ``subspace_posterior`` computes the L2 Gram A Aᵀ, and
 model's points.  Per row, a (A Aᵀ) aᵀ is the squared norm that sets c,
 and the squared distances to the n observations cost O(d n) instead of
 O(N n).  Only the pick is mapped to its N values, by
-``candidate_values``; both paths take c from ``cap_scale``.
+``candidate_values``, which always takes c from ``cap_scale``.
+
+Most searches cannot reach the cap, and those skip it.  By the triangle
+inequality no candidate of the box is longer than B = ||b|| + box *
+sum_j ||h_j||, the norms read off the diagonal of the L2 Gram.  When
+B <= (1 - 1e-3) l_max, or l_max is infinite, the search scores the
+points a @ A without c: every candidate's computed norm is then at most
+l_max, so ``cap_scale`` would return exactly 1.0 and each skipped
+product is a multiplication by 1.0.  The margin covers the rounding of
+the Gram and of each row's quadratic form, and golden-section points an
+ulp outside the box.  Under a finite l_max, a non-finite B takes the
+capped path.
 
 A search step scores its 2 * restarts candidates in one call, and the
 call allocates little beyond its (q, n) arrays.  The golden-section loop
@@ -46,6 +57,7 @@ from . import gp
 from .errors import InputError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_CAP_MARGIN = 1e-3  # relative room below l_max that a search's norm bound must keep
 
 
 @dataclass(frozen=True)
@@ -122,10 +134,14 @@ def subspace_posterior(model: gp.GPModel, subspace, search: AcqSearchConfig):
     computed from the coordinates: equal to posterior_batch on
     candidate_values(subspace, search, lam) up to rounding.  lam is a
     (q, d) array; the coefficient rows [1, lam] live in one buffer per
-    search, reallocated only when q changes."""
+    search, reallocated only when q changes.  A search whose box cannot
+    reach the cap scores without it (see the module docstring)."""
     A = np.array([subspace.bias.values] + [h.values for h in subspace.basis])
     l2_gram = (A @ A.T) * subspace.bias.spec.weight
     span = gp.span_posterior(model, A)
+    norms = np.sqrt(np.diagonal(l2_gram)).tolist()
+    bound = norms[0] + search.lambda_box * sum(norms[1:])
+    uncapped = bound <= (1.0 - _CAP_MARGIN) * search.l_max  # always under l_max = inf
     a = np.ones((0, len(A)))
 
     def posterior(lam_batch):
@@ -133,6 +149,8 @@ def subspace_posterior(model: gp.GPModel, subspace, search: AcqSearchConfig):
         if len(a) != len(lam_batch):
             a = np.ones((len(lam_batch), len(A)))
         a[:, 1:] = lam_batch
+        if uncapped:
+            return span(a)
         sq_norms = np.einsum("ij,ij->i", a @ l2_gram, a)
         return span(a, cap_scale(sq_norms, search.l_max))
 

@@ -335,8 +335,9 @@ def posterior_batch(model: GPModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def span_posterior(model: GPModel, A: np.ndarray):
     """Posterior queries at scaled combinations of the rows of A.
 
-    Returns ``posterior(a, c)``: the posterior means and variances at the
-    points c_i * (a_i @ A) for coefficient rows a (q, r) and scales c (q,).
+    Returns ``posterior(a, c=None)``: the posterior means and variances at
+    the points c_i * (a_i @ A) for coefficient rows a (q, r) and scales c
+    (q,); without c, at the points a_i @ A, the same bits as c = 1.
     The metric Gram of A's rows (A Aᵀ, or A G Aᵀ under rkhs) and their
     inner products with the model's points (A Vᵀ, or A G Vᵀ) are computed
     once here, so a query costs O(q r n) and never forms a point of the
@@ -346,16 +347,17 @@ def span_posterior(model: GPModel, A: np.ndarray):
     """
     variance = _base_of(model.kernel).variance
     if model.n == 0:
-        return lambda a, c: (np.zeros(len(a)), np.full(len(a), variance))
+        return lambda a, c=None: (np.zeros(len(a)), np.full(len(a), variance))
     gram = _metric_rows(model.kernel, A) @ A.T
     proj = A @ model.MV.T
     row_q, weight = model.row_q, _weight(model)
 
-    def posterior(a, c):
-        q_sq = c * c
-        q_sq *= np.einsum("ij,ij->i", a @ gram, a)
+    def posterior(a, c=None):
+        q_sq = np.einsum("ij,ij->i", a @ gram, a)
         cross = a @ proj
-        cross *= c[:, None]
+        if c is not None:
+            q_sq *= c * c
+            cross *= c[:, None]
         return posterior_from_sqdist(model, _sqdist(q_sq, row_q, cross, weight), variance)
 
     return posterior

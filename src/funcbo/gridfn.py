@@ -106,13 +106,18 @@ def l2_inner(g: GridFunction, h: GridFunction) -> float:
 # round-trip is bit exact.
 
 
+@lru_cache(maxsize=16)
+def _coordinate_text(spec: GridSpec) -> tuple[str, tuple[str, ...]]:
+    """The header line and each row's coordinates up to its value, once per grid."""
+    header = ",".join(f"x{k}" for k in range(spec.dim)) + ",value"
+    rows = tuple(",".join(map(repr, row)) + "," for row in grid_coordinates(spec).tolist())
+    return header, rows
+
+
 def write_function_csv(g: GridFunction, path) -> None:
-    coords = grid_coordinates(g.spec)
-    header = ",".join(f"x{k}" for k in range(g.spec.dim)) + ",value"
-    lines = [header]
-    for row, val in zip(coords, g.values):
-        lines.append(",".join(repr(float(c)) for c in row) + "," + repr(float(val)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    header, rows = _coordinate_text(g.spec)
+    lines = (row + repr(value) for row, value in zip(rows, g.values.tolist()))
+    Path(path).write_text(header + "\n" + "\n".join(lines) + "\n")
 
 
 def read_function_csv(path) -> GridFunction:

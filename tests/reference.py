@@ -11,7 +11,8 @@ and ``candidates`` splits a model into one model per lengthscale, so
 that tests can check them against models rebuilt from scratch.  The
 grid-function helpers ``zeros``, ``constant``, ``from_callable``,
 ``linear_combine``, ``l2_norm`` and ``rkhs_dist_sq`` build and measure
-test functions.  ``read_trace_csv`` reads a trace CSV of
+test functions, and ``write_function_csv`` writes one the plain way, row
+by row.  ``read_trace_csv`` reads a trace CSV of
 ``bench.run_bench`` back.
 """
 
@@ -77,6 +78,16 @@ def rkhs_dist_sq(
         raise ShapeError(f"gram shape {gram.shape} does not match {a.size} coefficients")
     d = a - b
     return max(float(d @ gram @ d), 0.0)
+
+
+def write_function_csv(g: GridFunction, path) -> None:
+    """The per-row writer: the bytes that ``gridfn.write_function_csv`` must write."""
+    coords = grid_coordinates(g.spec)
+    header = ",".join(f"x{k}" for k in range(g.spec.dim)) + ",value"
+    lines = [header]
+    for row, val in zip(coords, g.values):
+        lines.append(",".join(repr(float(c)) for c in row) + "," + repr(float(val)))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 # --- kernels and GP models -------------------------------------------------

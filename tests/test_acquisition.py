@@ -3,11 +3,11 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import GRID_1D, random_grid_function
-from funcbo import gp
+from funcbo import acquisition, gp
 from funcbo.acquisition import (
     AcqSearchConfig,
     UcbSchedule,
@@ -283,13 +283,16 @@ def test_subspace_posterior_equals_posterior_of_candidates(metric, d, seed, rela
     variance=st.floats(0.2, 5.0),
     d=st.integers(1, 3),
     n_points=st.integers(1, 12),
-    l_max=st.sampled_from([0.3, 2.5, math.inf]),  # 0.3 caps every candidate
+    # 0.3 caps every candidate; 10.0 is the default, which most boxes cannot reach
+    l_max=st.sampled_from([0.3, 2.5, 10.0, math.inf]),
     restarts=st.integers(1, 8),
     local_steps=st.integers(1, 40),
     lambda_box=st.floats(0.5, 8.0),
     sqrt_beta=st.floats(0.0, 4.0),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(path="l2grid", kind="se", variance=1.0, d=2, n_points=6, l_max=10.0, restarts=8,
+         local_steps=40, lambda_box=4.0, sqrt_beta=2.0, seed=9)
 def test_search_matches_the_reference_bit_for_bit(
     path, kind, variance, d, n_points, l_max, restarts, local_steps, lambda_box, sqrt_beta,
     seed,
@@ -340,3 +343,44 @@ def test_search_matches_the_reference_bit_for_bit(
     assert mine.bit_generator.state == theirs.bit_generator.state
     for now, then in zip(caller, before):
         assert np.array_equal(now, then)
+
+
+def _counting_cap_scale(monkeypatch):
+    calls, original = [], acquisition.cap_scale
+
+    def counted(sq_norms, l_max):
+        calls.append(len(sq_norms))
+        return original(sq_norms, l_max)
+
+    monkeypatch.setattr(acquisition, "cap_scale", counted)
+    return calls
+
+
+def test_uncapped_and_capped_searches_match_the_reference(monkeypatch):
+    """A search whose box cannot reach l_max skips the cap and returns
+    the capped reference's exact (lam, value); one whose norm bound sits
+    just above the threshold takes the capped path, also exactly."""
+    rng = np.random.default_rng(21)
+    d = 2
+    earlier = _subspace(rng, d=d, bias=random_grid_function(rng, scale=0.5))
+    sub = _subspace(rng, d=d, bias=random_grid_function(rng, scale=0.5))
+    model = empty_model(SE_L2, 0.01, np.geomspace(0.05, 20.0, 5))
+    for s in (earlier, sub, earlier, sub):
+        lam = rng.normal(size=(1, d))
+        point = GridFunction(GRID_1D, candidate_values(s, AcqSearchConfig(), lam)[0])
+        model = gp.condition(model, Observation(point, float(rng.standard_normal())))
+    search = AcqSearchConfig()
+    # the triangle inequality over the box: no candidate is longer than bound
+    bound = l2_norm(sub.bias) + search.lambda_box * sum(l2_norm(h) for h in sub.basis)
+    assert bound < (1.0 - 1e-3) * search.l_max
+    calls = _counting_cap_scale(monkeypatch)
+    for search, skips in ((search, True), (AcqSearchConfig(l_max=bound * (1.0 + 5e-4)), False)):
+        calls.clear()
+        mine, theirs = np.random.default_rng(22), np.random.default_rng(22)
+        lam, value = ucb_search(subspace_posterior(model, sub, search), d, search, mine, 2.0)
+        ref_lam, ref_value = reference.ucb_search(
+            reference.subspace_posterior(model, sub, search), d, search, theirs, 2.0
+        )
+        assert np.array_equal(lam, ref_lam)
+        assert value == ref_value
+        assert len(calls) == (0 if skips else 1 + search.local_steps)

@@ -340,6 +340,72 @@ def test_session_replaying_every_load_reproduces_in_process_run(
     _session_equals_in_process_run(tmp_path, algorithm, termination, metric, True)
 
 
+def _record_lines(trace):
+    """The records as the state file writes them, so that traces compare byte for byte."""
+    return [",".join([str(r.eval_index), str(r.s), str(r.t), *map(repr, r.lam), repr(r.y),
+                      repr(r.best_y)]) for r in trace]
+
+
+@st.composite
+def _small_session_config(draw):
+    S = draw(st.integers(1, 3))
+    n_init = draw(st.integers(1, 12 // S - 1))
+    algorithm = draw(st.sampled_from(ALGORITHMS))
+    dim = 1 if algorithm == "linebo_bernstein" else draw(st.integers(1, 2))  # a line needs 1-d
+    return {
+        "opt.algorithm": algorithm,
+        "opt.termination": draw(st.sampled_from(["budget", "regret"])),
+        "opt.epsilon": draw(st.sampled_from([0.01, 0.3])),
+        "K.metric": draw(st.sampled_from(["l2grid", "rkhs"])),
+        "K.lengthscale": draw(st.sampled_from(["mle", "0.5", "2.0"])),
+        "opt.d": draw(st.integers(1, 2)),
+        "grid.dim": dim,
+        "grid.points_per_axis": draw(st.integers(4, 20) if dim == 1 else st.integers(2, 5)),
+        "opt.S": S,
+        "opt.n_init": n_init,
+        "opt.T": draw(st.integers(1, 12 // S - n_init)),
+        "opt.seed": draw(st.integers(0, 2**32 - 1)),
+        "objective.noise": 0.05,
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=_small_session_config(), data=st.data())
+def test_session_equals_in_process_run_on_generated_configs(tmp_path_factory, config, data):
+    """On a small random config, a suggest/tell session writes the
+    in-process trace byte for byte, and a state rolled back to an earlier
+    tell loads and continues to the same trace."""
+    state = tmp_path_factory.mktemp("session") / "state.txt"
+    state.write_text("".join(f"{key} = {value}\n" for key, value in config.items()))
+    values = bench.parse_config(state)
+    cfg = bench.build_opt_config(values)
+    objective = bench.build_objective(values, cfg.grid)
+    _, reference = RUNNERS[config["opt.algorithm"]](objective, cfg)
+    expected, ys = _record_lines(reference), [r.y for r in reference]
+
+    _, noise_rng = rng_streams(cfg.seed)
+    out = state.with_name("g.csv")
+    for _ in range(len(reference)):
+        bench.suggest(state, out)
+        bench.tell(state, objective.evaluate(read_function_csv(out), noise_rng))
+    _, engine = bench.load_state(state)
+    assert engine.done
+    assert _record_lines(engine.trace) == expected
+
+    # a rollback: trailing records deleted, the digest kept
+    kept = data.draw(st.integers(0, len(reference) - 1), label="kept records")
+    lines = state.read_text().splitlines()
+    first = lines.index("[trace]") + 2
+    state.write_text("\n".join(lines[: first + kept] + lines[lines.index("[digest]"):]) + "\n")
+    _, engine = bench.load_state(state)
+    assert _record_lines(engine.trace) == expected[:kept]
+    while not engine.done:
+        bench.suggest(state, out)
+        bench.tell(state, ys[len(engine.trace)])
+        _, engine = bench.load_state(state)
+    assert _record_lines(engine.trace) == expected
+
+
 def _dropped_engines_are_freed(tmp_path, algorithm, replaying):
     # every suggest or tell drops the engine of its load mid-run; were the
     # engine in a reference cycle, each would wait for the cyclic collector

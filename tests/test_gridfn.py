@@ -19,6 +19,7 @@ from funcbo.gridfn import (
     write_function_csv,
 )
 from funcbo.kernels import ScalarKernelSpec
+import reference
 from reference import (
     constant,
     from_callable,
@@ -237,6 +238,17 @@ def test_function_csv_roundtrip(spec, tmp_path):
     path2 = tmp_path / "fn2.csv"
     write_function_csv(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("spec", [GRID_1D, GridSpec(2, 7), GridSpec(3, 4)])
+def test_function_csv_bytes_match_the_per_row_writer(spec, tmp_path):
+    rng = np.random.default_rng(10)
+    values = rng.standard_normal(spec.size) * 10.0 ** rng.integers(-300, 300, spec.size)
+    values[:4] = [-0.0, 0.0, 1.0, -2.5]
+    for g in (GridFunction(spec, values), random_grid_function(rng, spec)):  # a cache hit
+        write_function_csv(g, tmp_path / "fn.csv")
+        reference.write_function_csv(g, tmp_path / "ref.csv")
+        assert (tmp_path / "fn.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_function_csv_rejects_garbage(tmp_path):
