@@ -23,7 +23,9 @@ and ``export`` certify the live position once.
 that produced the state text they wrote (its ``snapshot()``), keyed by
 that text and this code.  A load whose snapshot matches restores it in
 place of the replay; any other snapshot is ignored.  Both files are
-replaced atomically.
+replaced atomically.  The process also keeps the engine it last saved
+live, under the same key: a load of exactly that text takes it and
+neither parses, restores nor replays.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import logging
 import math
 import os
 import shutil
+import threading
 from dataclasses import dataclass, replace
 from functools import cache, reduce
 from pathlib import Path
@@ -497,15 +500,15 @@ def _snapshot_chunks(key: str, snap: dict):
     yield f"{digest.hexdigest()}\n".encode()
 
 
-def _read_snapshot(path, text: str) -> dict | None:
-    """The snapshot beside a state file if it holds the engine of exactly
-    this text, written by this code; otherwise None, and a DEBUG line says
-    why."""
+def _read_snapshot(path, key: str) -> dict | None:
+    """The snapshot beside a state file if it has this key (the engine of
+    exactly that text, written by this code); otherwise None, and a DEBUG
+    line says why."""
     snap_path = snapshot_path(path)
     try:
         with open(snap_path, "rb") as src:
             first = src.readline(256)
-            if first != f"{_SNAPSHOT_MAGIC} {_snapshot_key(text)}\n".encode():
+            if first != f"{_SNAPSHOT_MAGIC} {key}\n".encode():
                 return _snapshot_miss(snap_path, "it was written for other state text or code")
             line = src.readline()
             digest = hashlib.sha256(first + line)
@@ -532,16 +535,36 @@ def _snapshot_miss(snap_path, why: str) -> None:
     _log.debug("replaying the trace, not loading the snapshot %s: %s", snap_path, why)
 
 
+# The engine that ``_save`` wrote last, with its snapshot key:
+# (key, values, engine), or None.  A load takes it out, so the caller owns
+# the engine it gets and a command that fails keeps none live.
+_live = None
+_live_lock = threading.Lock()
+
+
+def _take_live(key: str | None):
+    """Empty the live slot; its (values, engine) if they have this key,
+    otherwise None."""
+    global _live
+    with _live_lock:
+        live, _live = _live, None
+    return live[1:] if live is not None and live[0] == key else None
+
+
 def _save(state_path, values: dict, engine) -> None:
-    """Save the state, then the snapshot of the engine beside it.  A
-    snapshot that cannot be written is logged and skipped: the next load
-    replays."""
+    """Save the state, then the snapshot of the engine beside it, then keep
+    the engine live.  A snapshot that cannot be written is logged and
+    skipped, and the engine is not kept: the next load replays."""
+    global _live
     text = save_state(state_path, values, engine)
+    key = _snapshot_key(text)
     try:
-        _write_atomic(snapshot_path(state_path),
-                      _snapshot_chunks(_snapshot_key(text), engine.snapshot()))
+        _write_atomic(snapshot_path(state_path), _snapshot_chunks(key, engine.snapshot()))
     except OSError as exc:
         _log.debug("could not write the snapshot %s: %s", snapshot_path(state_path), exc)
+        return
+    with _live_lock:
+        _live = (key, values, engine)
 
 
 def load_state(path):
@@ -559,12 +582,19 @@ def load_state(path):
     only a recorded early end has its regret certificate recomputed, and
     it must be below epsilon.  A snapshot beside the file that this code
     wrote for exactly this text is restored instead: those checks ran
-    when it was written.
+    when it was written.  If the last ``suggest`` or ``tell`` of this
+    process saved exactly this text and no load has taken its engine
+    since, that engine and its values are returned as they are, and the
+    caller owns them.
     """
     text = Path(path).read_text()
+    key = _snapshot_key(text)
+    live = _take_live(key)
+    if live is not None:
+        return live
     values, records, pending = _parse_state_text(text)
     engine = optimizer.make_engine(build_opt_config(values), values["opt.algorithm"])
-    snap = _read_snapshot(path, text) if records or pending else None
+    snap = _read_snapshot(path, key) if records or pending else None
     if snap is None:
         engine.replay(records, pending)
     else:

@@ -133,17 +133,29 @@ def read_function_csv(path) -> GridFunction:
     if rho**dim != n:
         raise InputError(f"{n} rows is not a full {dim}-d grid")
     spec = GridSpec(dim, rho)
-    table = np.empty((n, dim + 1))
-    for i, line in enumerate(lines[1:]):
-        parts = line.split(",")
-        if len(parts) != dim + 1:
-            raise InputError(f"bad row {i} in function CSV: {line!r}")
-        try:
-            table[i] = [float(p) for p in parts]
-        except ValueError:
-            raise InputError(f"row {i} of the function CSV is not numeric: {line!r}") from None
+    rows = lines[1:]
+    # all cells in one pass; the rows are read one by one only to name a bad one
+    if any(line.count(",") != dim for line in rows):
+        raise _bad_row(rows, dim)
+    try:
+        table = np.array(list(map(float, ",".join(rows).split(",")))).reshape(n, dim + 1)
+    except ValueError:
+        raise _bad_row(rows, dim) from None
     off_grid = ~np.isclose(table[:, :-1], grid_coordinates(spec), atol=1e-9).all(axis=1)
     if off_grid.any():
         i = int(np.argmax(off_grid))
         raise InputError(f"row {i} coordinates do not match the cell-center grid")
     return GridFunction(spec, table[:, -1])
+
+
+def _bad_row(rows, dim: int) -> InputError:
+    """The error naming the first row that is not dim + 1 numbers (the
+    caller has found that some row is not)."""
+    for i, line in enumerate(rows):
+        parts = line.split(",")
+        if len(parts) != dim + 1:
+            return InputError(f"bad row {i} in function CSV: {line!r}")
+        try:
+            list(map(float, parts))
+        except ValueError:
+            return InputError(f"row {i} of the function CSV is not numeric: {line!r}")

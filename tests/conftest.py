@@ -1,8 +1,16 @@
 import numpy as np
+import pytest
 
+from funcbo import bench
 from funcbo.gridfn import GridFunction, GridSpec
 
 GRID_1D = GridSpec(1, 100)
+
+
+@pytest.fixture(autouse=True)
+def _no_live_engine():
+    """Each test starts as a new process does: no session engine is live."""
+    bench._take_live(None)
 
 
 def random_grid_function(rng, spec=GRID_1D, scale=1.0) -> GridFunction:

@@ -11,8 +11,9 @@ and ``candidates`` splits a model into one model per lengthscale, so
 that tests can check them against models rebuilt from scratch.  The
 grid-function helpers ``zeros``, ``constant``, ``from_callable``,
 ``linear_combine``, ``l2_norm`` and ``rkhs_dist_sq`` build and measure
-test functions, and ``write_function_csv`` writes one the plain way, row
-by row.  ``read_trace_csv`` reads a trace CSV of
+test functions, and ``write_function_csv`` and ``read_function_csv``
+write and read one the plain way, row by row.  ``read_trace_csv`` reads
+a trace CSV of
 ``bench.run_bench`` back.
 """
 
@@ -88,6 +89,36 @@ def write_function_csv(g: GridFunction, path) -> None:
     for row, val in zip(coords, g.values):
         lines.append(",".join(repr(float(c)) for c in row) + "," + repr(float(val)))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_function_csv(path) -> GridFunction:
+    """The per-row reader: the values and errors of ``gridfn.read_function_csv``."""
+    lines = Path(path).read_text().strip().splitlines()
+    if not lines:
+        raise InputError(f"empty function file: {path}")
+    header = lines[0].split(",")
+    dim = len(header) - 1
+    if dim < 1 or header[-1] != "value" or any(h != f"x{k}" for k, h in enumerate(header[:-1])):
+        raise InputError(f"bad function CSV header: {lines[0]!r}")
+    n = len(lines) - 1
+    rho = round(n ** (1.0 / dim))
+    if rho**dim != n:
+        raise InputError(f"{n} rows is not a full {dim}-d grid")
+    spec = GridSpec(dim, rho)
+    table = np.empty((n, dim + 1))
+    for i, line in enumerate(lines[1:]):
+        parts = line.split(",")
+        if len(parts) != dim + 1:
+            raise InputError(f"bad row {i} in function CSV: {line!r}")
+        try:
+            table[i] = [float(p) for p in parts]
+        except ValueError:
+            raise InputError(f"row {i} of the function CSV is not numeric: {line!r}") from None
+    off_grid = ~np.isclose(table[:, :-1], grid_coordinates(spec), atol=1e-9).all(axis=1)
+    if off_grid.any():
+        i = int(np.argmax(off_grid))
+        raise InputError(f"row {i} coordinates do not match the cell-center grid")
+    return GridFunction(spec, table[:, -1])
 
 
 # --- kernels and GP models -------------------------------------------------

@@ -8,6 +8,7 @@ import sys
 import tempfile
 import warnings
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from funcbo import bench, cli, kernels, optimizer
-from funcbo.errors import ConfigError, FuncboError, ProtocolError
+from funcbo.errors import ConfigError, FuncboError, NumericalError, ProtocolError
 from funcbo.gridfn import read_function_csv
 from funcbo.optimizer import ALGORITHMS, RUNNERS, make_engine, rng_streams
 from reference import read_trace_csv
@@ -276,22 +277,54 @@ def test_first_suggestion_is_first_initial_design_point(tmp_path):
     np.testing.assert_array_equal(suggested.values, expected.values)
 
 
+def _forget_live_engine(state=None):
+    """As in a new process: no engine is live, so a load restores or replays."""
+    bench._take_live(None)
+
+
 def _drop_snapshot(state):
+    """As in a new process after the snapshot was deleted: a load replays."""
+    _forget_live_engine()
     bench.snapshot_path(state).unlink(missing_ok=True)
 
 
-def _replaying(command):
-    """The session command with the snapshot beside its state deleted
-    first, so that its load replays the trace."""
-
+def _after(forget, command):
     def run(state, *args):
-        _drop_snapshot(state)
+        forget(state)
         return command(state, *args)
 
     return run
 
 
-def _session_equals_in_process_run(tmp_path, algorithm, termination, metric, replaying):
+def _restoring(command):
+    """The session command with the live engine forgotten first, so that
+    its load restores the snapshot."""
+    return _after(_forget_live_engine, command)
+
+
+def _replaying(command):
+    """The session command with the live engine forgotten and the snapshot
+    beside its state deleted first, so that its load replays the trace."""
+    return _after(_drop_snapshot, command)
+
+
+_LOAD_STEPS = {"_parse_state_text": bench, "_read_snapshot": bench,
+               "restore": optimizer._EngineBase, "replay": optimizer._EngineBase}
+
+
+def _count_load_steps(monkeypatch):
+    """Count the calls of each step a load can take but the live one."""
+    counts = {}
+    for name, owner in _LOAD_STEPS.items():
+        def counted(*args, name=name, real=getattr(owner, name)):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+def _session_equals_in_process_run(tmp_path, monkeypatch, algorithm, termination, metric, path):
     state = tmp_path / "state.txt"
     state.write_text(
         "grid.points_per_axis = 40\nopt.S = 2\nopt.T = 4\nopt.n_init = 2\n"
@@ -303,9 +336,9 @@ def _session_equals_in_process_run(tmp_path, algorithm, termination, metric, rep
     objective = bench.build_objective(values, cfg.grid)
     _, reference = RUNNERS[algorithm](objective, cfg)
 
-    load, suggest, tell = bench.load_state, bench.suggest, bench.tell
-    if replaying:
-        load, suggest, tell = _replaying(load), _replaying(suggest), _replaying(tell)
+    wrap = {"live": lambda command: command, "snapshot": _restoring, "replay": _replaying}[path]
+    load, suggest, tell = wrap(bench.load_state), wrap(bench.suggest), wrap(bench.tell)
+    counts = _count_load_steps(monkeypatch)
     _, noise_rng = rng_streams(cfg.seed)
     out = tmp_path / "g.csv"
     for _ in range(len(reference)):
@@ -320,24 +353,45 @@ def _session_equals_in_process_run(tmp_path, algorithm, termination, metric, rep
         assert mine.lam == ref.lam
         assert mine.y == ref.y
         assert mine.best_y == ref.best_y
+    # every load but the first, of the plain config, takes the path
+    loads = 2 * len(reference) + 1
+    assert counts == {
+        "live": {"_parse_state_text": 1, "replay": 1},
+        "snapshot": {"_parse_state_text": loads, "_read_snapshot": loads - 1,
+                     "restore": loads - 1, "replay": 1},
+        "replay": {"_parse_state_text": loads, "_read_snapshot": loads - 1, "replay": loads},
+    }[path]
 
 
-@pytest.mark.parametrize("metric", ["l2grid", "rkhs"])
-@pytest.mark.parametrize("termination", ["budget", "regret"])
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_session_reproduces_in_process_run(tmp_path, algorithm, termination, metric):
-    # every load but the first restores the snapshot the command before wrote
-    _session_equals_in_process_run(tmp_path, algorithm, termination, metric, False)
+_SESSION_CONFIGS = pytest.mark.parametrize(
+    "algorithm, termination, metric",
+    [(a, t, m) for a in ALGORITHMS for t in ("budget", "regret") for m in ("l2grid", "rkhs")],
+)
 
 
-@pytest.mark.parametrize("metric", ["l2grid", "rkhs"])
-@pytest.mark.parametrize("termination", ["budget", "regret"])
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@_SESSION_CONFIGS
+def test_session_reproduces_in_process_run(tmp_path, monkeypatch, algorithm, termination, metric):
+    # every load but the first takes the engine the command before kept live
+    _session_equals_in_process_run(tmp_path, monkeypatch, algorithm, termination, metric, "live")
+
+
+@_SESSION_CONFIGS
+def test_session_restoring_every_load_reproduces_in_process_run(
+    tmp_path, monkeypatch, algorithm, termination, metric
+):
+    # the live engine is forgotten before every load, so every load but the
+    # first restores the snapshot the command before wrote
+    _session_equals_in_process_run(tmp_path, monkeypatch, algorithm, termination, metric,
+                                   "snapshot")
+
+
+@_SESSION_CONFIGS
 def test_session_replaying_every_load_reproduces_in_process_run(
-    tmp_path, algorithm, termination, metric
+    tmp_path, monkeypatch, algorithm, termination, metric
 ):
     # the snapshot is deleted before every load, so every load replays
-    _session_equals_in_process_run(tmp_path, algorithm, termination, metric, True)
+    _session_equals_in_process_run(tmp_path, monkeypatch, algorithm, termination, metric,
+                                   "replay")
 
 
 def _record_lines(trace):
@@ -406,7 +460,7 @@ def test_session_equals_in_process_run_on_generated_configs(tmp_path_factory, co
     assert _record_lines(engine.trace) == expected
 
 
-def _dropped_engines_are_freed(tmp_path, algorithm, replaying):
+def _dropped_engines_are_freed(tmp_path, algorithm, path):
     # every suggest or tell drops the engine of its load mid-run; were the
     # engine in a reference cycle, each would wait for the cyclic collector
     state = tmp_path / "state.txt"
@@ -415,8 +469,8 @@ def _dropped_engines_are_freed(tmp_path, algorithm, replaying):
     for y in (0.5, -0.25, 1.0):
         bench.suggest(state, tmp_path / "g.csv")
         bench.tell(state, y)
-    if replaying:
-        _drop_snapshot(state)
+    if path != "live":
+        (_forget_live_engine if path == "snapshot" else _drop_snapshot)(state)
     gc.disable()
     try:
         values, loaded = bench.load_state(state)
@@ -435,12 +489,17 @@ def _dropped_engines_are_freed(tmp_path, algorithm, replaying):
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_engine_dropped_mid_run_is_freed_by_refcount(tmp_path, algorithm):
-    _dropped_engines_are_freed(tmp_path, algorithm, False)  # the load restores
+    _dropped_engines_are_freed(tmp_path, algorithm, "snapshot")  # the load restores
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_replayed_engine_dropped_mid_run_is_freed_by_refcount(tmp_path, algorithm):
-    _dropped_engines_are_freed(tmp_path, algorithm, True)
+    _dropped_engines_are_freed(tmp_path, algorithm, "replay")
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_live_engine_dropped_mid_run_is_freed_by_refcount(tmp_path, algorithm):
+    _dropped_engines_are_freed(tmp_path, algorithm, "live")  # the slot lets go of it
 
 
 def test_state_file_roundtrip_is_byte_stable(tmp_path):
@@ -476,16 +535,17 @@ def _count_replays(monkeypatch):
     return replays
 
 
+def _fail_to_write(*args):
+    raise OSError("no space left on device")
+
+
 def test_failed_writes_keep_the_previous_state(tmp_path, monkeypatch):
     state = _state_with_pending(tmp_path)
     before = state.read_bytes()
 
-    def fail(*args):
-        raise OSError("no space left on device")
-
     def cut_short():
         yield before[:40]
-        fail()
+        _fail_to_write()
 
     with pytest.raises(OSError, match="no space"):
         bench._write_atomic(state, cut_short())
@@ -494,7 +554,7 @@ def test_failed_writes_keep_the_previous_state(tmp_path, monkeypatch):
                                                           "state.txt.snapshot"]
     # a tell whose state write fails leaves the state and snapshot it loaded
     with monkeypatch.context() as patch:
-        patch.setattr(bench.os, "replace", fail)
+        patch.setattr(bench.os, "replace", _fail_to_write)
         with pytest.raises(OSError):
             bench.tell(state, 0.25)
     assert state.read_bytes() == before
@@ -520,9 +580,11 @@ def test_snapshot_mismatch_replays(tmp_path, monkeypatch, caplog, miss):
     elif miss == "another session":
         (tmp_path / "other").mkdir()
         snap.write_bytes(bench.snapshot_path(_state_with_pending(tmp_path / "other")).read_bytes())
-    elif miss == "truncated":
+    elif miss == "truncated":  # the live engine would match: forget it
+        _forget_live_engine()
         snap.write_bytes(snap.read_bytes()[: snap.stat().st_size // 2])
     elif miss == "flipped byte":  # in the last array, before the payload's sha256
+        _forget_live_engine()
         data = bytearray(snap.read_bytes())
         data[-100] ^= 1
         snap.write_bytes(bytes(data))
@@ -595,18 +657,95 @@ def test_load_certifies_only_the_recorded_early_end(tmp_path, monkeypatch):
 
 def test_snapshot_load_runs_no_certificate_search(tmp_path, monkeypatch):
     # the snapshot holds every decision the replay would certify again
+    # (the live engine is forgotten before each load, so each restores)
     state = _early_end_state(tmp_path)
     errs = _counting_regret_err(monkeypatch)
-    _, restored = bench.load_state(state)
+    _, restored = _restoring(bench.load_state)(state)
     assert errs == []
-    bench.suggest(state, tmp_path / "g.csv")
+    _restoring(bench.suggest)(state, tmp_path / "g.csv")
     assert len(errs) == 1  # the live position only
-    bench.tell(state, 0.0)
+    _restoring(bench.tell)(state, 0.0)
     assert len(errs) == 1
-    _, restored = bench.load_state(state)
+    _, restored = _restoring(bench.load_state)(state)
     _, replayed = _replaying(bench.load_state)(state)
     assert len(errs) == 2  # the replay's recorded early end
     assert _engine_state(restored) == _engine_state(replayed)
+
+
+def test_live_load_parses_reads_and_replays_nothing(tmp_path, monkeypatch):
+    # the tell that ends _early_end_state keeps its engine live
+    state = _early_end_state(tmp_path)
+    counts = _count_load_steps(monkeypatch)
+    _, live = bench.load_state(state)
+    assert counts == {}
+    _, restored = bench.load_state(state)  # the live load emptied the slot
+    assert counts == {"_parse_state_text": 1, "_read_snapshot": 1, "restore": 1}
+    _, replayed = _replaying(bench.load_state)(state)
+    assert live is not restored
+    assert _engine_state(live) == _engine_state(restored) == _engine_state(replayed)
+
+
+# at lengthscales of 1e9 and more the kernel between any two grid functions
+# rounds to 1, so with noise below float resolution the second observation's
+# Schur complement is zero for every candidate
+BREAKS_EVERY_LENGTHSCALE = (
+    "noise.sigma = 1e-12\nmle.grid_min = 1e9\nmle.grid_max = 1e10\nmle.grid_points = 3\n"
+)
+
+
+# what each failing command raises; a hand edit of the text runs no command
+_FAILURES = {"numerical error": NumericalError, "state write": OSError,
+             "pending suggest": ProtocolError, "hand edit": None}
+
+
+@pytest.mark.parametrize("failure", _FAILURES)
+def test_live_engine_is_not_kept_past_a_failed_command_or_an_edit(tmp_path, monkeypatch, failure):
+    # the suggest that ends _state_with_pending keeps its engine live
+    error = _FAILURES[failure]
+    state = _state_with_pending(
+        tmp_path, BREAKS_EVERY_LENGTHSCALE if failure == "numerical error" else "")
+    counts = _count_load_steps(monkeypatch)
+    if failure == "hand edit":
+        state.write_text(state.read_text().replace("opt.T = 2\n", "opt.T =  2\n"))
+    else:
+        with monkeypatch.context() as patch, pytest.raises(error):
+            if failure == "state write":
+                patch.setattr(bench.os, "replace", _fail_to_write)
+            if failure == "pending suggest":
+                bench.suggest(state, tmp_path / "g.csv")
+            else:  # the engine takes the told value before the command fails
+                bench.tell(state, -0.5)
+        assert counts == {}  # the failed command took the live engine
+    _, engine = bench.load_state(state)
+    assert counts == {"_parse_state_text": 1, "_read_snapshot": 1,
+                      "restore" if error else "replay": 1}
+    assert len(engine.trace) == 1 and engine.pending is not None
+    _, replayed = _replaying(bench.load_state)(state)
+    assert _engine_state(engine)[:2] == _engine_state(replayed)[:2]  # trace and pending
+
+
+def test_concurrent_loads_share_no_live_engine(tmp_path):
+    # four threads race to load each state that a command kept live; the
+    # slot is swapped under a lock, so no two of them get the same engine
+    state = _state_with_pending(tmp_path)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for step in range(16):
+                futures = [pool.submit(bench.load_state, state) for _ in range(4)]
+                engines = [future.result(timeout=60)[1] for future in futures]
+                assert len({id(engine) for engine in engines}) == 4
+                assert len({repr(_engine_state(engine)[:2]) for engine in engines}) == 1
+                if engines[0].done:
+                    break
+                if engines[0].pending is None:
+                    bench.suggest(state, tmp_path / "g.csv")
+                else:
+                    bench.tell(state, 0.1 * step)
+    finally:
+        sys.setswitchinterval(interval)
+    assert engines[0].done
 
 
 def test_uncertified_recorded_end_is_protocol_error(tmp_path, monkeypatch):
@@ -870,13 +1009,10 @@ def test_cli_negative_seed_exits_cleanly(tmp_path):
 
 
 def test_cli_every_lengthscale_breaking_is_numerical_error(tmp_path):
-    # at lengthscales of 1e9 and more the kernel between any two grid
-    # functions rounds to 1, so with noise below float resolution the
-    # second observation's Schur complement is zero for every candidate
     state = tmp_path / "state.txt"
     state.write_text(
         "grid.points_per_axis = 20\nopt.S = 1\nopt.T = 1\nopt.n_init = 2\n"
-        "noise.sigma = 1e-12\nmle.grid_min = 1e9\nmle.grid_max = 1e10\nmle.grid_points = 3\n"
+        + BREAKS_EVERY_LENGTHSCALE
     )
     fn = tmp_path / "g.csv"
     assert _cli("suggest", "--state", str(state), "--out", str(fn)).returncode == 0
@@ -898,9 +1034,9 @@ def test_cli_tell_nonfinite_is_input_error(tmp_path):
     assert res.returncode == 2
 
 
-def _state_with_pending(tmp_path):
+def _state_with_pending(tmp_path, extra=""):
     """A state file with one told evaluation and a pending suggestion."""
-    state = _fresh_state(tmp_path)
+    state = _fresh_state(tmp_path, extra)
     bench.suggest(state, tmp_path / "g.csv")
     bench.tell(state, 0.5)
     bench.suggest(state, tmp_path / "g.csv")

@@ -1,4 +1,5 @@
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -251,6 +252,18 @@ def test_function_csv_bytes_match_the_per_row_writer(spec, tmp_path):
         assert (tmp_path / "fn.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+@pytest.mark.parametrize("spec", [GRID_1D, GridSpec(2, 7), GridSpec(3, 4)])
+def test_function_csv_reads_the_values_of_the_per_row_reader(spec, tmp_path):
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal(spec.size) * 10.0 ** rng.integers(-300, 300, spec.size)
+    values[:4] = [-0.0, 0.0, 1.0, -2.5]
+    path = tmp_path / "fn.csv"
+    write_function_csv(GridFunction(spec, values), path)
+    got, want = read_function_csv(path), reference.read_function_csv(path)
+    assert got.spec == want.spec == spec
+    assert got.values.tobytes() == want.values.tobytes() == values.tobytes()
+
+
 def test_function_csv_rejects_garbage(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n")
@@ -309,11 +322,18 @@ def _function_csv_text(draw):
 @given(text=_function_csv_text())
 @example(text="x0,value\n0.5,abc\n")
 @example(text="value\n1.0\n")
+@example(text="x0,value\n0.25,abc\n0.75\n")  # the first bad row is named
+@example(text="x0,value\n0.25\n0.75,abc\n")
 def test_function_csv_parses_or_raises_funcbo_error(text):
+    """Any text reads as the per-row reader reads it, or raises its error."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fn.csv"
         path.write_text(text)
         try:
-            read_function_csv(path)
-        except FuncboError:
-            pass
+            got = read_function_csv(path)
+        except FuncboError as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                reference.read_function_csv(path)
+        else:
+            want = reference.read_function_csv(path)
+            assert got.spec == want.spec and got.values.tobytes() == want.values.tobytes()
