@@ -19,13 +19,18 @@ regret termination the replay takes each inner-loop continuation from
 the trace and re-certifies only the recorded early ends; ``suggest``
 and ``export`` certify the live position once.
 
-``suggest`` and ``tell`` also write ``<state>.snapshot``, the engine
-that produced the state text they wrote (its ``snapshot()``), keyed by
-that text and this code.  A load whose snapshot matches restores it in
-place of the replay; any other snapshot is ignored.  Both files are
+``tell`` also writes ``<state>.snapshot``, a checkpoint of the engine
+that produced the state text it wrote (its ``snapshot()``), keyed by that
+text and this code; ``suggest`` writes only the state text.  A load whose
+text, without its [pending] section, matches the checkpoint restores it
+in place of the replay of the records, then replays the pending step
+alone: that redraws the pending suggestion without a search (with the
+basis of an outer iteration that it opens) and checks it against the
+stored coordinates.  Any other snapshot is ignored.  Both files are
 replaced atomically.  The process also keeps the engine it last saved
-live, under the same key: a load of exactly that text takes it and
-neither parses, restores nor replays.
+live, under the key of the whole text: a load of exactly that text takes
+it and neither parses, restores nor replays, and its next save keeps the
+lines it wrote last and formats only the records added since.
 """
 
 from __future__ import annotations
@@ -38,9 +43,11 @@ import math
 import os
 import shutil
 import threading
+import weakref
 from dataclasses import dataclass, replace
 from functools import cache, reduce
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -358,24 +365,43 @@ def _write_atomic(path, chunks) -> None:
         raise
 
 
-def save_state(path, values: dict, engine) -> str:
-    """Write the engine's state file; returns its text."""
-    lines = ["# funcbo ask/tell state", *_config_lines(values)]
-    lines += ["[trace]", _trace_header(_lam_width(values))]
-    for rec in engine.trace:
-        row = [str(rec.eval_index), str(rec.s), str(rec.t)]
-        row += [repr(v) for v in rec.lam]
-        row += [repr(rec.y), repr(rec.best_y)]
-        lines.append(",".join(row))
+def _record_row(rec: RunRecord) -> str:
+    """A record's line in the state's [trace] section."""
+    return ",".join([str(rec.eval_index), str(rec.s), str(rec.t), *map(repr, rec.lam),
+                     repr(rec.y), repr(rec.best_y)])
+
+
+class _StateText(NamedTuple):
+    """A state file's text, and its parts that a later save of the same
+    engine keeps: the lines before the records, the lines of the first
+    ``count`` records and the [digest] section."""
+
+    text: str
+    head: str
+    rows: str
+    count: int
+    tail: str
+
+
+def save_state(path, values: dict, engine, earlier: _StateText | None = None) -> _StateText:
+    """Write the engine's state file; returns its text.  ``earlier`` is
+    what an earlier save of this engine with these values returned: its
+    lines are kept, and only the records added since are formatted.
+    Without it every line is formatted."""
+    if earlier is None:
+        head = ["# funcbo ask/tell state", *_config_lines(values), "[trace]",
+                _trace_header(_lam_width(values))]
+        earlier = _StateText("", "".join(line + "\n" for line in head), "", 0,
+                             f"[digest]\nconfig_sha256 = {_config_digest(values)}\n")
+    rows = earlier.rows + "".join(_record_row(rec) + "\n" for rec in engine.trace[earlier.count:])
+    pending = ""
     if engine.pending is not None:
         kind, s, t, lam = engine.pending[:4]
-        lines.append("[pending]")
-        lines.append(",".join([kind, str(s), str(t), *[repr(float(v)) for v in lam]]))
-    lines.append("[digest]")
-    lines.append(f"config_sha256 = {_config_digest(values)}")
-    text = "\n".join(lines) + "\n"
+        fields = [kind, str(s), str(t), *[repr(float(v)) for v in lam]]
+        pending = f"[pending]\n{','.join(fields)}\n"
+    text = earlier.head + rows + pending + earlier.tail
     _write_atomic(path, [text.encode()])
-    return text
+    return _StateText(text, earlier.head, rows, len(engine.trace), earlier.tail)
 
 
 def _state_number(parse, text: str, where: str):
@@ -450,14 +476,14 @@ def _parse_state_text(text: str):
 
 # --- engine snapshots beside a state file ---------------------------------
 #
-# "<state>.snapshot" holds the engine that produced the state text:
+# "<state>.snapshot" holds the engine that the last ``tell`` saved:
 #
 #     funcbo engine snapshot <key>\n
 #     {"values": {name: JSON value}, "arrays": [[name, shape], ...]}\n
 #     each array's little-endian float64 values in C order
 #     <sha256 hex of every byte above>\n
 #
-# The key is the sha256 of ``_code_digest()`` and the state text.
+# The key is the sha256 of ``_code_digest()`` and the state text it wrote.
 
 _SNAPSHOT_MAGIC = "funcbo engine snapshot"
 _SNAPSHOT_TRAILER = 65  # a sha256 in hex and a newline
@@ -535,11 +561,20 @@ def _snapshot_miss(snap_path, why: str) -> None:
     _log.debug("replaying the trace, not loading the snapshot %s: %s", snap_path, why)
 
 
+def _checkpoint_text(text: str) -> str:
+    """The state text without its [pending] section: the text that the
+    ``tell`` before the pending suggestion wrote, which keys its checkpoint."""
+    head, found, rest = text.partition("\n[pending]\n")
+    return head + "\n" + rest.partition("\n")[2] if found else text
+
+
 # The engine that ``_save`` wrote last, with its snapshot key:
 # (key, values, engine), or None.  A load takes it out, so the caller owns
 # the engine it gets and a command that fails keeps none live.
 _live = None
 _live_lock = threading.Lock()
+# The text of each engine's last save, which its next save extends.
+_saved_texts = weakref.WeakKeyDictionary()
 
 
 def _take_live(key: str | None):
@@ -552,17 +587,20 @@ def _take_live(key: str | None):
 
 
 def _save(state_path, values: dict, engine) -> None:
-    """Save the state, then the snapshot of the engine beside it, then keep
-    the engine live.  A snapshot that cannot be written is logged and
-    skipped, and the engine is not kept: the next load replays."""
+    """Save the state, then, with no suggestion pending (at a ``tell``),
+    the checkpoint of the engine beside it, then keep the engine live.  A
+    checkpoint that cannot be written is logged and skipped, and the engine
+    is not kept: the next load replays."""
     global _live
-    text = save_state(state_path, values, engine)
-    key = _snapshot_key(text)
-    try:
-        _write_atomic(snapshot_path(state_path), _snapshot_chunks(key, engine.snapshot()))
-    except OSError as exc:
-        _log.debug("could not write the snapshot %s: %s", snapshot_path(state_path), exc)
-        return
+    state = _saved_texts[engine] = save_state(state_path, values, engine,
+                                              _saved_texts.get(engine))
+    key = _snapshot_key(state.text)
+    if engine.pending is None:
+        try:
+            _write_atomic(snapshot_path(state_path), _snapshot_chunks(key, engine.snapshot()))
+        except OSError as exc:
+            _log.debug("could not write the snapshot %s: %s", snapshot_path(state_path), exc)
+            return
     with _live_lock:
         _live = (key, values, engine)
 
@@ -580,25 +618,28 @@ def load_state(path):
     checks each record against the run schedule.  A stored inner step
     counts as the original run's decision to continue its inner loop;
     only a recorded early end has its regret certificate recomputed, and
-    it must be below epsilon.  A snapshot beside the file that this code
-    wrote for exactly this text is restored instead: those checks ran
-    when it was written.  If the last ``suggest`` or ``tell`` of this
-    process saved exactly this text and no load has taken its engine
-    since, that engine and its values are returned as they are, and the
-    caller owns them.
+    it must be below epsilon.  A checkpoint beside the file that this
+    code wrote at the ``tell`` of exactly this text without its pending
+    line is restored in place of the records' replay: those checks ran
+    when it was written.  The pending suggestion is then replayed and
+    checked alone.  If the last ``suggest`` or ``tell`` of this process
+    saved exactly this text and no load has taken its engine since, that
+    engine and its values are returned as they are, and the caller owns
+    them.
     """
     text = Path(path).read_text()
-    key = _snapshot_key(text)
-    live = _take_live(key)
+    live = _take_live(_snapshot_key(text))
     if live is not None:
         return live
     values, records, pending = _parse_state_text(text)
     engine = optimizer.make_engine(build_opt_config(values), values["opt.algorithm"])
-    snap = _read_snapshot(path, key) if records or pending else None
+    snap = _read_snapshot(path, _snapshot_key(_checkpoint_text(text))) if records else None
     if snap is None:
         engine.replay(records, pending)
-    else:
-        engine.restore(snap, records, pending)
+        return values, engine
+    engine.restore(snap, records)
+    if pending is not None:
+        engine._replay_step(pending, "the pending suggestion")
     return values, engine
 
 

@@ -42,9 +42,11 @@ the original run did not end the loop there, so its regret certificate
 is not recomputed.  The certificate runs only where the trace ends an
 inner loop early, which must be certified or the state is rejected, and
 at the live position after the trace.  ``snapshot`` and ``restore``
-take, and put back, everything the replay rebuilds beyond the records,
-so that a load can skip it (``bench`` stores the snapshot beside the
-state file).
+take, and put back, everything the replay of the records rebuilds beyond
+them, of an engine with no suggestion pending, so that a load can skip
+that replay (``bench`` writes the snapshot at each ``tell``).  A pending
+suggestion has one rebuild path: its replay step, which redraws it
+without a search (and the basis of an outer iteration that it opens).
 """
 
 from __future__ import annotations
@@ -348,21 +350,17 @@ class _EngineBase:
             "rng": self._rng.bit_generator.state,
             "inner_ends": [[s, t, end] for (s, t), end in self._inner_ends.items()],
             "best_values": self._best_values,
-            "pending_values": None if self.pending is None else self.pending[4],
         }
 
-    def restore(self, snap: dict, records, pending_desc=None):
-        """Take the state of ``snapshot`` in place of ``replay(records,
-        pending_desc)``.  Nothing is redrawn and nothing is checked, so the
-        snapshot must be one that this code took of an engine whose trace
-        and pending suggestion are these."""
+    def restore(self, snap: dict, records):
+        """Take the state of ``snapshot`` in place of ``replay(records)``.
+        Nothing is redrawn and nothing is checked, so the snapshot must be
+        one that this code took of an engine with this trace and no pending
+        suggestion."""
         self._rng.bit_generator.state = snap["rng"]
         self._inner_ends = {(s, t): end for s, t, end in snap["inner_ends"]}
         self._best_values = snap["best_values"]
         self.trace = list(records)
-        if pending_desc is not None:
-            kind, s, t, lam = pending_desc
-            self.pending = (kind, s, t, np.asarray(lam, dtype=float), snap["pending_values"])
 
     def _replay_step(self, desc, where: str):
         """The step of ``ask`` with the stored coordinates in place of the
@@ -370,7 +368,7 @@ class _EngineBase:
         value is drawn."""
         kind, s, t, lam = desc
         lam = np.asarray(lam, dtype=float)
-        if kind == "inner":
+        if kind == "inner" and self.cfg.termination == "regret":  # as _position records it
             self._inner_ends[(s, t)] = False
         if self.done:
             raise ProtocolError("state contains more evaluations than the run allows")
@@ -424,8 +422,8 @@ class _PhasedEngine(_EngineBase):
             **gp.model_rows(self.model),
         }
 
-    def restore(self, snap: dict, records, pending_desc=None):
-        super().restore(snap, records, pending_desc)
+    def restore(self, snap: dict, records):
+        super().restore(snap, records)
         grid = self.cfg.grid
         if snap["s"] is not None:
             basis = tuple(GridFunction(grid, h) for h in snap["basis"])

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import functools
 import gc
+import json
 import re
 import subprocess
 import sys
@@ -312,10 +313,10 @@ _LOAD_STEPS = {"_parse_state_text": bench, "_read_snapshot": bench,
                "restore": optimizer._EngineBase, "replay": optimizer._EngineBase}
 
 
-def _count_load_steps(monkeypatch):
+def _count_load_steps(monkeypatch, steps=_LOAD_STEPS):
     """Count the calls of each step a load can take but the live one."""
     counts = {}
-    for name, owner in _LOAD_STEPS.items():
+    for name, owner in steps.items():
         def counted(*args, name=name, real=getattr(owner, name)):
             counts[name] = counts.get(name, 0) + 1
             return real(*args)
@@ -324,7 +325,25 @@ def _count_load_steps(monkeypatch):
     return counts
 
 
+def _checking_saves(monkeypatch, scratch):
+    """Check every save_state against a save of the same engine and values
+    without earlier text, byte for byte; returns, per save, whether it was
+    given the text of an earlier save to extend."""
+    real, extended = bench.save_state, []
+
+    def checked(path, values, engine, earlier=None):
+        state = real(path, values, engine, earlier)
+        assert state == real(scratch, values, engine)
+        assert Path(path).read_bytes() == Path(scratch).read_bytes()
+        extended.append(earlier is not None)
+        return state
+
+    monkeypatch.setattr(bench, "save_state", checked)
+    return extended
+
+
 def _session_equals_in_process_run(tmp_path, monkeypatch, algorithm, termination, metric, path):
+    """Run the session on the load path; returns the checkpoint bytes after each tell."""
     state = tmp_path / "state.txt"
     state.write_text(
         "grid.points_per_axis = 40\nopt.S = 2\nopt.T = 4\nopt.n_init = 2\n"
@@ -338,13 +357,16 @@ def _session_equals_in_process_run(tmp_path, monkeypatch, algorithm, termination
 
     wrap = {"live": lambda command: command, "snapshot": _restoring, "replay": _replaying}[path]
     load, suggest, tell = wrap(bench.load_state), wrap(bench.suggest), wrap(bench.tell)
-    counts = _count_load_steps(monkeypatch)
+    counts = _count_load_steps(monkeypatch, {**_LOAD_STEPS, "_replay_step": optimizer._EngineBase})
+    extended = _checking_saves(monkeypatch, tmp_path / "full.txt")
     _, noise_rng = rng_streams(cfg.seed)
     out = tmp_path / "g.csv"
+    checkpoints = []
     for _ in range(len(reference)):
         suggest(state, out)
         y = objective.evaluate(read_function_csv(out), noise_rng)
         tell(state, y)
+        checkpoints.append(bench.snapshot_path(state).read_bytes())
     _, engine = load(state)
     assert engine.done
     assert len(engine.trace) == len(reference)
@@ -353,14 +375,23 @@ def _session_equals_in_process_run(tmp_path, monkeypatch, algorithm, termination
         assert mine.lam == ref.lam
         assert mine.y == ref.y
         assert mine.best_y == ref.best_y
-    # every load but the first, of the plain config, takes the path
-    loads = 2 * len(reference) + 1
+    # every load but the first, of the plain config, takes the path; the
+    # first tell's load (a pending suggestion, no records) has no checkpoint
+    # to read and replays; every other load of a pending suggestion restores
+    # or replays the records, then replays the pending step alone
+    n = len(reference)
+    loads = 2 * n + 1
     assert counts == {
         "live": {"_parse_state_text": 1, "replay": 1},
-        "snapshot": {"_parse_state_text": loads, "_read_snapshot": loads - 1,
-                     "restore": loads - 1, "replay": 1},
-        "replay": {"_parse_state_text": loads, "_read_snapshot": loads - 1, "replay": loads},
+        "snapshot": {"_parse_state_text": loads, "_read_snapshot": loads - 2,
+                     "restore": loads - 2, "replay": 2, "_replay_step": n},
+        # a replay steps through each record and the pending suggestion of each load
+        "replay": {"_parse_state_text": loads, "_read_snapshot": loads - 2, "replay": loads,
+                   "_replay_step": n * (n + 1)},
     }[path]
+    # each save of an engine that a live load took extends the text of its last save
+    assert extended == [False] + [path == "live"] * (2 * n - 1)
+    return checkpoints
 
 
 _SESSION_CONFIGS = pytest.mark.parametrize(
@@ -392,6 +423,21 @@ def test_session_replaying_every_load_reproduces_in_process_run(
     # the snapshot is deleted before every load, so every load replays
     _session_equals_in_process_run(tmp_path, monkeypatch, algorithm, termination, metric,
                                    "replay")
+
+
+@_SESSION_CONFIGS
+def test_checkpoint_bytes_are_equal_on_every_load_path(
+    tmp_path, monkeypatch, algorithm, termination, metric
+):
+    # the checkpoint a tell writes is a function of its state text: the same
+    # bytes whether the session's loads took the live engine, restored or replayed
+    checkpoints = []
+    for path in ("live", "snapshot", "replay"):
+        (tmp_path / path).mkdir()
+        with monkeypatch.context() as patch:
+            checkpoints.append(_session_equals_in_process_run(
+                tmp_path / path, patch, algorithm, termination, metric, path))
+    assert checkpoints[0] == checkpoints[1] == checkpoints[2]
 
 
 def _record_lines(trace):
@@ -439,25 +485,32 @@ def test_session_equals_in_process_run_on_generated_configs(tmp_path_factory, co
 
     _, noise_rng = rng_streams(cfg.seed)
     out = state.with_name("g.csv")
-    for _ in range(len(reference)):
-        bench.suggest(state, out)
-        bench.tell(state, objective.evaluate(read_function_csv(out), noise_rng))
-    _, engine = bench.load_state(state)
-    assert engine.done
-    assert _record_lines(engine.trace) == expected
-
-    # a rollback: trailing records deleted, the digest kept
-    kept = data.draw(st.integers(0, len(reference) - 1), label="kept records")
-    lines = state.read_text().splitlines()
-    first = lines.index("[trace]") + 2
-    state.write_text("\n".join(lines[: first + kept] + lines[lines.index("[digest]"):]) + "\n")
-    _, engine = bench.load_state(state)
-    assert _record_lines(engine.trace) == expected[:kept]
-    while not engine.done:
-        bench.suggest(state, out)
-        bench.tell(state, ys[len(engine.trace)])
+    with pytest.MonkeyPatch.context() as patch:
+        # every save equals a save of the whole text: a live engine's extends
+        # its last save's text, any other engine's has none to extend
+        extended = _checking_saves(patch, state.with_name("full.txt"))
+        for _ in range(len(reference)):
+            bench.suggest(state, out)
+            bench.tell(state, objective.evaluate(read_function_csv(out), noise_rng))
         _, engine = bench.load_state(state)
-    assert _record_lines(engine.trace) == expected
+        assert engine.done
+        assert _record_lines(engine.trace) == expected
+        assert extended == [False] + [True] * (2 * len(reference) - 1)
+
+        # a rollback: trailing records deleted, the digest kept
+        kept = data.draw(st.integers(0, len(reference) - 1), label="kept records")
+        lines = state.read_text().splitlines()
+        first = lines.index("[trace]") + 2
+        state.write_text("\n".join(lines[: first + kept] + lines[lines.index("[digest]"):]) + "\n")
+        _, engine = bench.load_state(state)
+        assert _record_lines(engine.trace) == expected[:kept]
+        del extended[:]
+        while not engine.done:
+            bench.suggest(state, out)  # loads from the file: the load before took the engine
+            bench.tell(state, ys[len(engine.trace)])
+            _, engine = bench.load_state(state)
+        assert _record_lines(engine.trace) == expected
+        assert extended == [False, True] * (len(reference) - kept)
 
 
 def _dropped_engines_are_freed(tmp_path, algorithm, path):
@@ -519,7 +572,8 @@ def _engine_state(engine):
     snap = {key: value.tolist() if isinstance(value, np.ndarray) else value
             for key, value in engine.snapshot().items()}
     snap["inner_ends"] = sorted(snap["inner_ends"])
-    pending = engine.pending and (*engine.pending[:3], np.asarray(engine.pending[3]).tolist())
+    pending = engine.pending and (*engine.pending[:3], np.asarray(engine.pending[3]).tolist(),
+                                  engine.pending[4].tolist())
     return engine.trace, pending, snap
 
 
@@ -614,14 +668,14 @@ K.lengthscale = 0.7
 EARLY_END_SCHEDULE = [(0, -1), (0, -1), (0, 0), (0, 1), (0, 2), (1, -1), (1, -1), (1, 0), (1, 1)]
 
 
-def _early_end_state(tmp_path):
+def _early_end_state(tmp_path, steps=len(EARLY_END_SCHEDULE)):
     state = tmp_path / "state.txt"
     state.write_text(EARLY_END)
     values = bench.parse_config(state)
     objective = bench.build_objective(values, bench.build_opt_config(values).grid)
     _, noise_rng = rng_streams(values["opt.seed"])
     out = tmp_path / "g.csv"
-    for _ in EARLY_END_SCHEDULE:
+    for _ in EARLY_END_SCHEDULE[:steps]:
         bench.suggest(state, out)
         bench.tell(state, objective.evaluate(read_function_csv(out), noise_rng))
     return state
@@ -669,6 +723,20 @@ def test_snapshot_load_runs_no_certificate_search(tmp_path, monkeypatch):
     _, restored = _restoring(bench.load_state)(state)
     _, replayed = _replaying(bench.load_state)(state)
     assert len(errs) == 2  # the replay's recorded early end
+    assert _engine_state(restored) == _engine_state(replayed)
+
+
+def test_checkpoint_load_of_a_suggestion_after_an_early_end_certifies_it_once(tmp_path,
+                                                                            monkeypatch):
+    # the suggest after loop 0's last inner step certified its early end;
+    # the checkpoint is the tell's, from before, so its load certifies it again
+    state = _early_end_state(tmp_path, 5)
+    bench.suggest(state, tmp_path / "g.csv")
+    assert "[pending]\ninit,1,-1," in state.read_text()
+    errs = _counting_regret_err(monkeypatch)
+    _, restored = _restoring(bench.load_state)(state)
+    assert len(errs) == 1 and errs[0] < 0.3
+    _, replayed = _replaying(bench.load_state)(state)
     assert _engine_state(restored) == _engine_state(replayed)
 
 
@@ -721,7 +789,79 @@ def test_live_engine_is_not_kept_past_a_failed_command_or_an_edit(tmp_path, monk
                       "restore" if error else "replay": 1}
     assert len(engine.trace) == 1 and engine.pending is not None
     _, replayed = _replaying(bench.load_state)(state)
-    assert _engine_state(engine)[:2] == _engine_state(replayed)[:2]  # trace and pending
+    assert _engine_state(engine) == _engine_state(replayed)
+
+
+def test_suggest_leaves_the_checkpoint_of_the_tell_before_it(tmp_path):
+    # only a tell writes a checkpoint, and it holds no pending suggestion
+    state = _fresh_state(tmp_path)
+    snap = bench.snapshot_path(state)
+    bench.suggest(state, tmp_path / "g.csv")
+    assert not snap.exists()
+    bench.tell(state, 0.5)
+    written, inode = snap.read_bytes(), snap.stat().st_ino
+    assert written.startswith(f"funcbo engine snapshot {bench._snapshot_key(state.read_text())}\n"
+                              .encode())
+    assert "pending_values" not in json.loads(written.splitlines()[1])["values"]
+    bench.suggest(state, tmp_path / "g.csv")
+    assert "[pending]" in state.read_text()
+    assert snap.read_bytes() == written and snap.stat().st_ino == inode  # not rewritten
+
+
+def _pending_after(tmp_path, steps, extra=""):
+    """A state of _fresh_state after that many suggest/tell steps and one
+    more suggest, with the checkpoint of the last tell beside it (budget:
+    the schedule is (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1))."""
+    state = _fresh_state(tmp_path, extra)
+    for y in range(steps):
+        bench.suggest(state, tmp_path / "g.csv")
+        bench.tell(state, 0.25 * y)
+    bench.suggest(state, tmp_path / "g.csv")
+    return state
+
+
+@pytest.mark.parametrize("kind, steps", [("init", 3), ("inner", 1)])
+def test_edited_pending_lambda_on_a_checkpoint_load(tmp_path, monkeypatch, capsys, kind, steps):
+    # the load restores the checkpoint, which the edit does not touch, then
+    # replays the pending step: a redrawn initial-design point must equal
+    # the stored one, and a stored inner point is taken as a replay takes it
+    state = _pending_after(tmp_path, steps)
+    text = state.read_text()
+    assert f"[pending]\n{kind}," in text
+    state.write_text(_edit_field(text, f"{kind},", 3, "0.125"))
+    counts = _count_load_steps(monkeypatch)
+    if kind == "init":
+        with pytest.raises(ProtocolError, match="diverged at the pending suggestion"):
+            bench.load_state(state)
+        assert counts == {"_parse_state_text": 1, "_read_snapshot": 1, "restore": 1}
+        assert cli.main(["tell", "--state", str(state), "--y", "0.25"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+    else:
+        _, restored = bench.load_state(state)
+        assert counts == {"_parse_state_text": 1, "_read_snapshot": 1, "restore": 1}
+        assert restored.pending[3].tolist() == [0.125]
+        _, replayed = _replaying(bench.load_state)(state)
+        assert _engine_state(restored) == _engine_state(replayed)
+
+
+@pytest.mark.parametrize("algorithm", ["s3bfo", "linebo_bernstein"])
+def test_checkpoint_tell_of_an_outer_opening_suggestion_equals_the_live_engine(tmp_path,
+                                                                              algorithm):
+    # the pending initial-design point opens outer iteration 1: a tell in a
+    # new process restores the checkpoint of outer iteration 0 and redraws
+    # the basis (or line) of iteration 1, to the engine the live tell has
+    state = _pending_after(tmp_path, 3, f"opt.algorithm = {algorithm}\n")
+    assert "[pending]\ninit,1,-1," in state.read_text()
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    for path in (state, bench.snapshot_path(state)):
+        (fresh / path.name).write_bytes(path.read_bytes())
+    res = _cli("tell", "--state", str(fresh / state.name), "--y", "0.75")
+    assert res.returncode == 0, res.stderr
+    bench.tell(state, 0.75)  # takes the live engine of the suggest
+    assert (fresh / state.name).read_bytes() == state.read_bytes()
+    assert (fresh / bench.snapshot_path(state).name).read_bytes() == \
+        bench.snapshot_path(state).read_bytes()
 
 
 def test_concurrent_loads_share_no_live_engine(tmp_path):
