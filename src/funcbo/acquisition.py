@@ -6,6 +6,9 @@ lockstep: every local step applies one golden-section bracket shrink to
 one coordinate (round-robin), evaluating both interior points of every
 restart in a single batched posterior query.  The best candidate ever
 evaluated is returned, so a restart can never end below its own seed.
+A caller that needs to know only whether the maximum reaches a level
+passes ``settled`` and gets the running best as soon as it does (the
+regret certificate stops once it proves err >= epsilon).
 
 Candidates whose function exceeds the norm cap are pulled back onto the
 ball by radial scaling before scoring, so the returned function always
@@ -164,7 +167,7 @@ def restart_seeds(search: AcqSearchConfig, d: int, rng) -> np.ndarray:
     return rng.uniform(-search.lambda_box, search.lambda_box, size=(search.restarts, d))
 
 
-def golden_multistart(score_batch, d: int, search: AcqSearchConfig, rng):
+def golden_multistart(score_batch, d: int, search: AcqSearchConfig, rng, settled=None):
     """Maximise a batched score over [-box, box]^d; returns (lam, value).
 
     score_batch maps a (q, d) array of coordinate rows to a new array of
@@ -174,6 +177,10 @@ def golden_multistart(score_batch, d: int, search: AcqSearchConfig, rng):
     its seed (midpoints between sorted seeds), so the restart brackets
     tile the whole box instead of collapsing into one identical search.
     Deterministic given the rng: the only draws are the restart seeds.
+
+    settled, if given, is called with the running best value before
+    each local step; once it returns True, the search returns its
+    running best at once.
     """
     box = search.lambda_box
     n = search.restarts
@@ -195,6 +202,8 @@ def golden_multistart(score_batch, d: int, search: AcqSearchConfig, rng):
     rows = cand.reshape(2 * n, d)
     columns = [(lo[:, j], hi[:, j], lam[:, j], cand[0, :, j], cand[1, :, j]) for j in range(d)]
     for step in range(search.local_steps):
+        if settled is not None and settled(float(best_val.max())):
+            break
         lo_j, hi_j, lam_j, x1, x2 = columns[step % d]
         cand[:] = lam
         reach = hi_j - lo_j
@@ -217,9 +226,11 @@ def golden_multistart(score_batch, d: int, search: AcqSearchConfig, rng):
     return best_lam[i].copy(), float(best_val[i])
 
 
-def ucb_search(posterior, d: int, search: AcqSearchConfig, rng, sqrt_beta: float):
+def ucb_search(posterior, d: int, search: AcqSearchConfig, rng, sqrt_beta: float,
+               settled=None):
     """Maximise mean + sqrt_beta * sd over coordinates in [-box, box]^d;
-    returns (lam, value).
+    returns (lam, value).  settled may stop the search early, as in
+    ``golden_multistart``.
 
     posterior maps a (q, d) array of coordinate rows to new arrays of the
     posterior (means, variances) there: ``subspace_posterior`` for a
@@ -234,4 +245,4 @@ def ucb_search(posterior, d: int, search: AcqSearchConfig, rng, sqrt_beta: float
         sd += mean
         return sd
 
-    return golden_multistart(score, d, search, rng)
+    return golden_multistart(score, d, search, rng, settled)

@@ -233,6 +233,7 @@ def simple_regret_err(
     incumbent,
     search: AcqSearchConfig | None = None,
     rng=None,
+    settle_at: float | None = None,
 ) -> float:
     """Simple-regret certificate for the incumbent on a subspace: the
     maximum of (mean + sd) over the subspace minus (mean - sd) at the
@@ -246,6 +247,12 @@ def simple_regret_err(
     The inner maximisation is the acquisition UCB search with unit width;
     its restart seeds come from a fixed internal stream unless an rng is
     given, so the test does not perturb an optimiser's draw sequence.
+
+    With ``settle_at``, the search stops once its running best proves
+    err >= settle_at and returns that lower bound of err.  The running
+    best only grows and x - lcb rounds monotonically in x, so ``err <
+    settle_at`` is the same bool as without it, and below settle_at the
+    same float.
     """
     if model.n == 0:
         raise InputError("simple regret test needs a non-empty model")
@@ -254,10 +261,12 @@ def simple_regret_err(
     if rng is None:
         rng = np.random.default_rng(_REGRET_SEARCH_SEED)
     mean, var = gp.posterior(model, incumbent)
+    lcb = mean - math.sqrt(var)
+    settled = None if settle_at is None else (lambda best: best - lcb >= settle_at)
     _, ucb_max = acquisition.ucb_search(
-        subspace.posterior_fn(model, search), subspace.d, search, rng, 1.0
+        subspace.posterior_fn(model, search), subspace.d, search, rng, 1.0, settled
     )
-    return float(ucb_max - (mean - math.sqrt(var)))
+    return float(ucb_max - lcb)
 
 
 # --- engines ------------------------------------------------------------
@@ -446,7 +455,8 @@ class _PhasedEngine(_EngineBase):
             return ("init", s, -1)
         if t < cfg.T and cfg.termination == "regret" and (s, t) not in self._inner_ends:
             self._inner_ends[(s, t)] = simple_regret_err(
-                self.model, self.subspace, self._outer_best[0], self._search
+                self.model, self.subspace, self._outer_best[0], self._search,
+                settle_at=cfg.epsilon,
             ) < cfg.epsilon
         if t < cfg.T and not self._inner_ends.get((s, t), False):
             return ("inner", s, t)

@@ -1,5 +1,6 @@
 import math
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -384,3 +385,86 @@ def test_uncapped_and_capped_searches_match_the_reference(monkeypatch):
         assert np.array_equal(lam, ref_lam)
         assert value == ref_value
         assert len(calls) == (0 if skips else 1 + search.local_steps)
+
+
+def _bumpy_score(rng, d):
+    """A batched score with several local maxima in the box, and a list
+    that records the size of every batch it scores."""
+    w = rng.normal(size=(d, 3))
+    centre = rng.uniform(-2.0, 2.0, size=d)
+    batches = []
+
+    def score(rows):
+        batches.append(len(rows))
+        return np.cos(rows @ w).sum(axis=1) - 0.1 * ((rows - centre) ** 2).sum(axis=1)
+
+    return score, batches
+
+
+def _first_steps(search, steps):
+    """The search with only its first ``steps`` local steps, as the
+    reference reads it (zero steps included)."""
+    return SimpleNamespace(restarts=search.restarts, local_steps=steps,
+                           lambda_box=search.lambda_box)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    restarts=st.integers(1, 8),
+    local_steps=st.integers(1, 40),
+    level=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_settled_search_stops_at_the_reference_running_best(d, restarts, local_steps, level,
+                                                             seed):
+    """A search that settles once its running best reaches a level
+    returns the reference's (lam, value) after the same number of local
+    steps, having scored one batch more than it took steps."""
+    score, batches = _bumpy_score(np.random.default_rng(seed), d)
+    search = AcqSearchConfig(restarts, local_steps)
+    running = [reference.golden_multistart(score, d, _first_steps(search, k),
+                                           np.random.default_rng(seed + 1))
+               for k in range(local_steps + 1)]
+    bests = [value for _, value in running]
+    assert bests == sorted(bests)
+    threshold = bests[0] + level * (bests[-1] - bests[0])
+    stop = next(k for k, best in enumerate(bests) if best >= threshold)
+    seen = []
+    batches.clear()
+    rng = np.random.default_rng(seed + 1)
+    lam, value = acquisition.golden_multistart(
+        score, d, search, rng, lambda best: seen.append(best) or best >= threshold
+    )
+    assert np.array_equal(lam, running[stop][0])
+    assert value == running[stop][1]
+    assert len(batches) == 1 + stop
+    # checked before every local step, on the running best so far
+    assert seen == bests[:min(stop + 1, local_steps)]
+    # stopping early moves no draw: the seeds are the only ones
+    theirs = np.random.default_rng(seed + 1)
+    restart_seeds(search, d, theirs)
+    assert rng.bit_generator.state == theirs.bit_generator.state
+
+
+def test_settled_search_batch_counts():
+    """settled=True after the seeds scores one batch, the seeds' best;
+    no settled, or one that never holds, scores 1 + local_steps batches
+    to the same result."""
+    d, search = 2, AcqSearchConfig(restarts=5, local_steps=12)
+    score, batches = _bumpy_score(np.random.default_rng(4), d)
+    lam, value = acquisition.golden_multistart(score, d, search, np.random.default_rng(5),
+                                               lambda best: True)
+    assert len(batches) == 1
+    ref_lam, ref_value = reference.golden_multistart(score, d, _first_steps(search, 0),
+                                                     np.random.default_rng(5))
+    assert np.array_equal(lam, ref_lam) and value == ref_value
+    results = []
+    for settled in (None, lambda best: False):
+        batches.clear()
+        results.append(acquisition.golden_multistart(score, d, search,
+                                                     np.random.default_rng(5), settled))
+        assert len(batches) == 1 + search.local_steps
+    ref_lam, ref_value = reference.golden_multistart(score, d, search, np.random.default_rng(5))
+    for lam, value in results:
+        assert np.array_equal(lam, ref_lam) and value == ref_value

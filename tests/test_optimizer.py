@@ -415,6 +415,44 @@ def test_trace_follows_the_run_schedule(algorithm, termination, epsilon, sizes, 
         assert 0 <= k <= T and ts == [-1] * n_init + list(range(k))
 
 
+@st.composite
+def _inner_stop(draw):
+    """Sizes of a run of S (n_init + T) <= 12 evaluations, and which of
+    its S T inner positions to stop at."""
+    sizes = draw(_sizes())
+    return sizes, draw(st.integers(0, sizes["S"] * sizes["T"] - 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    algorithm=st.sampled_from(("s3bfo", "linebo_bernstein")),
+    stop=_inner_stop(),
+    seed=st.integers(0, 3),
+)
+def test_settled_certificate_makes_the_full_decision(algorithm, stop, seed):
+    """At an inner position of a regret engine, the certificate that
+    settles at epsilon is below epsilon exactly when the full one is;
+    below it, it is the full one bit for bit, and above it no more."""
+    sizes, inner = stop
+    # a regret engine whose epsilon no certificate reaches runs every inner step
+    cfg = _cfg(termination="regret", epsilon=1e-300, seed=seed, k_lengthscale=0.7, **sizes)
+    eng = make_engine(cfg, algorithm)
+    rng = np.random.default_rng(seed)
+    while eng._position()[0] != "inner" or inner > 0:
+        inner -= eng._position()[0] == "inner"
+        eng.ask()
+        eng.tell(float(rng.standard_normal()))
+    args = (eng.model, eng.subspace, eng._outer_best[0], eng._search)
+    full = simple_regret_err(*args)
+    for epsilon in (1e-12, 0.01, 0.3, 100.0):
+        settled = simple_regret_err(*args, settle_at=epsilon)
+        assert (settled < epsilon) == (full < epsilon)
+        if settled < epsilon:
+            assert settled.hex() == full.hex()
+        else:
+            assert settled <= full
+
+
 def test_bernstein_matrix_properties():
     x = np.linspace(0, 1, 33)
     B = bernstein_matrix(10, x)
