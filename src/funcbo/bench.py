@@ -246,14 +246,25 @@ def write_trace_csv(path, trace: list[RunRecord]) -> None:
 
 
 def write_summary_csv(path, series: list[np.ndarray]) -> None:
-    """Per-index median/min/max across repeat series of equal meaning."""
+    """Per-index median/min/max across repeat series of equal meaning.
+
+    One sort of the stacked series gives all three, where a per-index
+    ``np.median`` would run once per index and import ``numpy.ma``.  The
+    median sums its one or two middle values from 0.0, as ``np.median``
+    does, so it has the same bits.  The series are finite (engines reject
+    non-finite values, and gaps are norms), so the first and last sorted
+    values are the min and max; only the sign of a zero could differ."""
     length = min(len(s) for s in series)
-    stack = np.array([np.asarray(s)[:length] for s in series])
+    stack = np.sort([np.asarray(s)[:length] for s in series], axis=0)
+    half = len(series) // 2
+    if len(series) % 2:
+        median = 0.0 + stack[half]
+    else:
+        median = (0.0 + stack[half - 1] + stack[half]) / 2.0
     lines = ["eval_index,median,min,max"]
     for i in range(length):
-        col = stack[:, i]
         lines.append(
-            f"{i},{float(np.median(col))!r},{float(np.min(col))!r},{float(np.max(col))!r}"
+            f"{i},{float(median[i])!r},{float(stack[0, i])!r},{float(stack[-1, i])!r}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -11,7 +11,8 @@ lengthscale.  Each candidate keeps W = L^-1, the inverse of the Cholesky
 factor L of its regularised Gram matrix, and the whitened targets
 z = W y (Rasmussen & Williams 2006, Alg. 2.1, with an explicit inverse
 factor), stacked with the other candidates' in buffers of capacity
-cap >= n that grow by 16 rows when full.  The model is the candidate
+cap >= n that grow by 16 rows when full, or at once to ``reserve`` rows,
+the points a run knows it will hold.  The model is the candidate
 ``pick`` with the highest log marginal likelihood -z·z/2 + sum log W_ii -
 n/2 log 2 pi; ``kernel``, ``W`` and ``z`` are that candidate's.  With
 w = W k(D, x), one matrix product, the posterior mean is z·w and the
@@ -30,7 +31,9 @@ squared norms, in buffers of the same capacity, which is all the
 distance expansion needs; it keeps neither the points nor their values,
 only their count ``n``.  A growth copies the buffers, so for that
 moment the model holds about twice its rows; a fixed step of 16 rows,
-not doubling, keeps the spare rows and that copy small.
+not doubling, keeps the spare rows and that copy small, and a model
+with a reserve allocates its buffers once, at its first point, and
+never copies them.
 
 A posterior query is two steps: the squared distances from the queries
 to the model's points, then ``posterior_from_sqdist``, the one step that
@@ -100,6 +103,7 @@ class GPModel:
     grid: GridSpec | None
     MVs: np.ndarray | None  # (cap, width) metric rows of the points: V, or V G under rkhs
     row_qs: np.ndarray | None  # (cap,) the points' squared metric norms
+    reserve: int = 0  # rows the first buffers get: the points the model will hold
 
     @cached_property
     def W(self) -> np.ndarray:
@@ -185,9 +189,10 @@ def _pick(lengthscales: np.ndarray, Ws: np.ndarray, zs: np.ndarray, n: int) -> i
     return int(np.lexsort((lengthscales, _lml(Ws[:, :n, :n], zs[:, :n])))[-1])
 
 
-def empty_model(kernel, noise_sq: float, lengthscales=None) -> GPModel:
+def empty_model(kernel, noise_sq: float, lengthscales=None, reserve: int = 0) -> GPModel:
     """The prior, with one candidate per lengthscale; ``None`` keeps the
-    kernel's own lengthscale as the only candidate."""
+    kernel's own lengthscale as the only candidate.  Its first point
+    allocates buffers of ``reserve`` rows (at least 16)."""
     _mode_of(kernel)  # rejects kernels the GP cannot model
     if not noise_sq > 0:
         raise InputError(f"noise variance must be positive, got {noise_sq}")
@@ -209,7 +214,8 @@ def empty_model(kernel, noise_sq: float, lengthscales=None) -> GPModel:
     pick = _pick(lengthscales, Ws, zs, 0)
     return GPModel(kernel=kernel.with_lengthscale(float(lengthscales[pick])),
                    noise_sq=float(noise_sq), n=0, lengthscales=lengthscales,
-                   Ws=Ws, zs=zs, pick=pick, grid=None, MVs=None, row_qs=None)
+                   Ws=Ws, zs=zs, pick=pick, grid=None, MVs=None, row_qs=None,
+                   reserve=reserve)
 
 
 def condition(model: GPModel, obs: Observation) -> GPModel:
@@ -217,11 +223,12 @@ def condition(model: GPModel, obs: Observation) -> GPModel:
 
     With l = W k and the Schur complement s^2 = k_nn - l·l, row n of each
     W becomes [-l W / s, 1/s] and z_n = (y_n - l·z) / s, written in place
-    with the point's metric row; full buffers grow by 16 rows.  Rows below
-    n never change, so the given model stays valid.  A candidate with
-    s^2 <= 0 is dropped and logged, and the survivors move to fresh
-    buffers; NumericalError is raised when every
-    candidate is dropped, InputError when a successor already wrote row n.
+    with the point's metric row; full buffers grow by 16 rows, or to the
+    model's reserve if that is more.  Rows below n never change, so the
+    given model stays valid.  A candidate with s^2 <= 0 is dropped and
+    logged, and the survivors move to fresh buffers of the same capacity;
+    NumericalError is raised when every candidate is dropped, InputError
+    when a successor already wrote row n.
     """
     n, cap = model.n, model.zs.shape[1]
     if n < cap and model.Ws[0, n, n] != 0.0:  # a written row has W_nn = 1/s > 0
@@ -255,7 +262,7 @@ def condition(model: GPModel, obs: Observation) -> GPModel:
         )
     W, z, MVs, row_qs = model.Ws, model.zs, model.MVs, model.row_qs
     if n == cap or not keep.all():
-        cap = cap + _GROWTH if n == cap else cap
+        cap = max(cap + _GROWTH, model.reserve) if n == cap else cap
         W, z = np.zeros((keep.sum(), cap, cap)), np.zeros((keep.sum(), cap))
         MVs, row_qs = np.zeros((cap, mx.shape[1])), np.zeros(cap)
         # a slice is a view; a mask would copy every candidate's rows once more

@@ -407,14 +407,14 @@ class _PhasedEngine(_EngineBase):
     The model holds one candidate per lengthscale of
     ``cfg.lengthscales``; every observation extends each candidate, and
     the model's posterior is the most likely one's.  ``kernel`` is the
-    model kernel at any lengthscale.
+    model kernel at any lengthscale; ``reserve`` is ``gp.empty_model``'s.
     """
 
-    def __init__(self, cfg: OptConfig, rng, kernel, d: int):
+    def __init__(self, cfg: OptConfig, rng, kernel, d: int, reserve: int = 0):
         super().__init__(cfg, rng)
         self.subspace = None  # the current outer iteration's Subspace
         self._outer_best = None  # (model point, y) within the current subspace
-        self.model = gp.empty_model(kernel, cfg.noise_sq, cfg.lengthscales)
+        self.model = gp.empty_model(kernel, cfg.noise_sq, cfg.lengthscales, reserve=reserve)
         self._search = cfg.search
         self._schedule = UcbSchedule(cfg.acq_delta, d)
 
@@ -504,7 +504,9 @@ class SubspaceSearchEngine(_PhasedEngine):
     paths from the solution prior, evaluate `n_init` coordinate draws
     from N(0, I), then run the inner acquisition loop until its budget
     or the simple regret test ends it.  The model is a functional GP on
-    every observation so far, across all subspaces.
+    every observation so far, across all subspaces: under budget
+    termination exactly ``cfg.budget`` of them, which it reserves.  A
+    regret run ends at a step it cannot know, and its model grows.
     """
 
     def __init__(self, cfg: OptConfig, rng=None):
@@ -514,7 +516,8 @@ class SubspaceSearchEngine(_PhasedEngine):
             else None
         )
         kernel = FunctionalKernelSpec(ScalarKernelSpec(cfg.k_kind, 1.0), cfg.k_metric, gram)
-        super().__init__(cfg, rng, kernel, cfg.d)
+        super().__init__(cfg, rng, kernel, cfg.d,
+                         cfg.budget if cfg.termination == "budget" else 0)
 
     def _start_outer(self, s: int) -> Subspace:
         basis = tuple(

@@ -416,6 +416,7 @@ def _first_steps(search, steps):
     level=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(d=1, restarts=1, local_steps=2, level=1.0, seed=2)
 def test_settled_search_stops_at_the_reference_running_best(d, restarts, local_steps, level,
                                                              seed):
     """A search that settles once its running best reaches a level
@@ -428,7 +429,8 @@ def test_settled_search_stops_at_the_reference_running_best(d, restarts, local_s
                for k in range(local_steps + 1)]
     bests = [value for _, value in running]
     assert bests == sorted(bests)
-    threshold = bests[0] + level * (bests[-1] - bests[0])
+    # at level 1 the sum can round above the last best
+    threshold = min(bests[0] + level * (bests[-1] - bests[0]), bests[-1])
     stop = next(k for k, best in enumerate(bests) if best >= threshold)
     seen = []
     batches.clear()

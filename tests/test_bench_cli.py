@@ -226,6 +226,30 @@ def test_run_bench_effdim_uses_best_y_summary(tmp_path):
     assert float(last[1]) <= 0.0  # effdim objective is nonpositive
 
 
+@pytest.mark.parametrize("repeats", [1, 2, 3, 4])
+def test_summary_csv_is_the_per_index_numpy_median_min_max(tmp_path, repeats):
+    rng = np.random.default_rng(repeats)
+    series = [rng.standard_normal(12 + 3 * k) * 10.0 ** rng.uniform(-3, 3)
+              for k in range(repeats)]
+    stack = np.array([s[:12] for s in series])
+    expected = ["eval_index,median,min,max"] + [
+        f"{i},{float(np.median(col))!r},{float(np.min(col))!r},{float(np.max(col))!r}"
+        for i, col in enumerate(stack.T)
+    ]
+    bench.write_summary_csv(tmp_path / "summary.csv", series)
+    assert (tmp_path / "summary.csv").read_text() == "\n".join(expected) + "\n"
+
+
+def test_run_bench_does_not_import_numpy_ma(tmp_path):
+    code = ("import sys\nfrom funcbo import bench\n"
+            f"bench.run_bench(bench.parse_config_lines({SMALL!r}.splitlines()), sys.argv[1])\n"
+            "assert 'numpy.ma' not in sys.modules")
+    res = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "summary_random_search.csv").exists()
+
+
 def test_session_equivalence_under_regret_termination(tmp_path):
     state = tmp_path / "state.txt"
     state.write_text(

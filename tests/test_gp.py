@@ -249,10 +249,12 @@ def _assert_matches_rebuild(model, obs, probes, tol_z=1e-6, tol_post=1e-8):
             assert a == pytest.approx(b, abs=tol_post)
 
 
-def test_buffer_long_chain_matches_rebuild():
+@pytest.mark.parametrize("reserve", [0, 140])
+def test_buffer_long_chain_matches_rebuild(reserve):
     # 140 smooth points, at distances from 3e-3 to 1 around one centre as
-    # in a search subspace, at the MLE grid's extremes; the chain crosses
-    # every capacity growth of the buffer (16, 32, 64, 128)
+    # in a search subspace, at the MLE grid's extremes; without a reserve
+    # the chain crosses every capacity growth of the buffer (16, 32, ...,
+    # 144), with one it writes every row into the buffer of its first point
     rng = np.random.default_rng(23)
     kappa = ScalarKernelSpec("se", 0.3)
     target = sample_on_grid(kappa, GRID_1D, rng)
@@ -267,9 +269,10 @@ def test_buffer_long_chain_matches_rebuild():
         for p in points
     ]
     probes = [sample_on_grid(kappa, GRID_1D, rng) for _ in range(3)] + points[:2]
-    cands = empty_model(SE_L2, 1e-4, (0.01, 10.0))
+    cands = empty_model(SE_L2, 1e-4, (0.01, 10.0), reserve=reserve)
     for i, o in enumerate(obs, start=1):
         cands = condition(cands, o)
+        assert cands.zs.shape[1] == (reserve or 16 * math.ceil(i / 16))
         if i in (1, 16, 17, 32, 33, 64, 65, 128, 129, 140):
             assert len(cands.lengthscales) == 2
             for model in candidates(cands):
@@ -303,6 +306,31 @@ def test_buffer_branch_raises_and_keeps_first_branch():
             cands = condition(cands, o)
     for model in candidates(cands):
         _assert_matches_rebuild(model, obs[:18], probes)
+
+
+@pytest.mark.parametrize("reserve, caps", [
+    (20, [20] * 20 + [36] * 16 + [52] * 4),  # R rows at the first point, then steps of 16
+    (5, [16] * 16 + [32] * 16 + [48] * 8),  # a reserve under 16 rows changes nothing
+])
+def test_reserved_buffers_are_allocated_once_and_grow_by_16_past_them(reserve, caps):
+    rng = np.random.default_rng(26)
+    obs = _functional_dataset(rng, 40)
+    probes = [random_grid_function(rng) for _ in range(3)]
+    empty = empty_model(SE_L2, 0.01, (0.5, 2.0), reserve=reserve)
+    cands, seen, buffers = empty, [], {}
+    for i, o in enumerate(obs, start=1):
+        cands = condition(cands, o)
+        seen.append(cands.zs.shape[1])
+        assert cands.Ws.shape[1:] == (seen[-1], seen[-1]) and len(cands.MVs) == seen[-1]
+        buffers[id(cands.Ws)] = cands.Ws  # kept alive, so no id is reused
+        if i in (1, reserve, reserve + 1, len(obs)):
+            for model in candidates(cands):
+                _assert_matches_rebuild(model, obs[:i], probes)
+            # a restored model keeps the reserve of the model it is rebuilt on
+            restored = gp.from_rows(empty, gp.model_rows(cands), GRID_1D)
+            assert (restored.reserve, restored.zs.shape[1]) == (reserve, seen[-1])
+    assert seen == caps
+    assert len(buffers) == len(set(caps))  # one allocation per capacity, no other copy
 
 
 def test_buffer_drop_mid_chain_keeps_survivors_exact():

@@ -506,6 +506,49 @@ def test_linebo_budget_and_monotone():
     assert {r.s for r in trace} == {0, 1}
 
 
+def _caps_after_each_tell(engine):
+    """The model's (points, capacity) after each tell of a run to the end."""
+    obj, noise_rng, caps = _match_obj(), rng_streams(engine.cfg.seed)[1], []
+    while not engine.done:
+        engine.tell(obj.evaluate(engine.ask(), noise_rng))
+        caps.append((engine.model.n, engine.model.zs.shape[1]))
+    return caps
+
+
+@pytest.mark.parametrize("algorithm", ["s3bfo", "fixed_subspace"])
+def test_budget_run_reserves_its_model_at_the_first_tell(algorithm):
+    engine = make_engine(_cfg(S=2, T=15, n_init=3), algorithm)
+    caps = _caps_after_each_tell(engine)
+    assert len(caps) == engine.cfg.budget > 16
+    assert caps == [(n, engine.cfg.budget) for n in range(1, engine.cfg.budget + 1)]
+
+
+@pytest.mark.parametrize("algorithm, termination", [
+    ("s3bfo", "regret"),  # it ends at a step it cannot know
+    ("linebo_bernstein", "budget"),  # each line's model holds only that line's points
+])
+def test_unreserved_model_grows_by_16(algorithm, termination):
+    engine = make_engine(_cfg(S=2, T=15, n_init=3, termination=termination, epsilon=1e-12),
+                         algorithm)
+    caps = _caps_after_each_tell(engine)
+    assert max(n for n, _ in caps) > 16
+    assert caps == [(n, 16 * math.ceil(n / 16)) for n, _ in caps]
+
+
+@pytest.mark.parametrize("algorithm", ["s3bfo", "fixed_subspace"])
+def test_reserved_budget_run_is_bit_identical_to_a_growing_one(monkeypatch, algorithm):
+    cfg = _cfg(S=2, T=15, n_init=3, seed=5)
+    best, trace = optimizer.RUNNERS[algorithm](_match_obj(), cfg)
+    budget = make_engine(cfg, algorithm).cfg.budget
+    empty_model, dropped = gp.empty_model, []
+    monkeypatch.setattr(gp, "empty_model",
+                        lambda *args, reserve=0: dropped.append(reserve) or empty_model(*args))
+    grown_best, grown_trace = optimizer.RUNNERS[algorithm](_match_obj(), cfg)
+    assert budget in dropped  # the engine asked for its reserve, and did not get it
+    assert trace == grown_trace
+    assert np.array_equal(best[0].values, grown_best[0].values) and best[1] == grown_best[1]
+
+
 def test_linebo_needs_1d_grid():
     with pytest.raises(ConfigError):
         BernsteinLineEngine(_cfg(grid=GridSpec(2, 10)))
