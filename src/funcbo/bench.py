@@ -19,33 +19,24 @@ regret termination the replay takes each inner-loop continuation from
 the trace and re-certifies only the recorded early ends; ``suggest``
 and ``export`` certify the live position once.
 
-``tell`` also writes ``<state>.snapshot``, a checkpoint of the engine
-that produced the state text it wrote (its ``snapshot()``), keyed by that
-text and this code; ``suggest`` writes only the state text.  A load whose
-text, without its [pending] section, matches the checkpoint restores it
-in place of the replay of the records, then replays the pending step
-alone: that redraws the pending suggestion without a search (with the
-basis of an outer iteration that it opens) and checks it against the
-stored coordinates.  Any other snapshot is ignored.  Both files are
-replaced atomically.  The process also keeps the engine it last saved
-live, under the key of the whole text: a load of exactly that text takes
-it and neither parses, restores nor replays, and its next save keeps the
-lines it wrote last and formats only the records added since.
+A process keeps the engine that its last ``suggest`` or ``tell`` saved
+live, under the exact text it wrote: a load of that text takes it and
+neither parses nor replays, and its next save keeps the lines it wrote
+last and formats only the records added since.  Any other load replays.
+State files are replaced atomically.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
-import json
-import logging
 import math
 import os
 import shutil
 import threading
 import weakref
 from dataclasses import dataclass, replace
-from functools import cache, reduce
+from functools import reduce
 from pathlib import Path
 from typing import NamedTuple
 
@@ -59,7 +50,6 @@ from .objectives import EffectiveDimObjective, MatchingObjective
 from .optimizer import ALGORITHMS, TERMINATIONS, OptConfig, RunRecord
 
 OBJECTIVE_KINDS = ("match", "effdim")
-_log = logging.getLogger(__name__)
 
 
 def _parse_int(text: str) -> int:
@@ -485,102 +475,8 @@ def _parse_state_text(text: str):
     return values, records, pending
 
 
-# --- engine snapshots beside a state file ---------------------------------
-#
-# "<state>.snapshot" holds the engine that the last ``tell`` saved:
-#
-#     funcbo engine snapshot <key>\n
-#     {"values": {name: JSON value}, "arrays": [[name, shape], ...]}\n
-#     each array's little-endian float64 values in C order
-#     <sha256 hex of every byte above>\n
-#
-# The key is the sha256 of ``_code_digest()`` and the state text it wrote.
-
-_SNAPSHOT_MAGIC = "funcbo engine snapshot"
-_SNAPSHOT_TRAILER = 65  # a sha256 in hex and a newline
-
-
-def snapshot_path(path) -> Path:
-    path = Path(path)
-    return path.with_name(path.name + ".snapshot")
-
-
-@cache
-def _code_digest() -> str:
-    """sha256 over funcbo's own modules and numpy's version: a snapshot
-    written by other code is stale."""
-    digest = hashlib.sha256(np.__version__.encode())
-    for module in sorted(Path(__file__).parent.glob("*.py")):
-        digest.update(module.name.encode() + b"\0" + module.read_bytes())
-    return digest.hexdigest()
-
-
-def _snapshot_key(text: str) -> str:
-    return hashlib.sha256(f"{_code_digest()}\n{text}".encode()).hexdigest()
-
-
-def _snapshot_chunks(key: str, snap: dict):
-    """The bytes of a snapshot file, in order; ``snap`` is an engine's
-    ``snapshot()``, JSON values and float arrays."""
-    arrays = [(name, value) for name, value in snap.items() if isinstance(value, np.ndarray)]
-    header = {"values": {name: value for name, value in snap.items()
-                         if not isinstance(value, np.ndarray)},
-              "arrays": [[name, list(value.shape)] for name, value in arrays]}
-    digest = hashlib.sha256()
-    head = f"{_SNAPSHOT_MAGIC} {key}\n{json.dumps(header)}\n".encode()
-    # one block per candidate of the model's stacked rows, so no array is copied whole
-    blocks = (np.ascontiguousarray(block, dtype="<f8")
-              for _, value in arrays for block in (value if value.ndim == 3 else (value,)))
-    for chunk in (head, *blocks):
-        digest.update(chunk)
-        yield chunk
-    yield f"{digest.hexdigest()}\n".encode()
-
-
-def _read_snapshot(path, key: str) -> dict | None:
-    """The snapshot beside a state file if it has this key (the engine of
-    exactly that text, written by this code); otherwise None, and a DEBUG
-    line says why."""
-    snap_path = snapshot_path(path)
-    try:
-        with open(snap_path, "rb") as src:
-            first = src.readline(256)
-            if first != f"{_SNAPSHOT_MAGIC} {key}\n".encode():
-                return _snapshot_miss(snap_path, "it was written for other state text or code")
-            line = src.readline()
-            digest = hashlib.sha256(first + line)
-            header = json.loads(line)
-            shapes = [(name, tuple(shape)) for name, shape in header["arrays"]]
-            size = sum(8 * math.prod(shape) for _, shape in shapes)
-            if src.tell() + size + _SNAPSHOT_TRAILER != os.fstat(src.fileno()).st_size:
-                return _snapshot_miss(snap_path, "its length does not match its header")
-            snap = header["values"]
-            for name, shape in shapes:
-                snap[name] = np.empty(shape, dtype="<f8")
-                src.readinto(snap[name])
-                digest.update(snap[name])
-            if src.read() != f"{digest.hexdigest()}\n".encode():
-                return _snapshot_miss(snap_path, "its payload fails its sha256")
-    except FileNotFoundError:
-        return _snapshot_miss(snap_path, "there is none")
-    except (OSError, ValueError, TypeError, KeyError) as exc:
-        return _snapshot_miss(snap_path, f"it is unreadable ({type(exc).__name__}: {exc})")
-    return snap
-
-
-def _snapshot_miss(snap_path, why: str) -> None:
-    _log.debug("replaying the trace, not loading the snapshot %s: %s", snap_path, why)
-
-
-def _checkpoint_text(text: str) -> str:
-    """The state text without its [pending] section: the text that the
-    ``tell`` before the pending suggestion wrote, which keys its checkpoint."""
-    head, found, rest = text.partition("\n[pending]\n")
-    return head + "\n" + rest.partition("\n")[2] if found else text
-
-
-# The engine that ``_save`` wrote last, with its snapshot key:
-# (key, values, engine), or None.  A load takes it out, so the caller owns
+# The engine that ``_save`` wrote last, with the state text it wrote:
+# (text, values, engine), or None.  A load takes it out, so the caller owns
 # the engine it gets and a command that fails keeps none live.
 _live = None
 _live_lock = threading.Lock()
@@ -588,32 +484,22 @@ _live_lock = threading.Lock()
 _saved_texts = weakref.WeakKeyDictionary()
 
 
-def _take_live(key: str | None):
-    """Empty the live slot; its (values, engine) if they have this key,
-    otherwise None."""
+def _take_live(text: str | None):
+    """Empty the live slot; its (values, engine) if they saved exactly this
+    text, otherwise None."""
     global _live
     with _live_lock:
         live, _live = _live, None
-    return live[1:] if live is not None and live[0] == key else None
+    return live[1:] if live is not None and live[0] == text else None
 
 
 def _save(state_path, values: dict, engine) -> None:
-    """Save the state, then, with no suggestion pending (at a ``tell``),
-    the checkpoint of the engine beside it, then keep the engine live.  A
-    checkpoint that cannot be written is logged and skipped, and the engine
-    is not kept: the next load replays."""
+    """Save the state, then keep the engine live under the text it wrote."""
     global _live
     state = _saved_texts[engine] = save_state(state_path, values, engine,
                                               _saved_texts.get(engine))
-    key = _snapshot_key(state.text)
-    if engine.pending is None:
-        try:
-            _write_atomic(snapshot_path(state_path), _snapshot_chunks(key, engine.snapshot()))
-        except OSError as exc:
-            _log.debug("could not write the snapshot %s: %s", snapshot_path(state_path), exc)
-            return
     with _live_lock:
-        _live = (key, values, engine)
+        _live = (state.text, values, engine)
 
 
 def load_state(path):
@@ -629,28 +515,18 @@ def load_state(path):
     checks each record against the run schedule.  A stored inner step
     counts as the original run's decision to continue its inner loop;
     only a recorded early end has its regret certificate recomputed, and
-    it must be below epsilon.  A checkpoint beside the file that this
-    code wrote at the ``tell`` of exactly this text without its pending
-    line is restored in place of the records' replay: those checks ran
-    when it was written.  The pending suggestion is then replayed and
-    checked alone.  If the last ``suggest`` or ``tell`` of this process
-    saved exactly this text and no load has taken its engine since, that
-    engine and its values are returned as they are, and the caller owns
-    them.
+    it must be below epsilon.  If the last ``suggest`` or ``tell`` of this
+    process saved exactly this text and no load has taken its engine
+    since, that engine and its values are returned as they are, and the
+    caller owns them.
     """
     text = Path(path).read_text()
-    live = _take_live(_snapshot_key(text))
+    live = _take_live(text)
     if live is not None:
         return live
     values, records, pending = _parse_state_text(text)
     engine = optimizer.make_engine(build_opt_config(values), values["opt.algorithm"])
-    snap = _read_snapshot(path, _snapshot_key(_checkpoint_text(text))) if records else None
-    if snap is None:
-        engine.replay(records, pending)
-        return values, engine
-    engine.restore(snap, records)
-    if pending is not None:
-        engine._replay_step(pending, "the pending suggestion")
+    engine.replay(records, pending)
     return values, engine
 
 

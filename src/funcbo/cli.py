@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 ok, 2 config/input error or unreadable file, 3 protocol
-error, 4 numerical error.
+Exit codes: 0 ok, 2 config/input error, unreadable file or out of
+memory, 3 protocol error, 4 numerical error.
 """
 
 from __future__ import annotations
@@ -90,6 +90,9 @@ def main(argv=None) -> int:
         # the only text a command decodes is its --state or --config file
         path = args.state if "state" in args else args.config
         print(f"error: {path}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # the model's own is a ConfigError naming its keys
+        print(f"error: out of memory{f' ({exc})' if str(exc) else ''}", file=sys.stderr)
         return 2
     except ProtocolError as exc:
         print(f"protocol error: {exc}", file=sys.stderr)

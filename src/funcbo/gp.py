@@ -6,7 +6,7 @@ the posterior of f ~ GP(0, K) at a query x is
     mean(x) = k(x, D) (K(D, D) + s2 I)^-1 y
     var(x)  = K(x, x) - k(x, D) (K(D, D) + s2 I)^-1 k(D, x)
 
-A ``GPModel`` is an immutable snapshot with one candidate per
+A ``GPModel`` is an immutable value with one candidate per
 lengthscale.  Each candidate keeps W = L^-1, the inverse of the Cholesky
 factor L of its regularised Gram matrix, and the whitened targets
 z = W y (Rasmussen & Williams 2006, Alg. 2.1, with an explicit inverse
@@ -90,8 +90,8 @@ class Observation:
 @dataclass(eq=False)
 class GPModel:
     """GP posteriors on the same observations, one per candidate
-    lengthscale; the most likely one, ``pick``, is the model.  Immutable
-    snapshot: do not mutate fields after build."""
+    lengthscale; the most likely one, ``pick``, is the model.  Immutable:
+    do not mutate fields after build."""
 
     kernel: object  # the kernel at the picked lengthscale
     noise_sq: float
@@ -280,33 +280,6 @@ def condition(model: GPModel, obs: Observation) -> GPModel:
     return replace(model, kernel=model.kernel.with_lengthscale(float(lengthscales[pick])),
                    n=n + 1, lengthscales=lengthscales, Ws=W, zs=z, pick=pick,
                    grid=model.grid if model.grid is not None else grid, MVs=MVs, row_qs=row_qs)
-
-
-def model_rows(model: GPModel) -> dict:
-    """The model's written rows and its pick and capacity: all that
-    ``from_rows`` needs to rebuild it."""
-    n = model.n
-    return {"n": n, "cap": model.zs.shape[1], "pick": model.pick,
-            "lengthscales": model.lengthscales, "W": model.Ws[:, :n, :n], "z": model.zs[:, :n],
-            "MV": model.MV, "row_q": model.row_q}
-
-
-def from_rows(empty: GPModel, rows: dict, grid: GridSpec) -> GPModel:
-    """The model of ``model_rows`` in buffers of its capacity, so that it
-    continues bit for bit like the model it was taken from.  ``empty``
-    gives the kernel and the noise; a functional model's points lie on
-    ``grid``."""
-    n, cap, pick, lengthscales = rows["n"], rows["cap"], rows["pick"], rows["lengthscales"]
-    Ws, zs = np.zeros((len(lengthscales), cap, cap)), np.zeros((len(lengthscales), cap))
-    Ws[:, :n, :n], zs[:, :n] = rows["W"], rows["z"]
-    MVs = row_qs = None
-    if n:
-        MVs, row_qs = np.zeros((cap, rows["MV"].shape[1])), np.zeros(cap)
-        MVs[:n], row_qs[:n] = rows["MV"], rows["row_q"]
-    functional = isinstance(empty.kernel, FunctionalKernelSpec) and n > 0
-    return replace(empty, kernel=empty.kernel.with_lengthscale(float(lengthscales[pick])),
-                   n=n, lengthscales=lengthscales, Ws=Ws, zs=zs, pick=pick,
-                   grid=grid if functional else None, MVs=MVs, row_qs=row_qs)
 
 
 def posterior_from_sqdist(

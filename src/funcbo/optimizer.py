@@ -41,12 +41,10 @@ from the trace in the same way: a stored inner step at (s, t) shows that
 the original run did not end the loop there, so its regret certificate
 is not recomputed.  The certificate runs only where the trace ends an
 inner loop early, which must be certified or the state is rejected, and
-at the live position after the trace.  ``snapshot`` and ``restore``
-take, and put back, everything the replay of the records rebuilds beyond
-them, of an engine with no suggestion pending, so that a load can skip
-that replay (``bench`` writes the snapshot at each ``tell``).  A pending
-suggestion has one rebuild path: its replay step, which redraws it
-without a search (and the basis of an outer iteration that it opens).
+at the live position after the trace.  A pending suggestion replays
+through the same step: it is redrawn without a search (with the basis of
+an outer iteration that it opens) and checked against its stored
+coordinates.
 """
 
 from __future__ import annotations
@@ -351,26 +349,6 @@ class _EngineBase:
         if pending_desc is not None:
             self._replay_step(pending_desc, "the pending suggestion")
 
-    def snapshot(self) -> dict:
-        """What ``replay`` rebuilds beyond the records, as JSON values and
-        float arrays; ``restore`` takes it back (bench writes it beside a
-        state file)."""
-        return {
-            "rng": self._rng.bit_generator.state,
-            "inner_ends": [[s, t, end] for (s, t), end in self._inner_ends.items()],
-            "best_values": self._best_values,
-        }
-
-    def restore(self, snap: dict, records):
-        """Take the state of ``snapshot`` in place of ``replay(records)``.
-        Nothing is redrawn and nothing is checked, so the snapshot must be
-        one that this code took of an engine with this trace and no pending
-        suggestion."""
-        self._rng.bit_generator.state = snap["rng"]
-        self._inner_ends = {(s, t): end for s, t, end in snap["inner_ends"]}
-        self._best_values = snap["best_values"]
-        self.trace = list(records)
-
     def _replay_step(self, desc, where: str):
         """The step of ``ask`` with the stored coordinates in place of the
         acquisition search, checked against the run schedule before any
@@ -417,30 +395,6 @@ class _PhasedEngine(_EngineBase):
         self.model = gp.empty_model(kernel, cfg.noise_sq, cfg.lengthscales, reserve=reserve)
         self._search = cfg.search
         self._schedule = UcbSchedule(cfg.acq_delta, d)
-
-    def snapshot(self) -> dict:
-        sub, best = self.subspace, self._outer_best
-        return {
-            **super().snapshot(),
-            "s": None if sub is None else sub.s,
-            "bias": None if sub is None else sub.bias.values,
-            "basis": None if sub is None else np.array([h.values for h in sub.basis]),
-            # the model point's own array: a function's values or the line coordinate
-            "outer_point": None if best is None else getattr(best[0], "values", best[0]),
-            "outer_y": None if best is None else best[1],
-            **gp.model_rows(self.model),
-        }
-
-    def restore(self, snap: dict, records):
-        super().restore(snap, records)
-        grid = self.cfg.grid
-        if snap["s"] is not None:
-            basis = tuple(GridFunction(grid, h) for h in snap["basis"])
-            self.subspace = Subspace(snap["s"], GridFunction(grid, snap["bias"]), basis)
-        if snap["outer_point"] is not None:
-            point = snap["outer_point"]
-            self._outer_best = (self._model_point(point, point), snap["outer_y"])
-        self.model = gp.from_rows(self.model, snap, grid)
 
     def _position(self):
         """The next step's (kind, s, t), or None once the run is done:
@@ -494,7 +448,14 @@ class _PhasedEngine(_EngineBase):
         obs = gp.Observation(self._model_point(self.pending[3], self.pending[4]), rec.y)
         if self._outer_best is None or rec.y > self._outer_best[1]:
             self._outer_best = (obs.point, rec.y)
-        self.model = gp.condition(self.model, obs)
+        try:
+            self.model = gp.condition(self.model, obs)
+        except MemoryError as exc:  # a budget run reserves its buffers for every point at once
+            raise ConfigError(
+                f"the model does not fit in memory ({exc}): it holds mle.grid_points factors "
+                "of n x n floats, n up to opt.S * (opt.n_init + opt.T); lower opt.S, opt.T "
+                "or mle.grid_points"
+            ) from exc
 
 
 class SubspaceSearchEngine(_PhasedEngine):

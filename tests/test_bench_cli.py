@@ -2,7 +2,6 @@ import contextlib
 import dataclasses
 import functools
 import gc
-import json
 import re
 import subprocess
 import sys
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from funcbo import bench, cli, kernels, optimizer
+from funcbo import bench, cli, gp, kernels, optimizer
 from funcbo.errors import ConfigError, FuncboError, NumericalError, ProtocolError
 from funcbo.gridfn import read_function_csv
 from funcbo.optimizer import ALGORITHMS, RUNNERS, make_engine, rng_streams
@@ -302,39 +301,22 @@ def test_first_suggestion_is_first_initial_design_point(tmp_path):
     np.testing.assert_array_equal(suggested.values, expected.values)
 
 
-def _forget_live_engine(state=None):
-    """As in a new process: no engine is live, so a load restores or replays."""
+def _forget_live_engine():
+    """As in a new process: no engine is live, so a load replays."""
     bench._take_live(None)
 
 
-def _drop_snapshot(state):
-    """As in a new process after the snapshot was deleted: a load replays."""
-    _forget_live_engine()
-    bench.snapshot_path(state).unlink(missing_ok=True)
-
-
-def _after(forget, command):
+def _replaying(command):
+    """The session command with the live engine forgotten first, so that
+    its load replays the trace."""
     def run(state, *args):
-        forget(state)
+        _forget_live_engine()
         return command(state, *args)
 
     return run
 
 
-def _restoring(command):
-    """The session command with the live engine forgotten first, so that
-    its load restores the snapshot."""
-    return _after(_forget_live_engine, command)
-
-
-def _replaying(command):
-    """The session command with the live engine forgotten and the snapshot
-    beside its state deleted first, so that its load replays the trace."""
-    return _after(_drop_snapshot, command)
-
-
-_LOAD_STEPS = {"_parse_state_text": bench, "_read_snapshot": bench,
-               "restore": optimizer._EngineBase, "replay": optimizer._EngineBase}
+_LOAD_STEPS = {"_parse_state_text": bench, "replay": optimizer._EngineBase}
 
 
 def _count_load_steps(monkeypatch, steps=_LOAD_STEPS):
@@ -366,9 +348,17 @@ def _checking_saves(monkeypatch, scratch):
     return extended
 
 
+# what earlier versions wrote beside a state; no load reads it, no save writes it
+STALE_SNAPSHOT = b"funcbo engine snapshot 0123\n{}\nnot an engine\n"
+
+
 def _session_equals_in_process_run(tmp_path, monkeypatch, algorithm, termination, metric, path):
-    """Run the session on the load path; returns the checkpoint bytes after each tell."""
+    """Run the session on the load path, with a stale snapshot beside the
+    state that must be left as it is; returns the bytes of the state and
+    the suggestion after each command."""
     state = tmp_path / "state.txt"
+    stale = tmp_path / "state.txt.snapshot"
+    stale.write_bytes(STALE_SNAPSHOT)
     state.write_text(
         "grid.points_per_axis = 40\nopt.S = 2\nopt.T = 4\nopt.n_init = 2\n"
         f"opt.seed = 8\nobjective.noise = 0.05\nopt.algorithm = {algorithm}\n"
@@ -379,18 +369,26 @@ def _session_equals_in_process_run(tmp_path, monkeypatch, algorithm, termination
     objective = bench.build_objective(values, cfg.grid)
     _, reference = RUNNERS[algorithm](objective, cfg)
 
-    wrap = {"live": lambda command: command, "snapshot": _restoring, "replay": _replaying}[path]
-    load, suggest, tell = wrap(bench.load_state), wrap(bench.suggest), wrap(bench.tell)
+    # the mixed path replays the load of each tell and the last load, as
+    # when tell runs in a new process: each suggest but the first then
+    # takes the engine that the replayed tell before it kept live
+    replayed = {"live": (), "replay": ("load", "suggest", "tell"), "mixed": ("load", "tell")}[path]
+    load, suggest, tell = (
+        _replaying(command) if name in replayed else command
+        for name, command in (("load", bench.load_state), ("suggest", bench.suggest),
+                              ("tell", bench.tell))
+    )
     counts = _count_load_steps(monkeypatch, {**_LOAD_STEPS, "_replay_step": optimizer._EngineBase})
     extended = _checking_saves(monkeypatch, tmp_path / "full.txt")
     _, noise_rng = rng_streams(cfg.seed)
     out = tmp_path / "g.csv"
-    checkpoints = []
+    written = []
     for _ in range(len(reference)):
         suggest(state, out)
+        written += [state.read_bytes(), out.read_bytes()]
         y = objective.evaluate(read_function_csv(out), noise_rng)
         tell(state, y)
-        checkpoints.append(bench.snapshot_path(state).read_bytes())
+        written.append(state.read_bytes())
     _, engine = load(state)
     assert engine.done
     assert len(engine.trace) == len(reference)
@@ -399,23 +397,20 @@ def _session_equals_in_process_run(tmp_path, monkeypatch, algorithm, termination
         assert mine.lam == ref.lam
         assert mine.y == ref.y
         assert mine.best_y == ref.best_y
-    # every load but the first, of the plain config, takes the path; the
-    # first tell's load (a pending suggestion, no records) has no checkpoint
-    # to read and replays; every other load of a pending suggestion restores
-    # or replays the records, then replays the pending step alone
+    # every load but the first, of the plain config, takes the path
     n = len(reference)
     loads = 2 * n + 1
     assert counts == {
         "live": {"_parse_state_text": 1, "replay": 1},
-        "snapshot": {"_parse_state_text": loads, "_read_snapshot": loads - 2,
-                     "restore": loads - 2, "replay": 2, "_replay_step": n},
         # a replay steps through each record and the pending suggestion of each load
-        "replay": {"_parse_state_text": loads, "_read_snapshot": loads - 2, "replay": loads,
-                   "_replay_step": n * (n + 1)},
+        "replay": {"_parse_state_text": loads, "replay": loads, "_replay_step": n * (n + 1)},
+        "mixed": {"_parse_state_text": n + 2, "replay": n + 2, "_replay_step": n * (n + 3) // 2},
     }[path]
     # each save of an engine that a live load took extends the text of its last save
-    assert extended == [False] + [path == "live"] * (2 * n - 1)
-    return checkpoints
+    assert extended == {"live": [False] + [True] * (2 * n - 1), "replay": [False] * (2 * n),
+                        "mixed": [False, False] + [True, False] * (n - 1)}[path]
+    assert stale.read_bytes() == STALE_SNAPSHOT
+    return written
 
 
 _SESSION_CONFIGS = pytest.mark.parametrize(
@@ -431,37 +426,38 @@ def test_session_reproduces_in_process_run(tmp_path, monkeypatch, algorithm, ter
 
 
 @_SESSION_CONFIGS
-def test_session_restoring_every_load_reproduces_in_process_run(
-    tmp_path, monkeypatch, algorithm, termination, metric
-):
-    # the live engine is forgotten before every load, so every load but the
-    # first restores the snapshot the command before wrote
-    _session_equals_in_process_run(tmp_path, monkeypatch, algorithm, termination, metric,
-                                   "snapshot")
-
-
-@_SESSION_CONFIGS
 def test_session_replaying_every_load_reproduces_in_process_run(
     tmp_path, monkeypatch, algorithm, termination, metric
 ):
-    # the snapshot is deleted before every load, so every load replays
+    # the live engine is forgotten before every load, so every load replays
     _session_equals_in_process_run(tmp_path, monkeypatch, algorithm, termination, metric,
                                    "replay")
 
 
 @_SESSION_CONFIGS
-def test_checkpoint_bytes_are_equal_on_every_load_path(
+def test_session_mixing_load_paths_reproduces_in_process_run(
     tmp_path, monkeypatch, algorithm, termination, metric
 ):
-    # the checkpoint a tell writes is a function of its state text: the same
-    # bytes whether the session's loads took the live engine, restored or replayed
-    checkpoints = []
-    for path in ("live", "snapshot", "replay"):
+    # the live engine is forgotten before every tell, so the session
+    # switches paths at every command: a replayed engine is kept live,
+    # taken by the next suggest and saved by extending its last text
+    _session_equals_in_process_run(tmp_path, monkeypatch, algorithm, termination, metric,
+                                   "mixed")
+
+
+@_SESSION_CONFIGS
+def test_session_files_are_equal_on_both_load_paths(
+    tmp_path, monkeypatch, algorithm, termination, metric
+):
+    # each command writes the same state and suggestion bytes whether its
+    # load took the live engine or replayed the trace
+    written = []
+    for path in ("live", "replay"):
         (tmp_path / path).mkdir()
         with monkeypatch.context() as patch:
-            checkpoints.append(_session_equals_in_process_run(
+            written.append(_session_equals_in_process_run(
                 tmp_path / path, patch, algorithm, termination, metric, path))
-    assert checkpoints[0] == checkpoints[1] == checkpoints[2]
+    assert written[0] == written[1]
 
 
 def _record_lines(trace):
@@ -547,7 +543,7 @@ def _dropped_engines_are_freed(tmp_path, algorithm, path):
         bench.suggest(state, tmp_path / "g.csv")
         bench.tell(state, y)
     if path != "live":
-        (_forget_live_engine if path == "snapshot" else _drop_snapshot)(state)
+        _forget_live_engine()
     gc.disable()
     try:
         values, loaded = bench.load_state(state)
@@ -565,11 +561,6 @@ def _dropped_engines_are_freed(tmp_path, algorithm, path):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_engine_dropped_mid_run_is_freed_by_refcount(tmp_path, algorithm):
-    _dropped_engines_are_freed(tmp_path, algorithm, "snapshot")  # the load restores
-
-
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_replayed_engine_dropped_mid_run_is_freed_by_refcount(tmp_path, algorithm):
     _dropped_engines_are_freed(tmp_path, algorithm, "replay")
 
@@ -577,6 +568,29 @@ def test_replayed_engine_dropped_mid_run_is_freed_by_refcount(tmp_path, algorith
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_live_engine_dropped_mid_run_is_freed_by_refcount(tmp_path, algorithm):
     _dropped_engines_are_freed(tmp_path, algorithm, "live")  # the slot lets go of it
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_engine_of_a_failed_command_is_freed_by_refcount(tmp_path, monkeypatch, algorithm):
+    # a tell whose state write fails has taken the live engine out of the
+    # slot and keeps it nowhere: the engine goes with the error
+    state = _state_with_pending(tmp_path, f"opt.algorithm = {algorithm}\n")
+    before = state.read_bytes()
+    ref = weakref.ref(bench._live[2])
+    monkeypatch.setattr(bench.os, "replace", _fail_to_write)
+    gc.disable()
+    try:
+        try:
+            bench.tell(state, 0.25)
+        except OSError as error:
+            assert "no space" in str(error)
+        else:
+            pytest.fail("the state write did not fail")
+        assert bench._live is None
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert state.read_bytes() == before
 
 
 def test_state_file_roundtrip_is_byte_stable(tmp_path):
@@ -590,15 +604,30 @@ def test_state_file_roundtrip_is_byte_stable(tmp_path):
     assert state.read_bytes() == first
 
 
+def _listed(value):
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 def _engine_state(engine):
-    """What a load rebuilds: the records, the pending suggestion and the
-    snapshot's values, with arrays as lists."""
-    snap = {key: value.tolist() if isinstance(value, np.ndarray) else value
-            for key, value in engine.snapshot().items()}
-    snap["inner_ends"] = sorted(snap["inner_ends"])
+    """What a load rebuilds, with arrays as lists: the records, the pending
+    suggestion, the random generator's state, the inner-loop decisions and
+    the incumbent; for a phased engine also the current subspace, the best
+    point of its outer iteration and the model's written rows and pick."""
+    state = {"rng": engine._rng.bit_generator.state,
+             "inner_ends": sorted(engine._inner_ends.items()),
+             "best_values": _listed(engine._best_values)}
+    if isinstance(engine, optimizer._PhasedEngine):
+        sub, best, model, n = engine.subspace, engine._outer_best, engine.model, engine.model.n
+        state["subspace"] = sub and (sub.s, sub.bias.values.tolist(),
+                                     [h.values.tolist() for h in sub.basis])
+        # the model point's own array: a function's values or the line coordinate
+        state["outer_best"] = best and (_listed(getattr(best[0], "values", best[0])), best[1])
+        state["model"] = (n, model.zs.shape[1], model.pick, model.lengthscales.tolist(),
+                          model.Ws[:, :n, :n].tolist(), model.zs[:, :n].tolist(),
+                          _listed(model.MV), _listed(model.row_q))
     pending = engine.pending and (*engine.pending[:3], np.asarray(engine.pending[3]).tolist(),
                                   engine.pending[4].tolist())
-    return engine.trace, pending, snap
+    return engine.trace, pending, state
 
 
 def _count_replays(monkeypatch):
@@ -628,9 +657,9 @@ def test_failed_writes_keep_the_previous_state(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="no space"):
         bench._write_atomic(state, cut_short())
     assert state.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv", "state.txt",
-                                                          "state.txt.snapshot"]
-    # a tell whose state write fails leaves the state and snapshot it loaded
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv", "state.txt"]
+    # a tell whose state write fails leaves the state it loaded, which the
+    # next load replays: the failed tell took the live engine
     with monkeypatch.context() as patch:
         patch.setattr(bench.os, "replace", _fail_to_write)
         with pytest.raises(OSError):
@@ -638,43 +667,7 @@ def test_failed_writes_keep_the_previous_state(tmp_path, monkeypatch):
     assert state.read_bytes() == before
     replays = _count_replays(monkeypatch)
     _, engine = bench.load_state(state)
-    assert replays == [] and engine.pending is not None
-    # a snapshot write that fails midway is skipped: the tell is saved, and
-    # its next load replays past the stale snapshot
-    monkeypatch.setattr(bench, "_snapshot_chunks", lambda key, snap: cut_short())
-    bench.tell(state, 0.25)
-    _, engine = bench.load_state(state)
-    assert replays == [2] and engine.pending is None and len(engine.trace) == 2
-
-
-@pytest.mark.parametrize(
-    "miss", ["edited text", "another session", "truncated", "flipped byte", "other code"]
-)
-def test_snapshot_mismatch_replays(tmp_path, monkeypatch, caplog, miss):
-    state = _early_end_state(tmp_path)
-    snap = bench.snapshot_path(state)
-    if miss == "edited text":  # respelled: the same run, another text
-        state.write_text(state.read_text().replace("opt.T = 5\n", "opt.T =  5\n"))
-    elif miss == "another session":
-        (tmp_path / "other").mkdir()
-        snap.write_bytes(bench.snapshot_path(_state_with_pending(tmp_path / "other")).read_bytes())
-    elif miss == "truncated":  # the live engine would match: forget it
-        _forget_live_engine()
-        snap.write_bytes(snap.read_bytes()[: snap.stat().st_size // 2])
-    elif miss == "flipped byte":  # in the last array, before the payload's sha256
-        _forget_live_engine()
-        data = bytearray(snap.read_bytes())
-        data[-100] ^= 1
-        snap.write_bytes(bytes(data))
-    else:
-        monkeypatch.setattr(bench, "_code_digest", lambda: "0" * 64)
-    replays = _count_replays(monkeypatch)
-    with caplog.at_level("DEBUG", logger="funcbo.bench"):
-        _, engine = bench.load_state(state)
-    assert replays == [len(EARLY_END_SCHEDULE)]
-    assert "replaying the trace" in caplog.text
-    _, replayed = _replaying(bench.load_state)(state)
-    assert _engine_state(engine) == _engine_state(replayed)
+    assert replays == [1] and engine.pending is not None
 
 
 # inner loop 0 ends early at t = 3 (T = 5); the state stops after two
@@ -721,7 +714,7 @@ def _counting_regret_err(monkeypatch):
 def test_load_certifies_only_the_recorded_early_end(tmp_path, monkeypatch):
     # the stored inner steps show the loop went on, so only the early end
     # of loop 0 is certified; the live position is certified by suggest
-    # (each load replays: the snapshot is deleted before it)
+    # (each load replays: the live engine is forgotten before it)
     state = _early_end_state(tmp_path)
     errs = _counting_regret_err(monkeypatch)
     _, engine = _replaying(bench.load_state)(state)
@@ -733,35 +726,48 @@ def test_load_certifies_only_the_recorded_early_end(tmp_path, monkeypatch):
     assert len(errs) == 4  # its load's early end; the pending inner step went on
 
 
-def test_snapshot_load_runs_no_certificate_search(tmp_path, monkeypatch):
-    # the snapshot holds every decision the replay would certify again
-    # (the live engine is forgotten before each load, so each restores)
-    state = _early_end_state(tmp_path)
-    errs = _counting_regret_err(monkeypatch)
-    _, restored = _restoring(bench.load_state)(state)
-    assert errs == []
-    _restoring(bench.suggest)(state, tmp_path / "g.csv")
-    assert len(errs) == 1  # the live position only
-    _restoring(bench.tell)(state, 0.0)
-    assert len(errs) == 1
-    _, restored = _restoring(bench.load_state)(state)
-    _, replayed = _replaying(bench.load_state)(state)
-    assert len(errs) == 2  # the replay's recorded early end
-    assert _engine_state(restored) == _engine_state(replayed)
-
-
-def test_checkpoint_load_of_a_suggestion_after_an_early_end_certifies_it_once(tmp_path,
-                                                                            monkeypatch):
+def test_replayed_suggestion_after_an_early_end_certifies_it_once(tmp_path, monkeypatch):
     # the suggest after loop 0's last inner step certified its early end;
-    # the checkpoint is the tell's, from before, so its load certifies it again
+    # a load of its live engine certifies nothing, a replay certifies it again
     state = _early_end_state(tmp_path, 5)
     bench.suggest(state, tmp_path / "g.csv")
     assert "[pending]\ninit,1,-1," in state.read_text()
     errs = _counting_regret_err(monkeypatch)
-    _, restored = _restoring(bench.load_state)(state)
+    _, live = bench.load_state(state)
+    assert errs == []
+    _, replayed = bench.load_state(state)  # the live load emptied the slot
     assert len(errs) == 1 and errs[0] < 0.3
-    _, replayed = _replaying(bench.load_state)(state)
-    assert _engine_state(restored) == _engine_state(replayed)
+    assert _engine_state(live) == _engine_state(replayed)
+
+
+@pytest.mark.parametrize("algorithm", ["s3bfo", "linebo_bernstein", "fixed_subspace"])
+def test_live_session_runs_the_certificates_of_the_in_process_run(tmp_path, monkeypatch,
+                                                                  algorithm):
+    # each load takes the engine the command before kept live, so the
+    # session runs the in-process run's certificate searches, to the same
+    # floats; a replay of the finished state certifies each early end again
+    state = tmp_path / "state.txt"
+    state.write_text(EARLY_END + f"opt.algorithm = {algorithm}\n")
+    values = bench.parse_config(state)
+    cfg = bench.build_opt_config(values)
+    objective = bench.build_objective(values, cfg.grid)
+    errs = _counting_regret_err(monkeypatch)
+    _, reference = RUNNERS[algorithm](objective, cfg)
+    in_process = errs[:]
+    del errs[:]
+    _, noise_rng = rng_streams(cfg.seed)
+    out = tmp_path / "g.csv"
+    for _ in reference:
+        bench.suggest(state, out)
+        bench.tell(state, objective.evaluate(read_function_csv(out), noise_rng))
+    _, live = bench.load_state(state)
+    assert live.done
+    assert in_process and errs == in_process
+    _, replayed = bench.load_state(state)  # the live load emptied the slot
+    assert replayed.done  # which certifies the end of the last inner loop
+    assert len(errs) == len(in_process) + sum(live._inner_ends.values())
+    assert all(err < cfg.epsilon for err in errs[len(in_process):])
+    assert _engine_state(live) == _engine_state(replayed)
 
 
 def test_live_load_parses_reads_and_replays_nothing(tmp_path, monkeypatch):
@@ -770,11 +776,48 @@ def test_live_load_parses_reads_and_replays_nothing(tmp_path, monkeypatch):
     counts = _count_load_steps(monkeypatch)
     _, live = bench.load_state(state)
     assert counts == {}
-    _, restored = bench.load_state(state)  # the live load emptied the slot
-    assert counts == {"_parse_state_text": 1, "_read_snapshot": 1, "restore": 1}
-    _, replayed = _replaying(bench.load_state)(state)
-    assert live is not restored
-    assert _engine_state(live) == _engine_state(restored) == _engine_state(replayed)
+    _, replayed = bench.load_state(state)  # the live load emptied the slot
+    assert counts == {"_parse_state_text": 1, "replay": 1}
+    assert live is not replayed
+    assert _engine_state(live) == _engine_state(replayed)
+
+
+# whether a load after each case takes the engine the last suggest kept live
+_KEYS = {"copied to another file": True, "rewritten unchanged": True,
+         "other session saved since": False, "rolled back": False,
+         "pending point edited": False}
+
+
+@pytest.mark.parametrize("case", _KEYS)
+def test_live_engine_is_taken_only_by_the_text_it_saved(tmp_path, monkeypatch, case):
+    # the slot is keyed by the exact state text, not by the file: any file
+    # holding that text takes the engine, any other text replays
+    state = _state_with_pending(tmp_path)
+    assert "[pending]\ninner,0,0," in state.read_text()
+    text, path = state.read_text(), state
+    if case == "copied to another file":
+        path = tmp_path / "copy.txt"
+        path.write_text(text)
+    elif case == "rewritten unchanged":
+        state.write_text(text)
+    elif case == "other session saved since":
+        (tmp_path / "other").mkdir()
+        _state_with_pending(tmp_path / "other", "opt.algorithm = random_search\n")
+    elif case == "rolled back":  # the pending suggestion deleted, the digest kept
+        lines = text.splitlines()
+        del lines[lines.index("[pending]"):lines.index("[digest]")]
+        state.write_text("\n".join(lines) + "\n")
+    else:
+        state.write_text(_edit_field(text, "inner,", 3, "0.125"))
+    counts = _count_load_steps(monkeypatch)
+    _, engine = bench.load_state(path)
+    assert counts == ({} if _KEYS[case] else {"_parse_state_text": 1, "replay": 1})
+    _, replayed = _replaying(bench.load_state)(path)
+    assert _engine_state(engine) == _engine_state(replayed)
+    if case == "rolled back":
+        assert len(engine.trace) == 1 and engine.pending is None
+    if case == "pending point edited":
+        assert engine.pending[3].tolist() == [0.125]
 
 
 # at lengthscales of 1e9 and more the kernel between any two grid functions
@@ -809,33 +852,16 @@ def test_live_engine_is_not_kept_past_a_failed_command_or_an_edit(tmp_path, monk
                 bench.tell(state, -0.5)
         assert counts == {}  # the failed command took the live engine
     _, engine = bench.load_state(state)
-    assert counts == {"_parse_state_text": 1, "_read_snapshot": 1,
-                      "restore" if error else "replay": 1}
+    assert counts == {"_parse_state_text": 1, "replay": 1}
     assert len(engine.trace) == 1 and engine.pending is not None
     _, replayed = _replaying(bench.load_state)(state)
     assert _engine_state(engine) == _engine_state(replayed)
 
 
-def test_suggest_leaves_the_checkpoint_of_the_tell_before_it(tmp_path):
-    # only a tell writes a checkpoint, and it holds no pending suggestion
-    state = _fresh_state(tmp_path)
-    snap = bench.snapshot_path(state)
-    bench.suggest(state, tmp_path / "g.csv")
-    assert not snap.exists()
-    bench.tell(state, 0.5)
-    written, inode = snap.read_bytes(), snap.stat().st_ino
-    assert written.startswith(f"funcbo engine snapshot {bench._snapshot_key(state.read_text())}\n"
-                              .encode())
-    assert "pending_values" not in json.loads(written.splitlines()[1])["values"]
-    bench.suggest(state, tmp_path / "g.csv")
-    assert "[pending]" in state.read_text()
-    assert snap.read_bytes() == written and snap.stat().st_ino == inode  # not rewritten
-
-
 def _pending_after(tmp_path, steps, extra=""):
     """A state of _fresh_state after that many suggest/tell steps and one
-    more suggest, with the checkpoint of the last tell beside it (budget:
-    the schedule is (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1))."""
+    more suggest (budget: the schedule is (0, -1), (0, 0), (0, 1), (1, -1),
+    (1, 0), (1, 1))."""
     state = _fresh_state(tmp_path, extra)
     for y in range(steps):
         bench.suggest(state, tmp_path / "g.csv")
@@ -845,10 +871,10 @@ def _pending_after(tmp_path, steps, extra=""):
 
 
 @pytest.mark.parametrize("kind, steps", [("init", 3), ("inner", 1)])
-def test_edited_pending_lambda_on_a_checkpoint_load(tmp_path, monkeypatch, capsys, kind, steps):
-    # the load restores the checkpoint, which the edit does not touch, then
-    # replays the pending step: a redrawn initial-design point must equal
-    # the stored one, and a stored inner point is taken as a replay takes it
+def test_edited_pending_lambda_on_a_replayed_load(tmp_path, monkeypatch, capsys, kind, steps):
+    # the load replays the records, which the edit does not touch, then the
+    # pending step: a redrawn initial-design point must equal the stored
+    # one, and a stored inner point is taken as the search's pick
     state = _pending_after(tmp_path, steps)
     text = state.read_text()
     assert f"[pending]\n{kind}," in text
@@ -857,35 +883,31 @@ def test_edited_pending_lambda_on_a_checkpoint_load(tmp_path, monkeypatch, capsy
     if kind == "init":
         with pytest.raises(ProtocolError, match="diverged at the pending suggestion"):
             bench.load_state(state)
-        assert counts == {"_parse_state_text": 1, "_read_snapshot": 1, "restore": 1}
+        assert counts == {"_parse_state_text": 1, "replay": 1}
         assert cli.main(["tell", "--state", str(state), "--y", "0.25"]) == 3
         assert "Traceback" not in capsys.readouterr().err
     else:
-        _, restored = bench.load_state(state)
-        assert counts == {"_parse_state_text": 1, "_read_snapshot": 1, "restore": 1}
-        assert restored.pending[3].tolist() == [0.125]
-        _, replayed = _replaying(bench.load_state)(state)
-        assert _engine_state(restored) == _engine_state(replayed)
+        _, replayed = bench.load_state(state)
+        assert counts == {"_parse_state_text": 1, "replay": 1}
+        assert replayed.pending[3].tolist() == [0.125]
 
 
 @pytest.mark.parametrize("algorithm", ["s3bfo", "linebo_bernstein"])
-def test_checkpoint_tell_of_an_outer_opening_suggestion_equals_the_live_engine(tmp_path,
-                                                                              algorithm):
+def test_new_process_tell_of_an_outer_opening_suggestion_equals_the_live_engine(tmp_path,
+                                                                                algorithm):
     # the pending initial-design point opens outer iteration 1: a tell in a
-    # new process restores the checkpoint of outer iteration 0 and redraws
-    # the basis (or line) of iteration 1, to the engine the live tell has
+    # new process replays the trace and redraws the basis (or line) of
+    # iteration 1, to the engine the live tell has
     state = _pending_after(tmp_path, 3, f"opt.algorithm = {algorithm}\n")
     assert "[pending]\ninit,1,-1," in state.read_text()
     fresh = tmp_path / "fresh"
     fresh.mkdir()
-    for path in (state, bench.snapshot_path(state)):
-        (fresh / path.name).write_bytes(path.read_bytes())
+    (fresh / state.name).write_bytes(state.read_bytes())
     res = _cli("tell", "--state", str(fresh / state.name), "--y", "0.75")
     assert res.returncode == 0, res.stderr
     bench.tell(state, 0.75)  # takes the live engine of the suggest
     assert (fresh / state.name).read_bytes() == state.read_bytes()
-    assert (fresh / bench.snapshot_path(state).name).read_bytes() == \
-        bench.snapshot_path(state).read_bytes()
+    assert sorted(p.name for p in fresh.iterdir()) == [state.name]
 
 
 def test_concurrent_loads_share_no_live_engine(tmp_path):
@@ -914,7 +936,7 @@ def test_concurrent_loads_share_no_live_engine(tmp_path):
 
 def test_uncertified_recorded_end_is_protocol_error(tmp_path, monkeypatch):
     state = _early_end_state(tmp_path)
-    _drop_snapshot(state)
+    _forget_live_engine()
     with monkeypatch.context() as patch:
         errs = _counting_regret_err(patch)
         values, engine = bench.load_state(state)
@@ -1182,11 +1204,41 @@ def test_cli_every_lengthscale_breaking_is_numerical_error(tmp_path):
     assert _cli("suggest", "--state", str(state), "--out", str(fn)).returncode == 0
     assert _cli("tell", "--state", str(state), "--y", "0.5").returncode == 0
     assert _cli("suggest", "--state", str(state), "--out", str(fn)).returncode == 0
-    assert bench.snapshot_path(state).exists()  # the tell's load restores the model
     res = _cli("tell", "--state", str(state), "--y", "-0.5")
     assert res.returncode == 4
     assert "every lengthscale" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_cli_model_too_large_for_memory_is_config_error(tmp_path, monkeypatch, capsys):
+    # opt.S = 200 and opt.T = 1000 reserve inverse factors of shape
+    # (17, 201000, 201000), 5 TiB, at the first tell; the stand-in for
+    # gp.condition raises numpy's error without allocating them
+    state = tmp_path / "state.txt"
+    state.write_text("opt.S = 200\nopt.T = 1000\n")
+    assert cli.main(["suggest", "--state", str(state), "--out", str(tmp_path / "g.csv")]) == 0
+    before = state.read_bytes()
+
+    def too_large(model, obs):
+        raise MemoryError("Unable to allocate 5.00 TiB for an array with shape "
+                          "(17, 201000, 201000) and data type float64")
+
+    monkeypatch.setattr(gp, "condition", too_large)
+    capsys.readouterr()
+    assert cli.main(["tell", "--state", str(state), "--y", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the model does not fit in memory (Unable to allocate 5.00 TiB")
+    assert err.count("\n") == 1
+    assert all(key in err for key in ("opt.S", "opt.T", "mle.grid_points"))
+    assert state.read_bytes() == before
+
+    def out_of_memory(*args):
+        raise MemoryError
+
+    # any other allocation that fails exits 2 too
+    monkeypatch.setattr(bench, "tell", out_of_memory)
+    assert cli.main(["tell", "--state", str(state), "--y", "0.5"]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 def test_cli_tell_nonfinite_is_input_error(tmp_path):
@@ -1374,16 +1426,15 @@ def _regret_session_text():
             bench.suggest(state, Path(tmp) / "g.csv")
             bench.tell(state, y)
         bench.suggest(state, Path(tmp) / "g.csv")
-        return state.read_text(), bench.snapshot_path(state).read_bytes()
+        return state.read_text()
 
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_edited_state_loads_or_raises_funcbo_error(data):
     # one line of a valid state (one field of a CSV line) replaced by
-    # arbitrary text: the state either loads or fails with a documented error,
-    # also with the snapshot of the unedited state beside it
-    text, snapshot = _regret_session_text()
+    # arbitrary text: the state either loads or fails with a documented error
+    text = _regret_session_text()
     lines = text.splitlines()
     i = data.draw(st.integers(0, len(lines) - 1))
     fields = lines[i].split(",")
@@ -1393,7 +1444,6 @@ def test_edited_state_loads_or_raises_funcbo_error(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "state.txt"
         path.write_text("\n".join(lines) + "\n")
-        bench.snapshot_path(path).write_bytes(snapshot)
         try:
             bench.load_state(path)
         except FuncboError:
