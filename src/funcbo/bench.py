@@ -289,6 +289,8 @@ def run_bench(values: dict, out_dir) -> BenchResult:
     repeats = values["bench.repeats"]
     if repeats < 1:
         raise ConfigError("bench.repeats must be >= 1")
+    for algorithm in values["bench.algorithms"]:
+        optimizer.check_model_bytes(opt_cfg, algorithm)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     trace_paths, summary_paths, traces = {}, {}, {}
@@ -347,16 +349,15 @@ def _config_digest(values: dict) -> str:
     return _digest(lines)
 
 
-def _write_atomic(path, chunks) -> None:
-    """Write the byte chunks to a new file beside path, then move it onto
-    path, so an interrupted or failed write leaves the previous file whole.
-    The new file keeps the mode of the one it replaces."""
+def _write_atomic(path, data: bytes) -> None:
+    """Write data to a new file beside path, then move it onto path, so an
+    interrupted or failed write leaves the previous file whole.  The new
+    file keeps the mode of the one it replaces."""
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as out:
-            for chunk in chunks:
-                out.write(chunk)
+            out.write(data)
         if os.path.exists(path):
             shutil.copymode(path, tmp)
         os.replace(tmp, path)
@@ -401,7 +402,7 @@ def save_state(path, values: dict, engine, earlier: _StateText | None = None) ->
         fields = [kind, str(s), str(t), *[repr(float(v)) for v in lam]]
         pending = f"[pending]\n{','.join(fields)}\n"
     text = earlier.head + rows + pending + earlier.tail
-    _write_atomic(path, [text.encode()])
+    _write_atomic(path, text.encode())
     return _StateText(text, earlier.head, rows, len(engine.trace), earlier.tail)
 
 

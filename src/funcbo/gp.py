@@ -55,11 +55,14 @@ for the factor in place of O(N^2).  Every other case, any kernel on a
 1-d grid and the Matern and linear kernels on any grid, factors the
 dense N x N covariance.  Each factor is cached, and a factor that fails
 with jitter 1e-10 v (1e-10 for an axis factor) retries with more, logged.
+
+The two numerical fallbacks, a dropped candidate and a jittered prior
+factor, are logged at DEBUG on the ``funcbo.gp`` logger; ``logging`` is
+imported with the first such record, so a run without one never loads it.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -72,7 +75,13 @@ from .kernels import FunctionalKernelSpec, ScalarKernelSpec
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _GROWTH = 16  # rows a full model's buffers grow by
-_log = logging.getLogger(__name__)
+
+
+def _log_fallback(msg: str, *args) -> None:
+    """Log a numerical fallback at DEBUG; ``logging`` loads with the first."""
+    import logging
+
+    logging.getLogger(__name__).debug(msg, *args)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,7 +260,7 @@ def condition(model: GPModel, obs: Observation) -> GPModel:
     s_sq = base.variance + model.noise_sq - np.einsum("ci,ci->c", ell, ell)
     keep = s_sq > 0.0
     for c in np.flatnonzero(~keep):
-        _log.debug(
+        _log_fallback(
             "dropped lengthscale %r at n = %d: conditioning broke positive definiteness",
             float(lengthscales[c]), n + 1,
         )
@@ -372,7 +381,7 @@ def _prior_chol(
             where = f"N = {spec.size}" if axis_of is None else (
                 f"n = {spec.size} per axis of the {axis_of.dim}-d grid of N = {axis_of.size}"
             )
-            _log.debug("prior factor of %r needed jitter %r at %s", kernel, jitter, where)
+            _log_fallback("prior factor of %r needed jitter %r at %s", kernel, jitter, where)
         L.setflags(write=False)
         return L
     raise NumericalError(

@@ -71,6 +71,11 @@ _REGRET_SEARCH_SEED = 0x5EED
 # are dense, 8 N^2 bytes each, 800 MB at this limit (an SE prior on a
 # 2-d or 3-d grid is factored per axis and needs far less).
 MAX_GRID_POINTS = 10_000
+# Largest GP model a run may build, in bytes at its end (``model_bytes``).
+# On a 2-core 8 GB host at one BLAS thread, 17 candidates conditioned to
+# this size, 2806 points, took 188 s and peaked at 1.06 GB reserved, and
+# 215 s and 2.09 GB growing by 16 rows, whose copies hold twice the model.
+MAX_MODEL_BYTES = 2**30
 
 
 @dataclass(frozen=True, eq=False)
@@ -538,17 +543,45 @@ class RandomSearchEngine(_EngineBase):
         self.pending = (*position, lam, lam @ basis)
 
 
+def model_bytes(cfg: OptConfig, algorithm: str) -> int:
+    """Bytes of the run's GP model at its end, 8 (C B^2 + C B + B W + B):
+    C candidates' B x B inverse factors and B whitened targets, and B metric
+    rows of width W (N grid values, or the line coordinate) with their norms.
+    B is every evaluation of the run for s3bfo, of its one subspace for
+    fixed_subspace and of one line for linebo_bernstein; T caps each inner
+    loop, so B bounds regret runs too.  random_search holds no model."""
+    if algorithm == "random_search":
+        return 0
+    B = cfg.budget if algorithm == "s3bfo" else cfg.n_init + cfg.T
+    width = 1 if algorithm == "linebo_bernstein" else cfg.grid.size
+    return 8 * (len(cfg.lengthscales) * (B * B + B) + B * width + B)
+
+
+def check_model_bytes(cfg: OptConfig, algorithm: str) -> None:
+    """Raise ConfigError if the run's model would outgrow MAX_MODEL_BYTES."""
+    size = model_bytes(cfg, algorithm)
+    if size > MAX_MODEL_BYTES:
+        raise ConfigError(
+            f"a {algorithm} run's model would hold {size / 2**30:.1f} GiB by its end, more "
+            f"than the {MAX_MODEL_BYTES / 2**30:.1f} GiB supported: mle.grid_points factors "
+            "of n x n floats, n up to the run's evaluations; lower opt.S, opt.T, opt.n_init "
+            "or mle.grid_points"
+        )
+
+
 def make_engine(cfg: OptConfig, algorithm: str) -> _EngineBase:
-    """A fresh engine; ``fixed_subspace`` is the subspace engine with S = 1."""
+    """A fresh engine; ``fixed_subspace`` is the subspace engine with S = 1.
+    A run whose model would outgrow MAX_MODEL_BYTES is a ConfigError."""
+    if algorithm not in ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {algorithm!r}")
+    check_model_bytes(cfg, algorithm)
     if algorithm == "s3bfo":
         return SubspaceSearchEngine(cfg)
     if algorithm == "fixed_subspace":
         return SubspaceSearchEngine(replace(cfg, S=1))
     if algorithm == "linebo_bernstein":
         return BernsteinLineEngine(cfg)
-    if algorithm == "random_search":
-        return RandomSearchEngine(cfg)
-    raise ConfigError(f"unknown algorithm {algorithm!r}")
+    return RandomSearchEngine(cfg)
 
 
 # --- runners ------------------------------------------------------------

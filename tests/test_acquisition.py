@@ -36,6 +36,7 @@ def _subspace(rng, d=1, bias=None):
     return Subspace(0, bias, basis)
 
 
+@pytest.mark.blas_threads
 def test_schedule_validation():
     with pytest.raises(InputError):
         UcbSchedule(0.0, 1)
@@ -71,6 +72,7 @@ def maximise(model, sub, sched, search, t, rng):
     return lam, GridFunction(GRID_1D, candidate_values(sub, search, lam[None, :])[0]), acq
 
 
+@pytest.mark.blas_threads
 def test_maximise_flat_prior_surface():
     rng = np.random.default_rng(0)
     sub = _subspace(np.random.default_rng(1))
@@ -277,6 +279,7 @@ def test_subspace_posterior_equals_posterior_of_candidates(metric, d, seed, rela
         np.testing.assert_allclose(var, ref_var, rtol=1e-9, atol=1e-12)
 
 
+@pytest.mark.blas_threads
 @settings(max_examples=80, deadline=None)
 @given(
     path=st.sampled_from(["l2grid", "rkhs", "line"]),
@@ -357,6 +360,7 @@ def _counting_cap_scale(monkeypatch):
     return calls
 
 
+@pytest.mark.blas_threads
 def test_uncapped_and_capped_searches_match_the_reference(monkeypatch):
     """A search whose box cannot reach l_max skips the cap and returns
     the capped reference's exact (lam, value); one whose norm bound sits
@@ -408,6 +412,7 @@ def _first_steps(search, steps):
                            lambda_box=search.lambda_box)
 
 
+@pytest.mark.blas_threads
 @settings(max_examples=40, deadline=None)
 @given(
     d=st.integers(1, 3),
@@ -449,6 +454,7 @@ def test_settled_search_stops_at_the_reference_running_best(d, restarts, local_s
     assert rng.bit_generator.state == theirs.bit_generator.state
 
 
+@pytest.mark.blas_threads
 def test_settled_search_batch_counts():
     """settled=True after the seeds scores one batch, the seeds' best;
     no settled, or one that never holds, scores 1 + local_steps batches

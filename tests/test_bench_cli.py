@@ -249,6 +249,30 @@ def test_run_bench_does_not_import_numpy_ma(tmp_path):
     assert (tmp_path / "summary_random_search.csv").exists()
 
 
+@pytest.mark.blas_threads
+def test_imports_runs_and_sessions_do_not_import_logging(tmp_path):
+    # gp imports logging only to report a numerical fallback, which none
+    # of these hits
+    code = (
+        "import sys\nimport funcbo\nassert 'logging' not in sys.modules\n"
+        "from funcbo import bench, cli\nassert 'logging' not in sys.modules\n"
+        "values = bench.parse_config_lines(sys.argv[2].splitlines())\n"
+        "bench.run_bench(values, sys.argv[1])\n"
+        "state, g = sys.argv[1] + '/state.txt', sys.argv[1] + '/g.csv'\n"
+        "open(state, 'w').write(sys.argv[2])\n"
+        "for argv in (['suggest', '--out', g], ['tell', '--y', '0.5'], ['suggest', '--out', g]):\n"
+        "    assert cli.main([argv[0], '--state', state, *argv[1:]]) == 0\n"
+        "assert 'logging' not in sys.modules, 'logging imported'"
+    )
+    config = ("opt.S = 2\nopt.T = 2\nopt.n_init = 2\nbench.repeats = 1\n"
+              "bench.algorithms = s3bfo,linebo_bernstein\n")
+    res = subprocess.run([sys.executable, "-c", code, str(tmp_path), config],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "summary_linebo_bernstein.csv").exists()
+    assert "[pending]" in (tmp_path / "state.txt").read_text()
+
+
 def test_session_equivalence_under_regret_termination(tmp_path):
     state = tmp_path / "state.txt"
     state.write_text(
@@ -419,12 +443,14 @@ _SESSION_CONFIGS = pytest.mark.parametrize(
 )
 
 
+@pytest.mark.blas_threads
 @_SESSION_CONFIGS
 def test_session_reproduces_in_process_run(tmp_path, monkeypatch, algorithm, termination, metric):
     # every load but the first takes the engine the command before kept live
     _session_equals_in_process_run(tmp_path, monkeypatch, algorithm, termination, metric, "live")
 
 
+@pytest.mark.blas_threads
 @_SESSION_CONFIGS
 def test_session_replaying_every_load_reproduces_in_process_run(
     tmp_path, monkeypatch, algorithm, termination, metric
@@ -434,6 +460,7 @@ def test_session_replaying_every_load_reproduces_in_process_run(
                                    "replay")
 
 
+@pytest.mark.blas_threads
 @_SESSION_CONFIGS
 def test_session_mixing_load_paths_reproduces_in_process_run(
     tmp_path, monkeypatch, algorithm, termination, metric
@@ -445,6 +472,7 @@ def test_session_mixing_load_paths_reproduces_in_process_run(
                                    "mixed")
 
 
+@pytest.mark.blas_threads
 @_SESSION_CONFIGS
 def test_session_files_are_equal_on_both_load_paths(
     tmp_path, monkeypatch, algorithm, termination, metric
@@ -489,6 +517,7 @@ def _small_session_config(draw):
     }
 
 
+@pytest.mark.blas_threads
 @settings(max_examples=40, deadline=None)
 @given(config=_small_session_config(), data=st.data())
 def test_session_equals_in_process_run_on_generated_configs(tmp_path_factory, config, data):
@@ -560,16 +589,19 @@ def _dropped_engines_are_freed(tmp_path, algorithm, path):
         gc.enable()
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_replayed_engine_dropped_mid_run_is_freed_by_refcount(tmp_path, algorithm):
     _dropped_engines_are_freed(tmp_path, algorithm, "replay")
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_live_engine_dropped_mid_run_is_freed_by_refcount(tmp_path, algorithm):
     _dropped_engines_are_freed(tmp_path, algorithm, "live")  # the slot lets go of it
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_engine_of_a_failed_command_is_freed_by_refcount(tmp_path, monkeypatch, algorithm):
     # a tell whose state write fails has taken the live engine out of the
@@ -650,12 +682,31 @@ def test_failed_writes_keep_the_previous_state(tmp_path, monkeypatch):
     state = _state_with_pending(tmp_path)
     before = state.read_bytes()
 
-    def cut_short():
-        yield before[:40]
-        _fail_to_write()
+    written = []
 
-    with pytest.raises(OSError, match="no space"):
-        bench._write_atomic(state, cut_short())
+    class CutShort:
+        """A file whose write stores the first 40 bytes, then raises."""
+
+        def __init__(self, path, mode):
+            self.file = open(path, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.file.close()
+
+        def write(self, data):
+            self.file.write(data[:40])
+            self.file.flush()
+            written.append(Path(self.file.name).read_bytes())
+            _fail_to_write()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bench, "open", CutShort, raising=False)
+        with pytest.raises(OSError, match="no space"):
+            bench._write_atomic(state, before[::-1])
+    assert written == [before[::-1][:40]]
     assert state.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv", "state.txt"]
     # a tell whose state write fails leaves the state it loaded, which the
@@ -726,6 +777,7 @@ def test_load_certifies_only_the_recorded_early_end(tmp_path, monkeypatch):
     assert len(errs) == 4  # its load's early end; the pending inner step went on
 
 
+@pytest.mark.blas_threads
 def test_replayed_suggestion_after_an_early_end_certifies_it_once(tmp_path, monkeypatch):
     # the suggest after loop 0's last inner step certified its early end;
     # a load of its live engine certifies nothing, a replay certifies it again
@@ -740,6 +792,7 @@ def test_replayed_suggestion_after_an_early_end_certifies_it_once(tmp_path, monk
     assert _engine_state(live) == _engine_state(replayed)
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("algorithm", ["s3bfo", "linebo_bernstein", "fixed_subspace"])
 def test_live_session_runs_the_certificates_of_the_in_process_run(tmp_path, monkeypatch,
                                                                   algorithm):
@@ -770,6 +823,7 @@ def test_live_session_runs_the_certificates_of_the_in_process_run(tmp_path, monk
     assert _engine_state(live) == _engine_state(replayed)
 
 
+@pytest.mark.blas_threads
 def test_live_load_parses_reads_and_replays_nothing(tmp_path, monkeypatch):
     # the tell that ends _early_end_state keeps its engine live
     state = _early_end_state(tmp_path)
@@ -788,6 +842,7 @@ _KEYS = {"copied to another file": True, "rewritten unchanged": True,
          "pending point edited": False}
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("case", _KEYS)
 def test_live_engine_is_taken_only_by_the_text_it_saved(tmp_path, monkeypatch, case):
     # the slot is keyed by the exact state text, not by the file: any file
@@ -833,6 +888,7 @@ _FAILURES = {"numerical error": NumericalError, "state write": OSError,
              "pending suggest": ProtocolError, "hand edit": None}
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("failure", _FAILURES)
 def test_live_engine_is_not_kept_past_a_failed_command_or_an_edit(tmp_path, monkeypatch, failure):
     # the suggest that ends _state_with_pending keeps its engine live
@@ -870,6 +926,7 @@ def _pending_after(tmp_path, steps, extra=""):
     return state
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("kind, steps", [("init", 3), ("inner", 1)])
 def test_edited_pending_lambda_on_a_replayed_load(tmp_path, monkeypatch, capsys, kind, steps):
     # the load replays the records, which the edit does not touch, then the
@@ -892,6 +949,7 @@ def test_edited_pending_lambda_on_a_replayed_load(tmp_path, monkeypatch, capsys,
         assert replayed.pending[3].tolist() == [0.125]
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("algorithm", ["s3bfo", "linebo_bernstein"])
 def test_new_process_tell_of_an_outer_opening_suggestion_equals_the_live_engine(tmp_path,
                                                                                 algorithm):
@@ -910,6 +968,7 @@ def test_new_process_tell_of_an_outer_opening_suggestion_equals_the_live_engine(
     assert sorted(p.name for p in fresh.iterdir()) == [state.name]
 
 
+@pytest.mark.blas_threads
 def test_concurrent_loads_share_no_live_engine(tmp_path):
     # four threads race to load each state that a command kept live; the
     # slot is swapped under a lock, so no two of them get the same engine
@@ -1042,6 +1101,7 @@ def test_cli_value_whose_square_or_box_overflows_exits_2(tmp_path, setting, name
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.blas_threads
 def test_cli_session_with_overflowing_lambda_box_exits_2(tmp_path):
     # at lambda_box = 1e200 a candidate's squared norm overflows, so its cap
     # scale is 0: the third suggestion would be the zero function, exit 0
@@ -1056,6 +1116,7 @@ def test_cli_session_with_overflowing_lambda_box_exits_2(tmp_path):
     assert not (tmp_path / "g.csv").exists()
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize(
     "setting, named",
     [
@@ -1075,6 +1136,7 @@ def test_cli_session_error_of_model_or_schedule_names_its_key(tmp_path, setting,
     assert not (tmp_path / "g.csv").exists()
 
 
+@pytest.mark.blas_threads
 def test_cli_grid_too_large_for_dense_prior_exits_cleanly(tmp_path, monkeypatch):
     cfg = tmp_path / "huge.cfg"
     cfg.write_text("grid.dim = 3\ngrid.points_per_axis = 100\n")
@@ -1161,6 +1223,7 @@ assert not loaded, loaded
 """
 
 
+@pytest.mark.blas_threads
 def test_cli_session_runs_without_scipy(tmp_path):
     state = tmp_path / "state.txt"
     state.write_text("opt.S = 1\nopt.T = 1\nopt.n_init = 1\n")
@@ -1211,12 +1274,28 @@ def test_cli_every_lengthscale_breaking_is_numerical_error(tmp_path):
 
 
 def test_cli_model_too_large_for_memory_is_config_error(tmp_path, monkeypatch, capsys):
-    # opt.S = 200 and opt.T = 1000 reserve inverse factors of shape
-    # (17, 201000, 201000), 5 TiB, at the first tell; the stand-in for
-    # gp.condition raises numpy's error without allocating them
-    state = tmp_path / "state.txt"
+    # opt.S = 200 and opt.T = 1000 give a model of 17 inverse factors of
+    # 201000 x 201000 floats, 5 TiB, by the run's end: suggest rejects the
+    # config before it writes a file or conditions a model
+    state, out = tmp_path / "state.txt", tmp_path / "g.csv"
     state.write_text("opt.S = 200\nopt.T = 1000\n")
-    assert cli.main(["suggest", "--state", str(state), "--out", str(tmp_path / "g.csv")]) == 0
+    before = state.read_bytes()
+    conditioned = []
+    monkeypatch.setattr(gp, "condition", lambda model, obs: conditioned.append(obs))
+    capsys.readouterr()
+    assert cli.main(["suggest", "--state", str(state), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a s3bfo run's model would hold 5117.4 GiB by its end")
+    assert err.count("\n") == 1
+    assert all(key in err for key in ("opt.S", "opt.T", "opt.n_init", "mle.grid_points"))
+    assert state.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.txt"]
+    assert conditioned == []
+
+    # a config under the limit whose model still fails to allocate at a
+    # tell exits 2 there, naming the same keys
+    state.write_text("opt.S = 2\nopt.T = 3\nopt.n_init = 1\n")
+    assert cli.main(["suggest", "--state", str(state), "--out", str(out)]) == 0
     before = state.read_bytes()
 
     def too_large(model, obs):
@@ -1239,6 +1318,70 @@ def test_cli_model_too_large_for_memory_is_config_error(tmp_path, monkeypatch, c
     monkeypatch.setattr(bench, "tell", out_of_memory)
     assert cli.main(["tell", "--state", str(state), "--y", "0.5"]) == 2
     assert capsys.readouterr().err == "error: out of memory\n"
+
+
+@pytest.mark.parametrize("algorithm", ["s3bfo", "fixed_subspace"])
+def test_model_bytes_are_the_reserved_model_at_the_run_end(algorithm):
+    cfg = bench.build_opt_config(_values(
+        "opt.S = 2\nopt.T = 15\nopt.n_init = 2\ngrid.points_per_axis = 20\n"))
+    engine = make_engine(cfg, algorithm)
+    while not engine.done:
+        engine.ask()
+        engine.tell(float(len(engine.trace) % 3))
+    model = engine.model
+    assert model.zs.shape == (17, 34 if algorithm == "s3bfo" else 17)
+    assert optimizer.model_bytes(cfg, algorithm) == sum(
+        a.nbytes for a in (model.Ws, model.zs, model.MVs, model.row_qs))
+
+
+def test_model_over_the_limit_stops_a_bench_before_it_writes(tmp_path):
+    # the paper protocol's model is 2.8 MB; 10 000 evaluations of one line
+    # (opt.T = 9995) hold 17 factors of 10000 x 10000 floats, 12.7 GiB
+    for algorithm in ALGORITHMS:
+        optimizer.check_model_bytes(optimizer.OptConfig(), algorithm)
+    assert optimizer.model_bytes(optimizer.OptConfig(), "s3bfo") < 3e6
+    optimizer.check_model_bytes(optimizer.OptConfig(T=9995), "random_search")
+    values = _values("opt.T = 9995\nbench.algorithms = random_search,linebo_bernstein\n")
+    with pytest.raises(ConfigError, match="linebo_bernstein run's model would hold 12.7 GiB"):
+        bench.run_bench(values, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+FINISHED = "opt.S = 1\nopt.T = 1\nopt.n_init = 1\n"
+
+
+def _finished_state(tmp_path):
+    """A state file of a finished two-evaluation s3bfo session."""
+    state = tmp_path / "state.txt"
+    state.write_text(FINISHED)
+    for y in (0.5, -0.25):
+        bench.suggest(state, tmp_path / "g.csv")
+        bench.tell(state, y)
+    return state
+
+
+def test_cli_suggest_on_a_finished_session_is_protocol_error(tmp_path, capsys):
+    state = _finished_state(tmp_path)
+    before = state.read_bytes()
+    capsys.readouterr()
+    assert cli.main(["suggest", "--state", str(state), "--out", str(tmp_path / "h.csv")]) == 3
+    assert capsys.readouterr().err == "protocol error: run is complete; no further suggestions\n"
+    assert state.read_bytes() == before
+    assert not (tmp_path / "h.csv").exists()
+
+
+def test_cli_state_with_a_record_past_the_run_end_is_protocol_error(tmp_path, capsys):
+    state = _finished_state(tmp_path)
+    head, digest = state.read_text().split("[digest]")
+    index, rest = head.splitlines()[-1].split(",", 1)
+    state.write_text(f"{head}{int(index) + 1},{rest}\n[digest]{digest}")
+    before = state.read_bytes()
+    capsys.readouterr()
+    assert cli.main(["export", "--state", str(state), "--out", str(tmp_path / "h.csv")]) == 3
+    assert capsys.readouterr().err == (
+        "protocol error: state contains more evaluations than the run allows\n")
+    assert state.read_bytes() == before
+    assert not (tmp_path / "h.csv").exists()
 
 
 def test_cli_tell_nonfinite_is_input_error(tmp_path):
@@ -1346,6 +1489,7 @@ def test_state_config_edit_is_protocol_error(tmp_path, capsys, key):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.blas_threads
 def test_state_saved_with_the_dense_se_prior_is_protocol_error(tmp_path, capsys):
     # a 2-d SE session saved while the prior was a dense factor carries the
     # digest of its config lines alone; its replay would draw other bases

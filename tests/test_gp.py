@@ -53,6 +53,7 @@ def _dense_posterior(kernel, noise_sq, observations, query):
     return float(mean), float(var)
 
 
+@pytest.mark.blas_threads
 def test_posterior_empty_model_is_prior():
     rng = np.random.default_rng(0)
     model = empty_model(SE_L2, 0.01)
@@ -149,6 +150,7 @@ def test_condition_breakdown_raises():
         condition(model, Observation(np.array([1e-3]), 1.0))
 
 
+@pytest.mark.blas_threads
 def test_condition_drops_broken_candidate_and_logs(caplog):
     # at lengthscale 1e6 the kernel between the two nearby coordinates
     # rounds to 1, so with noise below float resolution the Schur
@@ -191,6 +193,7 @@ def test_linear_scalar_kernel_is_rejected():
         rebuild_model(kernel, 0.01, [Observation(np.array([0.3]), 0.5)])
 
 
+@pytest.mark.blas_threads
 def test_pick_ties_go_to_larger_lengthscale():
     empty = empty_model(ScalarKernelSpec("se", 1.0), 0.01, (0.5, 2.0, 1.0))
     assert empty.kernel.lengthscale == 2.0
@@ -201,6 +204,7 @@ def test_pick_ties_go_to_larger_lengthscale():
 _RKHS_GRAM = scalar_gram(ScalarKernelSpec("se", 0.3), grid_coordinates(GRID_1D))
 
 
+@pytest.mark.blas_threads
 @settings(max_examples=30, deadline=None)
 @given(
     mode=st.sampled_from(["l2grid", "rkhs", "coord"]),
@@ -249,6 +253,7 @@ def _assert_matches_rebuild(model, obs, probes, tol_z=1e-6, tol_post=1e-8):
             assert a == pytest.approx(b, abs=tol_post)
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("reserve", [0, 140])
 def test_buffer_long_chain_matches_rebuild(reserve):
     # 140 smooth points, at distances from 3e-3 to 1 around one centre as
@@ -279,6 +284,7 @@ def test_buffer_long_chain_matches_rebuild(reserve):
                 _assert_matches_rebuild(model, obs[:i], probes)
 
 
+@pytest.mark.blas_threads
 def test_buffer_branch_raises_and_keeps_first_branch():
     # at n = 5 the successor writes row 5 of the same buffers, so a second
     # branch from n = 5 would overwrite it and raises; at n = 16 the full
@@ -308,6 +314,7 @@ def test_buffer_branch_raises_and_keeps_first_branch():
         _assert_matches_rebuild(model, obs[:18], probes)
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("reserve, caps", [
     (20, [20] * 20 + [36] * 16 + [52] * 4),  # R rows at the first point, then steps of 16
     (5, [16] * 16 + [32] * 16 + [48] * 8),  # a reserve under 16 rows changes nothing
@@ -329,6 +336,7 @@ def test_reserved_buffers_are_allocated_once_and_grow_by_16_past_them(reserve, c
     assert len(buffers) == len(set(caps))  # one allocation per capacity, no other copy
 
 
+@pytest.mark.blas_threads
 def test_buffer_drop_mid_chain_keeps_survivors_exact():
     # the first ten points, 1.5e6 apart along one axis, are correlated only
     # at lengthscale 1e6; the eleventh, 1e-3 off the first across that
@@ -362,11 +370,13 @@ def _jitter_log(caplog, monkeypatch, spec) -> str:
     return record.getMessage()
 
 
+@pytest.mark.blas_threads
 def test_prior_jitter_escalation_is_logged(caplog, monkeypatch):
     message = _jitter_log(caplog, monkeypatch, GRID_1D)
     assert "jitter 1e-10" in message and message.endswith("at N = 100")
 
 
+@pytest.mark.blas_threads
 def test_prior_jitter_escalation_on_one_axis_is_logged(caplog, monkeypatch):
     # on a 100 x 100 grid the escalation happens on the 100-point axis factor
     message = _jitter_log(caplog, monkeypatch, GridSpec(2, 100))
@@ -374,6 +384,7 @@ def test_prior_jitter_escalation_on_one_axis_is_logged(caplog, monkeypatch):
     assert message.endswith("at n = 100 per axis of the 2-d grid of N = 10000")
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("spec", [GRID_1D, GridSpec(2, 100)], ids=["1d", "2d"])
 def test_prior_not_pd_at_any_jitter_raises(monkeypatch, spec):
     monkeypatch.setattr(gp, "_JITTERS", (0.0,))
@@ -385,6 +396,7 @@ def test_prior_not_pd_at_any_jitter_raises(monkeypatch, spec):
         gp._prior_chol.cache_clear()
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize(
     "kind, dim",
     [(kind, 1) for kind in ("se", "matern12", "matern32", "linear")]
@@ -402,6 +414,7 @@ def test_prior_dense_factor_draw_is_bit_identical(kind, dim):
     np.testing.assert_array_equal(draw, L @ z)
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize(
     "dim, n, variance", [(2, 12, 1.0), (2, 9, 2.5), (3, 6, 2.0), (2, 1, 1.0), (3, 1, 0.5)]
 )
@@ -419,6 +432,7 @@ def test_prior_per_axis_factor_matches_gram(dim, n, variance):
     np.testing.assert_allclose(draw, L @ z, rtol=0, atol=1e-12)
 
 
+@pytest.mark.blas_threads
 def test_prior_2d_se_draws_reproduce_gram():
     # acceptance criterion 4's bounds on a small 2-d grid
     kappa = ScalarKernelSpec("se", 0.3)
@@ -606,6 +620,7 @@ def test_cholesky_factor_reconstructs_regularised_gram():
     np.testing.assert_allclose(model.W @ y, model.z, atol=1e-8)
 
 
+@pytest.mark.blas_threads
 def test_posterior_variance_never_exceeds_prior():
     rng = np.random.default_rng(17)
     model = rebuild_model(SE_L2, 0.01, _functional_dataset(rng, 8))
