@@ -249,7 +249,6 @@ def test_run_bench_does_not_import_numpy_ma(tmp_path):
     assert (tmp_path / "summary_random_search.csv").exists()
 
 
-@pytest.mark.blas_threads
 def test_imports_runs_and_sessions_do_not_import_logging(tmp_path):
     # gp imports logging only to report a numerical fallback, which none
     # of these hits
@@ -273,6 +272,7 @@ def test_imports_runs_and_sessions_do_not_import_logging(tmp_path):
     assert "[pending]" in (tmp_path / "state.txt").read_text()
 
 
+@pytest.mark.blas_threads
 def test_session_equivalence_under_regret_termination(tmp_path):
     state = tmp_path / "state.txt"
     state.write_text(
