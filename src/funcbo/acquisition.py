@@ -3,12 +3,28 @@
 The acquisition value at a point is mean + sqrt(beta_t) * sd.  The
 search over coordinates lam in [-box, box]^d runs `restarts` seeds in
 lockstep: every local step applies one golden-section bracket shrink to
-one coordinate (round-robin), evaluating both interior points of every
-restart in a single batched posterior query.  The best candidate ever
-evaluated is returned, so a restart can never end below its own seed.
-A caller that needs to know only whether the maximum reaches a level
-passes ``settled`` and gets the running best as soon as it does (the
-regret certificate stops once it proves err >= epsilon).
+one coordinate (round-robin) of every restart.  At d = 1 this is the
+textbook search (Kiefer 1953): the winner of a step is one interior
+point of the shrunk bracket, so its score is carried over and only the
+other interior point is new.  At d >= 2 the other coordinates move
+between two visits to one coordinate, so both interior points are new
+at every step.  The best candidate ever evaluated is returned, so a
+restart can never end below its own seed.  A caller that needs to know
+only whether the maximum reaches a level passes ``settled`` and gets
+the running best as soon as it does (the regret certificate stops once
+it proves err >= epsilon).
+
+A posterior call costs mostly its fixed numpy overhead, so one call
+scores two local steps: a (3, q, d) stack of the step's new points and
+the next step's, if each restart's first interior point wins (slice 1)
+or its second (slice 2).  Each slice has the rows, row order and shape
+of a call for one step, and the posterior runs per slice (a matmul with
+leading axes is one BLAS call per slice), so the result is bit for bit
+that of one call per step (``tests/reference.py``), which scoring the
+3 q rows as one flat batch would not be.  A step whose successor scores
+another row count (the first at d = 1) or none is scored alone, so at
+the defaults (40 local steps) a search makes 22 calls at d = 1 and 21
+at d >= 2.
 
 Candidates whose function exceeds the norm cap are pulled back onto the
 ball by radial scaling before scoring, so the returned function always
@@ -35,18 +51,14 @@ the Gram and of each row's quadratic form, and golden-section points an
 ulp outside the box.  Under a finite l_max, a non-finite B takes the
 capped path.
 
-A search step scores its 2 * restarts candidates in one call, and the
-call allocates little beyond its (q, n) arrays.  The golden-section loop
-refills one candidate array per search, and ``subspace_posterior``
-writes the rows [1, lam] into one buffer per search.  In
-``gp.span_posterior`` the squared distances become kernel values
-(``kernels.value_from_sqdist``), then posterior variances
-(``gp.posterior_from_sqdist``), then UCB scores (``ucb_search``), each
-in place in the array of the step before.  Every in-place step does the
-float operations of the plain expression in the same order, up to exact
-rewrites (y * x for x * y, x / -c for -x / c), so scores and picks are
-bit-identical to a search that allocates at every step
-(``tests/reference.py`` keeps that search as the test oracle).
+The search keeps each restart's bracket, position and best as Python
+floats.  ``subspace_posterior`` writes the rows [1, lam] into one buffer
+per search and row shape.  In ``gp.span_posterior`` the squared
+distances become kernel values (``kernels.value_from_sqdist``), then
+posterior variances (``gp.posterior_from_sqdist``), then UCB scores
+(``ucb_search``), each in place in the array of the step before, with
+the float operations of the plain expression in the same order, up to
+exact rewrites (y * x for x * y, x / -c for -x / c).
 """
 
 from __future__ import annotations
@@ -136,9 +148,10 @@ def subspace_posterior(model: gp.GPModel, subspace, search: AcqSearchConfig):
     """Batched lam -> (mean, var) at the capped candidates of a subspace,
     computed from the coordinates: equal to posterior_batch on
     candidate_values(subspace, search, lam) up to rounding.  lam is a
-    (q, d) array; the coefficient rows [1, lam] live in one buffer per
-    search, reallocated only when q changes.  A search whose box cannot
-    reach the cap scores without it (see the module docstring)."""
+    (..., q, d) array; the coefficient rows [1, lam] live in one buffer
+    per search, reallocated only when lam's shape changes.  A search
+    whose box cannot reach the cap scores without it (see the module
+    docstring)."""
     A = np.array([subspace.bias.values] + [h.values for h in subspace.basis])
     l2_gram = (A @ A.T) * subspace.bias.spec.weight
     span = gp.span_posterior(model, A)
@@ -149,12 +162,12 @@ def subspace_posterior(model: gp.GPModel, subspace, search: AcqSearchConfig):
 
     def posterior(lam_batch):
         nonlocal a
-        if len(a) != len(lam_batch):
-            a = np.ones((len(lam_batch), len(A)))
-        a[:, 1:] = lam_batch
+        if a.shape[:-1] != lam_batch.shape[:-1]:
+            a = np.ones(lam_batch.shape[:-1] + (len(A),))
+        a[..., 1:] = lam_batch
         if uncapped:
             return span(a)
-        sq_norms = np.einsum("ij,ij->i", a @ l2_gram, a)
+        sq_norms = np.einsum("...ij,...ij->...i", a @ l2_gram, a)
         return span(a, cap_scale(sq_norms, search.l_max))
 
     return posterior
@@ -167,12 +180,25 @@ def restart_seeds(search: AcqSearchConfig, d: int, rng) -> np.ndarray:
     return rng.uniform(-search.lambda_box, search.lambda_box, size=(search.restarts, d))
 
 
+def _interior(lo: list, hi: list, pos: list, upper: list) -> tuple[list, list]:
+    """The interior points x1 < x2 of golden-section brackets [lo, hi],
+    one bracket per restart: hi - (hi - lo) phi and lo + (hi - lo) phi,
+    but a restart whose position pos is already the upper point (upper
+    True) or the lower one (upper False) keeps it."""
+    x1s, x2s = [], []
+    for l, h, x, u in zip(lo, hi, pos, upper):
+        r = (h - l) * _INVPHI
+        x1s.append(x if u is False else h - r)
+        x2s.append(x if u else l + r)
+    return x1s, x2s
+
+
 def golden_multistart(score_batch, d: int, search: AcqSearchConfig, rng, settled=None):
     """Maximise a batched score over [-box, box]^d; returns (lam, value).
 
-    score_batch maps a (q, d) array of coordinate rows to a new array of
-    q scores, which the search overwrites; it must not keep the rows'
-    array, which the search refills for its next call.
+    score_batch maps coordinate rows, an array of shape (..., q, d), to
+    their scores, shape (..., q); a row's score must not depend on the
+    leading axes (see the module docstring).
     Per coordinate, each restart owns the segment of the box closest to
     its seed (midpoints between sorted seeds), so the restart brackets
     tile the whole box instead of collapsing into one identical search.
@@ -183,47 +209,78 @@ def golden_multistart(score_batch, d: int, search: AcqSearchConfig, rng, settled
     running best at once.
     """
     box = search.lambda_box
-    n = search.restarts
-    lam = restart_seeds(search, d, rng)
-    best_lam = lam.copy()
-    best_val = score_batch(lam)
-    lo = np.empty((n, d))
-    hi = np.empty((n, d))
+    n, steps = search.restarts, search.local_steps
+    seeds = restart_seeds(search, d, rng)
+    lo, hi = np.empty((n, d)), np.empty((n, d))
     for j in range(d):
-        order = np.argsort(lam[:, j])
-        sorted_vals = lam[order, j]
+        order = np.argsort(seeds[:, j])
+        sorted_vals = seeds[order, j]
         mids = (sorted_vals[:-1] + sorted_vals[1:]) / 2.0
         lo[order, j] = np.concatenate(([-box], mids))
         hi[order, j] = np.concatenate((mids, [box]))
-    # the two interior points of every restart: cand[0] moves coordinate j
-    # to x1, cand[1] to x2, the other coordinates stay at lam; rows views
-    # cand as 2n coordinate rows
-    cand = np.empty((2, n, d))
-    rows = cand.reshape(2 * n, d)
-    columns = [(lo[:, j], hi[:, j], lam[:, j], cand[0, :, j], cand[1, :, j]) for j in range(d)]
-    for step in range(search.local_steps):
-        if settled is not None and settled(float(best_val.max())):
+    # one list per coordinate, one float per restart
+    lo, hi, lam, best_lam = lo.T.tolist(), hi.T.tolist(), seeds.T.tolist(), seeds.T.tolist()
+    cur = score_batch(seeds).tolist()  # each restart's score at its position
+    best = cur[:]
+    # at d = 1 after the first step, each position is one interior point
+    # of its bracket, scored already: True if the upper one, False if not
+    upper = [None] * n
+    ahead = None  # this step's scores, when the call of the step before took them
+    for step in range(steps):
+        if settled is not None and settled(max(best)):
             break
-        lo_j, hi_j, lam_j, x1, x2 = columns[step % d]
-        cand[:] = lam
-        reach = hi_j - lo_j
-        reach *= _INVPHI
-        np.subtract(hi_j, reach, out=x1)
-        np.add(lo_j, reach, out=x2)
-        vals = score_batch(rows)
-        f1, f2 = vals[:n], vals[n:]
-        first_better = f1 > f2
-        second_better = ~first_better
-        np.copyto(hi_j, x2, where=first_better)
-        np.copyto(lo_j, x1, where=second_better)
-        np.copyto(lam_j, x1, where=first_better)
-        np.copyto(lam_j, x2, where=second_better)
-        np.copyto(f1, f2, where=second_better)  # f1 is now each restart's new value
-        improved = f1 > best_val
-        np.copyto(best_val, f1, where=improved)
-        np.copyto(best_lam, lam, where=improved[:, None])
-    i = int(np.argmax(best_val))  # ties resolve to the lower restart index
-    return best_lam[i].copy(), float(best_val[i])
+        j = step % d
+        lo_j, hi_j, lam_j = lo[j], hi[j], lam[j]
+        x1s, x2s = _interior(lo_j, hi_j, lam_j, upper)
+        carry = upper[0] is not None
+        if ahead is not None:
+            vals, later, ahead = ahead, None, None
+        else:
+            news = [[a if u else b for a, b, u in zip(x1s, x2s, upper)]] if carry else [x1s, x2s]
+            # unless this is the first step at d = 1, the next step scores as
+            # many new points: score them in this call, for either outcome
+            paired = step + 1 < steps and (carry or d > 1)
+            rows = np.empty((3 if paired else 1, len(news), n, d))
+            if d > 1:
+                rows[:] = np.transpose(lam)
+            rows[0, :, :, j] = news
+            if paired and d == 1:  # the new lower point of [lo, x2], or upper of [x1, hi]
+                # by the expressions of _interior, which the next step repeats
+                rows[1:, 0, :, 0] = [[b - (b - l) * _INVPHI for l, b in zip(lo_j, x2s)],
+                                     [a + (h - a) * _INVPHI for a, h in zip(x1s, hi_j)]]
+            elif paired:  # coordinate j at the first point, or the second; k shrinks next
+                k = (step + 1) % d
+                rows[1:, :, :, j] = [[x1s], [x2s]]
+                rows[1:, :, :, k] = _interior(lo[k], hi[k], lam[k], upper)
+            if paired:
+                vals, *later = score_batch(rows.reshape(3, -1, d)).tolist()
+            else:
+                vals, later = score_batch(rows.reshape(-1, d)).tolist(), None
+        firsts = []
+        for i, (x1, x2, u) in enumerate(zip(x1s, x2s, upper)):
+            if u is None:
+                f1, f2 = vals[i], vals[n + i]
+            elif u:
+                f1, f2 = vals[i], cur[i]
+            else:
+                f1, f2 = cur[i], vals[i]
+            first = f1 > f2
+            firsts.append(first)
+            if first:
+                hi_j[i], lam_j[i], c = x2, x1, f1
+            else:
+                lo_j[i], lam_j[i], c = x1, x2, f2
+            cur[i] = c
+            if c > best[i]:
+                best[i] = c
+                for col, at in zip(lam, best_lam):
+                    at[i] = col[i]
+        if d == 1:  # x1 is the upper point of [lo, x2], x2 the lower one of [x1, hi]
+            upper = firsts
+        if later:
+            ahead = [a if f else b for f, a, b in zip(firsts * len(news), *later)]
+    i = int(np.argmax(best))  # ties resolve to the lower restart index
+    return np.array([col[i] for col in best_lam]), best[i]
 
 
 def ucb_search(posterior, d: int, search: AcqSearchConfig, rng, sqrt_beta: float,
@@ -232,8 +289,8 @@ def ucb_search(posterior, d: int, search: AcqSearchConfig, rng, sqrt_beta: float
     returns (lam, value).  settled may stop the search early, as in
     ``golden_multistart``.
 
-    posterior maps a (q, d) array of coordinate rows to new arrays of the
-    posterior (means, variances) there: ``subspace_posterior`` for a
+    posterior maps coordinate rows, shape (..., q, d), to new arrays of
+    the posterior (means, variances) there, shape (..., q): ``subspace_posterior`` for a
     subspace, or ``gp.posterior_batch`` of a model on the coordinates
     themselves.  The score is formed in place in the variances' array.
     """

@@ -174,7 +174,7 @@ def _weight(model: GPModel) -> float:
 
 def _sqdist(q_sq: np.ndarray, row_q: np.ndarray, cross: np.ndarray, weight: float) -> np.ndarray:
     """Squared metric distances ((q_sq_i + row_q_k) - 2 cross_ik) weight,
-    shape (q, n), from the queries' squared norms, the points' squared
+    shape (..., q, n), from the queries' squared norms, the points' squared
     norms and their inner products.  Takes cross over as scratch space.
     Rounding can leave a distance slightly below zero; the kernel
     (``kernels.value_from_sqdist``) clamps it."""
@@ -186,9 +186,9 @@ def _sqdist(q_sq: np.ndarray, row_q: np.ndarray, cross: np.ndarray, weight: floa
 
 
 def query_sqdist(model: GPModel, Q: np.ndarray) -> np.ndarray:
-    """Squared metric distances from query rows to the model's points,
-    shape (q, n), unclamped (see ``_sqdist``)."""
-    q_sq = np.einsum("ij,ij->i", Q, _metric_rows(model.kernel, Q))
+    """Squared metric distances from query rows (..., q, width) to the
+    model's points, shape (..., q, n), unclamped (see ``_sqdist``)."""
+    q_sq = np.einsum("...ij,...ij->...i", Q, _metric_rows(model.kernel, Q))
     return _sqdist(q_sq, model.row_q, Q @ model.MV.T, _weight(model))
 
 
@@ -295,20 +295,23 @@ def posterior_from_sqdist(
     model: GPModel, raw: np.ndarray, prior
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means and variances of a batch of queries from their
-    squared distances to the model's points, shape (q, n), and their
+    squared distances to the model's points, shape (..., q, n), and their
     prior variances (an array, or one scalar for all).  The model holds
-    at least one point.  With w = W kᵀ, one matrix product, the means are
-    z·w and the variances prior - w·w, clamped at zero; every posterior
-    query ends here.  The kernel values k overwrite raw."""
+    at least one point.  With w = W kᵀ, one matrix product per (q, n)
+    slice, the means are z·w and the variances prior - w·w, clamped at
+    zero; every posterior query ends here.  The kernel values k overwrite
+    raw.  Leading axes change no row's bits: numpy runs one BLAS call per
+    slice, with the shapes of a call on that slice alone."""
     k = kernels.value_from_sqdist(_base_of(model.kernel), raw, out=raw)
-    w = model.W @ k.T
-    var = np.einsum("ij,ij->j", w, w)
+    w = model.W @ k.swapaxes(-1, -2)
+    var = np.einsum("...ij,...ij->...j", w, w)
     np.subtract(prior, var, out=var)
     return model.z @ w, np.maximum(var, 0.0, out=var)
 
 
 def posterior_batch(model: GPModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior means and variances at a batch of raw query rows.
+    """Posterior means and variances at a batch of raw query rows,
+    shape (..., q, width), as arrays of shape (..., q).
 
     Query rows are grid values for functional kernels (coefficient
     vectors under the rkhs metric) or coordinate vectors for scalar
@@ -317,7 +320,7 @@ def posterior_batch(model: GPModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarr
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     variance = _base_of(model.kernel).variance
     if model.n == 0:
-        return np.zeros(Q.shape[0]), np.full(Q.shape[0], variance)
+        return np.zeros(Q.shape[:-1]), np.full(Q.shape[:-1], variance)
     return posterior_from_sqdist(model, query_sqdist(model, Q), variance)
 
 
@@ -325,28 +328,29 @@ def span_posterior(model: GPModel, A: np.ndarray):
     """Posterior queries at scaled combinations of the rows of A.
 
     Returns ``posterior(a, c=None)``: the posterior means and variances at
-    the points c_i * (a_i @ A) for coefficient rows a (q, r) and scales c
-    (q,); without c, at the points a_i @ A, the same bits as c = 1.
+    the points c_i * (a_i @ A) for coefficient rows a (..., q, r) and
+    scales c (..., q); without c, at the points a_i @ A, the same bits as
+    c = 1.
     The metric Gram of A's rows (A Aᵀ, or A G Aᵀ under rkhs) and their
     inner products with the model's points (A Vᵀ, or A G Vᵀ) are computed
     once here, so a query costs O(q r n) and never forms a point of the
-    grid's width.  A query allocates its (q, n) inner products and the
-    distances, which then become the kernel values.  Functional kernels
+    grid's width.  A query allocates its (..., q, n) inner products and
+    the distances, which then become the kernel values.  Functional kernels
     only; A's rows lie on the model's grid.
     """
     variance = _base_of(model.kernel).variance
     if model.n == 0:
-        return lambda a, c=None: (np.zeros(len(a)), np.full(len(a), variance))
+        return lambda a, c=None: (np.zeros(a.shape[:-1]), np.full(a.shape[:-1], variance))
     gram = _metric_rows(model.kernel, A) @ A.T
     proj = A @ model.MV.T
     row_q, weight = model.row_q, _weight(model)
 
     def posterior(a, c=None):
-        q_sq = np.einsum("ij,ij->i", a @ gram, a)
+        q_sq = np.einsum("...ij,...ij->...i", a @ gram, a)
         cross = a @ proj
         if c is not None:
             q_sq *= c * c
-            cross *= c[:, None]
+            cross *= c[..., None]
         return posterior_from_sqdist(model, _sqdist(q_sq, row_q, cross, weight), variance)
 
     return posterior

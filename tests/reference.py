@@ -311,9 +311,11 @@ def read_trace_csv(path) -> list[dict]:
 
 # --- the acquisition search, one fresh array per step -----------------------
 # The coordinate search as plain array expressions, from the UCB score down
-# to the kernel values: the oracle that the library's in-place search
-# (``acquisition.ucb_search`` on ``acquisition.subspace_posterior`` or on
-# ``gp.posterior_batch``) must match bit for bit, draws included.
+# to the kernel values, with one posterior call of 2-d rows per local step:
+# the oracle that the library's search (``acquisition.ucb_search`` on
+# ``acquisition.subspace_posterior`` or on ``gp.posterior_batch``), which
+# scores two steps per call in place, must match bit for bit, draws
+# included.
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _SQRT3 = np.sqrt(3.0)
@@ -391,21 +393,78 @@ def subspace_posterior(model, subspace, search):
     return posterior
 
 
+def _brackets(seeds, box):
+    """Each restart's bracket per coordinate: the segment of the box
+    closest to its seed, cut at the midpoints between sorted seeds."""
+    lo, hi = np.empty(seeds.shape), np.empty(seeds.shape)
+    for j in range(seeds.shape[1]):
+        order = np.argsort(seeds[:, j])
+        sorted_vals = seeds[order, j]
+        mids = (sorted_vals[:-1] + sorted_vals[1:]) / 2.0
+        lo[order, j] = np.concatenate(([-box], mids))
+        hi[order, j] = np.concatenate((mids, [box]))
+    return lo, hi
+
+
 def golden_multistart(score_batch, d, search, rng):
+    """The textbook golden-section search, one coordinate per step
+    (round-robin), in lockstep over the restarts.  At d = 1, from the
+    second step on, each restart's position is one interior point of its
+    bracket, scored at the step before, and only the other point is
+    scored; at d >= 2 both points are scored at every step."""
+    box = search.lambda_box
+    n = search.restarts
+    seeds = rng.uniform(-box, box, size=(n, d))
+    lam = seeds.copy()
+    best_lam = seeds.copy()
+    cur = np.asarray(score_batch(lam), dtype=float).copy()
+    best_val = cur.copy()
+    lo, hi = _brackets(seeds, box)
+    upper = None  # at d = 1 after a step: whether each position is its bracket's upper point
+    for step in range(search.local_steps):
+        j = step % d
+        span = hi[:, j] - lo[:, j]
+        x1 = hi[:, j] - _INVPHI * span
+        x2 = lo[:, j] + _INVPHI * span
+        if upper is None:
+            cand = np.vstack([lam, lam])
+            cand[:n, j] = x1
+            cand[n:, j] = x2
+            vals = np.asarray(score_batch(cand), dtype=float)
+            f1, f2 = vals[:n], vals[n:]
+        else:
+            x1 = np.where(upper, x1, lam[:, j])
+            x2 = np.where(upper, lam[:, j], x2)
+            cand = lam.copy()
+            cand[:, j] = np.where(upper, x1, x2)
+            vals = np.asarray(score_batch(cand), dtype=float)
+            f1 = np.where(upper, vals, cur)
+            f2 = np.where(upper, cur, vals)
+        first_better = f1 > f2
+        hi[first_better, j] = x2[first_better]
+        lo[~first_better, j] = x1[~first_better]
+        lam[:, j] = np.where(first_better, x1, x2)
+        cur = np.where(first_better, f1, f2)
+        improved = cur > best_val
+        best_val[improved] = cur[improved]
+        best_lam[improved] = lam[improved]
+        if d == 1:  # x1 is the upper point of [lo, x2], x2 the lower one of [x1, hi]
+            upper = first_better
+    i = int(np.argmax(best_val))
+    return best_lam[i].copy(), float(best_val[i])
+
+
+def two_point_golden_multistart(score_batch, d, search, rng):
+    """The search that scores both interior points at every step, also at
+    d = 1: it evaluates the textbook search's points up to rounding, and
+    returns its value to within about 1e-11."""
     box = search.lambda_box
     n = search.restarts
     seeds = rng.uniform(-box, box, size=(n, d))
     lam = seeds.copy()
     best_lam = seeds.copy()
     best_val = np.asarray(score_batch(lam), dtype=float).copy()
-    lo = np.empty((n, d))
-    hi = np.empty((n, d))
-    for j in range(d):
-        order = np.argsort(seeds[:, j])
-        sorted_vals = seeds[order, j]
-        mids = (sorted_vals[:-1] + sorted_vals[1:]) / 2.0
-        lo[order, j] = np.concatenate(([-box], mids))
-        hi[order, j] = np.concatenate((mids, [box]))
+    lo, hi = _brackets(seeds, box)
     for step in range(search.local_steps):
         j = step % d
         span = hi[:, j] - lo[:, j]
@@ -428,9 +487,9 @@ def golden_multistart(score_batch, d, search, rng):
     return best_lam[i].copy(), float(best_val[i])
 
 
-def ucb_search(posterior, d, search, rng, sqrt_beta):
+def ucb_search(posterior, d, search, rng, sqrt_beta, maximise=golden_multistart):
     def score(lam_batch):
         mean, var = posterior(lam_batch)
         return mean + sqrt_beta * np.sqrt(var)
 
-    return golden_multistart(score, d, search, rng)
+    return maximise(score, d, search, rng)

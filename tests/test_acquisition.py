@@ -20,7 +20,7 @@ from funcbo.acquisition import (
 )
 from funcbo.errors import InputError
 from funcbo.gp import Observation, empty_model
-from funcbo.gridfn import GridFunction, grid_coordinates
+from funcbo.gridfn import GridFunction, GridSpec, grid_coordinates
 from funcbo.kernels import FunctionalKernelSpec, ScalarKernelSpec, scalar_gram
 from funcbo.optimizer import OptConfig, Subspace, make_engine
 import reference
@@ -36,7 +36,6 @@ def _subspace(rng, d=1, bias=None):
     return Subspace(0, bias, basis)
 
 
-@pytest.mark.blas_threads
 def test_schedule_validation():
     with pytest.raises(InputError):
         UcbSchedule(0.0, 1)
@@ -72,7 +71,6 @@ def maximise(model, sub, sched, search, t, rng):
     return lam, GridFunction(GRID_1D, candidate_values(sub, search, lam[None, :])[0]), acq
 
 
-@pytest.mark.blas_threads
 def test_maximise_flat_prior_surface():
     rng = np.random.default_rng(0)
     sub = _subspace(np.random.default_rng(1))
@@ -388,7 +386,8 @@ def test_uncapped_and_capped_searches_match_the_reference(monkeypatch):
         )
         assert np.array_equal(lam, ref_lam)
         assert value == ref_value
-        assert len(calls) == (0 if skips else 1 + search.local_steps)
+        # the seeds, then 20 calls of two local steps each
+        assert len(calls) == (0 if skips else 21)
 
 
 def _bumpy_score(rng, d):
@@ -400,9 +399,16 @@ def _bumpy_score(rng, d):
 
     def score(rows):
         batches.append(len(rows))
-        return np.cos(rows @ w).sum(axis=1) - 0.1 * ((rows - centre) ** 2).sum(axis=1)
+        return np.cos(rows @ w).sum(axis=-1) - 0.1 * ((rows - centre) ** 2).sum(axis=-1)
 
     return score, batches
+
+
+def _score_calls(d, steps):
+    """The score calls of a search that takes ``steps`` local steps: the
+    seeds', then one per two steps, but at d = 1 the first step scores
+    two points per restart and its successors one, so it is scored alone."""
+    return 1 + ((steps + 1) // 2 if d > 1 else (steps > 0) + steps // 2)
 
 
 def _first_steps(search, steps):
@@ -426,7 +432,7 @@ def test_settled_search_stops_at_the_reference_running_best(d, restarts, local_s
                                                              seed):
     """A search that settles once its running best reaches a level
     returns the reference's (lam, value) after the same number of local
-    steps, having scored one batch more than it took steps."""
+    steps, having made the score calls of the steps it took."""
     score, batches = _bumpy_score(np.random.default_rng(seed), d)
     search = AcqSearchConfig(restarts, local_steps)
     running = [reference.golden_multistart(score, d, _first_steps(search, k),
@@ -445,7 +451,7 @@ def test_settled_search_stops_at_the_reference_running_best(d, restarts, local_s
     )
     assert np.array_equal(lam, running[stop][0])
     assert value == running[stop][1]
-    assert len(batches) == 1 + stop
+    assert len(batches) == _score_calls(d, stop)
     # checked before every local step, on the running best so far
     assert seen == bests[:min(stop + 1, local_steps)]
     # stopping early moves no draw: the seeds are the only ones
@@ -457,8 +463,8 @@ def test_settled_search_stops_at_the_reference_running_best(d, restarts, local_s
 @pytest.mark.blas_threads
 def test_settled_search_batch_counts():
     """settled=True after the seeds scores one batch, the seeds' best;
-    no settled, or one that never holds, scores 1 + local_steps batches
-    to the same result."""
+    no settled, or one that never holds, scores the seeds and 6 batches
+    of two steps each to the same result."""
     d, search = 2, AcqSearchConfig(restarts=5, local_steps=12)
     score, batches = _bumpy_score(np.random.default_rng(4), d)
     lam, value = acquisition.golden_multistart(score, d, search, np.random.default_rng(5),
@@ -472,7 +478,96 @@ def test_settled_search_batch_counts():
         batches.clear()
         results.append(acquisition.golden_multistart(score, d, search,
                                                      np.random.default_rng(5), settled))
-        assert len(batches) == 1 + search.local_steps
+        assert len(batches) == 7
     ref_lam, ref_value = reference.golden_multistart(score, d, search, np.random.default_rng(5))
     for lam, value in results:
         assert np.array_equal(lam, ref_lam) and value == ref_value
+
+
+def _stacked_equals_slices(posterior, stack):
+    """posterior on a (3, q, d) stack returns, slice by slice, the bits of
+    its calls on each (q, d) slice alone."""
+    stacked = posterior(stack)
+    for s in range(len(stack)):
+        for got, alone in zip(stacked, posterior(stack[s])):
+            assert got.shape == (3, stack.shape[1])
+            assert np.array_equal(got[s], alone)
+
+
+@pytest.mark.blas_threads
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kind", ["se", "matern32"])
+@pytest.mark.parametrize("path", ["l2grid", "rkhs", "line"])
+def test_stacked_queries_equal_their_slices_bit_for_bit(path, kind, d):
+    """A search scores a (3, q, d) stack in one call; every stage of the
+    posterior must give each slice the bits of a call on that slice
+    alone, on the capped and the uncapped subspace path and on
+    coordinates, for q = restarts and 2 restarts.  Models grow to 140
+    points, past the size at which OpenBLAS splits W kᵀ over two threads
+    (n² q >= 262 144)."""
+    rng = np.random.default_rng(31)
+    if path == "line":
+        model = empty_model(ScalarKernelSpec(kind, 1.5), 0.01)
+        points = rng.uniform(-4.0, 4.0, size=(140, d))
+    else:
+        gram = (scalar_gram(ScalarKernelSpec("se", 0.3), grid_coordinates(GRID_1D))
+                if path == "rkhs" else None)
+        subs = [_subspace(rng, d=d, bias=random_grid_function(rng, scale=0.5)) for _ in range(5)]
+        sub = subs[-1]
+        points = [GridFunction(GRID_1D, candidate_values(subs[i % 5], AcqSearchConfig(),
+                                                         rng.normal(size=(1, d)))[0])
+                  for i in range(140)]
+        kernel = _metric_kernel(path, points[:20], 1.0)
+        model = empty_model(FunctionalKernelSpec(ScalarKernelSpec(kind, kernel.base.lengthscale),
+                                                 path, gram), 0.01)
+        uncapped = candidate_values(sub, AcqSearchConfig(l_max=np.inf),
+                                    rng.uniform(-4.0, 4.0, size=(64, d)))
+        norms = np.sqrt(np.einsum("ij,ij->i", uncapped, uncapped) * GRID_1D.weight)
+        searches = (AcqSearchConfig(l_max=np.inf), AcqSearchConfig(l_max=float(np.median(norms))))
+    for size, p in enumerate(points, start=1):
+        model = gp.condition(model, Observation(p, float(rng.standard_normal())))
+        if size not in (1, 2, 17, 64, 128, 140):
+            continue
+        if path == "line":
+            posteriors = [partial(gp.posterior_batch, model)]
+        else:
+            posteriors = [subspace_posterior(model, sub, search) for search in searches]
+        for restarts in (1, 3, 8):
+            for q in (restarts, 2 * restarts):
+                stack = rng.uniform(-4.0, 4.0, size=(3, q, d))
+                for posterior in posteriors:
+                    _stacked_equals_slices(posterior, stack)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_textbook_and_two_point_searches_agree_on_2d_grid_models(seed):
+    """The textbook search carries each winner's score, which the
+    two-point search recomputes at a point that differs in the last bits;
+    on models of a 2-d grid run, at d = 1, both return the same value to
+    within 1e-9."""
+    grid = GridSpec(2, 20)
+    rng = np.random.default_rng(40 + seed)
+    kappa = ScalarKernelSpec("se", 0.3)
+    target = gp.sample_on_grid(kappa, grid, rng)
+    kernel = FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), "l2grid")
+    model = empty_model(kernel, 1e-4, np.geomspace(0.01, 10.0, 17))
+    bias = GridFunction(grid, np.zeros(grid.size))
+    search = AcqSearchConfig()
+    for s in range(3):
+        sub = Subspace(s, bias, (gp.sample_on_grid(kappa, grid, rng),))
+        for t in range(10):
+            if t < 5:
+                lam = rng.standard_normal(1)
+            else:
+                sqrt_beta = math.sqrt(beta(UcbSchedule(0.1, 1), t - 4))
+                posterior = subspace_posterior(model, sub, search)
+                lam, value = ucb_search(posterior, 1, search, np.random.default_rng(t), sqrt_beta)
+                ref_lam, ref_value = reference.ucb_search(
+                    posterior, 1, search, np.random.default_rng(t), sqrt_beta,
+                    reference.two_point_golden_multistart,
+                )
+                assert abs(value - ref_value) <= 1e-9
+            g = GridFunction(grid, candidate_values(sub, search, lam[None, :])[0])
+            y = -math.sqrt(float(np.sum((g.values - target.values) ** 2)) * grid.weight)
+            model = gp.condition(model, Observation(g, y))
+        bias = g

@@ -589,19 +589,16 @@ def _dropped_engines_are_freed(tmp_path, algorithm, path):
         gc.enable()
 
 
-@pytest.mark.blas_threads
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_replayed_engine_dropped_mid_run_is_freed_by_refcount(tmp_path, algorithm):
     _dropped_engines_are_freed(tmp_path, algorithm, "replay")
 
 
-@pytest.mark.blas_threads
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_live_engine_dropped_mid_run_is_freed_by_refcount(tmp_path, algorithm):
     _dropped_engines_are_freed(tmp_path, algorithm, "live")  # the slot lets go of it
 
 
-@pytest.mark.blas_threads
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_engine_of_a_failed_command_is_freed_by_refcount(tmp_path, monkeypatch, algorithm):
     # a tell whose state write fails has taken the live engine out of the
@@ -926,7 +923,6 @@ def _pending_after(tmp_path, steps, extra=""):
     return state
 
 
-@pytest.mark.blas_threads
 @pytest.mark.parametrize("kind, steps", [("init", 3), ("inner", 1)])
 def test_edited_pending_lambda_on_a_replayed_load(tmp_path, monkeypatch, capsys, kind, steps):
     # the load replays the records, which the edit does not touch, then the
@@ -1101,7 +1097,6 @@ def test_cli_value_whose_square_or_box_overflows_exits_2(tmp_path, setting, name
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.blas_threads
 def test_cli_session_with_overflowing_lambda_box_exits_2(tmp_path):
     # at lambda_box = 1e200 a candidate's squared norm overflows, so its cap
     # scale is 0: the third suggestion would be the zero function, exit 0
@@ -1116,7 +1111,6 @@ def test_cli_session_with_overflowing_lambda_box_exits_2(tmp_path):
     assert not (tmp_path / "g.csv").exists()
 
 
-@pytest.mark.blas_threads
 @pytest.mark.parametrize(
     "setting, named",
     [
@@ -1136,7 +1130,6 @@ def test_cli_session_error_of_model_or_schedule_names_its_key(tmp_path, setting,
     assert not (tmp_path / "g.csv").exists()
 
 
-@pytest.mark.blas_threads
 def test_cli_grid_too_large_for_dense_prior_exits_cleanly(tmp_path, monkeypatch):
     cfg = tmp_path / "huge.cfg"
     cfg.write_text("grid.dim = 3\ngrid.points_per_axis = 100\n")
@@ -1223,7 +1216,6 @@ assert not loaded, loaded
 """
 
 
-@pytest.mark.blas_threads
 def test_cli_session_runs_without_scipy(tmp_path):
     state = tmp_path / "state.txt"
     state.write_text("opt.S = 1\nopt.T = 1\nopt.n_init = 1\n")
@@ -1489,7 +1481,6 @@ def test_state_config_edit_is_protocol_error(tmp_path, capsys, key):
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.blas_threads
 def test_state_saved_with_the_dense_se_prior_is_protocol_error(tmp_path, capsys):
     # a 2-d SE session saved while the prior was a dense factor carries the
     # digest of its config lines alone; its replay would draw other bases

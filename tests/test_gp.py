@@ -53,7 +53,6 @@ def _dense_posterior(kernel, noise_sq, observations, query):
     return float(mean), float(var)
 
 
-@pytest.mark.blas_threads
 def test_posterior_empty_model_is_prior():
     rng = np.random.default_rng(0)
     model = empty_model(SE_L2, 0.01)
@@ -193,7 +192,6 @@ def test_linear_scalar_kernel_is_rejected():
         rebuild_model(kernel, 0.01, [Observation(np.array([0.3]), 0.5)])
 
 
-@pytest.mark.blas_threads
 def test_pick_ties_go_to_larger_lengthscale():
     empty = empty_model(ScalarKernelSpec("se", 1.0), 0.01, (0.5, 2.0, 1.0))
     assert empty.kernel.lengthscale == 2.0
@@ -204,7 +202,6 @@ def test_pick_ties_go_to_larger_lengthscale():
 _RKHS_GRAM = scalar_gram(ScalarKernelSpec("se", 0.3), grid_coordinates(GRID_1D))
 
 
-@pytest.mark.blas_threads
 @settings(max_examples=30, deadline=None)
 @given(
     mode=st.sampled_from(["l2grid", "rkhs", "coord"]),
@@ -253,7 +250,6 @@ def _assert_matches_rebuild(model, obs, probes, tol_z=1e-6, tol_post=1e-8):
             assert a == pytest.approx(b, abs=tol_post)
 
 
-@pytest.mark.blas_threads
 @pytest.mark.parametrize("reserve", [0, 140])
 def test_buffer_long_chain_matches_rebuild(reserve):
     # 140 smooth points, at distances from 3e-3 to 1 around one centre as
@@ -284,7 +280,6 @@ def test_buffer_long_chain_matches_rebuild(reserve):
                 _assert_matches_rebuild(model, obs[:i], probes)
 
 
-@pytest.mark.blas_threads
 def test_buffer_branch_raises_and_keeps_first_branch():
     # at n = 5 the successor writes row 5 of the same buffers, so a second
     # branch from n = 5 would overwrite it and raises; at n = 16 the full
@@ -314,7 +309,6 @@ def test_buffer_branch_raises_and_keeps_first_branch():
         _assert_matches_rebuild(model, obs[:18], probes)
 
 
-@pytest.mark.blas_threads
 @pytest.mark.parametrize("reserve, caps", [
     (20, [20] * 20 + [36] * 16 + [52] * 4),  # R rows at the first point, then steps of 16
     (5, [16] * 16 + [32] * 16 + [48] * 8),  # a reserve under 16 rows changes nothing
@@ -396,7 +390,6 @@ def test_prior_not_pd_at_any_jitter_raises(monkeypatch, spec):
         gp._prior_chol.cache_clear()
 
 
-@pytest.mark.blas_threads
 @pytest.mark.parametrize(
     "kind, dim",
     [(kind, 1) for kind in ("se", "matern12", "matern32", "linear")]
@@ -414,7 +407,6 @@ def test_prior_dense_factor_draw_is_bit_identical(kind, dim):
     np.testing.assert_array_equal(draw, L @ z)
 
 
-@pytest.mark.blas_threads
 @pytest.mark.parametrize(
     "dim, n, variance", [(2, 12, 1.0), (2, 9, 2.5), (3, 6, 2.0), (2, 1, 1.0), (3, 1, 0.5)]
 )
@@ -432,7 +424,6 @@ def test_prior_per_axis_factor_matches_gram(dim, n, variance):
     np.testing.assert_allclose(draw, L @ z, rtol=0, atol=1e-12)
 
 
-@pytest.mark.blas_threads
 def test_prior_2d_se_draws_reproduce_gram():
     # acceptance criterion 4's bounds on a small 2-d grid
     kappa = ScalarKernelSpec("se", 0.3)
@@ -620,7 +611,6 @@ def test_cholesky_factor_reconstructs_regularised_gram():
     np.testing.assert_allclose(model.W @ y, model.z, atol=1e-8)
 
 
-@pytest.mark.blas_threads
 def test_posterior_variance_never_exceeds_prior():
     rng = np.random.default_rng(17)
     model = rebuild_model(SE_L2, 0.01, _functional_dataset(rng, 8))

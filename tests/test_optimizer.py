@@ -220,7 +220,6 @@ def test_posterior_equivalence_at_inner_loop_starts():
     assert checked == 2  # inner starts of s = 1, 2
 
 
-@pytest.mark.blas_threads
 @pytest.mark.parametrize(
     "engine_cls, grid",
     [(SubspaceSearchEngine, GridSpec(2, 40)), (BernsteinLineEngine, GRID_1D)],
@@ -325,7 +324,6 @@ def test_simple_regret_shrinks_over_inner_run():
         assert max(b - a for a, b in zip(errs, errs[1:])) < 0.1
 
 
-@pytest.mark.blas_threads
 def test_linebo_regret_certificate_matches_dense_scan():
     # the line baseline maximises, so its certificate is max UCB over the
     # line minus the LCB at the line's best theta, as for subspaces
@@ -379,7 +377,6 @@ def _done_twice(eng, calls):
     return done
 
 
-@pytest.mark.blas_threads
 @settings(max_examples=40, deadline=None)
 @given(
     algorithm=st.sampled_from(ALGORITHMS),
@@ -468,7 +465,6 @@ def test_bernstein_matrix_properties():
     np.testing.assert_allclose(at_one, np.eye(11)[10], atol=1e-15)
 
 
-@pytest.mark.blas_threads
 def test_linebo_zero_weights_give_zero_function():
     cfg = _cfg(S=1, T=1, n_init=1, seed=1)
     dec, _ = rng_streams(cfg.seed)
@@ -485,7 +481,6 @@ def test_linebo_zero_weights_give_zero_function():
     assert np.linalg.norm(weights) == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.blas_threads
 def test_linebo_line_passes_through_incumbent():
     cfg = _cfg(S=2, T=1, n_init=1, seed=4)
     eng = BernsteinLineEngine(cfg)
@@ -503,7 +498,6 @@ def test_linebo_line_passes_through_incumbent():
     np.testing.assert_allclose(g.values, best + theta * eng.subspace.basis[0].values, atol=1e-12)
 
 
-@pytest.mark.blas_threads
 def test_linebo_budget_and_monotone():
     cfg = _cfg(S=2, T=3, n_init=2, seed=2)
     _, trace = run_linebo_bernstein(_match_obj(), cfg)
@@ -522,7 +516,6 @@ def _caps_after_each_tell(engine):
     return caps
 
 
-@pytest.mark.blas_threads
 @pytest.mark.parametrize("algorithm", ["s3bfo", "fixed_subspace"])
 def test_budget_run_reserves_its_model_at_the_first_tell(algorithm):
     engine = make_engine(_cfg(S=2, T=15, n_init=3), algorithm)
@@ -531,7 +524,6 @@ def test_budget_run_reserves_its_model_at_the_first_tell(algorithm):
     assert caps == [(n, engine.cfg.budget) for n in range(1, engine.cfg.budget + 1)]
 
 
-@pytest.mark.blas_threads
 @pytest.mark.parametrize("algorithm, termination", [
     ("s3bfo", "regret"),  # it ends at a step it cannot know
     ("linebo_bernstein", "budget"),  # each line's model holds only that line's points
@@ -559,7 +551,6 @@ def test_reserved_budget_run_is_bit_identical_to_a_growing_one(monkeypatch, algo
     assert np.array_equal(best[0].values, grown_best[0].values) and best[1] == grown_best[1]
 
 
-@pytest.mark.blas_threads
 def test_linebo_needs_1d_grid():
     with pytest.raises(ConfigError):
         BernsteinLineEngine(_cfg(grid=GridSpec(2, 10)))
@@ -623,7 +614,6 @@ def test_ask_tell_protocol_guards():
         eng.ask()
 
 
-@pytest.mark.blas_threads
 def test_se_prior_on_2d_grid_builds_no_dense_gram(monkeypatch):
     # the s3bfo basis and the matching target on a 40 x 40 grid factor
     # the SE prior per axis: no gram may have more rows than one axis
