@@ -14,17 +14,19 @@ only whether the maximum reaches a level passes ``settled`` and gets
 the running best as soon as it does (the regret certificate stops once
 it proves err >= epsilon).
 
-A posterior call costs mostly its fixed numpy overhead, so one call
-scores two local steps: a (3, q, d) stack of the step's new points and
-the next step's, if each restart's first interior point wins (slice 1)
-or its second (slice 2).  Each slice has the rows, row order and shape
-of a call for one step, and the posterior runs per slice (a matmul with
-leading axes is one BLAS call per slice), so the result is bit for bit
-that of one call per step (``tests/reference.py``), which scoring the
-3 q rows as one flat batch would not be.  A step whose successor scores
-another row count (the first at d = 1) or none is scored alone, so at
-the defaults (40 local steps) a search makes 22 calls at d = 1 and 21
-at d >= 2.
+A posterior call costs mostly its fixed numpy overhead, so at d = 1
+one call scores two local steps: a (3, n, 1) stack of the step's new
+points and the next step's, if each restart's first interior point wins
+(slice 1) or its second (slice 2).  Each slice has the rows, row order
+and shape of a call for one step, and the posterior runs per slice (a
+matmul with leading axes is one BLAS call per slice), so the result is
+bit for bit that of one call per step (``tests/reference.py``), which
+scoring the 3 n rows as one flat batch would not be.  The first step,
+which scores two points per restart, and an odd last step are scored
+alone, so at the defaults (40 local steps) a search makes 22 calls at
+d = 1.  At d >= 2 nothing is carried, and a lookahead would score three
+slices of 2 n rows to save one call, so each step is one call of 2 n
+rows, 41 calls a search.
 
 Candidates whose function exceeds the norm cap are pulled back onto the
 ball by radial scaling before scoring, so the returned function always
@@ -236,26 +238,20 @@ def golden_multistart(score_batch, d: int, search: AcqSearchConfig, rng, settled
         if ahead is not None:
             vals, later, ahead = ahead, None, None
         else:
-            news = [[a if u else b for a, b, u in zip(x1s, x2s, upper)]] if carry else [x1s, x2s]
-            # unless this is the first step at d = 1, the next step scores as
-            # many new points: score them in this call, for either outcome
-            paired = step + 1 < steps and (carry or d > 1)
-            rows = np.empty((3 if paired else 1, len(news), n, d))
-            if d > 1:
-                rows[:] = np.transpose(lam)
-            rows[0, :, :, j] = news
-            if paired and d == 1:  # the new lower point of [lo, x2], or upper of [x1, hi]
+            # coordinate j of the new rows: one per restart if carried, else
+            # every restart at its first interior point, then at its second
+            news = [a if u else b for a, b, u in zip(x1s, x2s, upper)] if carry else x1s + x2s
+            if step + 1 < steps and carry:
+                # (d = 1) the successor also scores one new point per restart:
+                # the new lower point of [lo, x2], or the upper one of [x1, hi],
                 # by the expressions of _interior, which the next step repeats
-                rows[1:, 0, :, 0] = [[b - (b - l) * _INVPHI for l, b in zip(lo_j, x2s)],
-                                     [a + (h - a) * _INVPHI for a, h in zip(x1s, hi_j)]]
-            elif paired:  # coordinate j at the first point, or the second; k shrinks next
-                k = (step + 1) % d
-                rows[1:, :, :, j] = [[x1s], [x2s]]
-                rows[1:, :, :, k] = _interior(lo[k], hi[k], lam[k], upper)
-            if paired:
-                vals, *later = score_batch(rows.reshape(3, -1, d)).tolist()
+                rows = np.array([news, [b - (b - l) * _INVPHI for l, b in zip(lo_j, x2s)],
+                                 [a + (h - a) * _INVPHI for a, h in zip(x1s, hi_j)]])
+                vals, *later = score_batch(rows[..., None]).tolist()
             else:
-                vals, later = score_batch(rows.reshape(-1, d)).tolist(), None
+                cols = [col * (len(news) // n) for col in lam]
+                cols[j] = news
+                vals, later = score_batch(np.array(cols).T.copy()).tolist(), None
         firsts = []
         for i, (x1, x2, u) in enumerate(zip(x1s, x2s, upper)):
             if u is None:
@@ -278,7 +274,7 @@ def golden_multistart(score_batch, d: int, search: AcqSearchConfig, rng, settled
         if d == 1:  # x1 is the upper point of [lo, x2], x2 the lower one of [x1, hi]
             upper = firsts
         if later:
-            ahead = [a if f else b for f, a, b in zip(firsts * len(news), *later)]
+            ahead = [a if f else b for f, a, b in zip(firsts, *later)]
     i = int(np.argmax(best))  # ties resolve to the lower restart index
     return np.array([col[i] for col in best_lam]), best[i]
 

@@ -386,8 +386,7 @@ def test_uncapped_and_capped_searches_match_the_reference(monkeypatch):
         )
         assert np.array_equal(lam, ref_lam)
         assert value == ref_value
-        # the seeds, then 20 calls of two local steps each
-        assert len(calls) == (0 if skips else 21)
+        assert len(calls) == (0 if skips else 1 + search.local_steps)
 
 
 def _bumpy_score(rng, d):
@@ -406,9 +405,9 @@ def _bumpy_score(rng, d):
 
 def _score_calls(d, steps):
     """The score calls of a search that takes ``steps`` local steps: the
-    seeds', then one per two steps, but at d = 1 the first step scores
-    two points per restart and its successors one, so it is scored alone."""
-    return 1 + ((steps + 1) // 2 if d > 1 else (steps > 0) + steps // 2)
+    seeds', then one per step at d >= 2; at d = 1 the first step, which
+    scores two points per restart, then one per two steps."""
+    return 1 + (steps if d > 1 else (steps > 0) + steps // 2)
 
 
 def _first_steps(search, steps):
@@ -463,8 +462,8 @@ def test_settled_search_stops_at_the_reference_running_best(d, restarts, local_s
 @pytest.mark.blas_threads
 def test_settled_search_batch_counts():
     """settled=True after the seeds scores one batch, the seeds' best;
-    no settled, or one that never holds, scores the seeds and 6 batches
-    of two steps each to the same result."""
+    no settled, or one that never holds, scores 1 + local_steps batches
+    to the same result."""
     d, search = 2, AcqSearchConfig(restarts=5, local_steps=12)
     score, batches = _bumpy_score(np.random.default_rng(4), d)
     lam, value = acquisition.golden_multistart(score, d, search, np.random.default_rng(5),
@@ -478,7 +477,7 @@ def test_settled_search_batch_counts():
         batches.clear()
         results.append(acquisition.golden_multistart(score, d, search,
                                                      np.random.default_rng(5), settled))
-        assert len(batches) == 7
+        assert len(batches) == 1 + search.local_steps
     ref_lam, ref_value = reference.golden_multistart(score, d, search, np.random.default_rng(5))
     for lam, value in results:
         assert np.array_equal(lam, ref_lam) and value == ref_value
@@ -499,8 +498,9 @@ def _stacked_equals_slices(posterior, stack):
 @pytest.mark.parametrize("kind", ["se", "matern32"])
 @pytest.mark.parametrize("path", ["l2grid", "rkhs", "line"])
 def test_stacked_queries_equal_their_slices_bit_for_bit(path, kind, d):
-    """A search scores a (3, q, d) stack in one call; every stage of the
-    posterior must give each slice the bits of a call on that slice
+    """A d = 1 search scores a (3, q, 1) stack in one call, and the
+    posterior takes any (3, q, d) stack; every stage must give each
+    slice the bits of a call on that slice
     alone, on the capped and the uncapped subspace path and on
     coordinates, for q = restarts and 2 restarts.  Models grow to 140
     points, past the size at which OpenBLAS splits W kᵀ over two threads

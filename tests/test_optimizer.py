@@ -239,7 +239,7 @@ def test_inner_step_scores_in_coordinates(monkeypatch, engine_cls, grid):
         return candidate_values(subspace, search, lam_batch)
 
     def counted_posterior(model, Q):
-        widths.append(np.atleast_2d(Q).shape[1])
+        widths.append(np.shape(Q)[-1])
         return posterior_batch(model, Q)
 
     posterior_batch = gp.posterior_batch
