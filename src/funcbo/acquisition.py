@@ -6,9 +6,13 @@ lockstep: every local step applies one golden-section bracket shrink to
 one coordinate (round-robin) of every restart.  At d = 1 this is the
 textbook search (Kiefer 1953): the winner of a step is one interior
 point of the shrunk bracket, so its score is carried over and only the
-other interior point is new.  At d >= 2 the other coordinates move
-between two visits to one coordinate, so both interior points are new
-at every step.  The best candidate ever evaluated is returned, so a
+other interior point is new.  At d >= 2 both interior points are scored
+at every step.  Carrying would be exact there too: the steps on the
+other coordinates leave coordinate j's position at an interior point of
+its bracket, and the restart's score at its position (``cur``) is known.
+It is not done because no benchmark workload runs d >= 2, so its gain
+could not be shown, and it would move those runs' traces at rounding
+level.  The best candidate ever evaluated is returned, so a
 restart can never end below its own seed.  A caller that needs to know
 only whether the maximum reaches a level passes ``settled`` and gets
 the running best as soon as it does (the regret certificate stops once
@@ -286,9 +290,9 @@ def ucb_search(posterior, d: int, search: AcqSearchConfig, rng, sqrt_beta: float
     ``golden_multistart``.
 
     posterior maps coordinate rows, shape (..., q, d), to new arrays of
-    the posterior (means, variances) there, shape (..., q): ``subspace_posterior`` for a
-    subspace, or ``gp.posterior_batch`` of a model on the coordinates
-    themselves.  The score is formed in place in the variances' array.
+    the posterior (means, variances) there, shape (..., q), such as
+    ``subspace_posterior`` of a subspace.  The score is formed in place in
+    the variances' array.
     """
 
     def score(lam_batch):

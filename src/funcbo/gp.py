@@ -24,8 +24,8 @@ never change, so earlier models stay valid, and a model whose successor
 already wrote row n cannot be conditioned again.
 
 Kernels are distance-based: the GP takes functional kernels on grid
-functions, or distance-based scalar kernels on coordinate vectors (used
-by the line-search baseline).  A model keeps its points' metric rows
+functions, or distance-based scalar kernels on coordinate vectors (only
+tests condition those).  A model keeps its points' metric rows
 ``MV`` (the rows themselves, or V G under the rkhs metric) and their
 squared norms, in buffers of the same capacity, which is all the
 distance expansion needs; it keeps neither the points nor their values,

@@ -7,25 +7,23 @@ functions drive an engine against an in-process objective; the bench
 module drives the same engines through a state file, so simulated and
 external experiments share a single code path.
 
-The subspace engine and the Bernstein line baseline are one phased
-engine.  Each outer iteration starts a ``Subspace``, bias (the best
+The subspace engine and the Bernstein line baseline are one engine
+class.  Each outer iteration starts a ``Subspace``, bias (the best
 function so far) + span(basis), evaluates an initial design of N(0, I)
 coordinate draws, then runs GP-UCB over the coordinates until the inner
 budget or the simple-regret certificate ends it.  The engine keeps no
 step counters: the next step's (kind, s, t) follows from the last trace
 record and the cached certificate decisions, and ``done`` is the end of
-that schedule.  For the subspace
-engine the basis is d GP sample paths, modelled by one functional GP on
-every observation; the line baseline is the d = 1 case, a random
-direction in Bernstein-weight space mapped to the grid, modelled by a
-scalar GP on the line coordinate of that line's observations.  Both map
-coordinates to functions through ``acquisition.candidate_values``, use
-the same UCB search and the same regret certificate, and score in
-coordinates: the subspace hands the search a batched lam -> (mean, var)
-function (``posterior_fn``).  For a functional model it is built once
-per search from the projections of the bias and basis on the model's
-points (``acquisition.subspace_posterior``), so no candidate's N grid
-values are formed until the pick is mapped to its capped function.
+that schedule.  For the subspace engine the basis is d GP sample paths;
+the line baseline is the d = 1 case, a random direction in
+Bernstein-weight space mapped to the grid, and a fresh model per line.
+Both model the functions they evaluate with one functional GP, map
+coordinates to functions through ``acquisition.candidate_values``, and
+use the same UCB search and the same regret certificate.  The search
+scores in coordinates, through ``acquisition.subspace_posterior``: it is
+built once per search from the projections of the bias and basis on the
+model's points, so no candidate's N grid values are formed until the
+pick is mapped to its capped function.
 
 Determinism: all draws come from two streams derived from the config
 seed, one for optimiser decisions and one for observation noise, so an
@@ -51,7 +49,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Protocol
 
 import numpy as np
@@ -97,13 +94,6 @@ class Subspace:
     def d(self) -> int:
         return len(self.basis)
 
-    def posterior_fn(self, model: gp.GPModel, search: AcqSearchConfig):
-        """Batched lam -> (mean, var): at the capped functions for a model
-        of functions, at the coordinates themselves for a model on them."""
-        if isinstance(model.kernel, FunctionalKernelSpec):
-            return acquisition.subspace_posterior(model, self, search)
-        return partial(gp.posterior_batch, model)
-
 
 @dataclass(frozen=True)
 class OptConfig:
@@ -140,6 +130,12 @@ class OptConfig:
         for name in ("d", "S", "T", "n_init"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"opt.{name} must be >= 1, got {getattr(self, name)}")
+        if self.d > self.grid.size:
+            raise ConfigError(
+                f"opt.d = {self.d} basis functions on the N = {self.grid.size} points of "
+                f"grid.dim = {self.grid.dim} and grid.points_per_axis = "
+                f"{self.grid.points_per_axis} are linearly dependent; opt.d must be at most N"
+            )
         if self.termination not in TERMINATIONS:
             raise ConfigError(f"unknown opt.termination {self.termination!r}")
         if not self.epsilon > 0:
@@ -232,8 +228,8 @@ def bernstein_matrix(degree: int, x: np.ndarray) -> np.ndarray:
 
 def simple_regret_err(
     model: gp.GPModel,
-    subspace,
-    incumbent,
+    subspace: Subspace,
+    incumbent: GridFunction,
     search: AcqSearchConfig | None = None,
     rng=None,
     settle_at: float | None = None,
@@ -244,9 +240,8 @@ def simple_regret_err(
     subspace optimum, so values below epsilon justify ending the inner
     loop of a maximisation run.
 
-    ``subspace`` is a Subspace, the Bernstein line included (d = 1);
-    ``incumbent`` is a model point of it: a function, or the line
-    coordinate under a model on coordinates.
+    ``subspace`` is a Subspace, the Bernstein line included (d = 1), and
+    ``incumbent`` a function of it; ``model`` is a functional GP.
     The inner maximisation is the acquisition UCB search with unit width;
     its restart seeds come from a fixed internal stream unless an rng is
     given, so the test does not perturb an optimiser's draw sequence.
@@ -267,7 +262,8 @@ def simple_regret_err(
     lcb = mean - math.sqrt(var)
     settled = None if settle_at is None else (lambda best: best - lcb >= settle_at)
     _, ucb_max = acquisition.ucb_search(
-        subspace.posterior_fn(model, search), subspace.d, search, rng, 1.0, settled
+        acquisition.subspace_posterior(model, subspace, search), subspace.d, search, rng, 1.0,
+        settled,
     )
     return float(ucb_max - lcb)
 
@@ -374,32 +370,46 @@ class _EngineBase:
         pass
 
 
-class _PhasedEngine(_EngineBase):
-    """GP-UCB on a sequence of random affine subspaces.
+class SubspaceSearchEngine(_EngineBase):
+    """GP-UCB over a sequence of random function subspaces.
 
-    Per outer iteration s: start a Subspace (``_start_outer``), evaluate
-    ``n_init`` coordinate draws from N(0, I), then run the inner UCB loop
-    until its budget T or the simple-regret certificate ends it; the
-    position in that schedule is read from the trace (``_position``).
-    Subclasses supply the model kernel, how an outer iteration starts and
-    how coordinates map to a model point (``_model_point``).
-    ``_function`` maps coordinates to a function of the subspace, and its
-    ``posterior_fn`` gives the UCB search the model posterior at
-    coordinate rows.
+    Per outer iteration s: start a Subspace (``_start_outer``), by default
+    the incumbent plus the span of `d` basis sample paths from the
+    solution prior; evaluate ``n_init`` coordinate draws from N(0, I),
+    then run the inner UCB loop until its budget T or the simple-regret
+    certificate ends it.  The position in that schedule is read from the
+    trace (``_position``).
 
-    The model holds one candidate per lengthscale of
-    ``cfg.lengthscales``; every observation extends each candidate, and
-    the model's posterior is the most likely one's.  ``kernel`` is the
-    model kernel at any lengthscale; ``reserve`` is ``gp.empty_model``'s.
+    The model is a functional GP on the functions evaluated, capped ones
+    where they were capped: every observation so far, across all
+    subspaces, and under budget termination exactly ``cfg.budget`` of
+    them, which it reserves.  A regret run ends at a step it cannot know,
+    and its model grows.  The model holds one candidate per lengthscale
+    of ``cfg.lengthscales``; every observation extends each candidate,
+    and the model's posterior is the most likely one's.
     """
 
-    def __init__(self, cfg: OptConfig, rng, kernel, d: int, reserve: int = 0):
+    def __init__(self, cfg: OptConfig, rng=None):
         super().__init__(cfg, rng)
-        self.subspace = None  # the current outer iteration's Subspace
-        self._outer_best = None  # (model point, y) within the current subspace
+        gram = (
+            kernels.scalar_gram(cfg.kappa, grid_coordinates(cfg.grid))
+            if cfg.k_metric == "rkhs"
+            else None
+        )
+        kernel = FunctionalKernelSpec(ScalarKernelSpec(cfg.k_kind, 1.0), cfg.k_metric, gram)
+        reserve = cfg.budget if cfg.termination == "budget" else 0
         self.model = gp.empty_model(kernel, cfg.noise_sq, cfg.lengthscales, reserve=reserve)
+        self.subspace = None  # the current outer iteration's Subspace
+        self._outer_best = None  # (function, y) within the current subspace
         self._search = cfg.search
-        self._schedule = UcbSchedule(cfg.acq_delta, d)
+        self._schedule = UcbSchedule(cfg.acq_delta, cfg.d)
+
+    def _start_outer(self, s: int) -> Subspace:
+        basis = tuple(
+            gp.sample_on_grid(self.cfg.kappa, self.cfg.grid, self._rng)
+            for _ in range(self.cfg.d)
+        )
+        return Subspace(s, self.best[0], basis)
 
     def _position(self):
         """The next step's (kind, s, t), or None once the run is done:
@@ -435,7 +445,7 @@ class _PhasedEngine(_EngineBase):
         elif lam is None:
             sqrt_beta = math.sqrt(acquisition.beta(self._schedule, t + 1))
             lam, _ = acquisition.ucb_search(
-                self.subspace.posterior_fn(self.model, self._search), d,
+                acquisition.subspace_posterior(self.model, self.subspace, self._search), d,
                 self._search, self._rng, sqrt_beta,
             )
         else:
@@ -450,7 +460,7 @@ class _PhasedEngine(_EngineBase):
         return self.subspace.bias.values + lam @ basis
 
     def _observe(self, rec: RunRecord):
-        obs = gp.Observation(self._model_point(self.pending[3], self.pending[4]), rec.y)
+        obs = gp.Observation(GridFunction(self.cfg.grid, self.pending[4]), rec.y)
         if self._outer_best is None or rec.y > self._outer_best[1]:
             self._outer_best = (obs.point, rec.y)
         try:
@@ -463,51 +473,18 @@ class _PhasedEngine(_EngineBase):
             ) from exc
 
 
-class SubspaceSearchEngine(_PhasedEngine):
-    """GP-UCB over a sequence of random function subspaces.
-
-    Per outer iteration: bias at the incumbent, draw `d` basis sample
-    paths from the solution prior, evaluate `n_init` coordinate draws
-    from N(0, I), then run the inner acquisition loop until its budget
-    or the simple regret test ends it.  The model is a functional GP on
-    every observation so far, across all subspaces: under budget
-    termination exactly ``cfg.budget`` of them, which it reserves.  A
-    regret run ends at a step it cannot know, and its model grows.
-    """
-
-    def __init__(self, cfg: OptConfig, rng=None):
-        gram = (
-            kernels.scalar_gram(cfg.kappa, grid_coordinates(cfg.grid))
-            if cfg.k_metric == "rkhs"
-            else None
-        )
-        kernel = FunctionalKernelSpec(ScalarKernelSpec(cfg.k_kind, 1.0), cfg.k_metric, gram)
-        super().__init__(cfg, rng, kernel, cfg.d,
-                         cfg.budget if cfg.termination == "budget" else 0)
-
-    def _start_outer(self, s: int) -> Subspace:
-        basis = tuple(
-            gp.sample_on_grid(self.cfg.kappa, self.cfg.grid, self._rng)
-            for _ in range(self.cfg.d)
-        )
-        return Subspace(s, self.best[0], basis)
-
-    def _model_point(self, lam, g_values):
-        return GridFunction(self.cfg.grid, g_values)
-
-
-class BernsteinLineEngine(_PhasedEngine):
+class BernsteinLineEngine(SubspaceSearchEngine):
     """GP-UCB line search over the weights of a degree-10 Bernstein
     polynomial: each outer iteration searches the line through the
     incumbent along a random unit direction u of weight space, the
     one-dimensional Subspace incumbent + theta * (u @ B), with a fresh
-    scalar SE model on theta."""
+    model of that line's evaluated functions."""
 
     def __init__(self, cfg: OptConfig, rng=None):
         if cfg.grid.dim != 1:
             raise ConfigError("the Bernstein line optimiser needs a 1-d grid")
-        super().__init__(cfg, rng, ScalarKernelSpec("se", 1.0), 1)
         self._B = bernstein_matrix(BERNSTEIN_DEGREE, grid_coordinates(cfg.grid)[:, 0])
+        super().__init__(replace(cfg, d=1), rng)
 
     def _start_outer(self, s: int) -> Subspace:
         # the model sees only this line's observations
@@ -518,9 +495,6 @@ class BernsteinLineEngine(_PhasedEngine):
             raise NumericalError("degenerate zero direction draw")
         direction = GridFunction(self.cfg.grid, (u / norm) @ self._B)
         return Subspace(s, self.best[0], (direction,))
-
-    def _model_point(self, lam, g_values):
-        return np.array([float(lam[0])])
 
 
 class RandomSearchEngine(_EngineBase):
@@ -544,17 +518,20 @@ class RandomSearchEngine(_EngineBase):
 
 
 def model_bytes(cfg: OptConfig, algorithm: str) -> int:
-    """Bytes of the run's GP model at its end, 8 (C B^2 + C B + B W + B):
-    C candidates' B x B inverse factors and B whitened targets, and B metric
-    rows of width W (N grid values, or the line coordinate) with their norms.
-    B is every evaluation of the run for s3bfo, of its one subspace for
-    fixed_subspace and of one line for linebo_bernstein; T caps each inner
-    loop, so B bounds regret runs too.  random_search holds no model."""
+    """Bytes of the run's GP model at its end and of a search's subspace,
+    8 (C B^2 + C B + B N + B + (d + 1) N + 2 (d + 1)^2): C candidates'
+    B x B inverse factors and B whitened targets, B metric rows of the N
+    grid values with their norms, and the subspace's d + 1 rows of bias and
+    basis with their L2 and metric Grams (d = 1 for the line).  B is every
+    evaluation of the run for s3bfo, of its one subspace for fixed_subspace
+    and of one line for linebo_bernstein; T caps each inner loop, so B
+    bounds regret runs too.  random_search holds no model."""
     if algorithm == "random_search":
         return 0
     B = cfg.budget if algorithm == "s3bfo" else cfg.n_init + cfg.T
-    width = 1 if algorithm == "linebo_bernstein" else cfg.grid.size
-    return 8 * (len(cfg.lengthscales) * (B * B + B) + B * width + B)
+    rows = 2 if algorithm == "linebo_bernstein" else cfg.d + 1
+    N = cfg.grid.size
+    return 8 * (len(cfg.lengthscales) * (B * B + B) + B * N + B + rows * N + 2 * rows * rows)
 
 
 def check_model_bytes(cfg: OptConfig, algorithm: str) -> None:
@@ -564,8 +541,8 @@ def check_model_bytes(cfg: OptConfig, algorithm: str) -> None:
         raise ConfigError(
             f"a {algorithm} run's model would hold {size / 2**30:.1f} GiB by its end, more "
             f"than the {MAX_MODEL_BYTES / 2**30:.1f} GiB supported: mle.grid_points factors "
-            "of n x n floats, n up to the run's evaluations; lower opt.S, opt.T, opt.n_init "
-            "or mle.grid_points"
+            "of n x n floats, n up to the run's evaluations, and Grams of opt.d + 1 rows; "
+            "lower opt.S, opt.T, opt.n_init, mle.grid_points or opt.d"
         )
 
 

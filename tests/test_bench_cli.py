@@ -86,7 +86,7 @@ _CONFIG_LINE = st.one_of(
 
 
 # The size keys a run is scaled down to when the sampled lines leave them
-# alone; a sampled size is kept.
+# alone; a sampled size is kept, and the grid keeps at least opt.d points.
 _SMALL_RUN = {"grid.points_per_axis": 8, "opt.S": 2, "opt.T": 2, "opt.n_init": 1}
 
 
@@ -124,6 +124,7 @@ def _a_few_steps(cfg, algorithm):
 # acq.lambda_box held in config files only, not for Python callers
 @example(lines=["acq.lambda_box = 1e200"], api=True)
 @example(lines=["acq.delta = 1.5"], api=False)  # the error did not name its key
+@example(lines=["opt.d = 50"], api=False)  # more basis functions than 8 grid points
 def test_config_lines_build_or_raise_funcbo_error(lines, api):
     # a config that builds runs a few ask/tell steps of every algorithm
     # without a warning, or raises a FuncboError; a config of one key that
@@ -136,8 +137,9 @@ def test_config_lines_build_or_raise_funcbo_error(lines, api):
         if len(keys) == 1 and keys <= set(bench.SCHEMA):
             assert keys.pop() in str(exc)
         return
+    small = {**_SMALL_RUN, "grid.points_per_axis": max(8, values["opt.d"])}
     cfg = bench.build_opt_config({**values, **{
-        key: size for key, size in _SMALL_RUN.items() if key not in keys}})
+        key: size for key, size in small.items() if key not in keys}})
     if cfg.grid.size > 512 or cfg.search.restarts * cfg.search.local_steps > 20_000:
         return  # a sampled size this large takes seconds a step; it was built
     with warnings.catch_warnings():
@@ -640,17 +642,16 @@ def _listed(value):
 def _engine_state(engine):
     """What a load rebuilds, with arrays as lists: the records, the pending
     suggestion, the random generator's state, the inner-loop decisions and
-    the incumbent; for a phased engine also the current subspace, the best
-    point of its outer iteration and the model's written rows and pick."""
+    the incumbent; for a subspace engine also the current subspace, the best
+    function of its outer iteration and the model's written rows and pick."""
     state = {"rng": engine._rng.bit_generator.state,
              "inner_ends": sorted(engine._inner_ends.items()),
              "best_values": _listed(engine._best_values)}
-    if isinstance(engine, optimizer._PhasedEngine):
+    if isinstance(engine, optimizer.SubspaceSearchEngine):
         sub, best, model, n = engine.subspace, engine._outer_best, engine.model, engine.model.n
         state["subspace"] = sub and (sub.s, sub.bias.values.tolist(),
                                      [h.values.tolist() for h in sub.basis])
-        # the model point's own array: a function's values or the line coordinate
-        state["outer_best"] = best and (_listed(getattr(best[0], "values", best[0])), best[1])
+        state["outer_best"] = best and (best[0].values.tolist(), best[1])
         state["model"] = (n, model.zs.shape[1], model.pick, model.lengthscales.tolist(),
                           model.Ws[:, :n, :n].tolist(), model.zs[:, :n].tolist(),
                           _listed(model.MV), _listed(model.row_q))
@@ -1312,6 +1313,23 @@ def test_cli_model_too_large_for_memory_is_config_error(tmp_path, monkeypatch, c
     assert capsys.readouterr().err == "error: out of memory\n"
 
 
+def test_cli_more_basis_functions_than_grid_points_is_config_error(tmp_path, capsys):
+    # d > N basis functions on an N-point grid are linearly dependent:
+    # suggest rejects the config before it writes a file
+    state, out = tmp_path / "state.txt", tmp_path / "g.csv"
+    state.write_text("grid.points_per_axis = 8\nopt.d = 9\n")
+    before = state.read_bytes()
+    capsys.readouterr()
+    assert cli.main(["suggest", "--state", str(state), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: opt.d = 9 ") and err.count("\n") == 1
+    assert all(key in err for key in ("grid.dim", "grid.points_per_axis"))
+    assert state.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.txt"]
+    state.write_text("grid.points_per_axis = 8\nopt.d = 8\n")
+    assert cli.main(["suggest", "--state", str(state), "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("algorithm", ["s3bfo", "fixed_subspace"])
 def test_model_bytes_are_the_reserved_model_at_the_run_end(algorithm):
     cfg = bench.build_opt_config(_values(
@@ -1320,10 +1338,18 @@ def test_model_bytes_are_the_reserved_model_at_the_run_end(algorithm):
     while not engine.done:
         engine.ask()
         engine.tell(float(len(engine.trace) % 3))
-    model = engine.model
+    model, rows = engine.model, 1 + engine.subspace.d
     assert model.zs.shape == (17, 34 if algorithm == "s3bfo" else 17)
+    # and the subspace's bias and basis rows, with their two Grams
     assert optimizer.model_bytes(cfg, algorithm) == sum(
-        a.nbytes for a in (model.Ws, model.zs, model.MVs, model.row_qs))
+        a.nbytes for a in (model.Ws, model.zs, model.MVs, model.row_qs)
+    ) + 8 * (rows * cfg.grid.size + 2 * rows * rows)
+
+
+def test_model_bytes_of_a_line_are_those_of_a_one_dimensional_subspace():
+    cfg = optimizer.OptConfig(d=3, S=5)
+    assert optimizer.model_bytes(cfg, "linebo_bernstein") == optimizer.model_bytes(
+        dataclasses.replace(cfg, d=1, S=1), "fixed_subspace")
 
 
 def test_model_over_the_limit_stops_a_bench_before_it_writes(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import GRID_1D, random_grid_function
 from funcbo import acquisition, bench, gp, kernels, optimizer
 from funcbo.acquisition import AcqSearchConfig, candidate_values
-from funcbo.errors import ConfigError, InputError, ProtocolError
+from funcbo.errors import ConfigError, InputError, ProtocolError, ShapeError
 from funcbo.gridfn import GridFunction, GridSpec, l2_dist_sq
 from funcbo.kernels import FunctionalKernelSpec, ScalarKernelSpec
 from funcbo.objectives import EffectiveDimObjective, MatchingObjective
@@ -247,9 +247,10 @@ def test_inner_step_scores_in_coordinates(monkeypatch, engine_cls, grid):
     monkeypatch.setattr(gp, "posterior_batch", counted_posterior)
     g = eng.ask()
     assert eng.pending[:3] == ("inner", 0, 0)
-    # the search maps only its pick to grid values, and queries no N-wide rows
+    # the search maps only its pick to grid values, and queries no raw rows:
+    # it scores through subspace_posterior
     assert rows == [1]
-    assert all(width < cfg.grid.size for width in widths)
+    assert widths == []
     expected = candidate_values(eng.subspace, eng._search, eng.pending[3][None, :])[0]
     np.testing.assert_array_equal(g.values, expected)
 
@@ -326,29 +327,55 @@ def test_simple_regret_shrinks_over_inner_run():
 
 def test_linebo_regret_certificate_matches_dense_scan():
     # the line baseline maximises, so its certificate is max UCB over the
-    # line minus the LCB at the line's best theta, as for subspaces
+    # line minus the LCB at the line's best function, as for subspaces
     for seed in range(2):
         cfg = _cfg(S=1, T=8, n_init=2, seed=seed, termination="regret", epsilon=1e-12)
         dec, noise = rng_streams(cfg.seed)
         eng = BernsteinLineEngine(cfg, dec)
         obj = _match_obj()
-        checked = 0
+        checked, evaluated = 0, []  # (y, function) of the line so far
         while not eng.done:
             kind, s, _ = eng._position()
             if kind == "inner":
-                line = [r for r in eng.trace if r.s == s]
-                theta_best = max(line, key=lambda r: r.y).lam[0]
+                best = max(evaluated, key=lambda pair: pair[0])[1]
                 box = eng._search.lambda_box
                 thetas = np.linspace(-box, box, 4001)[:, None]
-                means, variances = gp.posterior_batch(eng.model, thetas)
-                m_inc, v_inc = gp.posterior(eng.model, np.array([theta_best]))
+                rows = candidate_values(eng.subspace, eng._search, thetas)
+                means, variances = gp.posterior_batch(eng.model, rows)
+                m_inc, v_inc = gp.posterior(eng.model, best)
                 dense = float((means + np.sqrt(variances)).max()) - (m_inc - math.sqrt(v_inc))
                 err = simple_regret_err(eng.model, eng.subspace, eng._outer_best[0], eng._search)
                 assert err == pytest.approx(dense, abs=1e-3)
                 checked += 1
             g = eng.ask()
-            eng.tell(obj.evaluate(g, noise), obj.aux(g))
+            y = obj.evaluate(g, noise)
+            eng.tell(y, obj.aux(g))
+            evaluated.append((y, g))
         assert checked == cfg.T
+
+
+@pytest.mark.parametrize("termination", ["budget", "regret"])
+def test_linebo_models_the_functions_it_evaluates(termination):
+    # at l_max = 0.5 the norm cap pulls many picks off the line, and each
+    # observation's model row is still the function evaluated: under
+    # l2grid the metric rows are the functions' grid values
+    cfg = _cfg(S=3, T=8, n_init=2, seed=1, termination=termination, epsilon=1e-3,
+               search=AcqSearchConfig(l_max=0.5))
+    eng = BernsteinLineEngine(cfg)
+    obj, noise = _match_obj(), np.random.default_rng(0)
+    line, capped = [], 0
+    while not eng.done:
+        g = eng.ask()
+        kind, s, _, lam, _ = eng.pending
+        on_line = eng.subspace.bias.values + lam[0] * eng.subspace.basis[0].values
+        capped += kind == "inner" and np.sum(on_line**2) * g.spec.weight > 0.5**2
+        if not eng.trace or eng.trace[-1].s != s:  # a new line, a new model
+            line = []
+        line.append(g.values)
+        eng.tell(obj.evaluate(g, noise))
+        assert eng.model.MV.shape == (len(line), cfg.grid.size)
+        np.testing.assert_array_equal(eng.model.MV, np.array(line))
+    assert capped > 0
 
 
 def test_regret_termination_can_stop_inner_loop_early():
@@ -637,7 +664,8 @@ def test_make_engine_dispatch():
     cfg = _cfg()
     assert isinstance(make_engine(cfg, "s3bfo"), SubspaceSearchEngine)
     assert isinstance(make_engine(cfg, "random_search"), RandomSearchEngine)
-    assert isinstance(make_engine(cfg, "linebo_bernstein"), BernsteinLineEngine)
+    line = make_engine(replace(cfg, d=3), "linebo_bernstein")
+    assert isinstance(line, BernsteinLineEngine) and line.cfg.d == 1
     fixed = make_engine(cfg, "fixed_subspace")
     assert isinstance(fixed, SubspaceSearchEngine) and fixed.cfg.S == 1
     with pytest.raises(ConfigError):
@@ -650,3 +678,47 @@ def test_subspace_validation():
         Subspace(0, zeros(GRID_1D), ())
     with pytest.raises(InputError):
         Subspace(0, zeros(GRID_1D), (random_grid_function(rng, GridSpec(1, 50)),))
+
+
+_L2 = FunctionalKernelSpec(ScalarKernelSpec("se", 0.5), "l2grid")
+
+
+def _conditioned(kernel, *points):
+    model = gp.empty_model(kernel, 0.01)
+    for point in points:
+        model = gp.condition(model, gp.Observation(point, 0.5))
+    return model
+
+
+@pytest.mark.parametrize("build, error", [
+    pytest.param(lambda: gp.Observation(zeros(GRID_1D), math.nan), InputError,
+                 id="observation-nan-value"),
+    pytest.param(lambda: _conditioned(_L2, np.zeros(GRID_1D.size)), InputError,
+                 id="condition-functional-model-on-an-array"),
+    pytest.param(lambda: _conditioned(_L2, zeros(GRID_1D), zeros(GridSpec(1, 50))), ShapeError,
+                 id="condition-functional-model-on-another-grid"),
+    pytest.param(lambda: _conditioned(ScalarKernelSpec("se", 1.0), np.zeros((2, 2))), ShapeError,
+                 id="condition-coordinate-model-on-a-2d-point"),
+    pytest.param(lambda: gp.empty_model(_L2, 0.0), InputError, id="empty-model-zero-noise"),
+    pytest.param(lambda: FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), "sobolev"),
+                 InputError, id="functional-kernel-unknown-metric"),
+    pytest.param(lambda: FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), "rkhs",
+                                              np.ones((2, 3))),
+                 ShapeError, id="functional-kernel-non-square-gram"),
+    pytest.param(lambda: FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), "l2grid", np.eye(3)),
+                 InputError, id="functional-kernel-gram-under-l2grid"),
+    pytest.param(lambda: kernels.value_from_sqdist(ScalarKernelSpec("linear", 1.0), np.zeros(3)),
+                 InputError, id="kernel-value-of-linear"),
+    pytest.param(lambda: MatchingObjective(zeros(GRID_1D), noise=-1), InputError,
+                 id="matching-objective-negative-noise"),
+    pytest.param(lambda: OptConfig(seed=2**64), ConfigError, id="opt-config-seed-over-64-bits"),
+    pytest.param(lambda: OptConfig(mle_grid_points=0), ConfigError,
+                 id="opt-config-no-mle-candidates"),
+    pytest.param(lambda: simple_regret_err(
+        gp.empty_model(_L2, 0.01),
+        Subspace(0, zeros(GRID_1D), (random_grid_function(np.random.default_rng(0)),)),
+        zeros(GRID_1D)), InputError, id="certificate-on-an-empty-model"),
+])
+def test_library_rejections_raise_their_error(build, error):
+    with pytest.raises(error):
+        build()
