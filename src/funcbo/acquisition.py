@@ -3,34 +3,29 @@
 The acquisition value at a point is mean + sqrt(beta_t) * sd.  The
 search over coordinates lam in [-box, box]^d runs `restarts` seeds in
 lockstep: every local step applies one golden-section bracket shrink to
-one coordinate (round-robin) of every restart.  At d = 1 this is the
-textbook search (Kiefer 1953): the winner of a step is one interior
-point of the shrunk bracket, so its score is carried over and only the
-other interior point is new.  At d >= 2 both interior points are scored
-at every step.  Carrying would be exact there too: the steps on the
-other coordinates leave coordinate j's position at an interior point of
-its bracket, and the restart's score at its position (``cur``) is known.
-It is not done because no benchmark workload runs d >= 2, so its gain
-could not be shown, and it would move those runs' traces at rounding
-level.  The best candidate ever evaluated is returned, so a
+one coordinate (round-robin) of every restart.  It is the textbook
+search (Kiefer 1953) at every d.  The first visit to a coordinate
+scores both interior points of its bracket.  After it, the winner of a
+step is one interior point of the shrunk bracket, and the steps on the
+other coordinates leave it there, with the restart's score at its
+position (``cur``) known; so each later step scores only the other
+interior point.  The best candidate ever evaluated is returned, so a
 restart can never end below its own seed.  A caller that needs to know
 only whether the maximum reaches a level passes ``settled`` and gets
 the running best as soon as it does (the regret certificate stops once
 it proves err >= epsilon).
 
-A posterior call costs mostly its fixed numpy overhead, so at d = 1
-one call scores two local steps: a (3, n, 1) stack of the step's new
-points and the next step's, if each restart's first interior point wins
-(slice 1) or its second (slice 2).  Each slice has the rows, row order
-and shape of a call for one step, and the posterior runs per slice (a
-matmul with leading axes is one BLAS call per slice), so the result is
-bit for bit that of one call per step (``tests/reference.py``), which
-scoring the 3 n rows as one flat batch would not be.  The first step,
-which scores two points per restart, and an odd last step are scored
-alone, so at the defaults (40 local steps) a search makes 22 calls at
-d = 1.  At d >= 2 nothing is carried, and a lookahead would score three
-slices of 2 n rows to save one call, so each step is one call of 2 n
-rows, 41 calls a search.
+A posterior call costs mostly its fixed numpy overhead, so one call
+scores two later steps: a (3, n, d) stack of the step's new points and
+the next step's, if each restart's first interior point wins (slice 1)
+or its second (slice 2).  Each slice has the rows, row order and shape
+of a call for one step, and the posterior runs per slice (a matmul with
+leading axes is one BLAS call per slice), so the result is bit for bit
+that of one call per step (``tests/reference.py``), which scoring the
+3 n rows as one flat batch would not be.  A first visit, which scores
+2 n rows, and an odd last step are scored alone, so at the defaults (40
+local steps) a search makes 1 + d + ceil((40 - d) / 2) calls: 22 at
+d = 1 and 2, 23 at d = 3.
 
 Candidates whose function exceeds the norm cap are pulled back onto the
 ball by radial scaling before scoring, so the returned function always
@@ -40,11 +35,13 @@ The search scores candidates from their coordinates, never from their
 N grid values.  A candidate of the subspace b + span(h_1..h_d) is
 c * (a @ A) with A = [b; h_1..h_d], a = [1, lam] and c the cap scale.
 Once per search ``subspace_posterior`` computes the L2 Gram A Aᵀ, and
-``gp.span_posterior`` the metric Gram and the projections of A on the
-model's points.  Per row, a (A Aᵀ) aᵀ is the squared norm that sets c,
-and the squared distances to the n observations cost O(d n) instead of
-O(N n).  Only the pick is mapped to its N values, by
-``candidate_values``, which always takes c from ``cap_scale``.
+``gp.span_posterior`` folds the metric Gram of A, the projections of A
+on the model's points and their norms into one matrix.  Per row,
+a (A Aᵀ) aᵀ is the squared norm that sets c, and the squared distances
+to the n observations are one product of the row's (d + 2)^2 pairwise
+coefficient products with that matrix, instead of O(N n).  Only the pick
+is mapped to its N values, by ``candidate_values``, which always takes c
+from ``cap_scale``.
 
 Most searches cannot reach the cap, and those skip it.  By the triangle
 inequality no candidate of the box is longer than B = ||b|| + box *
@@ -58,13 +55,12 @@ ulp outside the box.  Under a finite l_max, a non-finite B takes the
 capped path.
 
 The search keeps each restart's bracket, position and best as Python
-floats.  ``subspace_posterior`` writes the rows [1, lam] into one buffer
-per search and row shape.  In ``gp.span_posterior`` the squared
-distances become kernel values (``kernels.value_from_sqdist``), then
-posterior variances (``gp.posterior_from_sqdist``), then UCB scores
-(``ucb_search``), each in place in the array of the step before, with
-the float operations of the plain expression in the same order, up to
-exact rewrites (y * x for x * y, x / -c for -x / c).
+floats, one list per coordinate, and one pass over the restarts
+resolves a call's steps.  ``subspace_posterior`` writes the rows
+[1, c, c lam] into one buffer per search and row shape.  The scaled
+squared distances become kernel values (``kernels.value_from_scaled``),
+then posterior variances (``gp.posterior_from_sqdist``), then UCB
+scores (``ucb_search``), each in place in the array of the step before.
 """
 
 from __future__ import annotations
@@ -154,27 +150,29 @@ def subspace_posterior(model: gp.GPModel, subspace, search: AcqSearchConfig):
     """Batched lam -> (mean, var) at the capped candidates of a subspace,
     computed from the coordinates: equal to posterior_batch on
     candidate_values(subspace, search, lam) up to rounding.  lam is a
-    (..., q, d) array; the coefficient rows [1, lam] live in one buffer
-    per search, reallocated only when lam's shape changes.  A search
-    whose box cannot reach the cap scores without it (see the module
-    docstring)."""
+    (..., q, d) array; the rows e = [1, c, c lam] of ``gp.span_posterior``
+    live in one buffer per search, reallocated only when lam's shape
+    changes.  A search whose box cannot reach the cap scores without it
+    (see the module docstring)."""
     A = np.array([subspace.bias.values] + [h.values for h in subspace.basis])
     l2_gram = (A @ A.T) * subspace.bias.spec.weight
     span = gp.span_posterior(model, A)
     norms = np.sqrt(np.diagonal(l2_gram)).tolist()
     bound = norms[0] + search.lambda_box * sum(norms[1:])
     uncapped = bound <= (1.0 - _CAP_MARGIN) * search.l_max  # always under l_max = inf
-    a = np.ones((0, len(A)))
+    e = np.ones((0, len(A) + 1))
 
     def posterior(lam_batch):
-        nonlocal a
-        if a.shape[:-1] != lam_batch.shape[:-1]:
-            a = np.ones(lam_batch.shape[:-1] + (len(A),))
-        a[..., 1:] = lam_batch
-        if uncapped:
-            return span(a)
-        sq_norms = np.einsum("...ij,...ij->...i", a @ l2_gram, a)
-        return span(a, cap_scale(sq_norms, search.l_max))
+        nonlocal e
+        if e.shape[:-1] != lam_batch.shape[:-1]:
+            e = np.ones(lam_batch.shape[:-1] + (len(A) + 1,))
+        e[..., 2:] = lam_batch
+        if not uncapped:
+            a = e[..., 1:]
+            a[..., 0] = 1.0
+            sq_norms = np.einsum("...ij,...ij->...i", a @ l2_gram, a)
+            a *= cap_scale(sq_norms, search.l_max)[..., None]
+        return span(e)
 
     return posterior
 
@@ -184,19 +182,6 @@ def restart_seeds(search: AcqSearchConfig, d: int, rng) -> np.ndarray:
     per restart in [-box, box]^d.  Replay calls this to consume the same
     draws without running the search."""
     return rng.uniform(-search.lambda_box, search.lambda_box, size=(search.restarts, d))
-
-
-def _interior(lo: list, hi: list, pos: list, upper: list) -> tuple[list, list]:
-    """The interior points x1 < x2 of golden-section brackets [lo, hi],
-    one bracket per restart: hi - (hi - lo) phi and lo + (hi - lo) phi,
-    but a restart whose position pos is already the upper point (upper
-    True) or the lower one (upper False) keeps it."""
-    x1s, x2s = [], []
-    for l, h, x, u in zip(lo, hi, pos, upper):
-        r = (h - l) * _INVPHI
-        x1s.append(x if u is False else h - r)
-        x2s.append(x if u else l + r)
-    return x1s, x2s
 
 
 def golden_multistart(score_batch, d: int, search: AcqSearchConfig, rng, settled=None):
@@ -217,70 +202,99 @@ def golden_multistart(score_batch, d: int, search: AcqSearchConfig, rng, settled
     box = search.lambda_box
     n, steps = search.restarts, search.local_steps
     seeds = restart_seeds(search, d, rng)
-    lo, hi = np.empty((n, d)), np.empty((n, d))
-    for j in range(d):
-        order = np.argsort(seeds[:, j])
-        sorted_vals = seeds[order, j]
-        mids = (sorted_vals[:-1] + sorted_vals[1:]) / 2.0
-        lo[order, j] = np.concatenate(([-box], mids))
-        hi[order, j] = np.concatenate((mids, [box]))
-    # one list per coordinate, one float per restart
-    lo, hi, lam, best_lam = lo.T.tolist(), hi.T.tolist(), seeds.T.tolist(), seeds.T.tolist()
+    # per coordinate, one float per restart: the bracket ends, the position
+    # and whether the position is the upper interior point of the bracket;
+    # ``rows`` holds each restart's position too, for cheap copies of the best
+    pos, rows = seeds.T.tolist(), seeds.tolist()
+    lo, hi = [[-box] * n for _ in pos], [[box] * n for _ in pos]
+    upper = [[False] * n for _ in pos]
+    for lo_j, hi_j, pos_j in zip(lo, hi, pos):
+        order = sorted(range(n), key=pos_j.__getitem__)
+        for a, b in zip(order, order[1:]):
+            hi_j[a] = lo_j[b] = (pos_j[a] + pos_j[b]) / 2.0
     cur = score_batch(seeds).tolist()  # each restart's score at its position
-    best = cur[:]
-    # at d = 1 after the first step, each position is one interior point
-    # of its bracket, scored already: True if the upper one, False if not
-    upper = [None] * n
-    ahead = None  # this step's scores, when the call of the step before took them
-    for step in range(steps):
-        if settled is not None and settled(max(best)):
-            break
-        j = step % d
-        lo_j, hi_j, lam_j = lo[j], hi[j], lam[j]
-        x1s, x2s = _interior(lo_j, hi_j, lam_j, upper)
-        carry = upper[0] is not None
-        if ahead is not None:
-            vals, later, ahead = ahead, None, None
+    best, best_pos = cur[:], seeds.tolist()
+
+    def call(*slices):
+        """The scores of a stack of slices, each given by its d columns."""
+        stack = np.array(slices).transpose(0, 2, 1)
+        return score_batch(np.ascontiguousarray(stack)).tolist()
+
+    step = 0
+    while step < steps and not (settled is not None and settled(max(best))):
+        j, k = step % d, (step + 1) % d
+        L, H, P, U = lo[j], hi[j], pos[j], upper[j]
+        visit, pair = step < d, d <= step < steps - 1
+        # Each bracket's interior points x1 < x2.  A first visit scores both,
+        # in a call of its own, and then treats x1 as the position.  A later
+        # step keeps the position, one of the two, and scores the other;
+        # unless it is the last, its call also scores the next step's new
+        # point after either outcome (x1 is the upper interior point of
+        # [lo, x2], x2 the lower one of [x1, hi]).
+        xs, x1s, x2s, y1s, y2s = [], [], [], [], []
+        for l, h, p, u in zip(L, H, P, U):
+            r = (h - l) * _INVPHI
+            x1, x2 = h - r, l + r
+            if not visit:
+                x1, x2 = (x1, p) if u else (p, x2)
+            xs.append(x1 if u else x2)
+            x1s.append(x1)
+            x2s.append(x2)
+            y1s.append(x2 - (x2 - l) * _INVPHI)
+            y2s.append(x1 + (h - x1) * _INVPHI)
+        if visit:
+            cols = [col + col for col in pos]
+            cols[j] = x1s + xs
+            (vals,) = call(cols)
+            cs, fs = vals[:n], vals[n:]  # the scores at x1, the position, and at x2
         else:
-            # coordinate j of the new rows: one per restart if carried, else
-            # every restart at its first interior point, then at its second
-            news = [a if u else b for a, b, u in zip(x1s, x2s, upper)] if carry else x1s + x2s
-            if step + 1 < steps and carry:
-                # (d = 1) the successor also scores one new point per restart:
-                # the new lower point of [lo, x2], or the upper one of [x1, hi],
-                # by the expressions of _interior, which the next step repeats
-                rows = np.array([news, [b - (b - l) * _INVPHI for l, b in zip(lo_j, x2s)],
-                                 [a + (h - a) * _INVPHI for a, h in zip(x1s, hi_j)]])
-                vals, *later = score_batch(rows[..., None]).tolist()
+            first, one, two = pos[:], pos[:], pos[:]
+            first[j], one[j], two[j] = xs, x1s, x2s
+            if k != j:  # the next step's new point is the same after either outcome
+                y1s = y2s = [h - (h - l) * _INVPHI if u else l + (h - l) * _INVPHI
+                             for l, h, u in zip(lo[k], hi[k], upper[k])]
+            one[k], two[k] = y1s, y2s
+            # a last step's call scores its first slice only
+            cs, (fs, gs1, gs2) = cur, call(first, one, two) if pair else call(first) * 3
+        Lk, Hk, Pk, Uk = lo[k], hi[k], pos[k], upper[k]
+        mid = []  # after the first of two steps: each restart's best and its position
+        for i in range(n):
+            x, fx, c = xs[i], fs[i], cs[i]
+            if visit:
+                P[i] = rows[i][j] = x1s[i]
+            if U[i]:  # x is the lower interior point, the position the upper one
+                if fx > c:
+                    H[i], P[i], rows[i][j], c, won = P[i], x, x, fx, True
+                else:
+                    L[i], U[i], won = x, False, False
+            elif c > fx:
+                H[i], U[i], won = x, True, True
             else:
-                cols = [col * (len(news) // n) for col in lam]
-                cols[j] = news
-                vals, later = score_batch(np.array(cols).T.copy()).tolist(), None
-        firsts = []
-        for i, (x1, x2, u) in enumerate(zip(x1s, x2s, upper)):
-            if u is None:
-                f1, f2 = vals[i], vals[n + i]
-            elif u:
-                f1, f2 = vals[i], cur[i]
-            else:
-                f1, f2 = cur[i], vals[i]
-            first = f1 > f2
-            firsts.append(first)
-            if first:
-                hi_j[i], lam_j[i], c = x2, x1, f1
-            else:
-                lo_j[i], lam_j[i], c = x1, x2, f2
-            cur[i] = c
+                L[i], P[i], rows[i][j], c, won = P[i], x, x, fx, False
             if c > best[i]:
-                best[i] = c
-                for col, at in zip(lam, best_lam):
-                    at[i] = col[i]
-        if d == 1:  # x1 is the upper point of [lo, x2], x2 the lower one of [x1, hi]
-            upper = firsts
-        if later:
-            ahead = [a if f else b for f, a, b in zip(firsts, *later)]
+                best[i], best_pos[i] = c, rows[i][:]
+            if pair:  # the call's second step, on coordinate k, resolved the same way
+                if settled is not None:
+                    mid.append((best[i], best_pos[i]))
+                x, fx = (y1s[i], gs1[i]) if won else (y2s[i], gs2[i])
+                if Uk[i]:
+                    if fx > c:
+                        Hk[i], Pk[i], rows[i][k], c = Pk[i], x, x, fx
+                    else:
+                        Lk[i], Uk[i] = x, False
+                elif c > fx:
+                    Hk[i], Uk[i] = x, True
+                else:
+                    Lk[i], Pk[i], rows[i][k], c = Pk[i], x, x, fx
+                if c > best[i]:
+                    best[i], best_pos[i] = c, rows[i][:]
+            cur[i] = c
+        step += 1 + pair
+        if mid and settled(max(v for v, _ in mid)):  # settled before the second step
+            i = int(np.argmax([v for v, _ in mid]))
+            return np.array(mid[i][1]), mid[i][0]
     i = int(np.argmax(best))  # ties resolve to the lower restart index
-    return np.array([col[i] for col in best_lam]), best[i]
+    return np.array(best_pos[i]), best[i]
 
 
 def ucb_search(posterior, d: int, search: AcqSearchConfig, rng, sqrt_beta: float,

@@ -314,7 +314,7 @@ def run_bench(values: dict, out_dir) -> BenchResult:
 
 
 def _lam_width(values: dict) -> int:
-    return 1 if values["opt.algorithm"] == "linebo_bernstein" else values["opt.d"]
+    return optimizer.search_dim(values["opt.algorithm"], values["opt.d"])
 
 
 def _trace_header(width: int) -> str:

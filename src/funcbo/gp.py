@@ -15,8 +15,9 @@ cap >= n that grow by 16 rows when full, or at once to ``reserve`` rows,
 the points a run knows it will hold.  The model is the candidate
 ``pick`` with the highest log marginal likelihood -z·z/2 + sum log W_ii -
 n/2 log 2 pi; ``kernel``, ``W`` and ``z`` are that candidate's.  With
-w = W k(D, x), one matrix product, the posterior mean is z·w and the
-variance K(x, x) - w·w.
+w = W k(D, x) the posterior mean is z·w = k(x, D) Wᵀz and the variance
+K(x, x) - w·w; one matrix product of the kernel row with [Wᵀ | Wᵀz],
+cached on the model as ``Wz``, gives both.
 
 ``condition`` writes the new point's row for every candidate in place
 with a few batched products, O(C n^2), and picks again; rows below n
@@ -36,13 +37,16 @@ with a reserve allocates its buffers once, at its first point, and
 never copies them.
 
 A posterior query is two steps: the squared distances from the queries
-to the model's points, then ``posterior_from_sqdist``, the one step that
-turns them into means and variances.  ``posterior_batch`` takes the
-distances from raw query rows (N grid values per function).
-``span_posterior`` takes them from coefficient rows over a few fixed
-functions A, such as the bias and basis of a search subspace: the metric
-Gram of A's rows and their inner products with the model's points are
-computed once, after which a query costs O(d n) per row, not O(N n).
+to the model's points, divided by the kernel's ``sqdist_divisor``, then
+``posterior_from_sqdist``, the one step that turns them into means and
+variances.  ``posterior_batch`` takes the distances from raw query rows
+(N grid values per function).  ``span_posterior`` takes them from
+coefficient rows over a few fixed functions A, such as the bias and
+basis of a search subspace: the norms of the model's points, their inner
+products with A's rows and the metric Gram of A, with the grid weight
+and the divisor, are folded once into one matrix P, after which a
+row's distances are one product of its coefficients' pairwise products
+with P, O(r^2 n) for r rows of A, not O(N n).
 
 Prior sampling draws a GP(0, kappa) sample path on a grid as L z with
 z ~ N(0, I) and L a Cholesky factor of the prior covariance at the grid
@@ -123,6 +127,11 @@ class GPModel:
         return self.zs[self.pick, : self.n]
 
     @cached_property
+    def Wz(self) -> np.ndarray:
+        """(n, n + 1): [Wᵀ | Wᵀz], the posterior's one matrix per query."""
+        return np.column_stack((self.W.T, self.z @ self.W))
+
+    @cached_property
     def MV(self) -> np.ndarray | None:
         return None if self.MVs is None else self.MVs[: self.n]
 
@@ -176,8 +185,8 @@ def _sqdist(q_sq: np.ndarray, row_q: np.ndarray, cross: np.ndarray, weight: floa
     """Squared metric distances ((q_sq_i + row_q_k) - 2 cross_ik) weight,
     shape (..., q, n), from the queries' squared norms, the points' squared
     norms and their inner products.  Takes cross over as scratch space.
-    Rounding can leave a distance slightly below zero; the kernel
-    (``kernels.value_from_sqdist``) clamps it."""
+    Rounding can leave a distance slightly below zero; the kernel clamps
+    it."""
     cross *= 2.0
     r2 = np.add.outer(q_sq, row_q)
     r2 -= cross
@@ -292,21 +301,24 @@ def condition(model: GPModel, obs: Observation) -> GPModel:
 
 
 def posterior_from_sqdist(
-    model: GPModel, raw: np.ndarray, prior
+    model: GPModel, x: np.ndarray, prior
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means and variances of a batch of queries from their
-    squared distances to the model's points, shape (..., q, n), and their
-    prior variances (an array, or one scalar for all).  The model holds
-    at least one point.  With w = W kᵀ, one matrix product per (q, n)
-    slice, the means are z·w and the variances prior - w·w, clamped at
-    zero; every posterior query ends here.  The kernel values k overwrite
-    raw.  Leading axes change no row's bits: numpy runs one BLAS call per
-    slice, with the shapes of a call on that slice alone."""
-    k = kernels.value_from_sqdist(_base_of(model.kernel), raw, out=raw)
-    w = model.W @ k.swapaxes(-1, -2)
-    var = np.einsum("...ij,...ij->...j", w, w)
+    squared distances to the model's points divided by the kernel's
+    ``kernels.sqdist_divisor``, shape (..., q, n), and their prior
+    variances (an array, or one scalar for all).  The model holds at least
+    one point.  The kernel values k overwrite x; one matrix product per
+    (q, n) slice with the model's [Wᵀ | Wᵀz] gives the rows of w = W kᵀ
+    and the means z·w, and the variances are prior - w·w, clamped at
+    zero.  Every posterior query ends here.  Leading axes change no row's
+    bits: numpy runs one BLAS call per slice, with the shapes of a call on
+    that slice alone."""
+    k = kernels.value_from_scaled(_base_of(model.kernel), x)
+    wm = k @ model.Wz
+    w = wm[..., :-1]
+    var = np.einsum("...ij,...ij->...i", w, w)
     np.subtract(prior, var, out=var)
-    return model.z @ w, np.maximum(var, 0.0, out=var)
+    return wm[..., -1], np.maximum(var, 0.0, out=var)
 
 
 def posterior_batch(model: GPModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -318,40 +330,42 @@ def posterior_batch(model: GPModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarr
     kernels.  Variances are clamped at zero.
     """
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    variance = _base_of(model.kernel).variance
+    base = _base_of(model.kernel)
     if model.n == 0:
-        return np.zeros(Q.shape[:-1]), np.full(Q.shape[:-1], variance)
-    return posterior_from_sqdist(model, query_sqdist(model, Q), variance)
+        return np.zeros(Q.shape[:-1]), np.full(Q.shape[:-1], base.variance)
+    x = query_sqdist(model, Q)
+    x /= kernels.sqdist_divisor(base)
+    return posterior_from_sqdist(model, x, base.variance)
 
 
 def span_posterior(model: GPModel, A: np.ndarray):
-    """Posterior queries at scaled combinations of the rows of A.
+    """Posterior queries at combinations of the rows of A.
 
-    Returns ``posterior(a, c=None)``: the posterior means and variances at
-    the points c_i * (a_i @ A) for coefficient rows a (..., q, r) and
-    scales c (..., q); without c, at the points a_i @ A, the same bits as
-    c = 1.
-    The metric Gram of A's rows (A Aᵀ, or A G Aᵀ under rkhs) and their
-    inner products with the model's points (A Vᵀ, or A G Vᵀ) are computed
-    once here, so a query costs O(q r n) and never forms a point of the
-    grid's width.  A query allocates its (..., q, n) inner products and
-    the distances, which then become the kernel values.  Functional kernels
-    only; A's rows lie on the model's grid.
+    Returns ``posterior(e)``: the posterior means and variances at the
+    points b_i @ A for rows e_i = [1, b_i], shape (..., q, r + 1) for the
+    r rows of A.  Under the metric, the squared distance from b @ A to a
+    model point v is |v|^2 - 2 b·(A v) + b (A Aᵀ) bᵀ = (e ⊗ e)·P_v, with
+    P_v the (r + 1) x (r + 1) matrix [[|v|^2, -(A v)ᵀ], [-A v, A Aᵀ]].
+    P stacks every point's P_v, flattened, times the grid weight over the
+    kernel's ``sqdist_divisor``, once here; a query is then one
+    (..., q, (r + 1)^2) by ((r + 1)^2, n) product and never forms a point
+    of the grid's width.  Functional kernels only; A's rows lie on the
+    model's grid.
     """
-    variance = _base_of(model.kernel).variance
+    base = _base_of(model.kernel)
     if model.n == 0:
-        return lambda a, c=None: (np.zeros(a.shape[:-1]), np.full(a.shape[:-1], variance))
-    gram = _metric_rows(model.kernel, A) @ A.T
-    proj = A @ model.MV.T
-    row_q, weight = model.row_q, _weight(model)
+        return lambda e: (np.zeros(e.shape[:-1]), np.full(e.shape[:-1], base.variance))
+    r = len(A)
+    terms = np.empty((r + 1, r + 1, model.n))
+    terms[0, 0] = model.row_q
+    terms[0, 1:] = terms[1:, 0] = -(A @ model.MV.T)
+    terms[1:, 1:] = (_metric_rows(model.kernel, A) @ A.T)[:, :, None]
+    P = terms.reshape(-1, model.n)
+    P *= _weight(model) / kernels.sqdist_divisor(base)
 
-    def posterior(a, c=None):
-        q_sq = np.einsum("...ij,...ij->...i", a @ gram, a)
-        cross = a @ proj
-        if c is not None:
-            q_sq *= c * c
-            cross *= c[..., None]
-        return posterior_from_sqdist(model, _sqdist(q_sq, row_q, cross, weight), variance)
+    def posterior(e):
+        ee = e[..., :, None] * e[..., None, :]
+        return posterior_from_sqdist(model, ee.reshape(e.shape[:-1] + (-1,)) @ P, base.variance)
 
     return posterior
 

@@ -109,33 +109,49 @@ def _validate_psd(gram: np.ndarray) -> None:
         raise InputError("rkhs_gram is not positive semidefinite") from exc
 
 
+def sqdist_divisor(base: ScalarKernelSpec) -> float:
+    """The divisor that turns squared distances r^2 into the argument of
+    ``value_from_scaled``: -2 gamma^2 for se, 1 for the Matern kernels,
+    whose forms scale after the square root.  A caller may fold it into
+    the squared distances' own factors."""
+    if base.kind not in DISTANCE_KINDS:
+        raise InputError(f"{base.kind!r} is not distance-based")
+    return -2.0 * (base.lengthscale * base.lengthscale) if base.kind == "se" else 1.0
+
+
+def value_from_scaled(base: ScalarKernelSpec, x: np.ndarray) -> np.ndarray:
+    """Overwrite x, squared distances divided by ``sqdist_divisor``, with
+    the kernel values there and return it.  Each step runs in place, in
+    the order of the closed forms above: a rounding residue of the wrong
+    sign is clamped to distance zero first."""
+    if base.kind == "se":
+        np.minimum(x, 0.0, out=x)
+    else:
+        np.maximum(x, 0.0, out=x)
+        np.sqrt(x, out=x)
+        g = base.lengthscale
+        if base.kind == "matern12":
+            x /= -g
+        else:  # matern32: (v (1 + a)) exp(-a), a = sqrt(3) r / g
+            x *= _SQRT3
+            x /= g
+            decay = np.exp(-x)
+            x += 1.0
+            x *= base.variance
+            x *= decay
+            return x
+    np.exp(x, out=x)
+    x *= base.variance
+    return x
+
+
 def value_from_sqdist(base: ScalarKernelSpec, r_sq, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate a distance-based kernel on squared distances (vectorised),
     into ``out`` when given (it may be r_sq itself), else a new array.
-    Each step runs in place on the result, in the order of the closed
-    forms above: x / -c is exactly -x / c."""
-    if base.kind not in DISTANCE_KINDS:
-        raise InputError(f"{base.kind!r} is not distance-based")
+    For se, max(r^2, 0) / -c is exactly min(r^2 / -c, 0)."""
     r_sq = np.asarray(r_sq, dtype=float)
-    k = np.maximum(r_sq, 0.0, out=np.empty_like(r_sq) if out is None else out)
-    g = base.lengthscale
-    if base.kind == "se":
-        k /= -(2.0 * g * g)
-    else:
-        np.sqrt(k, out=k)
-        if base.kind == "matern12":
-            k /= -g
-        else:  # matern32: (v (1 + a)) exp(-a), a = sqrt(3) r / g
-            k *= _SQRT3
-            k /= g
-            decay = np.exp(-k)
-            k += 1.0
-            k *= base.variance
-            k *= decay
-            return k
-    np.exp(k, out=k)
-    k *= base.variance
-    return k
+    x = np.divide(r_sq, sqdist_divisor(base), out=np.empty_like(r_sq) if out is None else out)
+    return value_from_scaled(base, x)
 
 
 def scalar_gram(spec: ScalarKernelSpec, coords) -> np.ndarray:

@@ -70,7 +70,8 @@ _REGRET_SEARCH_SEED = 0x5EED
 MAX_GRID_POINTS = 10_000
 # Largest GP model a run may build, in bytes at its end (``model_bytes``).
 # On a 2-core 8 GB host at one BLAS thread, 17 candidates conditioned to
-# this size, 2806 points, took 188 s and peaked at 1.06 GB reserved, and
+# 2806 points, this size before it counted the posterior's [Wᵀ | Wᵀz]
+# (2727 points since), took 188 s and peaked at 1.06 GB reserved, and
 # 215 s and 2.09 GB growing by 16 rows, whose copies hold twice the model.
 MAX_MODEL_BYTES = 2**30
 
@@ -159,7 +160,8 @@ class OptConfig:
         # the model's and the UCB schedule's own checks, run before any engine
         # is built, so a bad value stops a bench before its first cell
         try:
-            gp.empty_model(ScalarKernelSpec(self.k_kind, 1.0), self.noise_sq, self.lengthscales)
+            gp.empty_model(FunctionalKernelSpec(ScalarKernelSpec(self.k_kind, 1.0), "l2grid"),
+                           self.noise_sq, self.lengthscales)
         except InputError as exc:
             keys = ("'mle.grid_min' or 'mle.grid_max'" if self.k_lengthscale == "mle"
                     else "'K.lengthscale'")
@@ -484,7 +486,7 @@ class BernsteinLineEngine(SubspaceSearchEngine):
         if cfg.grid.dim != 1:
             raise ConfigError("the Bernstein line optimiser needs a 1-d grid")
         self._B = bernstein_matrix(BERNSTEIN_DEGREE, grid_coordinates(cfg.grid)[:, 0])
-        super().__init__(replace(cfg, d=1), rng)
+        super().__init__(replace(cfg, d=search_dim("linebo_bernstein", cfg.d)), rng)
 
     def _start_outer(self, s: int) -> Subspace:
         # the model sees only this line's observations
@@ -517,21 +519,30 @@ class RandomSearchEngine(_EngineBase):
         self.pending = (*position, lam, lam @ basis)
 
 
+def search_dim(algorithm: str, d: int) -> int:
+    """The coordinates of an algorithm's points at ``opt.d = d``: one on
+    a line of linebo_bernstein, d otherwise."""
+    return 1 if algorithm == "linebo_bernstein" else d
+
+
 def model_bytes(cfg: OptConfig, algorithm: str) -> int:
     """Bytes of the run's GP model at its end and of a search's subspace,
-    8 (C B^2 + C B + B N + B + (d + 1) N + 2 (d + 1)^2): C candidates'
-    B x B inverse factors and B whitened targets, B metric rows of the N
-    grid values with their norms, and the subspace's d + 1 rows of bias and
-    basis with their L2 and metric Grams (d = 1 for the line).  B is every
+    8 ((C + 1)(B^2 + B) + B N + B + (d + 1) N + 2 (d + 1)^2 + (d + 2)^2 B):
+    C candidates' B x B inverse factors and B whitened targets, and the
+    picked one's B x (B + 1) [Wᵀ | Wᵀz]; B metric rows of the N grid values
+    with their norms; the subspace's d + 1 rows of bias and basis with
+    their L2 and metric Grams, and the (d + 2)^2 x B terms of its squared
+    distances (d = 1 for the line).  B is every
     evaluation of the run for s3bfo, of its one subspace for fixed_subspace
     and of one line for linebo_bernstein; T caps each inner loop, so B
     bounds regret runs too.  random_search holds no model."""
     if algorithm == "random_search":
         return 0
     B = cfg.budget if algorithm == "s3bfo" else cfg.n_init + cfg.T
-    rows = 2 if algorithm == "linebo_bernstein" else cfg.d + 1
+    rows = search_dim(algorithm, cfg.d) + 1
     N = cfg.grid.size
-    return 8 * (len(cfg.lengthscales) * (B * B + B) + B * N + B + rows * N + 2 * rows * rows)
+    return 8 * ((len(cfg.lengthscales) + 1) * (B * B + B) + B * N + B + rows * N
+                + 2 * rows * rows + (rows + 1) ** 2 * B)
 
 
 def check_model_bytes(cfg: OptConfig, algorithm: str) -> None:

@@ -315,58 +315,70 @@ def read_trace_csv(path) -> list[dict]:
 # the oracle that the library's search (``acquisition.ucb_search`` on
 # ``acquisition.subspace_posterior`` or on ``gp.posterior_batch``), which
 # scores two steps per call in place, must match bit for bit, draws
-# included.
+# included.  A query's squared distances come divided by the kernel's
+# divisor (-2 gamma^2 for se, 1 for Matern), and its posterior from one
+# product with [Wᵀ | Wᵀz].
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _SQRT3 = np.sqrt(3.0)
 
 
-def kernel_values(base: ScalarKernelSpec, r_sq) -> np.ndarray:
-    r_sq = np.maximum(np.asarray(r_sq, dtype=float), 0.0)
-    g = base.lengthscale
+def _divisor(base: ScalarKernelSpec) -> float:
+    return -2.0 * base.lengthscale * base.lengthscale if base.kind == "se" else 1.0
+
+
+def kernel_values(base: ScalarKernelSpec, x) -> np.ndarray:
+    """The kernel at squared distances divided by ``_divisor``."""
+    x = np.asarray(x, dtype=float)
     if base.kind == "se":
-        return base.variance * np.exp(-r_sq / (2.0 * g * g))
-    r = np.sqrt(r_sq)
+        return base.variance * np.exp(np.minimum(x, 0.0))
+    r = np.sqrt(np.maximum(x, 0.0))
+    g = base.lengthscale
     if base.kind == "matern12":
         return base.variance * np.exp(-r / g)
     a = _SQRT3 * r / g
     return base.variance * (1.0 + a) * np.exp(-a)
 
 
-def _sqdist(model, q_sq, cross):
-    weight = model.grid.weight if gp._mode_of(model.kernel) == "l2grid" else 1.0
-    r2 = (q_sq[:, None] + model.row_q[None, :] - 2.0 * cross) * weight
-    return np.maximum(r2, 0.0)
-
-
-def _posterior_from_sqdist(model, raw, prior):
-    k = kernel_values(gp._base_of(model.kernel), raw)
-    w = model.W @ k.T
-    mean = model.z @ w
-    var = prior - np.einsum("ij,ij->j", w, w)
-    return mean, np.maximum(var, 0.0)
+def _posterior_from_sqdist(model, x, prior):
+    k = kernel_values(gp._base_of(model.kernel), x)
+    wm = k @ np.column_stack((model.W.T, model.z @ model.W))
+    w = wm[:, :-1]
+    var = prior - np.einsum("ij,ij->i", w, w)
+    return wm[:, -1], np.maximum(var, 0.0)
 
 
 def posterior_batch(model, Q):
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    prior = np.full(Q.shape[0], gp._base_of(model.kernel).variance)
+    base = gp._base_of(model.kernel)
+    prior = np.full(Q.shape[0], base.variance)
     if model.n == 0:
         return np.zeros(Q.shape[0]), prior
+    weight = model.grid.weight if gp._mode_of(model.kernel) == "l2grid" else 1.0
     q_sq = np.einsum("ij,ij->i", Q, gp._metric_rows(model.kernel, Q))
-    return _posterior_from_sqdist(model, _sqdist(model, q_sq, Q @ model.MV.T), prior)
+    r2 = (q_sq[:, None] + model.row_q[None, :] - 2.0 * (Q @ model.MV.T)) * weight
+    return _posterior_from_sqdist(model, r2 / _divisor(base), prior)
 
 
 def span_posterior(model, A):
-    variance = gp._base_of(model.kernel).variance
+    """posterior(e) at the points e[:, 1:] @ A, for rows e with e[:, 0] = 1:
+    the squared distances are (e ⊗ e) @ P, P the terms of every point."""
+    base = gp._base_of(model.kernel)
     if model.n == 0:
-        return lambda a, c: (np.zeros(len(a)), np.full(len(a), variance))
-    gram = gp._metric_rows(model.kernel, A) @ A.T
+        return lambda e: (np.zeros(len(e)), np.full(len(e), base.variance))
+    r, n = len(A), model.n
+    weight = model.grid.weight if gp._mode_of(model.kernel) == "l2grid" else 1.0
     proj = A @ model.MV.T
+    terms = np.zeros((r + 1, r + 1, n))
+    terms[0, 0] = model.row_q
+    terms[0, 1:] = -proj
+    terms[1:, 0] = -proj
+    terms[1:, 1:] = (gp._metric_rows(model.kernel, A) @ A.T)[:, :, None]
+    P = terms.reshape(-1, n) * (weight / _divisor(base))
 
-    def posterior(a, c):
-        q_sq = c * c * np.einsum("ij,ij->i", a @ gram, a)
-        raw = _sqdist(model, q_sq, c[:, None] * (a @ proj))
-        return _posterior_from_sqdist(model, raw, np.full(len(a), variance))
+    def posterior(e):
+        ee = np.einsum("qi,qj->qij", e, e).reshape(len(e), -1)
+        return _posterior_from_sqdist(model, ee @ P, np.full(len(e), base.variance))
 
     return posterior
 
@@ -386,9 +398,10 @@ def subspace_posterior(model, subspace, search):
 
     def posterior(lam_batch):
         lam_batch = np.atleast_2d(np.asarray(lam_batch, dtype=float))
-        a = np.hstack([np.ones((lam_batch.shape[0], 1)), lam_batch])
+        ones = np.ones((lam_batch.shape[0], 1))
+        a = np.hstack([ones, lam_batch])
         sq_norms = np.einsum("ij,ij->i", a @ l2_gram, a)
-        return span(a, cap_scale(sq_norms, search.l_max))
+        return span(np.hstack([ones, cap_scale(sq_norms, search.l_max)[:, None] * a]))
 
     return posterior
 
@@ -408,10 +421,11 @@ def _brackets(seeds, box):
 
 def golden_multistart(score_batch, d, search, rng):
     """The textbook golden-section search, one coordinate per step
-    (round-robin), in lockstep over the restarts.  At d = 1, from the
-    second step on, each restart's position is one interior point of its
-    bracket, scored at the step before, and only the other point is
-    scored; at d >= 2 both points are scored at every step."""
+    (round-robin), in lockstep over the restarts.  A first visit to a
+    coordinate scores both interior points of its bracket; after it, each
+    restart's position on that coordinate is one interior point of its
+    bracket, scored (``cur``) at the last step, whichever coordinate that
+    step moved, and each later visit scores only the other point."""
     box = search.lambda_box
     n = search.restarts
     seeds = rng.uniform(-box, box, size=(n, d))
@@ -420,26 +434,27 @@ def golden_multistart(score_batch, d, search, rng):
     cur = np.asarray(score_batch(lam), dtype=float).copy()
     best_val = cur.copy()
     lo, hi = _brackets(seeds, box)
-    upper = None  # at d = 1 after a step: whether each position is its bracket's upper point
+    upper = np.zeros((n, d), dtype=bool)  # whether a position is its bracket's upper point
     for step in range(search.local_steps):
         j = step % d
         span = hi[:, j] - lo[:, j]
         x1 = hi[:, j] - _INVPHI * span
         x2 = lo[:, j] + _INVPHI * span
-        if upper is None:
+        if step < d:
             cand = np.vstack([lam, lam])
             cand[:n, j] = x1
             cand[n:, j] = x2
             vals = np.asarray(score_batch(cand), dtype=float)
             f1, f2 = vals[:n], vals[n:]
         else:
-            x1 = np.where(upper, x1, lam[:, j])
-            x2 = np.where(upper, lam[:, j], x2)
+            up = upper[:, j]
+            x1 = np.where(up, x1, lam[:, j])
+            x2 = np.where(up, lam[:, j], x2)
             cand = lam.copy()
-            cand[:, j] = np.where(upper, x1, x2)
+            cand[:, j] = np.where(up, x1, x2)
             vals = np.asarray(score_batch(cand), dtype=float)
-            f1 = np.where(upper, vals, cur)
-            f2 = np.where(upper, cur, vals)
+            f1 = np.where(up, vals, cur)
+            f2 = np.where(up, cur, vals)
         first_better = f1 > f2
         hi[first_better, j] = x2[first_better]
         lo[~first_better, j] = x1[~first_better]
@@ -448,8 +463,8 @@ def golden_multistart(score_batch, d, search, rng):
         improved = cur > best_val
         best_val[improved] = cur[improved]
         best_lam[improved] = lam[improved]
-        if d == 1:  # x1 is the upper point of [lo, x2], x2 the lower one of [x1, hi]
-            upper = first_better
+        # x1 is the upper point of [lo, x2], x2 the lower one of [x1, hi]
+        upper[:, j] = first_better
     i = int(np.argmax(best_val))
     return best_lam[i].copy(), float(best_val[i])
 

@@ -248,11 +248,13 @@ def _metric_kernel(metric, points, relative_lengthscale):
     )
 
 
+@pytest.mark.parametrize("kind", ["se", "matern12", "matern32"])
 @pytest.mark.parametrize("metric", ["l2grid", "rkhs"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), relative_lengthscale=st.floats(0.3, 3.0))
-def test_subspace_posterior_equals_posterior_of_candidates(metric, d, seed, relative_lengthscale):
+def test_subspace_posterior_equals_posterior_of_candidates(metric, d, kind, seed,
+                                                           relative_lengthscale):
     rng = np.random.default_rng(seed)
     earlier = _subspace(rng, d=d, bias=random_grid_function(rng, scale=0.5))
     sub = _subspace(rng, d=d, bias=random_grid_function(rng, scale=0.5))
@@ -261,7 +263,9 @@ def test_subspace_posterior_equals_posterior_of_candidates(metric, d, seed, rela
         GridFunction(GRID_1D, candidate_values(s, AcqSearchConfig(), rng.normal(size=(1, d)))[0])
         for s in (earlier, earlier, earlier, sub, sub)
     ]
-    kernel = _metric_kernel(metric, points, relative_lengthscale)
+    se = _metric_kernel(metric, points, relative_lengthscale)
+    kernel = FunctionalKernelSpec(ScalarKernelSpec(kind, se.base.lengthscale), metric,
+                                  se.rkhs_gram)
     model = rebuild_model(
         kernel, 0.01, [Observation(p, float(rng.standard_normal())) for p in points]
     )
@@ -386,7 +390,7 @@ def test_uncapped_and_capped_searches_match_the_reference(monkeypatch):
         )
         assert np.array_equal(lam, ref_lam)
         assert value == ref_value
-        assert len(calls) == (0 if skips else 1 + search.local_steps)
+        assert len(calls) == (0 if skips else _score_calls(d, search.local_steps))
 
 
 def _bumpy_score(rng, d):
@@ -405,9 +409,9 @@ def _bumpy_score(rng, d):
 
 def _score_calls(d, steps):
     """The score calls of a search that takes ``steps`` local steps: the
-    seeds', then one per step at d >= 2; at d = 1 the first step, which
-    scores two points per restart, then one per two steps."""
-    return 1 + (steps if d > 1 else (steps > 0) + steps // 2)
+    seeds', one for each first visit to a coordinate, which scores two
+    points per restart, then one per two steps."""
+    return 1 + min(steps, d) + math.ceil(max(steps - d, 0) / 2)
 
 
 def _first_steps(search, steps):
@@ -462,7 +466,7 @@ def test_settled_search_stops_at_the_reference_running_best(d, restarts, local_s
 @pytest.mark.blas_threads
 def test_settled_search_batch_counts():
     """settled=True after the seeds scores one batch, the seeds' best;
-    no settled, or one that never holds, scores 1 + local_steps batches
+    no settled, or one that never holds, scores the batches of every step
     to the same result."""
     d, search = 2, AcqSearchConfig(restarts=5, local_steps=12)
     score, batches = _bumpy_score(np.random.default_rng(4), d)
@@ -477,10 +481,39 @@ def test_settled_search_batch_counts():
         batches.clear()
         results.append(acquisition.golden_multistart(score, d, search,
                                                      np.random.default_rng(5), settled))
-        assert len(batches) == 1 + search.local_steps
+        assert len(batches) == _score_calls(d, search.local_steps)
     ref_lam, ref_value = reference.golden_multistart(score, d, search, np.random.default_rng(5))
     for lam, value in results:
         assert np.array_equal(lam, ref_lam) and value == ref_value
+
+
+@pytest.mark.blas_threads
+@pytest.mark.parametrize("local_steps", [1, 2, 3, 40, 41])
+@pytest.mark.parametrize("restarts", [1, 2, 8])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_search_carries_at_every_coordinate_like_the_reference(d, restarts, local_steps):
+    """Every d carries: after its first visit, a coordinate's step scores
+    one new point per restart, two steps to a call.  Stopped by settled
+    before any step, or run to the end, the search returns the
+    reference's (lam, value) after as many steps, having made
+    1 + d + ceil((steps - d) / 2) score calls for the steps it took (22,
+    22 and 23 at d = 1, 2 and 3 with the default 40 steps)."""
+    assert [_score_calls(k, 40) for k in (1, 2, 3)] == [22, 22, 23]
+    score, batches = _bumpy_score(np.random.default_rng(10 * d + restarts), d)
+    search = AcqSearchConfig(restarts, local_steps)
+    for stop in range(local_steps + 1):  # settled first holds before step ``stop``
+        seen = []
+        batches.clear()
+        lam, value = acquisition.golden_multistart(
+            score, d, search, np.random.default_rng(3),
+            lambda best: seen.append(best) is None and len(seen) > stop,
+        )
+        assert len(batches) == _score_calls(d, stop)
+        ref_lam, ref_value = reference.golden_multistart(score, d, _first_steps(search, stop),
+                                                         np.random.default_rng(3))
+        assert np.array_equal(lam, ref_lam)
+        assert value == ref_value
+        assert len(seen) == min(stop + 1, local_steps)
 
 
 def _stacked_equals_slices(posterior, stack):

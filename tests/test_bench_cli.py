@@ -1268,7 +1268,8 @@ def test_cli_every_lengthscale_breaking_is_numerical_error(tmp_path):
 
 def test_cli_model_too_large_for_memory_is_config_error(tmp_path, monkeypatch, capsys):
     # opt.S = 200 and opt.T = 1000 give a model of 17 inverse factors of
-    # 201000 x 201000 floats, 5 TiB, by the run's end: suggest rejects the
+    # 201000 x 201000 floats and one more such matrix, 5.3 TiB, by the
+    # run's end: suggest rejects the
     # config before it writes a file or conditions a model
     state, out = tmp_path / "state.txt", tmp_path / "g.csv"
     state.write_text("opt.S = 200\nopt.T = 1000\n")
@@ -1278,7 +1279,7 @@ def test_cli_model_too_large_for_memory_is_config_error(tmp_path, monkeypatch, c
     capsys.readouterr()
     assert cli.main(["suggest", "--state", str(state), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: a s3bfo run's model would hold 5117.4 GiB by its end")
+    assert err.startswith("error: a s3bfo run's model would hold 5418.4 GiB by its end")
     assert err.count("\n") == 1
     assert all(key in err for key in ("opt.S", "opt.T", "opt.n_init", "mle.grid_points"))
     assert state.read_bytes() == before
@@ -1340,10 +1341,11 @@ def test_model_bytes_are_the_reserved_model_at_the_run_end(algorithm):
         engine.tell(float(len(engine.trace) % 3))
     model, rows = engine.model, 1 + engine.subspace.d
     assert model.zs.shape == (17, 34 if algorithm == "s3bfo" else 17)
-    # and the subspace's bias and basis rows, with their two Grams
+    # and the subspace's bias and basis rows, with their two Grams and the
+    # terms of the squared distances to the model's points
     assert optimizer.model_bytes(cfg, algorithm) == sum(
-        a.nbytes for a in (model.Ws, model.zs, model.MVs, model.row_qs)
-    ) + 8 * (rows * cfg.grid.size + 2 * rows * rows)
+        a.nbytes for a in (model.Ws, model.zs, model.Wz, model.MVs, model.row_qs)
+    ) + 8 * (rows * cfg.grid.size + 2 * rows * rows + (rows + 1) ** 2 * model.n)
 
 
 def test_model_bytes_of_a_line_are_those_of_a_one_dimensional_subspace():
@@ -1353,14 +1355,14 @@ def test_model_bytes_of_a_line_are_those_of_a_one_dimensional_subspace():
 
 
 def test_model_over_the_limit_stops_a_bench_before_it_writes(tmp_path):
-    # the paper protocol's model is 2.8 MB; 10 000 evaluations of one line
-    # (opt.T = 9995) hold 17 factors of 10000 x 10000 floats, 12.7 GiB
+    # the paper protocol's model is 2.97 MB; 10 000 evaluations of one line
+    # (opt.T = 9995) hold 18 matrices of about 10000 x 10000 floats, 13.4 GiB
     for algorithm in ALGORITHMS:
         optimizer.check_model_bytes(optimizer.OptConfig(), algorithm)
     assert optimizer.model_bytes(optimizer.OptConfig(), "s3bfo") < 3e6
     optimizer.check_model_bytes(optimizer.OptConfig(T=9995), "random_search")
     values = _values("opt.T = 9995\nbench.algorithms = random_search,linebo_bernstein\n")
-    with pytest.raises(ConfigError, match="linebo_bernstein run's model would hold 12.7 GiB"):
+    with pytest.raises(ConfigError, match="linebo_bernstein run's model would hold 13.4 GiB"):
         bench.run_bench(values, tmp_path / "out")
     assert not (tmp_path / "out").exists()
 

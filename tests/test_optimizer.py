@@ -84,6 +84,25 @@ def test_config_validation():
             _cfg(noise_sigma=sigma)
 
 
+def test_config_check_builds_only_functional_models(monkeypatch):
+    """A config validates its candidate lengthscales on an empty model of
+    functions, the only kind an engine builds, on every build and replace;
+    a bad value still names its key."""
+    kernels_seen, original = [], gp.empty_model
+
+    def recording(kernel, *args, **kwargs):
+        kernels_seen.append(kernel)
+        return original(kernel, *args, **kwargs)
+
+    monkeypatch.setattr(gp, "empty_model", recording)
+    cfg = _cfg(k_kind="matern32")
+    replace(cfg, k_lengthscale=0.5)
+    with pytest.raises(ConfigError, match="bad value for 'K.lengthscale'"):
+        replace(cfg, k_lengthscale=1e-160)
+    assert len(kernels_seen) == 3
+    assert all(isinstance(k, FunctionalKernelSpec) for k in kernels_seen)
+
+
 def test_budget_accounting_minimal():
     cfg = _cfg(S=1, T=1, n_init=1)
     best, trace = run_s3bfo(_match_obj(), cfg)
