@@ -147,8 +147,7 @@ def value_from_scaled(base: ScalarKernelSpec, x: np.ndarray) -> np.ndarray:
 
 def value_from_sqdist(base: ScalarKernelSpec, r_sq, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate a distance-based kernel on squared distances (vectorised),
-    into ``out`` when given (it may be r_sq itself), else a new array.
-    For se, max(r^2, 0) / -c is exactly min(r^2 / -c, 0)."""
+    into ``out`` when given (it may be r_sq itself), else a new array."""
     r_sq = np.asarray(r_sq, dtype=float)
     x = np.divide(r_sq, sqdist_divisor(base), out=np.empty_like(r_sq) if out is None else out)
     return value_from_scaled(base, x)
