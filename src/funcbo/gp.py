@@ -363,8 +363,13 @@ def span_posterior(model: GPModel, A: np.ndarray):
     P = terms.reshape(-1, model.n)
     P *= _weight(model) / kernels.sqdist_divisor(base)
 
+    ee = np.empty((0, r + 1, r + 1))  # e's pairwise products, one buffer per row shape
+
     def posterior(e):
-        ee = e[..., :, None] * e[..., None, :]
+        nonlocal ee
+        if ee.shape[:-2] != e.shape[:-1]:
+            ee = np.empty(e.shape + (r + 1,))
+        np.multiply(e[..., :, None], e[..., None, :], out=ee)
         return posterior_from_sqdist(model, ee.reshape(e.shape[:-1] + (-1,)) @ P, base.variance)
 
     return posterior

@@ -137,11 +137,13 @@ def value_from_scaled(base: ScalarKernelSpec, x: np.ndarray) -> np.ndarray:
             x /= g
             decay = np.exp(-x)
             x += 1.0
-            x *= base.variance
+            if base.variance != 1.0:  # a product by 1.0 is exact
+                x *= base.variance
             x *= decay
             return x
     np.exp(x, out=x)
-    x *= base.variance
+    if base.variance != 1.0:
+        x *= base.variance
     return x
 
 
