@@ -225,34 +225,40 @@ def golden_multistart(score_batch, d: int, search: AcqSearchConfig, rng, settled
         j, k = step % d, (step + 1) % d
         L, H, P, U = lo[j], hi[j], pos[j], upper[j]
         visit, pair = step < d, d <= step < steps - 1
-        # Each bracket's interior points x1 < x2.  A first visit scores both,
-        # in a call of its own, and then treats x1 as the position.  A later
-        # step keeps the position, one of the two, and scores the other;
-        # unless it is the last, its call also scores the next step's new
-        # point after either outcome (x1 is the upper interior point of
-        # [lo, x2], x2 the lower one of [x1, hi]).
-        xs, x1s, x2s, y1s, y2s = [], [], [], [], []
-        for l, h, p, u in zip(L, H, P, U):
-            r = (h - l) * _INVPHI
-            x1, x2 = h - r, l + r
-            if not visit:
-                x1, x2 = (x1, p) if u else (p, x2)
-            xs.append(x1 if u else x2)
-            x1s.append(x1)
-            x2s.append(x2)
-            y1s.append(x2 - (x2 - l) * _INVPHI)
-            y2s.append(x1 + (h - x1) * _INVPHI)
-        if visit:
+        if visit:  # both interior points x1 < x2, in a call of its own; x1 becomes the position
+            x1s = [h - (h - l) * _INVPHI for l, h in zip(L, H)]
+            xs = [l + (h - l) * _INVPHI for l, h in zip(L, H)]
             cols = [col + col for col in pos]
             cols[j] = x1s + xs
             (vals,) = call(cols)
-            cs, fs = vals[:n], vals[n:]  # the scores at x1, the position, and at x2
+            cs, fs = vals[:n], vals[n:]  # the scores at x1 and at x2
         else:
-            first, one, two = pos[:], pos[:], pos[:]
-            first[j], one[j], two[j] = xs, x1s, x2s
+            # A later step keeps the position, one of the bracket's interior
+            # points x1 < x2, and scores the other.  Unless it is the last,
+            # its call also scores the next step's new point after either
+            # outcome: x1 is the upper interior point of [lo, x2], and x2 the
+            # lower one of [x1, hi].
+            xs, x1s, x2s, y1s, y2s = [], [], [], [], []
+            for l, h, p, u in zip(L, H, P, U):
+                r = (h - l) * _INVPHI
+                if u:
+                    x = x1 = h - r
+                    x2 = p
+                else:
+                    x1 = p
+                    x = x2 = l + r
+                xs.append(x)
+                if k == j:
+                    y1s.append(x2 - (x2 - l) * _INVPHI)
+                    y2s.append(x1 + (h - x1) * _INVPHI)
+                else:
+                    x1s.append(x1)
+                    x2s.append(x2)
             if k != j:  # the next step's new point is the same after either outcome
                 y1s = y2s = [h - (h - l) * _INVPHI if u else l + (h - l) * _INVPHI
                              for l, h, u in zip(lo[k], hi[k], upper[k])]
+            first, one, two = pos[:], pos[:], pos[:]
+            first[j], one[j], two[j] = xs, x1s, x2s
             one[k], two[k] = y1s, y2s
             # a last step's call scores its first slice only
             cs, (fs, gs1, gs2) = cur, call(first, one, two) if pair else call(first) * 3
