@@ -342,7 +342,7 @@ def kernel_values(base: ScalarKernelSpec, x) -> np.ndarray:
 
 def _posterior_from_sqdist(model, x, prior):
     k = kernel_values(gp._base_of(model.kernel), x)
-    wm = k @ np.column_stack((model.W.T, model.z @ model.W))
+    wm = k @ np.ascontiguousarray(np.column_stack((model.W.T, model.z @ model.W)))
     w = wm[:, :-1]
     var = prior - np.einsum("ij,ij->i", w, w)
     return wm[:, -1], np.maximum(var, 0.0)
