@@ -1269,8 +1269,8 @@ def test_cli_every_lengthscale_breaking_is_numerical_error(tmp_path):
 def test_cli_model_too_large_for_memory_is_config_error(tmp_path, monkeypatch, capsys):
     # opt.S = 200 and opt.T = 1000 give a model of 17 inverse factors of
     # 201000 x 201000 floats and one more such matrix, 5.3 TiB, by the
-    # run's end: suggest rejects the
-    # config before it writes a file or conditions a model
+    # run's end: suggest rejects the config before it writes a file or
+    # conditions a model
     state, out = tmp_path / "state.txt", tmp_path / "g.csv"
     state.write_text("opt.S = 200\nopt.T = 1000\n")
     before = state.read_bytes()
