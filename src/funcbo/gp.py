@@ -24,9 +24,8 @@ with a few batched products, O(C n^2), and picks again; rows below n
 never change, so earlier models stay valid, and a model whose successor
 already wrote row n cannot be conditioned again.
 
-Kernels are distance-based: the GP takes functional kernels on grid
-functions, or distance-based scalar kernels on coordinate vectors (only
-tests condition those).  A model keeps its points' metric rows
+The GP takes functional kernels on grid functions only; their base
+kernels are distance-based.  A model keeps its points' metric rows
 ``MV`` (the rows themselves, or V G under the rkhs metric) and their
 squared norms, in buffers of the same capacity, which is all the
 distance expansion needs; it keeps neither the points nor their values,
@@ -90,7 +89,7 @@ def _log_fallback(msg: str, *args) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Observation:
-    """One (point, noisy value) pair; point is a GridFunction or coordinates."""
+    """One (point, noisy value) pair; the point is a GridFunction."""
 
     point: object
     y: float
@@ -144,32 +143,13 @@ class GPModel:
         return None if self.row_qs is None else self.row_qs[: self.n]
 
 
-def _mode_of(kernel) -> str:
-    if isinstance(kernel, FunctionalKernelSpec):
-        return kernel.metric
-    if isinstance(kernel, ScalarKernelSpec):
-        if kernel.kind not in kernels.DISTANCE_KINDS:
-            raise InputError(f"GP models need a distance-based kernel, got {kernel.kind!r}")
-        return "coord"
-    raise InputError(f"unsupported kernel spec {type(kernel).__name__}")
-
-
-def _base_of(kernel) -> ScalarKernelSpec:
-    return kernel.base if isinstance(kernel, FunctionalKernelSpec) else kernel
-
-
-def _rep(kernel, point, grid: GridSpec | None) -> tuple[np.ndarray, GridSpec | None]:
-    """Flatten a point to its 1-d representation, checking grid consistency."""
-    if isinstance(kernel, FunctionalKernelSpec):
-        if not isinstance(point, GridFunction):
-            raise InputError("functional kernels take GridFunction points")
-        if grid is not None and point.spec != grid:
-            raise ShapeError(f"grid mismatch: {point.spec} vs {grid}")
-        return point.values, point.spec
-    x = np.atleast_1d(np.asarray(point, dtype=float))
-    if x.ndim != 1:
-        raise ShapeError(f"coordinate points must be 1-d, got shape {x.shape}")
-    return x, None
+def _rep(point, grid: GridSpec | None) -> tuple[np.ndarray, GridSpec]:
+    """A point's grid values, checking that it lies on the model's grid."""
+    if not isinstance(point, GridFunction):
+        raise InputError("GP models take GridFunction points")
+    if grid is not None and point.spec != grid:
+        raise ShapeError(f"grid mismatch: {point.spec} vs {grid}")
+    return point.values, point.spec
 
 
 def _metric_rows(kernel, X: np.ndarray) -> np.ndarray:
@@ -182,7 +162,7 @@ def _metric_rows(kernel, X: np.ndarray) -> np.ndarray:
 def _weight(model: GPModel) -> float:
     """The factor of the model's squared metric distances: the grid's cell
     weight under l2grid, 1 otherwise."""
-    return model.grid.weight if _mode_of(model.kernel) == "l2grid" else 1.0
+    return model.grid.weight if model.kernel.metric == "l2grid" else 1.0
 
 
 def _sqdist(q_sq: np.ndarray, row_q: np.ndarray, cross: np.ndarray, weight: float) -> np.ndarray:
@@ -215,11 +195,12 @@ def empty_model(kernel, noise_sq: float, lengthscales=None, reserve: int = 0) ->
     """The prior, with one candidate per lengthscale; ``None`` keeps the
     kernel's own lengthscale as the only candidate.  Its first point
     allocates buffers of ``reserve`` rows (at least 16)."""
-    _mode_of(kernel)  # rejects kernels the GP cannot model
+    if not isinstance(kernel, FunctionalKernelSpec):
+        raise InputError(f"GP models take a FunctionalKernelSpec, got {type(kernel).__name__}")
     if not noise_sq > 0:
         raise InputError(f"noise variance must be positive, got {noise_sq}")
     if lengthscales is None:
-        lengthscales = (_base_of(kernel).lengthscale,)
+        lengthscales = (kernel.base.lengthscale,)
     lengthscales = np.array(lengthscales, dtype=float)
     if lengthscales.ndim != 1 or lengthscales.size == 0 or not all(
         map(kernels.has_normal_square, lengthscales)
@@ -255,7 +236,7 @@ def condition(model: GPModel, obs: Observation) -> GPModel:
     n, cap = model.n, model.zs.shape[1]
     if n < cap and model.Ws[0, n, n] != 0.0:  # a written row has W_nn = 1/s > 0
         raise InputError("this model was already conditioned; condition its successor")
-    x, grid = _rep(model.kernel, obs.point, model.grid)
+    x, grid = _rep(obs.point, model.grid)
     x_row = x[None, :]
     mx = _metric_rows(model.kernel, x_row)
     q_x = np.einsum("ij,ij->i", x_row, mx)
@@ -266,7 +247,7 @@ def condition(model: GPModel, obs: Observation) -> GPModel:
     # every candidate's kernel row: its lengthscale only rescales the
     # distances, always from the first candidate's
     lengthscales = model.lengthscales
-    base = _base_of(model.kernel).with_lengthscale(float(lengthscales[0]))
+    base = model.kernel.base.with_lengthscale(float(lengthscales[0]))
     scale = (base.lengthscale / lengthscales) ** 2
     k_rows = kernels.value_from_sqdist(base, raw * scale[:, None])
     ell = (model.Ws[:, :n, :n] @ k_rows[:, :, None])[:, :, 0]
@@ -317,7 +298,7 @@ def posterior_from_sqdist(
     zero.  Every posterior query ends here.  Leading axes change no row's
     bits: numpy runs one BLAS call per slice, with the shapes of a call on
     that slice alone."""
-    k = kernels.value_from_scaled(_base_of(model.kernel), x)
+    k = kernels.value_from_scaled(model.kernel.base, x)
     wm = k @ model.Wz
     w = wm[..., :-1]
     var = np.einsum("...ij,...ij->...i", w, w)
@@ -327,16 +308,19 @@ def posterior_from_sqdist(
 
 def posterior_batch(model: GPModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means and variances at a batch of raw query rows,
-    shape (..., q, width), as arrays of shape (..., q).
+    shape (..., q, N), as arrays of shape (..., q).
 
-    Query rows are grid values for functional kernels (coefficient
-    vectors under the rkhs metric) or coordinate vectors for scalar
-    kernels.  Variances are clamped at zero.
+    A query row is the N values of a function on the model's grid
+    (coefficients under the rkhs metric); a row of another width, once the
+    model has a point and so a grid, is a ShapeError.  Variances are
+    clamped at zero.
     """
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    base = _base_of(model.kernel)
+    base = model.kernel.base
     if model.n == 0:
         return np.zeros(Q.shape[:-1]), np.full(Q.shape[:-1], base.variance)
+    if Q.shape[-1] != model.grid.size:
+        raise ShapeError(f"query rows need {model.grid.size} grid values, got {Q.shape[-1]}")
     x = query_sqdist(model, Q)
     x /= kernels.sqdist_divisor(base)
     return posterior_from_sqdist(model, x, base.variance)
@@ -356,7 +340,7 @@ def span_posterior(model: GPModel, A: np.ndarray):
     of the grid's width.  Functional kernels only; A's rows lie on the
     model's grid.
     """
-    base = _base_of(model.kernel)
+    base = model.kernel.base
     if model.n == 0:
         return lambda e: (np.zeros(e.shape[:-1]), np.full(e.shape[:-1], base.variance))
     r = len(A)
@@ -381,7 +365,7 @@ def span_posterior(model: GPModel, A: np.ndarray):
 
 def posterior(model: GPModel, point) -> tuple[float, float]:
     """Posterior (mean, variance) at one point."""
-    x, _ = _rep(model.kernel, point, model.grid)
+    x, _ = _rep(point, model.grid)
     mean, var = posterior_batch(model, x[None, :])
     return float(mean[0]), float(var[0])
 

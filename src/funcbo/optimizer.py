@@ -153,19 +153,24 @@ class OptConfig:
             raise ConfigError(f"noise.sigma must be {kernels.NORMAL_SQUARE}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("opt.seed must fit in 64 bits")
-        if not (0 < self.mle_grid_min <= self.mle_grid_max):
+        for end in ("min", "max"):
+            if not kernels.has_normal_square(getattr(self, f"mle_grid_{end}")):
+                raise ConfigError(f"mle.grid_{end} must be {kernels.NORMAL_SQUARE}")
+        if not self.mle_grid_min <= self.mle_grid_max:
             raise ConfigError("mle.grid_min and mle.grid_max must satisfy 0 < min <= max")
         if self.mle_grid_points < 1:
             raise ConfigError("mle.grid_points must be >= 1")
         # the model's and the UCB schedule's own checks, run before any engine
-        # is built, so a bad value stops a bench before its first cell
+        # is built, so a bad value stops a bench before its first cell; the
+        # mle candidates rise from one checked end to the other, so the ends
+        # stand for them, and no array of mle.grid_points is built
+        ends = ((self.mle_grid_min, self.mle_grid_max) if self.k_lengthscale == "mle"
+                else (self.k_lengthscale,))
         try:
             gp.empty_model(FunctionalKernelSpec(ScalarKernelSpec(self.k_kind, 1.0), "l2grid"),
-                           self.noise_sq, self.lengthscales)
+                           self.noise_sq, ends)
         except InputError as exc:
-            keys = ("'mle.grid_min' or 'mle.grid_max'" if self.k_lengthscale == "mle"
-                    else "'K.lengthscale'")
-            raise ConfigError(f"bad value for {keys}: {exc}") from exc
+            raise ConfigError(f"bad value for 'K.lengthscale': {exc}") from exc
         try:
             UcbSchedule(self.acq_delta, self.d)
         except InputError as exc:
@@ -541,7 +546,8 @@ def model_bytes(cfg: OptConfig, algorithm: str) -> int:
     B = cfg.budget if algorithm == "s3bfo" else cfg.n_init + cfg.T
     rows = search_dim(algorithm, cfg.d) + 1
     N = cfg.grid.size
-    return 8 * ((len(cfg.lengthscales) + 1) * (B * B + B) + B * N + B + rows * N
+    C = cfg.mle_grid_points if cfg.k_lengthscale == "mle" else 1
+    return 8 * ((C + 1) * (B * B + B) + B * N + B + rows * N
                 + 2 * rows * rows + (rows + 1) ** 2 * B)
 
 

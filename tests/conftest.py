@@ -17,6 +17,14 @@ def random_grid_function(rng, spec=GRID_1D, scale=1.0) -> GridFunction:
     return GridFunction(spec, scale * rng.standard_normal(spec.size))
 
 
+def short_grid_function(*values) -> GridFunction:
+    """The function with these values on a 1-d grid of as many points.  Its
+    squared l2grid distance to another is their squared Euclidean distance
+    times the grid weight 1/len(values), so on a one-point grid an l2grid
+    model is the scalar GP on the coordinates."""
+    return GridFunction(GridSpec(1, len(values)), np.array(values, dtype=float))
+
+
 def smooth_grid_function(rng, spec=GRID_1D, waves=3) -> GridFunction:
     """Random low-frequency function; nicer-conditioned than white noise."""
     from funcbo.gridfn import grid_coordinates

@@ -171,19 +171,16 @@ def rebuild_model(kernel, noise_sq: float, observations) -> gp.GPModel:
     observations = list(observations)
     if not observations:
         return model
-    grid = None
-    rows = []
-    for obs in observations:
-        x, grid_i = gp._rep(kernel, obs.point, grid)
-        grid = grid_i if grid is None else grid
-        rows.append(x)
-    V = np.array(rows)
+    grid = observations[0].point.spec
+    if any(obs.point.spec != grid for obs in observations):
+        raise ShapeError("observations on different grids")
+    V = np.array([obs.point.values for obs in observations])
     MV = gp._metric_rows(kernel, V)
     y = np.array([obs.y for obs in observations])
     model = replace(model, n=len(y), grid=grid, MVs=MV, row_qs=np.einsum("ij,ij->i", V, MV))
     raw = gp.query_sqdist(model, V)
     np.fill_diagonal(raw, 0.0)  # the expansion leaves rounding residue here
-    k = value_from_sqdist(gp._base_of(kernel), raw)
+    k = value_from_sqdist(kernel.base, raw)
     k = (k + k.T) / 2.0
     k[np.diag_indices_from(k)] += noise_sq
     try:
@@ -341,7 +338,7 @@ def kernel_values(base: ScalarKernelSpec, x) -> np.ndarray:
 
 
 def _posterior_from_sqdist(model, x, prior):
-    k = kernel_values(gp._base_of(model.kernel), x)
+    k = kernel_values(model.kernel.base, x)
     wm = k @ np.ascontiguousarray(np.column_stack((model.W.T, model.z @ model.W)))
     w = wm[:, :-1]
     var = prior - np.einsum("ij,ij->i", w, w)
@@ -350,11 +347,11 @@ def _posterior_from_sqdist(model, x, prior):
 
 def posterior_batch(model, Q):
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    base = gp._base_of(model.kernel)
+    base = model.kernel.base
     prior = np.full(Q.shape[0], base.variance)
     if model.n == 0:
         return np.zeros(Q.shape[0]), prior
-    weight = model.grid.weight if gp._mode_of(model.kernel) == "l2grid" else 1.0
+    weight = model.grid.weight if model.kernel.metric == "l2grid" else 1.0
     q_sq = np.einsum("ij,ij->i", Q, gp._metric_rows(model.kernel, Q))
     r2 = (q_sq[:, None] + model.row_q[None, :] - 2.0 * (Q @ model.MV.T)) * weight
     return _posterior_from_sqdist(model, r2 / _divisor(base), prior)
@@ -363,11 +360,11 @@ def posterior_batch(model, Q):
 def span_posterior(model, A):
     """posterior(e) at the points e[:, 1:] @ A, for rows e with e[:, 0] = 1:
     the squared distances are (e ⊗ e) @ P, P the terms of every point."""
-    base = gp._base_of(model.kernel)
+    base = model.kernel.base
     if model.n == 0:
         return lambda e: (np.zeros(len(e)), np.full(len(e), base.variance))
     r, n = len(A), model.n
-    weight = model.grid.weight if gp._mode_of(model.kernel) == "l2grid" else 1.0
+    weight = model.grid.weight if model.kernel.metric == "l2grid" else 1.0
     proj = A @ model.MV.T
     terms = np.zeros((r + 1, r + 1, n))
     terms[0, 0] = model.row_q

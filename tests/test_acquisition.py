@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import GRID_1D, random_grid_function
+from conftest import GRID_1D, random_grid_function, short_grid_function
 from funcbo import acquisition, gp
 from funcbo.acquisition import (
     AcqSearchConfig,
@@ -199,7 +199,7 @@ def test_restart_seeds_are_the_only_draws_of_a_search():
     seeds = restart_seeds(search, 3, np.random.default_rng(20))
     assert seeds.shape == (5, 3)
     assert np.all(np.abs(seeds) <= search.lambda_box)
-    model = empty_model(ScalarKernelSpec("se", 1.0), 0.01)
+    model = empty_model(SE_L2, 0.01)
     searched = np.random.default_rng(20)
     ucb_search(partial(gp.posterior_batch, model), 3, search, searched, 1.0)
     skipped = np.random.default_rng(20)
@@ -307,14 +307,15 @@ def test_search_matches_the_reference_bit_for_bit(
     value), draws the same and leaves the caller's arrays as they were."""
     rng = np.random.default_rng(seed)
     search = AcqSearchConfig(restarts, local_steps, lambda_box, l_max)
-    kernel = ScalarKernelSpec(kind, 1.0, variance)
-    if path == "line":  # the line engine: a scalar model on the coordinates
-        points = rng.uniform(-lambda_box, lambda_box, size=(n_points, d))
-        caller = [points]
+    if path == "line":  # a model of d-point functions, queried at raw rows
+        kernel = FunctionalKernelSpec(ScalarKernelSpec(kind, 1.0, variance), "l2grid")
+        coords = rng.uniform(-lambda_box, lambda_box, size=(n_points, d))
+        points = [short_grid_function(*x) for x in coords]
+        caller = [coords]
     else:
         gram = (scalar_gram(ScalarKernelSpec("se", 0.3), grid_coordinates(GRID_1D))
                 if path == "rkhs" else None)
-        kernel = FunctionalKernelSpec(kernel, path, gram)
+        kernel = FunctionalKernelSpec(ScalarKernelSpec(kind, 1.0, variance), path, gram)
         earlier = _subspace(rng, d=d, bias=random_grid_function(rng, scale=0.5))
         sub = _subspace(rng, d=d, bias=random_grid_function(rng, scale=0.5))
         # observations on an earlier subspace lie outside the current span
@@ -533,15 +534,14 @@ def _stacked_equals_slices(posterior, stack):
 def test_stacked_queries_equal_their_slices_bit_for_bit(path, kind, d):
     """A d = 1 search scores a (3, q, 1) stack in one call, and the
     posterior takes any (3, q, d) stack; every stage must give each
-    slice the bits of a call on that slice
-    alone, on the capped and the uncapped subspace path and on
-    coordinates, for q = restarts and 2 restarts.  Models grow to 140
-    points, past the size at which OpenBLAS splits W kᵀ over two threads
-    (n² q >= 262 144)."""
+    slice the bits of a call on that slice alone, on the capped and the
+    uncapped subspace path and on raw rows of d-point functions, for
+    q = restarts and 2 restarts.  Models grow to 140 points, past the size
+    at which OpenBLAS splits W kᵀ over two threads (n² q >= 262 144)."""
     rng = np.random.default_rng(31)
     if path == "line":
-        model = empty_model(ScalarKernelSpec(kind, 1.5), 0.01)
-        points = rng.uniform(-4.0, 4.0, size=(140, d))
+        model = empty_model(FunctionalKernelSpec(ScalarKernelSpec(kind, 1.5), "l2grid"), 0.01)
+        points = [short_grid_function(*x) for x in rng.uniform(-4.0, 4.0, size=(140, d))]
     else:
         gram = (scalar_gram(ScalarKernelSpec("se", 0.3), grid_coordinates(GRID_1D))
                 if path == "rkhs" else None)

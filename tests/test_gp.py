@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GRID_1D, random_grid_function
+from conftest import GRID_1D, random_grid_function, short_grid_function
 from funcbo import gp
 from funcbo.errors import InputError, NumericalError
 from funcbo.gp import (
@@ -30,6 +30,10 @@ from reference import (
 )
 
 SE_L2 = FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), "l2grid")
+
+
+def _l2(kind, lengthscale, variance=1.0):
+    return FunctionalKernelSpec(ScalarKernelSpec(kind, lengthscale, variance), "l2grid")
 
 
 def _functional_dataset(rng, n, kernel=SE_L2, noise=0.05):
@@ -140,28 +144,26 @@ def test_condition_duplicate_point_moves_mean_little():
 
 
 def test_condition_breakdown_raises():
-    # at lengthscale 1e6 the kernel between the two nearby coordinates
-    # rounds to 1, and the noise is below float resolution of the kernel
-    # diagonal, so the Schur complement cancels to exactly zero
-    kernel = ScalarKernelSpec("se", 1e6)
-    model = rebuild_model(kernel, 1e-20, [Observation(np.array([0.0]), 1.0)])
+    # at lengthscale 1e6 the kernel between the two nearby one-point
+    # functions rounds to 1, and the noise is below float resolution of the
+    # kernel diagonal, so the Schur complement cancels to exactly zero
+    model = rebuild_model(_l2("se", 1e6), 1e-20, [Observation(short_grid_function(0.0), 1.0)])
     with pytest.raises(NumericalError):
-        condition(model, Observation(np.array([1e-3]), 1.0))
+        condition(model, Observation(short_grid_function(1e-3), 1.0))
 
 
 @pytest.mark.blas_threads
 def test_condition_drops_broken_candidate_and_logs(caplog):
-    # at lengthscale 1e6 the kernel between the two nearby coordinates
-    # rounds to 1, so with noise below float resolution the Schur
+    # at lengthscale 1e6 the kernel between the two nearby one-point
+    # functions rounds to 1, so with noise below float resolution the Schur
     # complement cancels to zero; at 1e-4 the points are nearly independent
     models = condition(
-        empty_model(ScalarKernelSpec("se", 1.0), 1e-20, (1e-4, 1e6)),
-        Observation(np.array([0.0]), 1.0),
+        empty_model(SE_L2, 1e-20, (1e-4, 1e6)), Observation(short_grid_function(0.0), 1.0)
     )
     with caplog.at_level(logging.DEBUG, logger="funcbo"):
-        survivors = condition(models, Observation(np.array([1e-3]), -1.0))
-    assert [m.kernel.lengthscale for m in candidates(survivors)] == [1e-4]
-    assert survivors.kernel.lengthscale == 1e-4
+        survivors = condition(models, Observation(short_grid_function(1e-3), -1.0))
+    assert [m.kernel.base.lengthscale for m in candidates(survivors)] == [1e-4]
+    assert survivors.kernel.base.lengthscale == 1e-4
     assert survivors.n == 2
     dropped = [r for r in caplog.records if "dropped lengthscale" in r.getMessage()]
     assert len(dropped) == 1
@@ -173,30 +175,31 @@ def test_model_whose_successor_dropped_a_candidate_conditions_again():
     # a drop moves the survivors to fresh buffers, metric rows included, so
     # the given model can take another point without touching the successor
     model = condition(
-        empty_model(ScalarKernelSpec("se", 1.0), 1e-20, (1e-4, 1e6)),
-        Observation(np.array([0.0]), 1.0),
+        empty_model(SE_L2, 1e-20, (1e-4, 1e6)), Observation(short_grid_function(0.0), 1.0)
     )
-    survivors = condition(model, Observation(np.array([1e-3]), -1.0))
+    survivors = condition(model, Observation(short_grid_function(1e-3), -1.0))
     rows = survivors.MV.copy()
-    other = condition(model, Observation(np.array([0.5]), 0.0))
+    other = condition(model, Observation(short_grid_function(0.5), 0.0))
     np.testing.assert_array_equal(survivors.MV, rows)
     assert other.n == 2 and other.MV[1, 0] == 0.5
 
 
 def test_linear_scalar_kernel_is_rejected():
-    # the GP models with distance-based kernels only; linear is for prior draws
+    # the GP models functions under distance-based kernels only; linear is
+    # for prior draws, and no scalar kernel makes a model
     kernel = ScalarKernelSpec("linear", 1.0)
     with pytest.raises(InputError):
-        empty_model(kernel, 0.01)
-    with pytest.raises(InputError):
-        rebuild_model(kernel, 0.01, [Observation(np.array([0.3]), 0.5)])
+        FunctionalKernelSpec(kernel, "l2grid")
+    for scalar in (kernel, ScalarKernelSpec("se", 1.0)):
+        with pytest.raises(InputError, match="FunctionalKernelSpec"):
+            empty_model(scalar, 0.01)
 
 
 def test_pick_ties_go_to_larger_lengthscale():
-    empty = empty_model(ScalarKernelSpec("se", 1.0), 0.01, (0.5, 2.0, 1.0))
-    assert empty.kernel.lengthscale == 2.0
-    obs = Observation(np.array([0.3]), 0.5)  # one point: every lengthscale ties
-    assert condition(empty, obs).kernel.lengthscale == 2.0
+    empty = empty_model(SE_L2, 0.01, (0.5, 2.0, 1.0))
+    assert empty.kernel.base.lengthscale == 2.0
+    obs = Observation(short_grid_function(0.3), 0.5)  # one point: every lengthscale ties
+    assert condition(empty, obs).kernel.base.lengthscale == 2.0
 
 
 _RKHS_GRAM = scalar_gram(ScalarKernelSpec("se", 0.3), grid_coordinates(GRID_1D))
@@ -204,7 +207,7 @@ _RKHS_GRAM = scalar_gram(ScalarKernelSpec("se", 0.3), grid_coordinates(GRID_1D))
 
 @settings(max_examples=30, deadline=None)
 @given(
-    mode=st.sampled_from(["l2grid", "rkhs", "coord"]),
+    mode=st.sampled_from(["l2grid", "rkhs", "short"]),
     kind=st.sampled_from(["se", "matern12", "matern32"]),
     n=st.integers(1, 12),
     seed=st.integers(0, 2**32 - 1),
@@ -213,10 +216,10 @@ def test_candidate_chain_matches_rebuild(mode, kind, n, seed):
     # after every step, each candidate of the chain equals its model
     # rebuilt from scratch on the same data
     rng = np.random.default_rng(seed)
-    if mode == "coord":
-        template = ScalarKernelSpec(kind, 1.0)
-        points = [rng.uniform(0.0, 1.0, 2) for _ in range(n)]
-        probes = [rng.uniform(0.0, 1.0, 2) for _ in range(3)]
+    if mode == "short":  # two-point functions in the unit square
+        template = _l2(kind, 1.0)
+        points = [short_grid_function(*rng.uniform(0.0, 1.0, 2)) for _ in range(n)]
+        probes = [short_grid_function(*rng.uniform(0.0, 1.0, 2)) for _ in range(3)]
     else:
         gram = _RKHS_GRAM if mode == "rkhs" else None
         template = FunctionalKernelSpec(ScalarKernelSpec(kind, 1.0), mode, gram)
@@ -332,21 +335,21 @@ def test_reserved_buffers_are_allocated_once_and_grow_by_16_past_them(reserve, c
 
 @pytest.mark.blas_threads
 def test_buffer_drop_mid_chain_keeps_survivors_exact():
-    # the first ten points, 1.5e6 apart along one axis, are correlated only
-    # at lengthscale 1e6; the eleventh, 1e-3 off the first across that
-    # axis, has exactly the first point's kernel row at 1e6, so with noise
-    # below float resolution that candidate's Schur complement is exactly
-    # 0 and the middle candidate is dropped at n = 11
+    # the first ten two-point functions, 1.5e6 apart in their first value,
+    # are correlated only at lengthscale 1e6; the eleventh, 1e-3 off the
+    # first in its second value, has exactly the first point's kernel row at
+    # 1e6, so with noise below float resolution that candidate's Schur
+    # complement is exactly 0 and the middle candidate is dropped at n = 11
     rng = np.random.default_rng(25)
     xs = [(1.5e6 * i, 0.0) for i in range(10)] + [(0.0, 1e-3)]
     xs += [(10.0 + 2.5 * i, 0.0) for i in range(30)]
-    obs = [Observation(np.array(x), float(rng.standard_normal())) for x in xs]
-    probes = [np.array(x) for x in ((0.0, 0.0), (0.0, 5e-4), (12.0, 0.0), (33.3, 1.0))]
-    cands = empty_model(ScalarKernelSpec("se", 1.0), 1e-20, (1e-4, 1e6, 1.0))
+    obs = [Observation(short_grid_function(*x), float(rng.standard_normal())) for x in xs]
+    probes = [short_grid_function(*x) for x in ((0.0, 0.0), (0.0, 5e-4), (12.0, 0.0), (33.3, 1.0))]
+    cands = empty_model(SE_L2, 1e-20, (1e-4, 1e6, 1.0))
     for i, o in enumerate(obs, start=1):
         cands = condition(cands, o)
         assert len(cands.lengthscales) == (3 if i <= 10 else 2)
-    assert [m.kernel.lengthscale for m in candidates(cands)] == [1e-4, 1.0]
+    assert [m.kernel.base.lengthscale for m in candidates(cands)] == [1e-4, 1.0]
     for model in candidates(cands):
         _assert_matches_rebuild(model, obs, probes)
 
@@ -516,24 +519,20 @@ def test_tune_attains_grid_max_and_prefers_larger():
 
 
 def test_tune_fine_scan_oracle():
-    # scalar-coordinate data drawn from a known lengthscale
+    # data drawn from a known lengthscale at 30 one-point functions, whose
+    # l2grid distances are those of their values
     rng = np.random.default_rng(13)
     kappa_true = ScalarKernelSpec("se", 0.3)
     x = np.linspace(0, 1, 30)[:, None]
     gram = scalar_gram(kappa_true, x)
     f = np.linalg.cholesky(gram + 1e-10 * np.eye(30)) @ rng.standard_normal(30)
-    obs = [Observation(x[i], float(f[i] + 0.01 * rng.standard_normal())) for i in range(30)]
-    template = ScalarKernelSpec("se", 1.0)
+    obs = [Observation(short_grid_function(x[i, 0]), float(f[i] + 0.01 * rng.standard_normal()))
+           for i in range(30)]
     coarse = np.geomspace(0.01, 10.0, 17)
-    chosen = tune_lengthscale(obs, template, coarse, 1e-4).lengthscale
+    chosen = tune_lengthscale(obs, SE_L2, coarse, 1e-4).base.lengthscale
 
     fine = np.geomspace(0.01, 10.0, 321)
-    fine_lml = [
-        log_marginal_likelihood(
-            rebuild_model(ScalarKernelSpec("se", g), 1e-4, obs)
-        )
-        for g in fine
-    ]
+    fine_lml = [log_marginal_likelihood(rebuild_model(_l2("se", g), 1e-4, obs)) for g in fine]
     fine_best = fine[int(np.argmax(fine_lml))]
     # selected coarse candidate sits within one coarse grid step of the
     # fine-scan argmax (grid is geometric, compare in log space)
@@ -556,16 +555,15 @@ def test_tune_needs_data_and_candidates():
 def test_empty_model_rejects_candidates_whose_ratio_overflows():
     # condition scales each candidate's distances by its squared ratio to
     # the first surviving candidate, which can be any earlier one
-    kernel = ScalarKernelSpec("se", 1.0)
     for lengthscales in ([1e150, 1e-150, 1.0], [1.0, 1e150, 1e-150]):
         with pytest.raises(InputError, match="ratio"):
-            empty_model(kernel, 0.01, lengthscales)
+            empty_model(SE_L2, 0.01, lengthscales)
     # ascending candidates never rescale up, whatever their spread
-    assert empty_model(kernel, 0.01, [1e-150, 1.0, 1e150]).lengthscales.size == 3
-    model = empty_model(kernel, 0.01, [1e100, 1e-50, 1.0])
+    assert empty_model(SE_L2, 0.01, [1e-150, 1.0, 1e150]).lengthscales.size == 3
+    model = empty_model(SE_L2, 0.01, [1e100, 1e-50, 1.0])
     with np.errstate(over="raise", invalid="raise"):
         for x in (0.0, 0.5, 0.5):
-            model = condition(model, Observation(np.array([x]), 1.0))
+            model = condition(model, Observation(short_grid_function(x), 1.0))
     assert model.n == 3 and model.lengthscales.size == 3
     assert np.isfinite(model.W).all() and np.isfinite(model.z).all()
 
@@ -654,18 +652,16 @@ def test_posterior_batch_matches_scalar_path():
         assert variances[i] == pytest.approx(v, abs=1e-12)
 
 
-def test_scalar_coordinate_models_work():
+def test_one_point_grid_model_is_the_scalar_gp():
+    # an l2grid model of one-point functions is the GP on their values
     rng = np.random.default_rng(21)
-    kernel = ScalarKernelSpec("se", 0.5)
-    obs = [Observation(np.array([float(t)]), float(rng.standard_normal())) for t in
-           np.linspace(0, 1, 5)]
+    kernel = _l2("se", 0.5)
+    ts = np.linspace(0, 1, 5)
+    obs = [Observation(short_grid_function(t), float(rng.standard_normal())) for t in ts]
     model = rebuild_model(kernel, 0.01, obs)
-    q = np.array([0.37])
-    mean, var = posterior(model, q)
-    K = scalar_gram(kernel, np.array([o.point for o in obs])) + 0.01 * np.eye(5)
-    k = np.array(
-        [math.exp(-((0.37 - o.point[0]) ** 2) / (2 * 0.25)) for o in obs]
-    )
+    mean, var = posterior(model, short_grid_function(0.37))
+    K = scalar_gram(kernel.base, ts[:, None]) + 0.01 * np.eye(5)
+    k = np.array([math.exp(-((0.37 - t) ** 2) / (2 * 0.25)) for t in ts])
     y = np.array([o.y for o in obs])
     assert mean == pytest.approx(k @ np.linalg.inv(K) @ y, abs=1e-10)
     assert var == pytest.approx(1.0 - k @ np.linalg.inv(K) @ k, abs=1e-10)

@@ -76,8 +76,11 @@ def test_config_validation():
         _cfg(acq_delta=1.5)
     with pytest.raises(ConfigError, match="restarts"):
         bench.build_opt_config(bench.parse_config_lines(["acq.restarts = 0"]))
-    with pytest.raises(ConfigError, match="normal float"):
+    with pytest.raises(ConfigError, match="mle.grid_min.*normal float"):
         _cfg(mle_grid_min=1e-160)
+    # the model-size check counts the MLE candidates without building them
+    with pytest.raises(ConfigError, match="mle.grid_points"):
+        make_engine(_cfg(mle_grid_points=10**12), "s3bfo")
     # the squared noise level must not overflow or underflow
     for sigma in (1e200, 1e-160):
         with pytest.raises(ConfigError, match="noise.sigma.*normal float"):
@@ -716,8 +719,10 @@ def _conditioned(kernel, *points):
                  id="condition-functional-model-on-an-array"),
     pytest.param(lambda: _conditioned(_L2, zeros(GRID_1D), zeros(GridSpec(1, 50))), ShapeError,
                  id="condition-functional-model-on-another-grid"),
-    pytest.param(lambda: _conditioned(ScalarKernelSpec("se", 1.0), np.zeros((2, 2))), ShapeError,
-                 id="condition-coordinate-model-on-a-2d-point"),
+    pytest.param(lambda: gp.empty_model(ScalarKernelSpec("se", 1.0), 0.01), InputError,
+                 id="empty-model-of-a-scalar-kernel"),
+    pytest.param(lambda: gp.posterior_batch(_conditioned(_L2, zeros(GRID_1D)), np.zeros((2, 50))),
+                 ShapeError, id="posterior-batch-rows-of-another-width"),
     pytest.param(lambda: gp.empty_model(_L2, 0.0), InputError, id="empty-model-zero-noise"),
     pytest.param(lambda: FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), "sobolev"),
                  InputError, id="functional-kernel-unknown-metric"),
