@@ -17,7 +17,6 @@ from .errors import (
 )
 from .gp import (
     GPModel,
-    Observation,
     empty_model,
     posterior,
     posterior_batch,

@@ -77,6 +77,11 @@ def _run(args) -> None:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value like -2.5e-3 or -inf for an option: bind it to --y
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--y":
+            argv[i:i + 2] = [f"--y={argv[i + 1]}"]
     args = _build_parser().parse_args(argv)
     try:
         _run(args)

@@ -24,16 +24,16 @@ with a few batched products, O(C n^2), and picks again; rows below n
 never change, so earlier models stay valid, and a model whose successor
 already wrote row n cannot be conditioned again.
 
-The GP takes functional kernels on grid functions only; their base
-kernels are distance-based.  A model keeps its points' metric rows
-``MV`` (the rows themselves, or V G under the rkhs metric) and their
-squared norms, in buffers of the same capacity, which is all the
-distance expansion needs; it keeps neither the points nor their values,
-only their count ``n``.  A growth copies the buffers, so for that
-moment the model holds about twice its rows; a fixed step of 16 rows,
-not doubling, keeps the spare rows and that copy small, and a model
-with a reserve allocates its buffers once, at its first point, and
-never copies them.
+A model is built on one grid, and every point and query is a function
+on it.  The GP takes functional kernels only; their base kernels are
+distance-based.  A model keeps its points' metric rows ``MV`` (the rows
+themselves, or V G under the rkhs metric) and their squared norms, in
+buffers of the same capacity, which is all the distance expansion
+needs; it keeps neither the points nor their values, only their count
+``n``.  A growth copies the buffers, so for that moment the model holds
+about twice its rows; a fixed step of 16 rows, not doubling, keeps the
+spare rows and that copy small, and a model with a reserve allocates its
+buffers once, at its first point, and never copies them.
 
 A posterior query is two steps: the squared distances from the queries
 to the model's points, divided by the kernel's ``sqdist_divisor``, then
@@ -87,18 +87,6 @@ def _log_fallback(msg: str, *args) -> None:
     logging.getLogger(__name__).debug(msg, *args)
 
 
-@dataclass(frozen=True, eq=False)
-class Observation:
-    """One (point, noisy value) pair; the point is a GridFunction."""
-
-    point: object
-    y: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.y):
-            raise InputError(f"observation value must be finite, got {self.y}")
-
-
 @dataclass(eq=False)
 class GPModel:
     """GP posteriors on the same observations, one per candidate
@@ -112,9 +100,9 @@ class GPModel:
     Ws: np.ndarray  # (C, cap, cap) inverse Cholesky factors L^-1, lower triangular
     zs: np.ndarray  # (C, cap) whitened targets W y
     pick: int  # the most likely candidate; ties go to the larger lengthscale
-    grid: GridSpec | None
-    MVs: np.ndarray | None  # (cap, width) metric rows of the points: V, or V G under rkhs
-    row_qs: np.ndarray | None  # (cap,) the points' squared metric norms
+    grid: GridSpec  # the grid every point and query lies on
+    MVs: np.ndarray  # (cap, N) metric rows of the points: V, or V G under rkhs
+    row_qs: np.ndarray  # (cap,) the points' squared metric norms
     reserve: int = 0  # rows the first buffers get: the points the model will hold
 
     @cached_property
@@ -135,28 +123,27 @@ class GPModel:
         return Wz
 
     @cached_property
-    def MV(self) -> np.ndarray | None:
-        return None if self.MVs is None else self.MVs[: self.n]
+    def MV(self) -> np.ndarray:
+        return self.MVs[: self.n]
 
     @cached_property
-    def row_q(self) -> np.ndarray | None:
-        return None if self.row_qs is None else self.row_qs[: self.n]
+    def row_q(self) -> np.ndarray:
+        return self.row_qs[: self.n]
 
 
-def _rep(point, grid: GridSpec | None) -> tuple[np.ndarray, GridSpec]:
+def _rep(point, grid: GridSpec) -> np.ndarray:
     """A point's grid values, checking that it lies on the model's grid."""
     if not isinstance(point, GridFunction):
         raise InputError("GP models take GridFunction points")
-    if grid is not None and point.spec != grid:
+    if point.spec != grid:
         raise ShapeError(f"grid mismatch: {point.spec} vs {grid}")
-    return point.values, point.spec
+    return point.values
 
 
-def _metric_rows(kernel, X: np.ndarray) -> np.ndarray:
+def _metric_rows(kernel: FunctionalKernelSpec, X: np.ndarray) -> np.ndarray:
     """The metric rows M of X: X G under rkhs, X itself otherwise; the
     metric inner products of Y's rows with X's are Y @ M.T."""
-    gram = getattr(kernel, "rkhs_gram", None)
-    return X if gram is None else X @ gram
+    return X if kernel.rkhs_gram is None else X @ kernel.rkhs_gram
 
 
 def _weight(model: GPModel) -> float:
@@ -178,25 +165,23 @@ def _sqdist(q_sq: np.ndarray, row_q: np.ndarray, cross: np.ndarray, weight: floa
     return r2
 
 
-def query_sqdist(model: GPModel, Q: np.ndarray) -> np.ndarray:
-    """Squared metric distances from query rows (..., q, width) to the
-    model's points, shape (..., q, n), unclamped (see ``_sqdist``)."""
-    q_sq = np.einsum("...ij,...ij->...i", Q, _metric_rows(model.kernel, Q))
-    return _sqdist(q_sq, model.row_q, Q @ model.MV.T, _weight(model))
-
-
 def _pick(lengthscales: np.ndarray, Ws: np.ndarray, zs: np.ndarray, n: int) -> int:
     """The candidate with the highest log marginal likelihood; ties go to
     the larger lengthscale.  Without data every candidate ties."""
     return int(np.lexsort((lengthscales, _lml(Ws[:, :n, :n], zs[:, :n])))[-1])
 
 
-def empty_model(kernel, noise_sq: float, lengthscales=None, reserve: int = 0) -> GPModel:
-    """The prior, with one candidate per lengthscale; ``None`` keeps the
-    kernel's own lengthscale as the only candidate.  Its first point
-    allocates buffers of ``reserve`` rows (at least 16)."""
+def empty_model(kernel, noise_sq: float, grid: GridSpec, lengthscales=None,
+                reserve: int = 0) -> GPModel:
+    """The prior on functions on ``grid``, with one candidate per
+    lengthscale; ``None`` keeps the kernel's own lengthscale as the only
+    candidate.  Its first point allocates buffers of ``reserve`` rows (at
+    least 16).  An rkhs gram must be N x N for the grid's N points."""
     if not isinstance(kernel, FunctionalKernelSpec):
         raise InputError(f"GP models take a FunctionalKernelSpec, got {type(kernel).__name__}")
+    if kernel.rkhs_gram is not None and kernel.rkhs_gram.shape[0] != grid.size:
+        raise ShapeError(f"rkhs_gram has {len(kernel.rkhs_gram)} rows, "
+                         f"the grid N = {grid.size} points")
     if not noise_sq > 0:
         raise InputError(f"noise variance must be positive, got {noise_sq}")
     if lengthscales is None:
@@ -217,12 +202,13 @@ def empty_model(kernel, noise_sq: float, lengthscales=None, reserve: int = 0) ->
     pick = _pick(lengthscales, Ws, zs, 0)
     return GPModel(kernel=kernel.with_lengthscale(float(lengthscales[pick])),
                    noise_sq=float(noise_sq), n=0, lengthscales=lengthscales,
-                   Ws=Ws, zs=zs, pick=pick, grid=None, MVs=None, row_qs=None,
-                   reserve=reserve)
+                   Ws=Ws, zs=zs, pick=pick, grid=grid, MVs=np.zeros((0, grid.size)),
+                   row_qs=np.zeros(0), reserve=reserve)
 
 
-def condition(model: GPModel, obs: Observation) -> GPModel:
-    """Append obs to every candidate at once and pick the most likely.
+def condition(model: GPModel, point, y: float) -> GPModel:
+    """Append the point, a GridFunction on the model's grid, with its
+    noisy value y to every candidate at once and pick the most likely.
 
     With l = W k and the Schur complement s^2 = k_nn - l·l, row n of each
     W becomes [-l W / s, 1/s] and z_n = (y_n - l·z) / s, written in place
@@ -231,19 +217,17 @@ def condition(model: GPModel, obs: Observation) -> GPModel:
     given model stays valid.  A candidate with s^2 <= 0 is dropped and
     logged, and the survivors move to fresh buffers of the same capacity;
     NumericalError is raised when every candidate is dropped, InputError
-    when a successor already wrote row n.
+    when y is not finite or a successor already wrote row n.
     """
+    if not np.isfinite(y):
+        raise InputError(f"observation value must be finite, got {y}")
     n, cap = model.n, model.zs.shape[1]
     if n < cap and model.Ws[0, n, n] != 0.0:  # a written row has W_nn = 1/s > 0
         raise InputError("this model was already conditioned; condition its successor")
-    x, grid = _rep(obs.point, model.grid)
-    x_row = x[None, :]
+    x_row = _rep(point, model.grid)[None, :]
     mx = _metric_rows(model.kernel, x_row)
     q_x = np.einsum("ij,ij->i", x_row, mx)
-    if n == 0:
-        raw = np.zeros((1, 0))
-    else:
-        raw = _sqdist(q_x, model.row_q, x_row @ model.MV.T, _weight(model))
+    raw = _sqdist(q_x, model.row_q, x_row @ model.MV.T, _weight(model))
     # every candidate's kernel row: its lengthscale only rescales the
     # distances, always from the first candidate's
     lengthscales = model.lengthscales
@@ -271,18 +255,17 @@ def condition(model: GPModel, obs: Observation) -> GPModel:
         # a slice is a view; a mask would copy every candidate's rows once more
         kept = slice(None) if keep.all() else keep
         W[:, :n, :n], z[:, :n] = model.Ws[kept, :n, :n], model.zs[kept, :n]
-        if n:
-            MVs[:n], row_qs[:n] = model.MV, model.row_q
+        MVs[:n], row_qs[:n] = model.MV, model.row_q
         ell, s_sq, lengthscales = ell[keep], s_sq[keep], lengthscales[keep]
     MVs[n], row_qs[n] = mx[0], q_x[0]
     s = np.sqrt(s_sq)
     W[:, n, :n] = (ell[:, None, :] @ W[:, :n, :n])[:, 0, :] / -s[:, None]
     W[:, n, n] = 1.0 / s
-    z[:, n] = (obs.y - np.einsum("ci,ci->c", ell, z[:, :n])) / s
+    z[:, n] = (y - np.einsum("ci,ci->c", ell, z[:, :n])) / s
     pick = _pick(lengthscales, W, z, n + 1)
     return replace(model, kernel=model.kernel.with_lengthscale(float(lengthscales[pick])),
                    n=n + 1, lengthscales=lengthscales, Ws=W, zs=z, pick=pick,
-                   grid=model.grid if model.grid is not None else grid, MVs=MVs, row_qs=row_qs)
+                   MVs=MVs, row_qs=row_qs)
 
 
 def posterior_from_sqdist(
@@ -291,13 +274,14 @@ def posterior_from_sqdist(
     """Posterior means and variances of a batch of queries from their
     squared distances to the model's points divided by the kernel's
     ``kernels.sqdist_divisor``, shape (..., q, n), and their prior
-    variances (an array, or one scalar for all).  The model holds at least
-    one point.  The kernel values k overwrite x; one matrix product per
-    (q, n) slice with the model's [Wᵀ | Wᵀz] gives the rows of w = W kᵀ
-    and the means z·w, and the variances are prior - w·w, clamped at
-    zero.  Every posterior query ends here.  Leading axes change no row's
-    bits: numpy runs one BLAS call per slice, with the shapes of a call on
-    that slice alone."""
+    variances (an array, or one scalar for all).  The kernel values k
+    overwrite x; one matrix product per (q, n) slice with the model's
+    [Wᵀ | Wᵀz] gives the rows of w = W kᵀ and the means z·w, and the
+    variances are prior - w·w, clamped at zero.  Every posterior query
+    ends here; on a model with no point, each product runs over an empty
+    axis and gives the prior exactly.  Leading axes change no row's bits:
+    numpy runs one BLAS call per slice, with the shapes of a call on that
+    slice alone."""
     k = kernels.value_from_scaled(model.kernel.base, x)
     wm = k @ model.Wz
     w = wm[..., :-1]
@@ -311,17 +295,15 @@ def posterior_batch(model: GPModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarr
     shape (..., q, N), as arrays of shape (..., q).
 
     A query row is the N values of a function on the model's grid
-    (coefficients under the rkhs metric); a row of another width, once the
-    model has a point and so a grid, is a ShapeError.  Variances are
-    clamped at zero.
+    (coefficients under the rkhs metric); a row of another width is a
+    ShapeError.  Variances are clamped at zero.
     """
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     base = model.kernel.base
-    if model.n == 0:
-        return np.zeros(Q.shape[:-1]), np.full(Q.shape[:-1], base.variance)
     if Q.shape[-1] != model.grid.size:
         raise ShapeError(f"query rows need {model.grid.size} grid values, got {Q.shape[-1]}")
-    x = query_sqdist(model, Q)
+    q_sq = np.einsum("...ij,...ij->...i", Q, _metric_rows(model.kernel, Q))
+    x = _sqdist(q_sq, model.row_q, Q @ model.MV.T, _weight(model))
     x /= kernels.sqdist_divisor(base)
     return posterior_from_sqdist(model, x, base.variance)
 
@@ -341,14 +323,12 @@ def span_posterior(model: GPModel, A: np.ndarray):
     model's grid.
     """
     base = model.kernel.base
-    if model.n == 0:
-        return lambda e: (np.zeros(e.shape[:-1]), np.full(e.shape[:-1], base.variance))
     r = len(A)
     terms = np.empty((r + 1, r + 1, model.n))
     terms[0, 0] = model.row_q
     terms[0, 1:] = terms[1:, 0] = -(A @ model.MV.T)
     terms[1:, 1:] = (_metric_rows(model.kernel, A) @ A.T)[:, :, None]
-    P = terms.reshape(-1, model.n)
+    P = terms.reshape((r + 1) ** 2, model.n)
     P *= _weight(model) / kernels.sqdist_divisor(base)
 
     ee = np.empty((0, r + 1, r + 1))  # e's pairwise products, one buffer per row shape
@@ -365,8 +345,7 @@ def span_posterior(model: GPModel, A: np.ndarray):
 
 def posterior(model: GPModel, point) -> tuple[float, float]:
     """Posterior (mean, variance) at one point."""
-    x, _ = _rep(point, model.grid)
-    mean, var = posterior_batch(model, x[None, :])
+    mean, var = posterior_batch(model, _rep(point, model.grid)[None, :])
     return float(mean[0]), float(var[0])
 
 

@@ -147,12 +147,11 @@ def value_from_scaled(base: ScalarKernelSpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def value_from_sqdist(base: ScalarKernelSpec, r_sq, out: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate a distance-based kernel on squared distances (vectorised),
-    into ``out`` when given (it may be r_sq itself), else a new array."""
+def value_from_sqdist(base: ScalarKernelSpec, r_sq) -> np.ndarray:
+    """Evaluate a distance-based kernel on squared distances (vectorised)
+    into a new array."""
     r_sq = np.asarray(r_sq, dtype=float)
-    x = np.divide(r_sq, sqdist_divisor(base), out=np.empty_like(r_sq) if out is None else out)
-    return value_from_scaled(base, x)
+    return value_from_scaled(base, np.divide(r_sq, sqdist_divisor(base), out=np.empty_like(r_sq)))
 
 
 def scalar_gram(spec: ScalarKernelSpec, coords) -> np.ndarray:

@@ -168,7 +168,7 @@ class OptConfig:
                 else (self.k_lengthscale,))
         try:
             gp.empty_model(FunctionalKernelSpec(ScalarKernelSpec(self.k_kind, 1.0), "l2grid"),
-                           self.noise_sq, ends)
+                           self.noise_sq, self.grid, ends)
         except InputError as exc:
             raise ConfigError(f"bad value for 'K.lengthscale': {exc}") from exc
         try:
@@ -238,7 +238,6 @@ def simple_regret_err(
     subspace: Subspace,
     incumbent: GridFunction,
     search: AcqSearchConfig | None = None,
-    rng=None,
     settle_at: float | None = None,
 ) -> float:
     """Simple-regret certificate for the incumbent on a subspace: the
@@ -250,8 +249,8 @@ def simple_regret_err(
     ``subspace`` is a Subspace, the Bernstein line included (d = 1), and
     ``incumbent`` a function of it; ``model`` is a functional GP.
     The inner maximisation is the acquisition UCB search with unit width;
-    its restart seeds come from a fixed internal stream unless an rng is
-    given, so the test does not perturb an optimiser's draw sequence.
+    its restart seeds come from a fixed internal stream, so the test does
+    not perturb an optimiser's draw sequence.
 
     With ``settle_at``, the search stops once its running best proves
     err >= settle_at and returns that lower bound of err.  The running
@@ -263,8 +262,7 @@ def simple_regret_err(
         raise InputError("simple regret test needs a non-empty model")
     if search is None:
         search = AcqSearchConfig()
-    if rng is None:
-        rng = np.random.default_rng(_REGRET_SEARCH_SEED)
+    rng = np.random.default_rng(_REGRET_SEARCH_SEED)
     mean, var = gp.posterior(model, incumbent)
     lcb = mean - math.sqrt(var)
     settled = None if settle_at is None else (lambda best: best - lcb >= settle_at)
@@ -405,7 +403,8 @@ class SubspaceSearchEngine(_EngineBase):
         )
         kernel = FunctionalKernelSpec(ScalarKernelSpec(cfg.k_kind, 1.0), cfg.k_metric, gram)
         reserve = cfg.budget if cfg.termination == "budget" else 0
-        self.model = gp.empty_model(kernel, cfg.noise_sq, cfg.lengthscales, reserve=reserve)
+        self.model = gp.empty_model(kernel, cfg.noise_sq, cfg.grid, cfg.lengthscales,
+                                    reserve=reserve)
         self.subspace = None  # the current outer iteration's Subspace
         self._outer_best = None  # (function, y) within the current subspace
         self._search = cfg.search
@@ -467,11 +466,11 @@ class SubspaceSearchEngine(_EngineBase):
         return self.subspace.bias.values + lam @ basis
 
     def _observe(self, rec: RunRecord):
-        obs = gp.Observation(GridFunction(self.cfg.grid, self.pending[4]), rec.y)
+        g = GridFunction(self.cfg.grid, self.pending[4])
         if self._outer_best is None or rec.y > self._outer_best[1]:
-            self._outer_best = (obs.point, rec.y)
+            self._outer_best = (g, rec.y)
         try:
-            self.model = gp.condition(self.model, obs)
+            self.model = gp.condition(self.model, g, rec.y)
         except MemoryError as exc:  # a budget run reserves its buffers for every point at once
             raise ConfigError(
                 f"the model does not fit in memory ({exc}): it holds mle.grid_points factors "
@@ -495,7 +494,8 @@ class BernsteinLineEngine(SubspaceSearchEngine):
 
     def _start_outer(self, s: int) -> Subspace:
         # the model sees only this line's observations
-        self.model = gp.empty_model(self.model.kernel, self.cfg.noise_sq, self.cfg.lengthscales)
+        self.model = gp.empty_model(self.model.kernel, self.cfg.noise_sq, self.cfg.grid,
+                                    self.cfg.lengthscales)
         u = self._rng.standard_normal(BERNSTEIN_DEGREE + 1)
         norm = float(np.linalg.norm(u))
         if norm == 0.0:

@@ -164,21 +164,20 @@ def gram_matrix(spec, points) -> np.ndarray:
 
 
 def rebuild_model(kernel, noise_sq: float, observations) -> gp.GPModel:
-    """Build a model from scratch on the full dataset, at the kernel's own
-    lengthscale: one Cholesky factor L of the regularised Gram matrix,
-    then W = L^-1 and z = W y by a triangular solve."""
-    model = gp.empty_model(kernel, noise_sq)
-    observations = list(observations)
-    if not observations:
-        return model
-    grid = observations[0].point.spec
-    if any(obs.point.spec != grid for obs in observations):
+    """Build a model from scratch on a non-empty dataset of (point, y)
+    pairs, at the kernel's own lengthscale: one Cholesky factor L of the
+    regularised Gram matrix, then W = L^-1 and z = W y by a triangular
+    solve."""
+    points, y = zip(*observations)
+    grid = points[0].spec
+    if any(p.spec != grid for p in points):
         raise ShapeError("observations on different grids")
-    V = np.array([obs.point.values for obs in observations])
+    V = np.array([p.values for p in points])
     MV = gp._metric_rows(kernel, V)
-    y = np.array([obs.y for obs in observations])
-    model = replace(model, n=len(y), grid=grid, MVs=MV, row_qs=np.einsum("ij,ij->i", V, MV))
-    raw = gp.query_sqdist(model, V)
+    q = np.einsum("ij,ij->i", V, MV)
+    y = np.array(y)
+    model = replace(gp.empty_model(kernel, noise_sq, grid), n=len(y), MVs=MV, row_qs=q)
+    raw = gp._sqdist(q, q, V @ MV.T, grid.weight if kernel.metric == "l2grid" else 1.0)
     np.fill_diagonal(raw, 0.0)  # the expansion leaves rounding residue here
     k = value_from_sqdist(kernel.base, raw)
     k = (k + k.T) / 2.0
@@ -201,16 +200,16 @@ def log_marginal_likelihood(model: gp.GPModel) -> float:
 
 def tune_lengthscale(observations, template, candidates, noise_sq: float):
     """The kernel the engines' candidate chain selects: one model per
-    candidate lengthscale, each conditioned on the observations in turn,
-    then the most likely one's spec."""
+    candidate lengthscale, each conditioned on the (point, y) pairs in
+    turn, then the most likely one's spec."""
     observations = list(observations)
     if not observations:
         raise InputError("lengthscale tuning needs data")
     if len(candidates) == 0:
         raise InputError("no candidate lengthscales")
-    model = gp.empty_model(template, noise_sq, candidates)
-    for obs in observations:
-        model = gp.condition(model, obs)
+    model = gp.empty_model(template, noise_sq, observations[0][0].spec, candidates)
+    for point, y in observations:
+        model = gp.condition(model, point, y)
     return model.kernel
 
 
@@ -252,8 +251,8 @@ def biased_posterior_equivalence_check(
             return _cross_gram(kernel, pa, pb)
 
     else:
-        pts_prev = [o.point for o in obs_prev]
-        y_prev = np.array([o.y for o in obs_prev])
+        pts_prev = [p for p, _ in obs_prev]
+        y_prev = np.array([v for _, v in obs_prev])
         k_pp = _cross_gram(kernel, pts_prev, pts_prev)
         k_pp[np.diag_indices_from(k_pp)] += noise_sq
         k_pp_inv = np.linalg.inv(k_pp)
@@ -267,12 +266,12 @@ def biased_posterior_equivalence_check(
             kb = _cross_gram(kernel, pb, pts_prev)
             return kab - ka @ k_pp_inv @ kb.T
 
-        pts_new = [o.point for o in obs_new]
+        pts_new = [p for p, _ in obs_new]
         prior_mean_new = prior_mean(pts_new)
         prior_mean_q = prior_mean(probes)
 
-    pts_new = [o.point for o in obs_new]
-    y_new = np.array([o.y for o in obs_new])
+    pts_new = [p for p, _ in obs_new]
+    y_new = np.array([v for _, v in obs_new])
     c_nn = post_cov(pts_new, pts_new)
     c_nn[np.diag_indices_from(c_nn)] += noise_sq
     c_qn = post_cov(probes, pts_new)

@@ -90,12 +90,12 @@ def test_criterion_1_posterior_matches_dense_oracle():
         )
         noise_sq = float(rng.uniform(0.001, 0.1))
         obs = [
-            gp.Observation(random_grid_function(rng), float(rng.standard_normal()))
+            (random_grid_function(rng), float(rng.standard_normal()))
             for _ in range(n)
         ]
         model = rebuild_model(kernel, noise_sq, obs)
-        pts = [o.point for o in obs]
-        y = np.array([o.y for o in obs])
+        pts = [p for p, _ in obs]
+        y = np.array([v for _, v in obs])
         K = np.array(
             [[functional_eval(kernel, a, b) for b in pts] for a in pts]
         ) + noise_sq * np.eye(n)
@@ -129,11 +129,11 @@ def test_criterion_2_incremental_identity_both_metrics():
         n_new = int(rng.integers(1, 5))
         for kernel in kernels.values():
             prev = [
-                gp.Observation(random_grid_function(rng), float(rng.standard_normal()))
+                (random_grid_function(rng), float(rng.standard_normal()))
                 for _ in range(n_prev)
             ]
             new = [
-                gp.Observation(random_grid_function(rng), float(rng.standard_normal()))
+                (random_grid_function(rng), float(rng.standard_normal()))
                 for _ in range(n_new)
             ]
             probes = [random_grid_function(rng) for _ in range(5)]

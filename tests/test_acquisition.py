@@ -19,7 +19,7 @@ from funcbo.acquisition import (
     ucb_search,
 )
 from funcbo.errors import InputError
-from funcbo.gp import Observation, empty_model
+from funcbo.gp import empty_model
 from funcbo.gridfn import GridFunction, GridSpec, grid_coordinates
 from funcbo.kernels import FunctionalKernelSpec, ScalarKernelSpec, scalar_gram
 from funcbo.optimizer import OptConfig, Subspace, make_engine
@@ -74,7 +74,7 @@ def maximise(model, sub, sched, search, t, rng):
 def test_maximise_flat_prior_surface():
     rng = np.random.default_rng(0)
     sub = _subspace(np.random.default_rng(1))
-    model = empty_model(SE_L2, 0.01)
+    model = empty_model(SE_L2, 0.01, GRID_1D)
     sched = UcbSchedule(0.1, 1)
     search = AcqSearchConfig()
     lam, g, acq = maximise(model, sub, sched, search, 1, rng)
@@ -86,7 +86,7 @@ def test_maximise_beats_probes_and_incumbent():
     rng = np.random.default_rng(2)
     sub = _subspace(np.random.default_rng(3))
     g0 = linear_combine(sub.bias, list(sub.basis), np.zeros(1))
-    model = rebuild_model(SE_L2, 0.01, [Observation(g0, 5.0)])
+    model = rebuild_model(SE_L2, 0.01, [(g0, 5.0)])
     sched = UcbSchedule(0.1, 1)
     search = AcqSearchConfig()
     beta_t = beta(sched, 2)
@@ -107,7 +107,7 @@ def test_maximise_never_below_own_seeds():
     sub = _subspace(np.random.default_rng(8), d=2)
     rng = np.random.default_rng(9)
     obs = [
-        Observation(
+        (
             linear_combine(sub.bias, list(sub.basis), rng.standard_normal(2)),
             float(rng.standard_normal()),
         )
@@ -132,7 +132,7 @@ def test_maximise_d1_close_to_dense_scan():
         rng = np.random.default_rng(case_seed)
         sub = _subspace(rng)
         obs = [
-            Observation(
+            (
                 linear_combine(sub.bias, list(sub.basis), rng.standard_normal(1)),
                 float(rng.standard_normal()),
             )
@@ -156,7 +156,7 @@ def test_maximise_enforces_norm_cap():
     from reference import constant
 
     sub = _subspace(np.random.default_rng(14), bias=constant(GRID_1D, 3.0))
-    model = empty_model(SE_L2, 0.01)
+    model = empty_model(SE_L2, 0.01, GRID_1D)
     search = AcqSearchConfig(l_max=0.5)
     _, g, _ = maximise(model, sub, UcbSchedule(0.1, 1), search, 1, rng)
     assert l2_norm(g) <= 0.5 + 1e-9
@@ -170,7 +170,7 @@ def test_minimise_lcb_below_posterior_means():
     rng = np.random.default_rng(15)
     sub = _subspace(np.random.default_rng(16))
     obs = [
-        Observation(
+        (
             linear_combine(sub.bias, list(sub.basis), rng.standard_normal(1)),
             float(rng.standard_normal()),
         )
@@ -178,7 +178,7 @@ def test_minimise_lcb_below_posterior_means():
     ]
     # min (mean - sd) is minus the max UCB of the model of -f: same
     # variances, negated means
-    negated = rebuild_model(SE_L2, 0.01, [Observation(o.point, -o.y) for o in obs])
+    negated = rebuild_model(SE_L2, 0.01, [(p, -v) for p, v in obs])
     search = AcqSearchConfig()
     _, neg_lcb = ucb_search(
         subspace_posterior(negated, sub, search),
@@ -199,7 +199,7 @@ def test_restart_seeds_are_the_only_draws_of_a_search():
     seeds = restart_seeds(search, 3, np.random.default_rng(20))
     assert seeds.shape == (5, 3)
     assert np.all(np.abs(seeds) <= search.lambda_box)
-    model = empty_model(SE_L2, 0.01)
+    model = empty_model(SE_L2, 0.01, GridSpec(1, 3))  # the search's rows are 3 values
     searched = np.random.default_rng(20)
     ucb_search(partial(gp.posterior_batch, model), 3, search, searched, 1.0)
     skipped = np.random.default_rng(20)
@@ -239,9 +239,10 @@ def _metric_kernel(metric, points, relative_lengthscale):
         if metric == "rkhs"
         else None
     )
-    unit = FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), metric, gram)
-    model = rebuild_model(unit, 0.01, [Observation(p, 0.0) for p in points])
-    r2 = gp.query_sqdist(model, np.array([p.values for p in points]))
+    V = np.array([p.values for p in points])
+    MV = gp._metric_rows(FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), metric, gram), V)
+    q = np.einsum("ij,ij->i", V, MV)
+    r2 = gp._sqdist(q, q, V @ MV.T, GRID_1D.weight if metric == "l2grid" else 1.0)
     scale = math.sqrt(float(np.median(r2[np.triu_indices(len(points), 1)])))
     return FunctionalKernelSpec(
         ScalarKernelSpec("se", relative_lengthscale * scale), metric, gram
@@ -267,7 +268,7 @@ def test_subspace_posterior_equals_posterior_of_candidates(metric, d, kind, seed
     kernel = FunctionalKernelSpec(ScalarKernelSpec(kind, se.base.lengthscale), metric,
                                   se.rkhs_gram)
     model = rebuild_model(
-        kernel, 0.01, [Observation(p, float(rng.standard_normal())) for p in points]
+        kernel, 0.01, [(p, float(rng.standard_normal())) for p in points]
     )
     lam = rng.uniform(-4.0, 4.0, size=(17, d))
     uncapped = candidate_values(sub, AcqSearchConfig(l_max=np.inf), lam)
@@ -324,9 +325,9 @@ def test_search_matches_the_reference_bit_for_bit(
             for s in rng.choice([earlier, sub], n_points)
         ]
         caller = [sub.bias.values] + [h.values for h in sub.basis]
-    model = empty_model(kernel, 0.01, np.geomspace(0.05, 20.0, 5))
+    model = empty_model(kernel, 0.01, points[0].spec, np.geomspace(0.05, 20.0, 5))
     for p in points:
-        model = gp.condition(model, Observation(p, float(rng.standard_normal())))
+        model = gp.condition(model, p, float(rng.standard_normal()))
     caller += [model.Ws, model.zs, model.MV, model.row_q]
     if path == "line":
         posterior = partial(gp.posterior_batch, model)
@@ -372,11 +373,11 @@ def test_uncapped_and_capped_searches_match_the_reference(monkeypatch):
     d = 2
     earlier = _subspace(rng, d=d, bias=random_grid_function(rng, scale=0.5))
     sub = _subspace(rng, d=d, bias=random_grid_function(rng, scale=0.5))
-    model = empty_model(SE_L2, 0.01, np.geomspace(0.05, 20.0, 5))
+    model = empty_model(SE_L2, 0.01, GRID_1D, np.geomspace(0.05, 20.0, 5))
     for s in (earlier, sub, earlier, sub):
         lam = rng.normal(size=(1, d))
         point = GridFunction(GRID_1D, candidate_values(s, AcqSearchConfig(), lam)[0])
-        model = gp.condition(model, Observation(point, float(rng.standard_normal())))
+        model = gp.condition(model, point, float(rng.standard_normal()))
     search = AcqSearchConfig()
     # the triangle inequality over the box: no candidate is longer than bound
     bound = l2_norm(sub.bias) + search.lambda_box * sum(l2_norm(h) for h in sub.basis)
@@ -540,7 +541,8 @@ def test_stacked_queries_equal_their_slices_bit_for_bit(path, kind, d):
     at which OpenBLAS splits W kᵀ over two threads (n² q >= 262 144)."""
     rng = np.random.default_rng(31)
     if path == "line":
-        model = empty_model(FunctionalKernelSpec(ScalarKernelSpec(kind, 1.5), "l2grid"), 0.01)
+        model = empty_model(FunctionalKernelSpec(ScalarKernelSpec(kind, 1.5), "l2grid"), 0.01,
+                            GridSpec(1, d))
         points = [short_grid_function(*x) for x in rng.uniform(-4.0, 4.0, size=(140, d))]
     else:
         gram = (scalar_gram(ScalarKernelSpec("se", 0.3), grid_coordinates(GRID_1D))
@@ -552,13 +554,13 @@ def test_stacked_queries_equal_their_slices_bit_for_bit(path, kind, d):
                   for i in range(140)]
         kernel = _metric_kernel(path, points[:20], 1.0)
         model = empty_model(FunctionalKernelSpec(ScalarKernelSpec(kind, kernel.base.lengthscale),
-                                                 path, gram), 0.01)
+                                                 path, gram), 0.01, GRID_1D)
         uncapped = candidate_values(sub, AcqSearchConfig(l_max=np.inf),
                                     rng.uniform(-4.0, 4.0, size=(64, d)))
         norms = np.sqrt(np.einsum("ij,ij->i", uncapped, uncapped) * GRID_1D.weight)
         searches = (AcqSearchConfig(l_max=np.inf), AcqSearchConfig(l_max=float(np.median(norms))))
     for size, p in enumerate(points, start=1):
-        model = gp.condition(model, Observation(p, float(rng.standard_normal())))
+        model = gp.condition(model, p, float(rng.standard_normal()))
         if size not in (1, 2, 17, 64, 128, 140):
             continue
         if path == "line":
@@ -583,7 +585,7 @@ def test_textbook_and_two_point_searches_agree_on_2d_grid_models(seed):
     kappa = ScalarKernelSpec("se", 0.3)
     target = gp.sample_on_grid(kappa, grid, rng)
     kernel = FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), "l2grid")
-    model = empty_model(kernel, 1e-4, np.geomspace(0.01, 10.0, 17))
+    model = empty_model(kernel, 1e-4, grid, np.geomspace(0.01, 10.0, 17))
     bias = GridFunction(grid, np.zeros(grid.size))
     search = AcqSearchConfig()
     for s in range(3):
@@ -602,5 +604,5 @@ def test_textbook_and_two_point_searches_agree_on_2d_grid_models(seed):
                 assert abs(value - ref_value) <= 1e-9
             g = GridFunction(grid, candidate_values(sub, search, lam[None, :])[0])
             y = -math.sqrt(float(np.sum((g.values - target.values) ** 2)) * grid.weight)
-            model = gp.condition(model, Observation(g, y))
+            model = gp.condition(model, g, y)
         bias = g

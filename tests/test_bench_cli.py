@@ -1282,7 +1282,7 @@ def test_cli_model_too_large_for_memory_is_config_error(tmp_path, monkeypatch, c
     state.write_text("opt.S = 200\nopt.T = 1000\n")
     before = state.read_bytes()
     conditioned = []
-    monkeypatch.setattr(gp, "condition", lambda model, obs: conditioned.append(obs))
+    monkeypatch.setattr(gp, "condition", lambda model, point, y: conditioned.append(y))
     capsys.readouterr()
     assert cli.main(["suggest", "--state", str(state), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -1299,7 +1299,7 @@ def test_cli_model_too_large_for_memory_is_config_error(tmp_path, monkeypatch, c
     assert cli.main(["suggest", "--state", str(state), "--out", str(out)]) == 0
     before = state.read_bytes()
 
-    def too_large(model, obs):
+    def too_large(model, point, y):
         raise MemoryError("Unable to allocate 5.00 TiB for an array with shape "
                           "(17, 201000, 201000) and data type float64")
 
@@ -1416,8 +1416,27 @@ def test_cli_tell_nonfinite_is_input_error(tmp_path):
     state.write_text("opt.S = 1\nopt.T = 1\nopt.n_init = 1\n")
     fn = tmp_path / "g.csv"
     _cli("suggest", "--state", str(state), "--out", str(fn))
-    res = _cli("tell", "--state", str(state), "--y", "nan")
-    assert res.returncode == 2
+    for value in ("nan", "-inf"):  # the entry point reads its argv from sys.argv
+        res = _cli("tell", "--state", str(state), "--y", value)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: observed value must be finite")
+
+
+@pytest.mark.parametrize("value", ["-2.5e-3", "-1e-05", "-0.731", "1e300", "-inf", "nan"])
+def test_cli_tell_takes_any_float_spelling(tmp_path, capsys, value):
+    # argparse alone reads "-2.5e-3" or "-inf" after --y as an option
+    state = _fresh_state(tmp_path)
+    assert cli.main(["suggest", "--state", str(state), "--out", str(tmp_path / "g.csv")]) == 0
+    capsys.readouterr()
+    rc = cli.main(["tell", "--state", str(state), "--y", value])
+    out, err = capsys.readouterr()
+    if value in ("-inf", "nan"):
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: observed value must be finite")
+    else:
+        assert rc == 0 and err == ""
+        assert f"y={float(value)!r}" in out
+        assert bench.load_state(state)[1].trace[-1].y == float(value)
 
 
 def _state_with_pending(tmp_path, extra=""):

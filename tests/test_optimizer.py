@@ -180,7 +180,7 @@ def test_model_matches_from_scratch_rebuild(k_lengthscale):
         y = obj.evaluate(g, noise)
         eng.tell(y, obj.aux(g))
         count += 1
-        obs.append(gp.Observation(g, y))
+        obs.append((g, y))
         assert eng.model.n == len(obs) == count
         if k_lengthscale == "mle":
             lml = {
@@ -238,7 +238,7 @@ def test_posterior_equivalence_at_inner_loop_starts():
             checked += 1
         y = obj.evaluate(g, noise)
         eng.tell(y, obj.aux(g))
-        obs.append(gp.Observation(g, y))
+        obs.append((g, y))
     assert checked == 2  # inner starts of s = 1, 2
 
 
@@ -281,7 +281,7 @@ def test_simple_regret_constant_posterior():
     # data so far away in kernel distance that the posterior is the prior
     kernel = FunctionalKernelSpec(ScalarKernelSpec("se", 0.01), "l2grid")
     far = GridFunction(GRID_1D, np.full(GRID_1D.size, 100.0))
-    model = rebuild_model(kernel, 0.01, [gp.Observation(far, 1.0)])
+    model = rebuild_model(kernel, 0.01, [(far, 1.0)])
     rng = np.random.default_rng(2)
     basis = tuple(gp.sample_on_grid(KAPPA, GRID_1D, rng) for _ in range(1))
     sub = Subspace(0, zeros(GRID_1D), basis)
@@ -298,9 +298,9 @@ def test_simple_regret_nonnegative_and_matches_dense_scan():
     kernel = FunctionalKernelSpec(ScalarKernelSpec("se", 0.5), "l2grid")
     for lam in (-1.0, 0.4, 2.2):
         row = candidate_values(sub, search, np.array([[lam]]))[0]
-        obs.append(gp.Observation(GridFunction(GRID_1D, row), float(rng.standard_normal())))
+        obs.append((GridFunction(GRID_1D, row), float(rng.standard_normal())))
     model = rebuild_model(kernel, 0.01, obs)
-    incumbent = obs[1].point  # feasible: lies in the subspace
+    incumbent = obs[1][0]  # feasible: lies in the subspace
     err = simple_regret_err(model, sub, incumbent, search)
     grid = np.linspace(-search.lambda_box, search.lambda_box, 1024)[:, None]
     rows = candidate_values(sub, search, grid)
@@ -706,24 +706,30 @@ _L2 = FunctionalKernelSpec(ScalarKernelSpec("se", 0.5), "l2grid")
 
 
 def _conditioned(kernel, *points):
-    model = gp.empty_model(kernel, 0.01)
+    model = gp.empty_model(kernel, 0.01, GRID_1D)
     for point in points:
-        model = gp.condition(model, gp.Observation(point, 0.5))
+        model = gp.condition(model, point, 0.5)
     return model
 
 
 @pytest.mark.parametrize("build, error", [
-    pytest.param(lambda: gp.Observation(zeros(GRID_1D), math.nan), InputError,
-                 id="observation-nan-value"),
+    pytest.param(lambda: gp.condition(gp.empty_model(_L2, 0.01, GRID_1D), zeros(GRID_1D),
+                                      math.nan), InputError, id="condition-nan-value"),
     pytest.param(lambda: _conditioned(_L2, np.zeros(GRID_1D.size)), InputError,
                  id="condition-functional-model-on-an-array"),
     pytest.param(lambda: _conditioned(_L2, zeros(GRID_1D), zeros(GridSpec(1, 50))), ShapeError,
                  id="condition-functional-model-on-another-grid"),
-    pytest.param(lambda: gp.empty_model(ScalarKernelSpec("se", 1.0), 0.01), InputError,
+    pytest.param(lambda: gp.empty_model(ScalarKernelSpec("se", 1.0), 0.01, GRID_1D), InputError,
                  id="empty-model-of-a-scalar-kernel"),
     pytest.param(lambda: gp.posterior_batch(_conditioned(_L2, zeros(GRID_1D)), np.zeros((2, 50))),
                  ShapeError, id="posterior-batch-rows-of-another-width"),
-    pytest.param(lambda: gp.empty_model(_L2, 0.0), InputError, id="empty-model-zero-noise"),
+    pytest.param(lambda: gp.posterior_batch(gp.empty_model(_L2, 0.01, GRID_1D), np.ones((2, 7))),
+                 ShapeError, id="posterior-batch-on-an-empty-model-rows-of-another-width"),
+    pytest.param(lambda: gp.empty_model(FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), "rkhs",
+                                                             np.eye(5)), 0.01, GRID_1D),
+                 ShapeError, id="empty-model-rkhs-gram-of-another-size"),
+    pytest.param(lambda: gp.empty_model(_L2, 0.0, GRID_1D), InputError,
+                 id="empty-model-zero-noise"),
     pytest.param(lambda: FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), "sobolev"),
                  InputError, id="functional-kernel-unknown-metric"),
     pytest.param(lambda: FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), "rkhs",
@@ -739,7 +745,7 @@ def _conditioned(kernel, *points):
     pytest.param(lambda: OptConfig(mle_grid_points=0), ConfigError,
                  id="opt-config-no-mle-candidates"),
     pytest.param(lambda: simple_regret_err(
-        gp.empty_model(_L2, 0.01),
+        gp.empty_model(_L2, 0.01, GRID_1D),
         Subspace(0, zeros(GRID_1D), (random_grid_function(np.random.default_rng(0)),)),
         zeros(GRID_1D)), InputError, id="certificate-on-an-empty-model"),
 ])
