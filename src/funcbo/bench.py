@@ -145,9 +145,9 @@ def default_config() -> dict:
     return {key: default for key, (_, default) in SCHEMA.items()}
 
 
-def parse_config_lines(lines, values: dict | None = None) -> dict:
+def parse_config_lines(lines) -> dict:
     """Apply ``key = value`` lines on top of defaults; total, no unknowns."""
-    values = default_config() if values is None else values
+    values = default_config()
     seen = set()
     for idx, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -205,20 +205,20 @@ def build_objective(values: dict, grid: GridSpec):
         )
     except InputError as exc:
         raise ConfigError(f"bad value for 'objective.target_lengthscale': {exc}") from exc
+    noise = values["objective.noise"]
+    if noise < 0:  # checked before the objective's prior draws
+        raise ConfigError(f"objective.noise must be nonnegative, got {noise}")
     if values["objective.kind"] == "match":
-        return MatchingObjective.from_kernel(
-            grid, kernel, values["objective.target_seed"], values["objective.noise"]
-        )
+        return MatchingObjective.from_kernel(grid, kernel, values["objective.target_seed"], noise)
     d_e = values["objective.d_e"]
-    if d_e < 1:
-        raise ConfigError("objective.d_e must be >= 1")
+    if not 1 <= d_e <= grid.size:  # N grid points hold at most N orthonormal directions
+        raise ConfigError(f"objective.d_e must be >= 1 and at most the N = {grid.size} "
+                          f"points of grid.dim and grid.points_per_axis, got {d_e}")
     target_child, dir_child = np.random.SeedSequence(
         values["objective.target_seed"]
     ).spawn(2)
     targets = 0.5 * np.random.default_rng(target_child).standard_normal(d_e)
-    return EffectiveDimObjective.random_directions(
-        grid, kernel, targets, dir_child, values["objective.noise"]
-    )
+    return EffectiveDimObjective.random_directions(grid, kernel, targets, dir_child, noise)
 
 
 # --- trace and summary CSV ----------------------------------------------

@@ -27,13 +27,14 @@ already wrote row n cannot be conditioned again.
 A model is built on one grid, and every point and query is a function
 on it.  The GP takes functional kernels only; their base kernels are
 distance-based.  A model keeps its points' metric rows ``MV`` (the rows
-themselves, or V G under the rkhs metric) and their squared norms, in
-buffers of the same capacity, which is all the distance expansion
-needs; it keeps neither the points nor their values, only their count
-``n``.  A growth copies the buffers, so for that moment the model holds
-about twice its rows; a fixed step of 16 rows, not doubling, keeps the
-spare rows and that copy small, and a model with a reserve allocates its
-buffers once, at its first point, and never copies them.
+themselves, or V G under the rkhs metric, G the basis prior's gram on
+the grid) and their squared norms, in buffers of the same capacity,
+which is all the distance expansion needs; it keeps neither the points
+nor their values, only their count ``n``.  A growth copies the buffers,
+so for that moment the model holds about twice its rows; a fixed step of
+16 rows, not doubling, keeps the spare rows and that copy small, and a
+model with a reserve allocates its buffers once, at its first point, and
+never copies them.
 
 A posterior query is two steps: the squared distances from the queries
 to the model's points, divided by the kernel's ``sqdist_divisor``, then
@@ -140,10 +141,18 @@ def _rep(point, grid: GridSpec) -> np.ndarray:
     return point.values
 
 
-def _metric_rows(kernel: FunctionalKernelSpec, X: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=1)  # an entry holds 8 N^2 bytes, 800 MB at N = 10 000
+def _metric_gram(prior: ScalarKernelSpec, grid: GridSpec) -> np.ndarray:
+    """The rkhs metric G: the basis prior's gram on the grid, read-only."""
+    gram = kernels.scalar_gram(prior, grid_coordinates(grid))
+    gram.setflags(write=False)
+    return gram
+
+
+def _metric_rows(kernel: FunctionalKernelSpec, grid: GridSpec, X: np.ndarray) -> np.ndarray:
     """The metric rows M of X: X G under rkhs, X itself otherwise; the
     metric inner products of Y's rows with X's are Y @ M.T."""
-    return X if kernel.rkhs_gram is None else X @ kernel.rkhs_gram
+    return X if kernel.prior is None else X @ _metric_gram(kernel.prior, grid)
 
 
 def _weight(model: GPModel) -> float:
@@ -176,12 +185,9 @@ def empty_model(kernel, noise_sq: float, grid: GridSpec, lengthscales=None,
     """The prior on functions on ``grid``, with one candidate per
     lengthscale; ``None`` keeps the kernel's own lengthscale as the only
     candidate.  Its first point allocates buffers of ``reserve`` rows (at
-    least 16).  An rkhs gram must be N x N for the grid's N points."""
+    least 16)."""
     if not isinstance(kernel, FunctionalKernelSpec):
         raise InputError(f"GP models take a FunctionalKernelSpec, got {type(kernel).__name__}")
-    if kernel.rkhs_gram is not None and kernel.rkhs_gram.shape[0] != grid.size:
-        raise ShapeError(f"rkhs_gram has {len(kernel.rkhs_gram)} rows, "
-                         f"the grid N = {grid.size} points")
     if not noise_sq > 0:
         raise InputError(f"noise variance must be positive, got {noise_sq}")
     if lengthscales is None:
@@ -225,7 +231,7 @@ def condition(model: GPModel, point, y: float) -> GPModel:
     if n < cap and model.Ws[0, n, n] != 0.0:  # a written row has W_nn = 1/s > 0
         raise InputError("this model was already conditioned; condition its successor")
     x_row = _rep(point, model.grid)[None, :]
-    mx = _metric_rows(model.kernel, x_row)
+    mx = _metric_rows(model.kernel, model.grid, x_row)
     q_x = np.einsum("ij,ij->i", x_row, mx)
     raw = _sqdist(q_x, model.row_q, x_row @ model.MV.T, _weight(model))
     # every candidate's kernel row: its lengthscale only rescales the
@@ -302,7 +308,7 @@ def posterior_batch(model: GPModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarr
     base = model.kernel.base
     if Q.shape[-1] != model.grid.size:
         raise ShapeError(f"query rows need {model.grid.size} grid values, got {Q.shape[-1]}")
-    q_sq = np.einsum("...ij,...ij->...i", Q, _metric_rows(model.kernel, Q))
+    q_sq = np.einsum("...ij,...ij->...i", Q, _metric_rows(model.kernel, model.grid, Q))
     x = _sqdist(q_sq, model.row_q, Q @ model.MV.T, _weight(model))
     x /= kernels.sqdist_divisor(base)
     return posterior_from_sqdist(model, x, base.variance)
@@ -327,7 +333,7 @@ def span_posterior(model: GPModel, A: np.ndarray):
     terms = np.empty((r + 1, r + 1, model.n))
     terms[0, 0] = model.row_q
     terms[0, 1:] = terms[1:, 0] = -(A @ model.MV.T)
-    terms[1:, 1:] = (_metric_rows(model.kernel, A) @ A.T)[:, :, None]
+    terms[1:, 1:] = (_metric_rows(model.kernel, model.grid, A) @ A.T)[:, :, None]
     P = terms.reshape((r + 1) ** 2, model.n)
     P *= _weight(model) / kernels.sqdist_divisor(base)
 

@@ -7,8 +7,8 @@ Two distinct roles, two spec types:
 * ``FunctionalKernelSpec`` -- a covariance K between whole functions,
   used to model the objective.  A stationary scalar form is evaluated on
   a squared distance between functions: either the histogram L2 distance
-  on the grid, or the quadratic-form distance between coefficient
-  vectors under a fixed PSD gram matrix.
+  on the grid, or the rkhs distance, the quadratic form of the basis
+  prior kappa's gram on the grid (``gp`` builds that gram).
 
 Closed forms (r = distance, gamma = lengthscale, v = variance):
 
@@ -20,14 +20,13 @@ Closed forms (r = distance, gamma = lengthscale, v = variance):
 
 from __future__ import annotations
 
-import copy
 import math
 import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InputError, NumericalError, ShapeError
+from .errors import InputError
 
 SCALAR_KINDS = ("se", "matern12", "matern32", "linear")
 DISTANCE_KINDS = ("se", "matern12", "matern32")
@@ -64,14 +63,16 @@ class ScalarKernelSpec:
         return replace(self, lengthscale=lengthscale)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FunctionalKernelSpec:
     """Covariance between functions: a distance-based scalar form applied
-    to the l2grid or rkhs metric."""
+    to the l2grid or rkhs metric.  The rkhs metric takes the basis prior
+    kappa as ``prior``; the distance it gives is the quadratic form of
+    kappa's gram on the model's grid."""
 
     base: ScalarKernelSpec
     metric: str
-    rkhs_gram: np.ndarray | None = None
+    prior: ScalarKernelSpec | None = None
 
     def __post_init__(self):
         if self.base.kind not in DISTANCE_KINDS:
@@ -81,32 +82,14 @@ class FunctionalKernelSpec:
         if self.metric not in METRICS:
             raise InputError(f"unknown metric {self.metric!r}")
         if self.metric == "rkhs":
-            if self.rkhs_gram is None:
-                raise InputError("metric 'rkhs' requires rkhs_gram")
-            gram = np.asarray(self.rkhs_gram, dtype=float)
-            if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-                raise ShapeError(f"rkhs_gram must be square, got {gram.shape}")
-            _validate_psd(gram)
-            gram = gram.copy()
-            gram.setflags(write=False)
-            object.__setattr__(self, "rkhs_gram", gram)
-        elif self.rkhs_gram is not None:
-            raise InputError("rkhs_gram only applies to metric 'rkhs'")
+            if not isinstance(self.prior, ScalarKernelSpec):
+                raise InputError("metric 'rkhs' requires the basis prior, a ScalarKernelSpec, "
+                                 f"got {type(self.prior).__name__}")
+        elif self.prior is not None:
+            raise InputError("prior only applies to metric 'rkhs'")
 
     def with_lengthscale(self, lengthscale: float) -> FunctionalKernelSpec:
-        """This kernel with another base lengthscale.  The copy shares the
-        gram, which was validated when this spec was built, unchecked."""
-        spec = copy.copy(self)
-        object.__setattr__(spec, "base", self.base.with_lengthscale(lengthscale))
-        return spec
-
-
-def _validate_psd(gram: np.ndarray) -> None:
-    jitter = 1e-10 * max(float(np.mean(np.diag(gram))), 1.0)
-    try:
-        np.linalg.cholesky(gram + jitter * np.eye(gram.shape[0]))
-    except np.linalg.LinAlgError as exc:
-        raise InputError("rkhs_gram is not positive semidefinite") from exc
+        return replace(self, base=self.base.with_lengthscale(lengthscale))
 
 
 def sqdist_divisor(base: ScalarKernelSpec) -> float:

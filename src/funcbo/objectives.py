@@ -119,15 +119,16 @@ class EffectiveDimObjective:
         return float(value)
 
 
-def lemma1_intersection_estimate(
-    d: int, d_e: int, beta: float, trials: int, rng, chunk: int = 20000
-) -> float:
+_LEMMA1_CHUNK = 20000  # trials drawn at a time
+
+
+def lemma1_intersection_estimate(d: int, d_e: int, beta: float, trials: int, rng) -> float:
     """Monte-Carlo estimate of the probability that a random d-dimensional
     affine subspace of R^{d_e} (standard-normal basis, bias uniform in the
     unit ball) passes within distance beta of the origin.
 
     The distance is the least-squares residual of projecting the bias
-    onto the span, computed with batched QR.
+    onto the span, computed with batched QR, in chunks of trials.
     """
     if d_e < 1 or d < 0 or d > d_e:
         raise InputError(f"need 0 <= d <= d_e with d_e >= 1, got d={d}, d_e={d_e}")
@@ -138,7 +139,7 @@ def lemma1_intersection_estimate(
     hits = 0
     remaining = trials
     while remaining > 0:
-        n = min(chunk, remaining)
+        n = min(_LEMMA1_CHUNK, remaining)
         direction = rng.standard_normal((n, d_e))
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
         radius = rng.random(n) ** (1.0 / d_e)

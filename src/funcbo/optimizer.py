@@ -64,9 +64,10 @@ ALGORITHMS = ("s3bfo", "linebo_bernstein", "fixed_subspace", "random_search")
 TERMINATIONS = ("budget", "regret")
 
 _REGRET_SEARCH_SEED = 0x5EED
-# Largest grid: the Matern and linear prior factors and the rkhs gram
-# are dense, 8 N^2 bytes each, 800 MB at this limit (an SE prior on a
-# 2-d or 3-d grid is factored per axis and needs far less).
+# Largest grid: the Matern and linear prior factors and the rkhs metric,
+# the basis prior's gram on the grid, are dense, 8 N^2 bytes each, 800 MB
+# at this limit.  An SE prior on a 2-d or 3-d grid is factored per axis
+# and needs far less, but its rkhs gram is still dense.
 MAX_GRID_POINTS = 10_000
 # Largest GP model a run may build, in bytes at its end (``model_bytes``).
 # On a 2-core 8 GB host at one BLAS thread, 17 candidates conditioned to
@@ -284,9 +285,9 @@ class _EngineBase:
     replay passes the stored coordinates) and ``_observe`` (absorb a
     told value)."""
 
-    def __init__(self, cfg: OptConfig, rng=None):
+    def __init__(self, cfg: OptConfig):
         self.cfg = cfg
-        self._rng = rng if rng is not None else rng_streams(cfg.seed)[0]
+        self._rng = rng_streams(cfg.seed)[0]
         self.trace: list[RunRecord] = []  # the run so far, and its position
         # whether the inner loop ends at (s, t): certified, or taken from a trace
         self._inner_ends: dict[tuple[int, int], bool] = {}
@@ -394,20 +395,15 @@ class SubspaceSearchEngine(_EngineBase):
     and the model's posterior is the most likely one's.
     """
 
-    def __init__(self, cfg: OptConfig, rng=None):
-        super().__init__(cfg, rng)
-        gram = (
-            kernels.scalar_gram(cfg.kappa, grid_coordinates(cfg.grid))
-            if cfg.k_metric == "rkhs"
-            else None
-        )
-        kernel = FunctionalKernelSpec(ScalarKernelSpec(cfg.k_kind, 1.0), cfg.k_metric, gram)
+    def __init__(self, cfg: OptConfig):
+        super().__init__(cfg)
+        prior = cfg.kappa if cfg.k_metric == "rkhs" else None
+        kernel = FunctionalKernelSpec(ScalarKernelSpec(cfg.k_kind, 1.0), cfg.k_metric, prior)
         reserve = cfg.budget if cfg.termination == "budget" else 0
         self.model = gp.empty_model(kernel, cfg.noise_sq, cfg.grid, cfg.lengthscales,
                                     reserve=reserve)
         self.subspace = None  # the current outer iteration's Subspace
         self._outer_best = None  # (function, y) within the current subspace
-        self._search = cfg.search
         self._schedule = UcbSchedule(cfg.acq_delta, cfg.d)
 
     def _start_outer(self, s: int) -> Subspace:
@@ -430,7 +426,7 @@ class SubspaceSearchEngine(_EngineBase):
             return ("init", s, -1)
         if t < cfg.T and cfg.termination == "regret" and (s, t) not in self._inner_ends:
             self._inner_ends[(s, t)] = simple_regret_err(
-                self.model, self.subspace, self._outer_best[0], self._search,
+                self.model, self.subspace, self._outer_best[0], cfg.search,
                 settle_at=cfg.epsilon,
             ) < cfg.epsilon
         if t < cfg.T and not self._inner_ends.get((s, t), False):
@@ -442,6 +438,7 @@ class SubspaceSearchEngine(_EngineBase):
         stored inner coordinates: the search's draws are consumed but it
         is not run."""
         kind, s, t = position
+        search = self.cfg.search
         if self.subspace is None or self.subspace.s != s:
             self._outer_best = None
             self.subspace = self._start_outer(s)
@@ -451,17 +448,17 @@ class SubspaceSearchEngine(_EngineBase):
         elif lam is None:
             sqrt_beta = math.sqrt(acquisition.beta(self._schedule, t + 1))
             lam, _ = acquisition.ucb_search(
-                acquisition.subspace_posterior(self.model, self.subspace, self._search), d,
-                self._search, self._rng, sqrt_beta,
+                acquisition.subspace_posterior(self.model, self.subspace, search), d, search,
+                self._rng, sqrt_beta,
             )
         else:
-            acquisition.restart_seeds(self._search, d, self._rng)
+            acquisition.restart_seeds(search, d, self._rng)
         self.pending = (kind, s, t, lam, self._function(lam, cap=kind == "inner"))
 
     def _function(self, lam, cap):
         """bias + lam @ basis, radially capped for inner steps."""
         if cap:
-            return acquisition.candidate_values(self.subspace, self._search, lam[None, :])[0]
+            return acquisition.candidate_values(self.subspace, self.cfg.search, lam[None, :])[0]
         basis = np.array([h.values for h in self.subspace.basis])
         return self.subspace.bias.values + lam @ basis
 
@@ -486,11 +483,11 @@ class BernsteinLineEngine(SubspaceSearchEngine):
     one-dimensional Subspace incumbent + theta * (u @ B), with a fresh
     model of that line's evaluated functions."""
 
-    def __init__(self, cfg: OptConfig, rng=None):
+    def __init__(self, cfg: OptConfig):
         if cfg.grid.dim != 1:
             raise ConfigError("the Bernstein line optimiser needs a 1-d grid")
         self._B = bernstein_matrix(BERNSTEIN_DEGREE, grid_coordinates(cfg.grid)[:, 0])
-        super().__init__(replace(cfg, d=search_dim("linebo_bernstein", cfg.d)), rng)
+        super().__init__(replace(cfg, d=search_dim("linebo_bernstein", cfg.d)))
 
     def _start_outer(self, s: int) -> Subspace:
         # the model sees only this line's observations

@@ -27,7 +27,7 @@ from scipy.linalg import solve_triangular
 from funcbo import gp, gridfn
 from funcbo.errors import InputError, NumericalError, ShapeError
 from funcbo.gridfn import GridFunction, GridSpec, grid_coordinates
-from funcbo.kernels import FunctionalKernelSpec, ScalarKernelSpec, value_from_sqdist
+from funcbo.kernels import FunctionalKernelSpec, ScalarKernelSpec, scalar_gram, value_from_sqdist
 
 
 # --- grid functions ------------------------------------------------------
@@ -141,10 +141,11 @@ def functional_eval(spec: FunctionalKernelSpec, g: GridFunction, h: GridFunction
     if spec.metric == "l2grid":
         r_sq = gridfn.l2_dist_sq(g, h)
     else:
-        # values are read as coefficient vectors of the gram's basis
+        # values are read as coefficient vectors of the basis prior's gram
         if g.spec != h.spec:
             raise ShapeError(f"grid mismatch: {g.spec} vs {h.spec}")
-        r_sq = rkhs_dist_sq(g.values, h.values, spec.rkhs_gram)
+        gram = scalar_gram(spec.prior, grid_coordinates(g.spec))
+        r_sq = rkhs_dist_sq(g.values, h.values, gram)
     return float(value_from_sqdist(spec.base, r_sq))
 
 
@@ -173,7 +174,7 @@ def rebuild_model(kernel, noise_sq: float, observations) -> gp.GPModel:
     if any(p.spec != grid for p in points):
         raise ShapeError("observations on different grids")
     V = np.array([p.values for p in points])
-    MV = gp._metric_rows(kernel, V)
+    MV = gp._metric_rows(kernel, grid, V)
     q = np.einsum("ij,ij->i", V, MV)
     y = np.array(y)
     model = replace(gp.empty_model(kernel, noise_sq, grid), n=len(y), MVs=MV, row_qs=q)
@@ -351,7 +352,7 @@ def posterior_batch(model, Q):
     if model.n == 0:
         return np.zeros(Q.shape[0]), prior
     weight = model.grid.weight if model.kernel.metric == "l2grid" else 1.0
-    q_sq = np.einsum("ij,ij->i", Q, gp._metric_rows(model.kernel, Q))
+    q_sq = np.einsum("ij,ij->i", Q, gp._metric_rows(model.kernel, model.grid, Q))
     r2 = (q_sq[:, None] + model.row_q[None, :] - 2.0 * (Q @ model.MV.T)) * weight
     return _posterior_from_sqdist(model, r2 / _divisor(base), prior)
 
@@ -369,7 +370,7 @@ def span_posterior(model, A):
     terms[0, 0] = model.row_q
     terms[0, 1:] = -proj
     terms[1:, 0] = -proj
-    terms[1:, 1:] = (gp._metric_rows(model.kernel, A) @ A.T)[:, :, None]
+    terms[1:, 1:] = (gp._metric_rows(model.kernel, model.grid, A) @ A.T)[:, :, None]
     P = terms.reshape(-1, n) * (weight / _divisor(base))
 
     def posterior(e):

@@ -118,10 +118,10 @@ def test_criterion_1_posterior_matches_dense_oracle():
 
 def test_criterion_2_incremental_identity_both_metrics():
     rng = np.random.default_rng(101)
-    rkhs_gram = scalar_gram(ScalarKernelSpec("se", 0.3), grid_coordinates(GRID_1D))
     kernels = {
         "l2grid": FunctionalKernelSpec(ScalarKernelSpec("se", 0.9), "l2grid"),
-        "rkhs": FunctionalKernelSpec(ScalarKernelSpec("se", 2.0), "rkhs", rkhs_gram),
+        "rkhs": FunctionalKernelSpec(ScalarKernelSpec("se", 2.0), "rkhs",
+                                     ScalarKernelSpec("se", 0.3)),
     }
     ok = True
     for split in range(10):

@@ -20,8 +20,8 @@ from funcbo.acquisition import (
 )
 from funcbo.errors import InputError
 from funcbo.gp import empty_model
-from funcbo.gridfn import GridFunction, GridSpec, grid_coordinates
-from funcbo.kernels import FunctionalKernelSpec, ScalarKernelSpec, scalar_gram
+from funcbo.gridfn import GridFunction, GridSpec
+from funcbo.kernels import FunctionalKernelSpec, ScalarKernelSpec
 from funcbo.optimizer import OptConfig, Subspace, make_engine
 import reference
 from reference import l2_norm, linear_combine, rebuild_model, zeros
@@ -231,21 +231,22 @@ def test_engine_with_overflowing_lambda_box_is_input_error():
                               search=AcqSearchConfig(lambda_box=1e200)), "s3bfo")
 
 
+def _prior(metric):
+    """The basis prior that defines the rkhs metric; none under l2grid."""
+    return ScalarKernelSpec("se", 0.3) if metric == "rkhs" else None
+
+
 def _metric_kernel(metric, points, relative_lengthscale):
     """SE functional kernel whose lengthscale is a multiple of the median
     distance between the points, so it neither saturates nor vanishes."""
-    gram = (
-        scalar_gram(ScalarKernelSpec("se", 0.3), grid_coordinates(GRID_1D))
-        if metric == "rkhs"
-        else None
-    )
     V = np.array([p.values for p in points])
-    MV = gp._metric_rows(FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), metric, gram), V)
+    MV = gp._metric_rows(FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), metric,
+                                              _prior(metric)), GRID_1D, V)
     q = np.einsum("ij,ij->i", V, MV)
     r2 = gp._sqdist(q, q, V @ MV.T, GRID_1D.weight if metric == "l2grid" else 1.0)
     scale = math.sqrt(float(np.median(r2[np.triu_indices(len(points), 1)])))
     return FunctionalKernelSpec(
-        ScalarKernelSpec("se", relative_lengthscale * scale), metric, gram
+        ScalarKernelSpec("se", relative_lengthscale * scale), metric, _prior(metric)
     )
 
 
@@ -265,8 +266,7 @@ def test_subspace_posterior_equals_posterior_of_candidates(metric, d, kind, seed
         for s in (earlier, earlier, earlier, sub, sub)
     ]
     se = _metric_kernel(metric, points, relative_lengthscale)
-    kernel = FunctionalKernelSpec(ScalarKernelSpec(kind, se.base.lengthscale), metric,
-                                  se.rkhs_gram)
+    kernel = FunctionalKernelSpec(ScalarKernelSpec(kind, se.base.lengthscale), metric, se.prior)
     model = rebuild_model(
         kernel, 0.01, [(p, float(rng.standard_normal())) for p in points]
     )
@@ -314,9 +314,7 @@ def test_search_matches_the_reference_bit_for_bit(
         points = [short_grid_function(*x) for x in coords]
         caller = [coords]
     else:
-        gram = (scalar_gram(ScalarKernelSpec("se", 0.3), grid_coordinates(GRID_1D))
-                if path == "rkhs" else None)
-        kernel = FunctionalKernelSpec(ScalarKernelSpec(kind, 1.0, variance), path, gram)
+        kernel = FunctionalKernelSpec(ScalarKernelSpec(kind, 1.0, variance), path, _prior(path))
         earlier = _subspace(rng, d=d, bias=random_grid_function(rng, scale=0.5))
         sub = _subspace(rng, d=d, bias=random_grid_function(rng, scale=0.5))
         # observations on an earlier subspace lie outside the current span
@@ -545,8 +543,6 @@ def test_stacked_queries_equal_their_slices_bit_for_bit(path, kind, d):
                             GridSpec(1, d))
         points = [short_grid_function(*x) for x in rng.uniform(-4.0, 4.0, size=(140, d))]
     else:
-        gram = (scalar_gram(ScalarKernelSpec("se", 0.3), grid_coordinates(GRID_1D))
-                if path == "rkhs" else None)
         subs = [_subspace(rng, d=d, bias=random_grid_function(rng, scale=0.5)) for _ in range(5)]
         sub = subs[-1]
         points = [GridFunction(GRID_1D, candidate_values(subs[i % 5], AcqSearchConfig(),
@@ -554,7 +550,7 @@ def test_stacked_queries_equal_their_slices_bit_for_bit(path, kind, d):
                   for i in range(140)]
         kernel = _metric_kernel(path, points[:20], 1.0)
         model = empty_model(FunctionalKernelSpec(ScalarKernelSpec(kind, kernel.base.lengthscale),
-                                                 path, gram), 0.01, GRID_1D)
+                                                 path, _prior(path)), 0.01, GRID_1D)
         uncapped = candidate_values(sub, AcqSearchConfig(l_max=np.inf),
                                     rng.uniform(-4.0, 4.0, size=(64, d)))
         norms = np.sqrt(np.einsum("ij,ij->i", uncapped, uncapped) * GRID_1D.weight)

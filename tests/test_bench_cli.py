@@ -1088,9 +1088,12 @@ def test_cli_bench_and_exit_codes(tmp_path):
         ("acq.lambda_box = 1e200", "acq.lambda_box"),  # candidates' squared norms overflow
         ("kappa.lengthscale = 1e-200", "kappa.lengthscale"),  # its square underflows
         ("objective.target_lengthscale = 1e-200", "objective.target_lengthscale"),
+        ("objective.noise = -1", "objective.noise"),
+        # more directions than the 100 grid points hold, checked before any draw
+        ("objective.kind = effdim\nobjective.d_e = 101", "objective.d_e"),
     ],
 )
-def test_cli_value_whose_square_or_box_overflows_exits_2(tmp_path, setting, named):
+def test_cli_out_of_range_value_exits_2_naming_its_key(tmp_path, setting, named):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text(f"{SMALL}{setting}\n")
     res = _cli("bench", "--config", str(cfg), "--out", str(tmp_path / "out"))

@@ -29,6 +29,7 @@ from reference import (
 )
 
 SE_L2 = FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), "l2grid")
+_RKHS_PRIOR = ScalarKernelSpec("se", 0.3)  # the basis prior whose gram is the rkhs metric
 
 
 def _l2(kind, lengthscale, variance=1.0):
@@ -70,8 +71,7 @@ def test_posterior_single_observation_closed_form():
 def test_posterior_matches_dense_oracle(metric):
     rng = np.random.default_rng(2)
     if metric == "rkhs":
-        gram = scalar_gram(ScalarKernelSpec("se", 0.3), grid_coordinates(GRID_1D))
-        kernel = FunctionalKernelSpec(ScalarKernelSpec("se", 2.0), metric, gram)
+        kernel = FunctionalKernelSpec(ScalarKernelSpec("se", 2.0), metric, _RKHS_PRIOR)
     else:
         kernel = FunctionalKernelSpec(ScalarKernelSpec("se", 0.8), metric)
     obs = _functional_dataset(rng, 6, kernel)
@@ -192,9 +192,6 @@ def test_pick_ties_go_to_larger_lengthscale():
     assert condition(empty, *obs).kernel.base.lengthscale == 2.0
 
 
-_RKHS_GRAM = scalar_gram(ScalarKernelSpec("se", 0.3), grid_coordinates(GRID_1D))
-
-
 @pytest.mark.parametrize("kind", ["se", "matern12", "matern32"])
 @pytest.mark.parametrize("metric", ["l2grid", "rkhs"])
 def test_empty_model_queries_give_the_prior_exactly(metric, kind):
@@ -202,7 +199,7 @@ def test_empty_model_queries_give_the_prior_exactly(metric, kind):
     # the means are 0.0 and the variances the base variance, bit for bit
     rng = np.random.default_rng(27)
     kernel = FunctionalKernelSpec(ScalarKernelSpec(kind, 0.7, variance=1.7), metric,
-                                  _RKHS_GRAM if metric == "rkhs" else None)
+                                  _RKHS_PRIOR if metric == "rkhs" else None)
     model = empty_model(kernel, 0.01, GRID_1D, (0.3, 0.7, 2.0))
     A = rng.standard_normal((2, GRID_1D.size))
     e = np.concatenate((np.ones((3, 5, 1)), rng.standard_normal((3, 5, 2))), axis=-1)
@@ -230,8 +227,8 @@ def test_candidate_chain_matches_rebuild(mode, kind, n, seed):
         points = [short_grid_function(*rng.uniform(0.0, 1.0, 2)) for _ in range(n)]
         probes = [short_grid_function(*rng.uniform(0.0, 1.0, 2)) for _ in range(3)]
     else:
-        gram = _RKHS_GRAM if mode == "rkhs" else None
-        template = FunctionalKernelSpec(ScalarKernelSpec(kind, 1.0), mode, gram)
+        prior = _RKHS_PRIOR if mode == "rkhs" else None
+        template = FunctionalKernelSpec(ScalarKernelSpec(kind, 1.0), mode, prior)
         points = [random_grid_function(rng, scale=0.3) for _ in range(n)]
         probes = [random_grid_function(rng, scale=0.3) for _ in range(3)]
     noise_sq = 0.01
@@ -588,8 +585,7 @@ def test_biased_equivalence_empty_prev():
 def test_biased_equivalence_random_split(metric):
     rng = np.random.default_rng(16)
     if metric == "rkhs":
-        gram = scalar_gram(ScalarKernelSpec("se", 0.3), grid_coordinates(GRID_1D))
-        kernel = FunctionalKernelSpec(ScalarKernelSpec("se", 2.0), metric, gram)
+        kernel = FunctionalKernelSpec(ScalarKernelSpec("se", 2.0), metric, _RKHS_PRIOR)
     else:
         kernel = FunctionalKernelSpec(ScalarKernelSpec("se", 0.9), metric)
     obs_prev = _functional_dataset(rng, 4, kernel)

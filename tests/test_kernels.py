@@ -5,7 +5,7 @@ import pytest
 
 from conftest import GRID_1D, random_grid_function
 from funcbo.errors import InputError
-from funcbo.gridfn import l2_dist_sq
+from funcbo.gridfn import grid_coordinates, l2_dist_sq
 from funcbo.kernels import (
     SCALAR_KINDS,
     FunctionalKernelSpec,
@@ -33,11 +33,20 @@ def test_spec_validation():
     with pytest.raises(InputError):
         FunctionalKernelSpec(ScalarKernelSpec("linear", 1.0), "l2grid")
     with pytest.raises(InputError):
-        FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), "rkhs")  # gram missing
-    with pytest.raises(InputError):
-        FunctionalKernelSpec(
-            ScalarKernelSpec("se", 1.0), "rkhs", rkhs_gram=-np.eye(4)
-        )
+        FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), "rkhs")  # prior missing
+    with pytest.raises(InputError, match="ScalarKernelSpec"):  # a gram is no prior
+        FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), "rkhs", np.eye(GRID_1D.size))
+
+
+def test_functional_specs_built_alike_are_equal_and_hash_alike():
+    def spec(lengthscale, metric, prior_lengthscale=None):
+        prior = None if prior_lengthscale is None else ScalarKernelSpec("se", prior_lengthscale)
+        return FunctionalKernelSpec(ScalarKernelSpec("se", lengthscale), metric, prior)
+
+    for args in ((0.5, "l2grid"), (0.5, "rkhs", 0.3)):
+        assert spec(*args) == spec(*args) and hash(spec(*args)) == hash(spec(*args))
+    assert spec(0.5, "rkhs", 0.3) != spec(0.5, "rkhs", 0.2)
+    assert spec(0.5, "rkhs", 0.3).with_lengthscale(0.7) == spec(0.7, "rkhs", 0.3)
 
 
 def test_scalar_zero_distance_gives_variance():
@@ -82,13 +91,14 @@ def test_functional_identity_and_constant_gap():
 
 @pytest.mark.parametrize("kind", ["se", "matern32"])
 def test_rkhs_identity_gram_matches_scaled_l2grid(kind):
-    # with identity gram the rkhs distance is the l2grid distance divided
-    # by the quadrature weight, i.e. the same kernel at a scaled lengthscale
+    # an SE prior far narrower than the grid spacing has the identity for
+    # its gram, so the rkhs distance is the l2grid distance divided by the
+    # quadrature weight, i.e. the same kernel at a scaled lengthscale
     rng = np.random.default_rng(1)
     gamma = 0.8
-    rkhs = FunctionalKernelSpec(
-        ScalarKernelSpec(kind, gamma), "rkhs", rkhs_gram=np.eye(GRID_1D.size)
-    )
+    prior = ScalarKernelSpec("se", 1e-4)
+    assert np.array_equal(scalar_gram(prior, grid_coordinates(GRID_1D)), np.eye(GRID_1D.size))
+    rkhs = FunctionalKernelSpec(ScalarKernelSpec(kind, gamma), "rkhs", prior)
     scaled = FunctionalKernelSpec(
         ScalarKernelSpec(kind, gamma * math.sqrt(GRID_1D.weight)), "l2grid"
     )

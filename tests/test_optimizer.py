@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -143,8 +144,8 @@ def test_bitwise_determinism_all_runners():
 def test_incumbent_threading():
     cfg = _cfg(S=3, T=3, n_init=2, seed=5)
     obj = _match_obj()
-    dec, noise = rng_streams(cfg.seed)
-    eng = SubspaceSearchEngine(cfg, dec)
+    noise = rng_streams(cfg.seed)[1]
+    eng = SubspaceSearchEngine(cfg)
     my_best_y, my_best_g = None, np.zeros(GRID_1D.size)
     seen_outer = set()
     while not eng.done:
@@ -164,8 +165,8 @@ def test_incumbent_threading():
 def test_model_matches_from_scratch_rebuild(k_lengthscale):
     cfg = _cfg(S=2, T=5, n_init=3, seed=6, k_lengthscale=k_lengthscale)
     obj = _match_obj()
-    dec, noise = rng_streams(cfg.seed)
-    eng = SubspaceSearchEngine(cfg, dec)
+    noise = rng_streams(cfg.seed)[1]
+    eng = SubspaceSearchEngine(cfg)
     rng = np.random.default_rng(0)
     probes = [random_grid_function(rng) for _ in range(3)]
     candidates = (
@@ -206,21 +207,35 @@ def test_model_matches_from_scratch_rebuild(k_lengthscale):
     assert checked >= (cfg.budget // 2 if k_lengthscale == "mle" else 0)
 
 
-def test_rkhs_mle_run_validates_gram_once(monkeypatch):
-    calls = []
-    validate = kernels._validate_psd
-    monkeypatch.setattr(kernels, "_validate_psd", lambda gram: calls.append(1) or validate(gram))
+def test_rkhs_mle_run_builds_its_metric_gram_once(monkeypatch):
+    # every candidate model of the run shares kappa's gram on the grid, and
+    # nothing factors an N-row matrix but the prior factor
+    builds, factors = [], []
+    gram, cholesky = kernels.scalar_gram, np.linalg.cholesky
+
+    def counted_gram(spec, coords):
+        builds.append((sys._getframe(1).f_code.co_name, len(coords)))
+        return gram(spec, coords)
+
+    def counted_cholesky(a):
+        factors.append((sys._getframe(1).f_code.co_name, a.shape[0]))
+        return cholesky(a)
+
+    monkeypatch.setattr(kernels, "scalar_gram", counted_gram)
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    gp._metric_gram.cache_clear()
     cfg = _cfg(S=2, T=6, n_init=2, k_metric="rkhs", k_lengthscale="mle")
     _, trace = run_s3bfo(_match_obj(), cfg)
     assert len(trace) == 16
-    assert len(calls) == 1
+    assert builds.count(("_metric_gram", GRID_1D.size)) == 1
+    assert {caller for caller, rows in factors if rows == GRID_1D.size} <= {"_prior_chol"}
 
 
 def test_posterior_equivalence_at_inner_loop_starts():
     cfg = _cfg(S=3, T=2, n_init=2, seed=7, k_lengthscale=0.8)
     obj = _match_obj()
-    dec, noise = rng_streams(cfg.seed)
-    eng = SubspaceSearchEngine(cfg, dec)
+    noise = rng_streams(cfg.seed)[1]
+    eng = SubspaceSearchEngine(cfg)
     rng = np.random.default_rng(1)
     probes = [random_grid_function(rng) for _ in range(3)]
     checked = 0
@@ -273,7 +288,7 @@ def test_inner_step_scores_in_coordinates(monkeypatch, engine_cls, grid):
     # it scores through subspace_posterior
     assert rows == [1]
     assert widths == []
-    expected = candidate_values(eng.subspace, eng._search, eng.pending[3][None, :])[0]
+    expected = candidate_values(eng.subspace, eng.cfg.search, eng.pending[3][None, :])[0]
     np.testing.assert_array_equal(g.values, expected)
 
 
@@ -327,8 +342,8 @@ def test_simple_regret_shrinks_over_inner_run():
             n_init=5,
             k_lengthscale=0.5,
         )
-        dec, noise = rng_streams(cfg.seed)
-        eng = SubspaceSearchEngine(cfg, dec)
+        noise = rng_streams(cfg.seed)[1]
+        eng = SubspaceSearchEngine(cfg)
         errs = []
         while not eng.done:
             g = eng.ask()
@@ -339,7 +354,7 @@ def test_simple_regret_shrinks_over_inner_run():
                         eng.model,
                         eng.subspace,
                         eng._outer_best[0],
-                        eng._search,
+                        eng.cfg.search,
                     )
                 )
         assert errs[-1] < 0.01
@@ -352,21 +367,22 @@ def test_linebo_regret_certificate_matches_dense_scan():
     # line minus the LCB at the line's best function, as for subspaces
     for seed in range(2):
         cfg = _cfg(S=1, T=8, n_init=2, seed=seed, termination="regret", epsilon=1e-12)
-        dec, noise = rng_streams(cfg.seed)
-        eng = BernsteinLineEngine(cfg, dec)
+        noise = rng_streams(cfg.seed)[1]
+        eng = BernsteinLineEngine(cfg)
         obj = _match_obj()
         checked, evaluated = 0, []  # (y, function) of the line so far
         while not eng.done:
             kind, s, _ = eng._position()
             if kind == "inner":
                 best = max(evaluated, key=lambda pair: pair[0])[1]
-                box = eng._search.lambda_box
+                box = eng.cfg.search.lambda_box
                 thetas = np.linspace(-box, box, 4001)[:, None]
-                rows = candidate_values(eng.subspace, eng._search, thetas)
+                rows = candidate_values(eng.subspace, eng.cfg.search, thetas)
                 means, variances = gp.posterior_batch(eng.model, rows)
                 m_inc, v_inc = gp.posterior(eng.model, best)
                 dense = float((means + np.sqrt(variances)).max()) - (m_inc - math.sqrt(v_inc))
-                err = simple_regret_err(eng.model, eng.subspace, eng._outer_best[0], eng._search)
+                err = simple_regret_err(eng.model, eng.subspace, eng._outer_best[0],
+                                        eng.cfg.search)
                 assert err == pytest.approx(dense, abs=1e-3)
                 checked += 1
             g = eng.ask()
@@ -492,7 +508,7 @@ def test_settled_certificate_makes_the_full_decision(algorithm, stop, seed):
         inner -= eng._position()[0] == "inner"
         eng.ask()
         eng.tell(float(rng.standard_normal()))
-    args = (eng.model, eng.subspace, eng._outer_best[0], eng._search)
+    args = (eng.model, eng.subspace, eng._outer_best[0], eng.cfg.search)
     full = simple_regret_err(*args)
     for epsilon in (1e-12, 0.01, 0.3, 100.0):
         settled = simple_regret_err(*args, settle_at=epsilon)
@@ -516,8 +532,7 @@ def test_bernstein_matrix_properties():
 
 def test_linebo_zero_weights_give_zero_function():
     cfg = _cfg(S=1, T=1, n_init=1, seed=1)
-    dec, _ = rng_streams(cfg.seed)
-    eng = BernsteinLineEngine(cfg, dec)
+    eng = BernsteinLineEngine(cfg)
     # the first suggestion lies on a line through the zero incumbent
     g = eng.ask()
     theta = eng.pending[3][0]
@@ -725,16 +740,14 @@ def _conditioned(kernel, *points):
                  ShapeError, id="posterior-batch-rows-of-another-width"),
     pytest.param(lambda: gp.posterior_batch(gp.empty_model(_L2, 0.01, GRID_1D), np.ones((2, 7))),
                  ShapeError, id="posterior-batch-on-an-empty-model-rows-of-another-width"),
-    pytest.param(lambda: gp.empty_model(FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), "rkhs",
-                                                             np.eye(5)), 0.01, GRID_1D),
-                 ShapeError, id="empty-model-rkhs-gram-of-another-size"),
     pytest.param(lambda: gp.empty_model(_L2, 0.0, GRID_1D), InputError,
                  id="empty-model-zero-noise"),
     pytest.param(lambda: FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), "sobolev"),
                  InputError, id="functional-kernel-unknown-metric"),
-    pytest.param(lambda: FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), "rkhs",
-                                              np.ones((2, 3))),
-                 ShapeError, id="functional-kernel-non-square-gram"),
+    pytest.param(lambda: FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), "rkhs"),
+                 InputError, id="functional-kernel-rkhs-without-a-prior"),
+    pytest.param(lambda: FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), "l2grid", KAPPA),
+                 InputError, id="functional-kernel-prior-under-l2grid"),
     pytest.param(lambda: FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), "l2grid", np.eye(3)),
                  InputError, id="functional-kernel-gram-under-l2grid"),
     pytest.param(lambda: kernels.value_from_sqdist(ScalarKernelSpec("linear", 1.0), np.zeros(3)),
