@@ -11,9 +11,10 @@ other coordinates leave it there, with the restart's score at its
 position (``cur``) known; so each later step scores only the other
 interior point.  The best candidate ever evaluated is returned, so a
 restart can never end below its own seed.  A caller that needs to know
-only whether the maximum reaches a level passes ``settled`` and gets
-the running best as soon as it does (the regret certificate stops once
-it proves err >= epsilon).
+only whether the maximum reaches a level passes ``settled``, which is
+checked on the running best before each posterior call, and gets the
+running best at the first call boundary where it does (the regret
+certificate stops once it proves err >= epsilon).
 
 A posterior call costs mostly its fixed numpy overhead, so one call
 scores two later steps: a (3, n, d) stack of the step's new points and
@@ -196,8 +197,9 @@ def golden_multistart(score_batch, d: int, search: AcqSearchConfig, rng, settled
     Deterministic given the rng: the only draws are the restart seeds.
 
     settled, if given, is called with the running best value before
-    each local step; once it returns True, the search returns its
-    running best at once.
+    each posterior call after the seeds'; once it returns True, the
+    search returns its running best.  A call that scores two steps
+    resolves both first.
     """
     box = search.lambda_box
     n, steps = search.restarts, search.local_steps
@@ -263,7 +265,6 @@ def golden_multistart(score_batch, d: int, search: AcqSearchConfig, rng, settled
             # a last step's call scores its first slice only
             cs, (fs, gs1, gs2) = cur, call(first, one, two) if pair else call(first) * 3
         Lk, Hk, Pk, Uk = lo[k], hi[k], pos[k], upper[k]
-        mid = []  # after the first of two steps: each restart's best and its position
         for i in range(n):
             x, fx, c = xs[i], fs[i], cs[i]
             if visit:
@@ -280,8 +281,6 @@ def golden_multistart(score_batch, d: int, search: AcqSearchConfig, rng, settled
             if c > best[i]:
                 best[i], best_pos[i] = c, rows[i][:]
             if pair:  # the call's second step, on coordinate k, resolved the same way
-                if settled is not None:
-                    mid.append((best[i], best_pos[i]))
                 x, fx = (y1s[i], gs1[i]) if won else (y2s[i], gs2[i])
                 if Uk[i]:
                     if fx > c:
@@ -296,9 +295,6 @@ def golden_multistart(score_batch, d: int, search: AcqSearchConfig, rng, settled
                     best[i], best_pos[i] = c, rows[i][:]
             cur[i] = c
         step += 1 + pair
-        if mid and settled(max(v for v, _ in mid)):  # settled before the second step
-            i = int(np.argmax([v for v, _ in mid]))
-            return np.array(mid[i][1]), mid[i][0]
     i = int(np.argmax(best))  # ties resolve to the lower restart index
     return np.array(best_pos[i]), best[i]
 

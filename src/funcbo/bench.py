@@ -289,6 +289,9 @@ def run_bench(values: dict, out_dir) -> BenchResult:
     repeats = values["bench.repeats"]
     if repeats < 1:
         raise ConfigError("bench.repeats must be >= 1")
+    if values["bench.base_seed"] + repeats - 1 >= 2**64:
+        raise ConfigError("bench.base_seed + bench.repeats - 1 must fit in 64 bits: "
+                          "each repeat's seed is bench.base_seed + repeat")
     for algorithm in values["bench.algorithms"]:
         optimizer.check_model_bytes(opt_cfg, algorithm)
     out = Path(out_dir)

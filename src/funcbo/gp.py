@@ -14,7 +14,7 @@ factor), stacked with the other candidates' in buffers of capacity
 cap >= n that grow by 16 rows when full, or at once to ``reserve`` rows,
 the points a run knows it will hold.  The model is the candidate
 ``pick`` with the highest log marginal likelihood -z·z/2 + sum log W_ii -
-n/2 log 2 pi; ``kernel``, ``W`` and ``z`` are that candidate's.  With
+n/2 log 2 pi; ``kernel`` and ``Wz`` are that candidate's.  With
 w = W k(D, x) the posterior mean is z·w = k(x, D) Wᵀz and the variance
 K(x, x) - w·w; one matrix product of the kernel row with [Wᵀ | Wᵀz],
 cached on the model as ``Wz``, gives both.
@@ -107,20 +107,13 @@ class GPModel:
     reserve: int = 0  # rows the first buffers get: the points the model will hold
 
     @cached_property
-    def W(self) -> np.ndarray:
-        return self.Ws[self.pick, : self.n, : self.n]
-
-    @cached_property
-    def z(self) -> np.ndarray:
-        return self.zs[self.pick, : self.n]
-
-    @cached_property
     def Wz(self) -> np.ndarray:
-        """(n, n + 1): [Wᵀ | Wᵀz], the posterior's one matrix per query, in
-        C order, which BLAS multiplies faster than the transposed W."""
+        """(n, n + 1): the pick's [Wᵀ | Wᵀz], the posterior's one matrix per
+        query, in C order, which BLAS multiplies faster than the transposed W."""
+        W, z = self.Ws[self.pick, : self.n, : self.n], self.zs[self.pick, : self.n]
         Wz = np.empty((self.n, self.n + 1))
-        Wz[:, :-1] = self.W.T
-        Wz[:, -1] = self.z @ self.W
+        Wz[:, :-1] = W.T
+        Wz[:, -1] = z @ W
         return Wz
 
     @cached_property
@@ -221,9 +214,11 @@ def condition(model: GPModel, point, y: float) -> GPModel:
     with the point's metric row; full buffers grow by 16 rows, or to the
     model's reserve if that is more.  Rows below n never change, so the
     given model stays valid.  A candidate with s^2 <= 0 is dropped and
-    logged, and the survivors move to fresh buffers of the same capacity;
+    logged, and so is one whose z·z is not finite (y far too large);
+    the survivors move to fresh buffers of the same capacity.
     NumericalError is raised when every candidate is dropped, InputError
-    when y is not finite or a successor already wrote row n.
+    when y is not finite or a successor already wrote row n.  Nothing is
+    written before these checks.
     """
     if not np.isfinite(y):
         raise InputError(f"observation value must be finite, got {y}")
@@ -242,14 +237,19 @@ def condition(model: GPModel, point, y: float) -> GPModel:
     k_rows = kernels.value_from_sqdist(base, raw * scale[:, None])
     ell = (model.Ws[:, :n, :n] @ k_rows[:, :, None])[:, :, 0]
     s_sq = base.variance + model.noise_sq - np.einsum("ci,ci->c", ell, ell)
-    keep = s_sq > 0.0
+    pd, z_old = s_sq > 0.0, model.zs[:, :n]
+    with np.errstate(all="ignore"):  # a candidate dropped below may give NaN or inf here
+        s = np.sqrt(s_sq)
+        z_n = (y - np.einsum("ci,ci->c", ell, z_old)) / s
+        keep = pd & np.isfinite(np.einsum("ci,ci->c", z_old, z_old) + z_n * z_n)
     for c in np.flatnonzero(~keep):
-        _log_fallback(
-            "dropped lengthscale %r at n = %d: conditioning broke positive definiteness",
-            float(lengthscales[c]), n + 1,
-        )
+        _log_fallback("dropped lengthscale %r at n = %d: %s", float(lengthscales[c]), n + 1,
+                      "its likelihood is not finite" if pd[c]
+                      else "conditioning broke positive definiteness")
     if not keep.any():
         raise NumericalError(
+            f"the observed value {y!r} leaves no lengthscale a finite likelihood; "
+            "rescale the objective" if pd.any() else
             "conditioning broke positive definiteness for every lengthscale; "
             "add jitter and rebuild"
         )
@@ -262,37 +262,33 @@ def condition(model: GPModel, point, y: float) -> GPModel:
         kept = slice(None) if keep.all() else keep
         W[:, :n, :n], z[:, :n] = model.Ws[kept, :n, :n], model.zs[kept, :n]
         MVs[:n], row_qs[:n] = model.MV, model.row_q
-        ell, s_sq, lengthscales = ell[keep], s_sq[keep], lengthscales[keep]
+        ell, s, z_n, lengthscales = ell[keep], s[keep], z_n[keep], lengthscales[keep]
     MVs[n], row_qs[n] = mx[0], q_x[0]
-    s = np.sqrt(s_sq)
     W[:, n, :n] = (ell[:, None, :] @ W[:, :n, :n])[:, 0, :] / -s[:, None]
     W[:, n, n] = 1.0 / s
-    z[:, n] = (y - np.einsum("ci,ci->c", ell, z[:, :n])) / s
+    z[:, n] = z_n
     pick = _pick(lengthscales, W, z, n + 1)
     return replace(model, kernel=model.kernel.with_lengthscale(float(lengthscales[pick])),
                    n=n + 1, lengthscales=lengthscales, Ws=W, zs=z, pick=pick,
                    MVs=MVs, row_qs=row_qs)
 
 
-def posterior_from_sqdist(
-    model: GPModel, x: np.ndarray, prior
-) -> tuple[np.ndarray, np.ndarray]:
+def posterior_from_sqdist(model: GPModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means and variances of a batch of queries from their
     squared distances to the model's points divided by the kernel's
-    ``kernels.sqdist_divisor``, shape (..., q, n), and their prior
-    variances (an array, or one scalar for all).  The kernel values k
+    ``kernels.sqdist_divisor``, shape (..., q, n).  The kernel values k
     overwrite x; one matrix product per (q, n) slice with the model's
     [Wᵀ | Wᵀz] gives the rows of w = W kᵀ and the means z·w, and the
-    variances are prior - w·w, clamped at zero.  Every posterior query
-    ends here; on a model with no point, each product runs over an empty
-    axis and gives the prior exactly.  Leading axes change no row's bits:
-    numpy runs one BLAS call per slice, with the shapes of a call on that
-    slice alone."""
+    variances are the kernel's variance - w·w, clamped at zero.  Every
+    posterior query ends here; on a model with no point, each product
+    runs over an empty axis and gives the prior exactly.  Leading axes
+    change no row's bits: numpy runs one BLAS call per slice, with the
+    shapes of a call on that slice alone."""
     k = kernels.value_from_scaled(model.kernel.base, x)
     wm = k @ model.Wz
     w = wm[..., :-1]
     var = np.einsum("...ij,...ij->...i", w, w)
-    np.subtract(prior, var, out=var)
+    np.subtract(model.kernel.base.variance, var, out=var)
     return wm[..., -1], np.maximum(var, 0.0, out=var)
 
 
@@ -311,7 +307,7 @@ def posterior_batch(model: GPModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarr
     q_sq = np.einsum("...ij,...ij->...i", Q, _metric_rows(model.kernel, model.grid, Q))
     x = _sqdist(q_sq, model.row_q, Q @ model.MV.T, _weight(model))
     x /= kernels.sqdist_divisor(base)
-    return posterior_from_sqdist(model, x, base.variance)
+    return posterior_from_sqdist(model, x)
 
 
 def span_posterior(model: GPModel, A: np.ndarray):
@@ -344,7 +340,7 @@ def span_posterior(model: GPModel, A: np.ndarray):
         if ee.shape[:-2] != e.shape[:-1]:
             ee = np.empty(e.shape + (r + 1,))
         np.multiply(e[..., :, None], e[..., None, :], out=ee)
-        return posterior_from_sqdist(model, ee.reshape(e.shape[:-1] + (-1,)) @ P, base.variance)
+        return posterior_from_sqdist(model, ee.reshape(e.shape[:-1] + (-1,)) @ P)
 
     return posterior
 
@@ -367,10 +363,11 @@ def _prior_chol(
     """Cholesky factor of the kernel's gram on the grid, jittered as needed;
     ``axis_of`` names the grid whose per-axis factor this is, for the log."""
     gram = kernels.scalar_gram(kernel, grid_coordinates(spec))
-    eye = np.eye(spec.size)
+    diag, i = gram.diagonal().copy(), np.diag_indices(spec.size)
     for jitter in _JITTERS:
+        gram[i] = diag + jitter * kernel.variance  # each attempt from the unjittered diagonal
         try:
-            L = np.linalg.cholesky(gram + jitter * kernel.variance * eye)
+            L = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
             continue
         if jitter != _JITTERS[0]:

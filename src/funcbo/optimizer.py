@@ -238,7 +238,7 @@ def simple_regret_err(
     model: gp.GPModel,
     subspace: Subspace,
     incumbent: GridFunction,
-    search: AcqSearchConfig | None = None,
+    search: AcqSearchConfig,
     settle_at: float | None = None,
 ) -> float:
     """Simple-regret certificate for the incumbent on a subspace: the
@@ -261,8 +261,6 @@ def simple_regret_err(
     """
     if model.n == 0:
         raise InputError("simple regret test needs a non-empty model")
-    if search is None:
-        search = AcqSearchConfig()
     rng = np.random.default_rng(_REGRET_SEARCH_SEED)
     mean, var = gp.posterior(model, incumbent)
     lcb = mean - math.sqrt(var)

@@ -10,15 +10,17 @@ prints one ``sha256  path`` line per file, sorted by path, for:
 * s3bfo on a 2-d 40 x 40 grid with S = 3 at seeds 1-3, under each metric;
 * s3bfo on the paper protocol at opt.d = 2 and 3, under each metric;
 * ask/tell sessions of the 16 configs that the session tests compare with
-  in-process runs: every state and suggestion that each suggest and tell
-  writes, and the export of the finished run.  The live engine is
-  forgotten before every command, so each one replays its state.
+  in-process runs, and of s3bfo with SE bases on a 2-d 8 x 8 grid (whose
+  state digests the per-axis prior) under budget and regret termination:
+  every state and suggestion that each suggest and tell writes, and the
+  export of the finished run.  The live engine is forgotten before every
+  command, so each one replays its state.
 
 Every file is written into a temporary directory, removed at exit.  Two
 listings compare equal when the runs are byte-identical: run the script
 in two processes, or against two source trees through PYTHONPATH, and
 ``cmp`` the listings.  The bits may depend on the BLAS thread count, so
-compare listings made at the same count.  It takes about 5 s on 2 cores.
+compare listings made at the same count.  It takes about 6 s on 2 cores.
 """
 
 import hashlib
@@ -56,15 +58,12 @@ def _runs(root: Path) -> None:
                    f"{PROTOCOL}opt.d = {d}\nK.metric = {metric}\n")
 
 
-def _session(root: Path, algorithm: str, termination: str, metric: str) -> None:
-    """One session, each command on a state that no engine holds live."""
+def _session(root: Path, text: str) -> None:
+    """One session of a state file's config text, each command on a state
+    that no engine holds live."""
     root.mkdir()
     state = root / "state.txt"
-    state.write_text(
-        "grid.points_per_axis = 40\nopt.S = 2\nopt.T = 4\nopt.n_init = 2\n"
-        f"opt.seed = 8\nobjective.noise = 0.05\nopt.algorithm = {algorithm}\n"
-        f"opt.termination = {termination}\nK.metric = {metric}\n"
-    )
+    state.write_text(text)
     values = bench.parse_config(state)
     cfg = bench.build_opt_config(values)
     objective = bench.build_objective(values, cfg.grid)
@@ -91,7 +90,13 @@ def _sessions(root: Path) -> None:
         for termination in ("budget", "regret"):
             for metric in METRICS:
                 _session(root / f"session-{algorithm}-{termination}-{metric}",
-                         algorithm, termination, metric)
+                         "grid.points_per_axis = 40\nopt.S = 2\nopt.T = 4\nopt.n_init = 2\n"
+                         f"opt.seed = 8\nobjective.noise = 0.05\nopt.algorithm = {algorithm}\n"
+                         f"opt.termination = {termination}\nK.metric = {metric}\n")
+    for termination in ("budget", "regret"):
+        _session(root / f"session-s3bfo-{termination}-se-2d",
+                 "grid.dim = 2\ngrid.points_per_axis = 8\nopt.S = 2\nopt.T = 3\nopt.n_init = 2\n"
+                 f"kappa.kind = se\nopt.algorithm = s3bfo\nopt.termination = {termination}\n")
 
 
 def main() -> None:

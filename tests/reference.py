@@ -5,7 +5,8 @@ identity that validates chaining a model across subspaces; the library's
 fast paths are checked against these.  ``rebuild_model`` builds a GP
 model from scratch on a whole dataset with one dense Cholesky factor,
 and ``log_marginal_likelihood`` reads a model's evidence; the library's
-incremental ``gp.condition`` is checked against them.
+incremental ``gp.condition`` is checked against them.  ``inverse_factor``
+reads the picked candidate's W and z out of a model's buffers.
 ``tune_lengthscale`` drives the library's candidate chain on a dataset,
 and ``candidates`` splits a model into one model per lengthscale, so
 that tests can check them against models rebuilt from scratch.  The
@@ -191,12 +192,18 @@ def rebuild_model(kernel, noise_sq: float, observations) -> gp.GPModel:
     return replace(model, Ws=Wz[None, :, :-1], zs=Wz[None, :, -1])
 
 
+def inverse_factor(model: gp.GPModel) -> tuple[np.ndarray, np.ndarray]:
+    """(W, z) of the model's picked candidate: its inverse Cholesky factor
+    L^-1 and its whitened targets W y, views of the model's buffers."""
+    return model.Ws[model.pick, : model.n, : model.n], model.zs[model.pick, : model.n]
+
+
 def log_marginal_likelihood(model: gp.GPModel) -> float:
     """log p(y) of the model's picked candidate, -z·z/2 + sum log W_ii -
     n/2 log 2 pi."""
     if model.n == 0:
         raise InputError("log marginal likelihood needs at least one observation")
-    return float(gp._lml(model.W, model.z))
+    return float(gp._lml(*inverse_factor(model)))
 
 
 def tune_lengthscale(observations, template, candidates, noise_sq: float):
@@ -339,7 +346,8 @@ def kernel_values(base: ScalarKernelSpec, x) -> np.ndarray:
 
 def _posterior_from_sqdist(model, x, prior):
     k = kernel_values(model.kernel.base, x)
-    wm = k @ np.ascontiguousarray(np.column_stack((model.W.T, model.z @ model.W)))
+    W, z = inverse_factor(model)
+    wm = k @ np.ascontiguousarray(np.column_stack((W.T, z @ W)))
     w = wm[:, :-1]
     var = prior - np.einsum("ij,ij->i", w, w)
     return wm[:, -1], np.maximum(var, 0.0)

@@ -421,6 +421,14 @@ def _first_steps(search, steps):
                            lambda_box=search.lambda_box)
 
 
+def _call_ends(d, steps):
+    """The local steps a search has taken after each of its score calls:
+    none after the seeds', one more per first visit to a coordinate, then
+    two per call, an odd last step alone."""
+    ends = list(range(min(d, steps) + 1))
+    return ends + list(range(d + 2, steps, 2)) + ([steps] if steps > d else [])
+
+
 @pytest.mark.blas_threads
 @settings(max_examples=40, deadline=None)
 @given(
@@ -431,11 +439,13 @@ def _first_steps(search, steps):
     seed=st.integers(0, 2**32 - 1),
 )
 @example(d=1, restarts=1, local_steps=2, level=1.0, seed=2)
+@example(d=1, restarts=2, local_steps=6, level=0.5, seed=0)
 def test_settled_search_stops_at_the_reference_running_best(d, restarts, local_steps, level,
                                                              seed):
-    """A search that settles once its running best reaches a level
-    returns the reference's (lam, value) after the same number of local
-    steps, having made the score calls of the steps it took."""
+    """A search whose running best first reaches a level after k local
+    steps returns the reference's (lam, value) after the steps of every
+    call it made: k, or k + 1 when step k + 1 shares a call with step k.
+    It checks the level once per posterior call, before the call."""
     score, batches = _bumpy_score(np.random.default_rng(seed), d)
     search = AcqSearchConfig(restarts, local_steps)
     running = [reference.golden_multistart(score, d, _first_steps(search, k),
@@ -445,18 +455,21 @@ def test_settled_search_stops_at_the_reference_running_best(d, restarts, local_s
     assert bests == sorted(bests)
     # at level 1 the sum can round above the last best
     threshold = min(bests[0] + level * (bests[-1] - bests[0]), bests[-1])
-    stop = next(k for k, best in enumerate(bests) if best >= threshold)
+    k = next(k for k, best in enumerate(bests) if best >= threshold)
+    ends = _call_ends(d, local_steps)
+    taken = next(end for end in ends if end >= k)
+    assert taken in (k, k + 1)
     seen = []
     batches.clear()
     rng = np.random.default_rng(seed + 1)
     lam, value = acquisition.golden_multistart(
         score, d, search, rng, lambda best: seen.append(best) or best >= threshold
     )
-    assert np.array_equal(lam, running[stop][0])
-    assert value == running[stop][1]
-    assert len(batches) == _score_calls(d, stop)
-    # checked before every local step, on the running best so far
-    assert seen == bests[:min(stop + 1, local_steps)]
+    assert np.array_equal(lam, running[taken][0])
+    assert value == running[taken][1]
+    assert len(batches) == _score_calls(d, taken)
+    # checked before every call after the seeds', on the running best so far
+    assert seen == [bests[end] for end in ends if end <= taken and end < local_steps]
     # stopping early moves no draw: the seeds are the only ones
     theirs = np.random.default_rng(seed + 1)
     restart_seeds(search, d, theirs)
@@ -494,26 +507,28 @@ def test_settled_search_batch_counts():
 def test_search_carries_at_every_coordinate_like_the_reference(d, restarts, local_steps):
     """Every d carries: after its first visit, a coordinate's step scores
     one new point per restart, two steps to a call.  Stopped by settled
-    before any step, or run to the end, the search returns the
-    reference's (lam, value) after as many steps, having made
-    1 + d + ceil((steps - d) / 2) score calls for the steps it took (22,
+    before any call, or run to the end, the search returns the
+    reference's (lam, value) after the steps of the calls it made, having
+    made 1 + d + ceil((steps - d) / 2) score calls for those steps (22,
     22 and 23 at d = 1, 2 and 3 with the default 40 steps)."""
     assert [_score_calls(k, 40) for k in (1, 2, 3)] == [22, 22, 23]
     score, batches = _bumpy_score(np.random.default_rng(10 * d + restarts), d)
     search = AcqSearchConfig(restarts, local_steps)
-    for stop in range(local_steps + 1):  # settled first holds before step ``stop``
+    ends = _call_ends(d, local_steps)
+    assert len(ends) == _score_calls(d, local_steps)
+    for calls, taken in enumerate(ends):  # settled first holds before call ``calls + 1``
         seen = []
         batches.clear()
         lam, value = acquisition.golden_multistart(
             score, d, search, np.random.default_rng(3),
-            lambda best: seen.append(best) is None and len(seen) > stop,
+            lambda best: seen.append(best) is None and len(seen) > calls,
         )
-        assert len(batches) == _score_calls(d, stop)
-        ref_lam, ref_value = reference.golden_multistart(score, d, _first_steps(search, stop),
+        assert len(batches) == 1 + calls == _score_calls(d, taken)
+        ref_lam, ref_value = reference.golden_multistart(score, d, _first_steps(search, taken),
                                                          np.random.default_rng(3))
         assert np.array_equal(lam, ref_lam)
         assert value == ref_value
-        assert len(seen) == min(stop + 1, local_steps)
+        assert len(seen) == min(calls + 1, len(ends) - 1)
 
 
 def _stacked_equals_slices(posterior, stack):

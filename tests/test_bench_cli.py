@@ -1091,11 +1091,16 @@ def test_cli_bench_and_exit_codes(tmp_path):
         ("objective.noise = -1", "objective.noise"),
         # more directions than the 100 grid points hold, checked before any draw
         ("objective.kind = effdim\nobjective.d_e = 101", "objective.d_e"),
+        # the second repeat's seed, base_seed + 1, is 2^64
+        ("bench.repeats = 2\nbench.base_seed = 18446744073709551615", "bench.base_seed"),
     ],
 )
 def test_cli_out_of_range_value_exits_2_naming_its_key(tmp_path, setting, named):
     cfg = tmp_path / "bench.cfg"
-    cfg.write_text(f"{SMALL}{setting}\n")
+    # the setting replaces SMALL's line of a key that both set
+    keys = {line.split(" = ")[0] for line in setting.splitlines()}
+    lines = [line for line in SMALL.splitlines() if line.split(" = ")[0] not in keys]
+    cfg.write_text("\n".join(lines + [setting]) + "\n")
     res = _cli("bench", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert res.returncode == 2
     assert named in res.stderr
@@ -1425,7 +1430,7 @@ def test_cli_tell_nonfinite_is_input_error(tmp_path):
         assert res.stderr.startswith("error: observed value must be finite")
 
 
-@pytest.mark.parametrize("value", ["-2.5e-3", "-1e-05", "-0.731", "1e300", "-inf", "nan"])
+@pytest.mark.parametrize("value", ["-2.5e-3", "-1e-05", "-0.731", "1e100", "-inf", "nan"])
 def test_cli_tell_takes_any_float_spelling(tmp_path, capsys, value):
     # argparse alone reads "-2.5e-3" or "-inf" after --y as an option
     state = _fresh_state(tmp_path)
@@ -1440,6 +1445,23 @@ def test_cli_tell_takes_any_float_spelling(tmp_path, capsys, value):
         assert rc == 0 and err == ""
         assert f"y={float(value)!r}" in out
         assert bench.load_state(state)[1].trace[-1].y == float(value)
+
+
+@pytest.mark.parametrize("value", ["1e300", "1e308"])
+def test_cli_tell_that_leaves_no_finite_likelihood_exits_4(tmp_path, value):
+    """A told value so large that every candidate lengthscale's likelihood
+    overflows is a numerical error at that tell: exit 4, one error line
+    and nothing else on stderr, and the state as it was."""
+    state = _fresh_state(tmp_path)
+    for args in (("suggest", "--out", str(tmp_path / "g.csv")), ("tell", "--y", "0.1"),
+                 ("suggest", "--out", str(tmp_path / "g.csv"))):
+        assert _cli(args[0], "--state", str(state), *args[1:]).returncode == 0
+    before = state.read_text()
+    res = _cli("tell", "--state", str(state), "--y", value)
+    assert res.returncode == 4 and res.stdout == ""
+    assert res.stderr.count("\n") == 1 and res.stderr.startswith("numerical error: ")
+    assert repr(float(value)) in res.stderr and "rescale the objective" in res.stderr
+    assert state.read_text() == before
 
 
 def _state_with_pending(tmp_path, extra=""):

@@ -1,6 +1,7 @@
 import functools
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GRID_1D, random_grid_function, short_grid_function
-from funcbo import gp
+from funcbo import gp, kernels
 from funcbo.errors import InputError, NumericalError
 from funcbo.gp import (
     condition,
@@ -23,6 +24,7 @@ from reference import (
     biased_posterior_equivalence_check,
     candidates,
     functional_eval,
+    inverse_factor,
     log_marginal_likelihood,
     rebuild_model,
     tune_lengthscale,
@@ -239,7 +241,8 @@ def test_candidate_chain_matches_rebuild(mode, kind, n, seed):
         assert len(models.lengthscales) == 5
         for model in candidates(models):
             rebuilt = rebuild_model(model.kernel, noise_sq, obs[:i])
-            np.testing.assert_allclose(model.z, rebuilt.z, rtol=0.0, atol=1e-8)
+            np.testing.assert_allclose(inverse_factor(model)[1], inverse_factor(rebuilt)[1],
+                                       rtol=0.0, atol=1e-8)
             assert log_marginal_likelihood(model) == pytest.approx(
                 log_marginal_likelihood(rebuilt), abs=1e-8
             )
@@ -250,7 +253,8 @@ def test_candidate_chain_matches_rebuild(mode, kind, n, seed):
 
 def _assert_matches_rebuild(model, obs, probes, tol_z=1e-6, tol_post=1e-8):
     rebuilt = rebuild_model(model.kernel, model.noise_sq, obs)
-    np.testing.assert_allclose(model.z, rebuilt.z, rtol=0.0, atol=tol_z)
+    np.testing.assert_allclose(inverse_factor(model)[1], inverse_factor(rebuilt)[1],
+                               rtol=0.0, atol=tol_z)
     assert log_marginal_likelihood(model) == pytest.approx(
         log_marginal_likelihood(rebuilt), abs=tol_z
     )
@@ -367,6 +371,14 @@ def _jitter_log(caplog, monkeypatch, spec) -> str:
     kappa = ScalarKernelSpec("se", 0.3, variance=2.0)
     with caplog.at_level(logging.DEBUG, logger="funcbo.gp"):
         sample_on_grid(kappa, spec, np.random.default_rng(0))
+    # the escalated factor, the dense one or the unit-variance one of each
+    # axis, is that of the gram with jitter 1e-10 v, bit for bit
+    kernel, grid = (kappa, spec) if spec.dim == 1 else (
+        ScalarKernelSpec("se", 0.3), GridSpec(1, spec.points_per_axis))
+    gram = scalar_gram(kernel, grid_coordinates(grid))
+    expected = np.linalg.cholesky(gram + 1e-10 * kernel.variance * np.eye(grid.size))
+    assert np.array_equal(gp._prior_chol(kernel, grid, None if spec.dim == 1 else spec),
+                          expected)
     gp._prior_chol.cache_clear()
     (record,) = [r for r in caplog.records if "jitter" in r.getMessage()]
     assert record.levelno == logging.DEBUG
@@ -385,6 +397,51 @@ def test_prior_jitter_escalation_on_one_axis_is_logged(caplog, monkeypatch):
     message = _jitter_log(caplog, monkeypatch, GridSpec(2, 100))
     assert "jitter 1e-10" in message
     assert message.endswith("at n = 100 per axis of the 2-d grid of N = 10000")
+
+
+def test_dense_prior_factor_allocates_no_n_by_n_array_but_the_factor(monkeypatch):
+    """Past the gram, the dense prior factor allocates the factor and the
+    gram's saved diagonal: no identity and no jittered copy of the gram."""
+    spec, real, start = GridSpec(1, 300), kernels.scalar_gram, []
+
+    def gram_then_reset_peak(*args):
+        gram = real(*args)
+        tracemalloc.reset_peak()
+        start.append(tracemalloc.get_traced_memory()[0])
+        return gram
+
+    monkeypatch.setattr(kernels, "scalar_gram", gram_then_reset_peak)
+    gp._prior_chol.cache_clear()
+    tracemalloc.start()
+    try:
+        gp._prior_chol(ScalarKernelSpec("matern32", 0.3), spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gp._prior_chol.cache_clear()
+    assert peak - start[0] < 1.5 * 8 * spec.size**2
+
+
+def test_a_value_that_overflows_a_likelihood_drops_its_candidates(caplog):
+    """A value that leaves no candidate a finite z·z raises NumericalError,
+    naming the value, and writes nothing, so the model takes the point
+    again; a candidate whose z·z overflows at a smaller value is dropped
+    and logged."""
+    x = np.linspace(0.0, 1.0, GRID_1D.size)
+    model = empty_model(SE_L2, 0.01, GRID_1D, np.geomspace(0.05, 20.0, 5))
+    model = condition(model, GridFunction(GRID_1D, np.sin(3.0 * x)), 0.1)
+    point = GridFunction(GRID_1D, np.sin(3.0 * x) + 0.3 * x)
+    for y in (1.5e154, 1e200, 1e300, 1e308):
+        with np.errstate(all="raise"), pytest.raises(NumericalError, match="rescale") as info:
+            condition(model, point, y)
+        assert repr(y) in str(info.value)
+    with caplog.at_level(logging.DEBUG, logger="funcbo.gp"):
+        some = condition(model, point, 1.2e154)
+    assert some.lengthscales.tolist() == [0.05]
+    assert np.isfinite(log_marginal_likelihood(some))
+    dropped = [r.getMessage() for r in caplog.records if "not finite" in r.getMessage()]
+    assert len(dropped) == 4 and all(m.endswith("at n = 2: its likelihood is not finite")
+                                     for m in dropped)
 
 
 @pytest.mark.blas_threads
@@ -571,7 +628,7 @@ def test_empty_model_rejects_candidates_whose_ratio_overflows():
         for x in (0.0, 0.5, 0.5):
             model = condition(model, short_grid_function(x), 1.0)
     assert model.n == 3 and model.lengthscales.size == 3
-    assert np.isfinite(model.W).all() and np.isfinite(model.z).all()
+    assert all(np.isfinite(a).all() for a in inverse_factor(model))
 
 
 def test_biased_equivalence_empty_prev():
@@ -606,12 +663,13 @@ def test_cholesky_factor_reconstructs_regularised_gram():
         [[functional_eval(SE_L2, a, b) for b in pts] for a in pts]
     ) + noise_sq * np.eye(9)
     # W = L^-1 whitens the gram: W gram Wᵀ = I
-    whitened = model.W @ gram @ model.W.T
+    W, z = inverse_factor(model)
+    whitened = W @ gram @ W.T
     rel = np.linalg.norm(whitened - np.eye(9)) / np.linalg.norm(np.eye(9))
     assert rel < 1e-8
     # and the targets: z = W y
     y = np.array([v for _, v in obs])
-    np.testing.assert_allclose(model.W @ y, model.z, atol=1e-8)
+    np.testing.assert_allclose(W @ y, z, atol=1e-8)
 
 
 def test_posterior_variance_never_exceeds_prior():

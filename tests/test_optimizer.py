@@ -300,7 +300,7 @@ def test_simple_regret_constant_posterior():
     rng = np.random.default_rng(2)
     basis = tuple(gp.sample_on_grid(KAPPA, GRID_1D, rng) for _ in range(1))
     sub = Subspace(0, zeros(GRID_1D), basis)
-    err = simple_regret_err(model, sub, zeros(GRID_1D))
+    err = simple_regret_err(model, sub, zeros(GRID_1D), AcqSearchConfig())
     assert err == pytest.approx(2.0, abs=1e-9)
 
 
@@ -760,7 +760,7 @@ def _conditioned(kernel, *points):
     pytest.param(lambda: simple_regret_err(
         gp.empty_model(_L2, 0.01, GRID_1D),
         Subspace(0, zeros(GRID_1D), (random_grid_function(np.random.default_rng(0)),)),
-        zeros(GRID_1D)), InputError, id="certificate-on-an-empty-model"),
+        zeros(GRID_1D), AcqSearchConfig()), InputError, id="certificate-on-an-empty-model"),
 ])
 def test_library_rejections_raise_their_error(build, error):
     with pytest.raises(error):
