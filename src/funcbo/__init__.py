@@ -6,7 +6,7 @@ by Gaussian-process sample paths, with line-search and random-search
 baselines and a reproducible benchmark harness.
 """
 
-from .acquisition import AcqSearchConfig, UcbSchedule, beta
+from .acquisition import AcqSearchConfig, beta
 from .errors import (
     ConfigError,
     FuncboError,

@@ -34,15 +34,15 @@ satisfies the constraint.
 
 The search scores candidates from their coordinates, never from their
 N grid values.  A candidate of the subspace b + span(h_1..h_d) is
-c * (a @ A) with A = [b; h_1..h_d], a = [1, lam] and c the cap scale.
-Once per search ``subspace_posterior`` computes the L2 Gram A Aᵀ, and
-``gp.span_posterior`` folds the metric Gram of A, the projections of A
-on the model's points and their norms into one matrix.  Per row,
-a (A Aᵀ) aᵀ is the squared norm that sets c, and the squared distances
-to the n observations are one product of the row's (d + 2)^2 pairwise
-coefficient products with that matrix, instead of O(N n).  Only the pick
-is mapped to its N values, by ``candidate_values``, which always takes c
-from ``cap_scale``.
+c * (a @ A) with A = [b; h_1..h_d], its rows ``subspace.A``, a = [1, lam]
+and c the cap scale.  Once per search ``subspace_posterior`` computes
+the L2 Gram A Aᵀ, and ``gp.span_posterior`` folds the metric Gram of A,
+the projections of A on the model's points and their norms into one
+matrix.  Per row, a (A Aᵀ) aᵀ is the squared norm that sets c, and the
+squared distances to the n observations are one product of the row's
+(d + 2)^2 pairwise coefficient products with that matrix, instead of
+O(N n).  Only the pick is mapped to its N values, by
+``candidate_values``, which always takes c from ``cap_scale``.
 
 Most searches cannot reach the cap, and those skip it.  By the triangle
 inequality no candidate of the box is longer than B = ||b|| + box *
@@ -78,28 +78,17 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _CAP_MARGIN = 1e-3  # relative room below l_max that a search's norm bound must keep
 
 
-@dataclass(frozen=True)
-class UcbSchedule:
-    """Confidence-width schedule beta_t = 2 log(t^(d/2+2) pi^2 / (3 delta))."""
-
-    delta: float
-    d: int
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise InputError(f"delta must be in (0,1), got {self.delta}")
-        if self.d < 1:
-            raise InputError(f"dimension must be >= 1, got {self.d}")
-
-
-def beta(schedule: UcbSchedule, t: int) -> float:
-    """Exploration constant at iteration t >= 1; strictly increasing in t."""
+def beta(delta: float, d: int, t: int) -> float:
+    """GP-UCB exploration constant beta_t = 2 log(t^(d/2+2) pi^2 / (3 delta))
+    for confidence delta in (0, 1), d >= 1 coordinates and iteration
+    t >= 1; strictly increasing in t."""
+    if not 0.0 < delta < 1.0:
+        raise InputError(f"delta must be in (0,1), got {delta}")
+    if d < 1:
+        raise InputError(f"dimension must be >= 1, got {d}")
     if t < 1:
         raise InputError(f"iteration index must be >= 1, got {t}")
-    return 2.0 * (
-        (schedule.d / 2.0 + 2.0) * math.log(t)
-        + math.log(math.pi**2 / (3.0 * schedule.delta))
-    )
+    return 2.0 * ((d / 2.0 + 2.0) * math.log(t) + math.log(math.pi**2 / (3.0 * delta)))
 
 
 # A candidate's squared norm is [1, lam] G [1, lam]ᵀ, G the Gram of the
@@ -139,24 +128,24 @@ def cap_scale(sq_norms: np.ndarray, l_max: float) -> np.ndarray:
 
 
 def candidate_values(subspace, search: AcqSearchConfig, lam_batch: np.ndarray) -> np.ndarray:
-    """Map coordinate rows to function value rows, radially capped at l_max."""
+    """Map coordinate rows lam to the grid values of the functions
+    A[0] + lam @ A[1:] of the subspace's rows A, radially capped at l_max."""
     lam_batch = np.atleast_2d(np.asarray(lam_batch, dtype=float))
-    basis = np.array([h.values for h in subspace.basis])
-    g = subspace.bias.values[None, :] + lam_batch @ basis
-    sq_norms = np.einsum("ij,ij->i", g, g) * subspace.bias.spec.weight
+    g = subspace.A[0] + lam_batch @ subspace.A[1:]
+    sq_norms = np.einsum("ij,ij->i", g, g) * subspace.grid.weight
     return g * cap_scale(sq_norms, search.l_max)[:, None]
 
 
 def subspace_posterior(model: gp.GPModel, subspace, search: AcqSearchConfig):
     """Batched lam -> (mean, var) at the capped candidates of a subspace,
-    computed from the coordinates: equal to posterior_batch on
-    candidate_values(subspace, search, lam) up to rounding.  lam is a
-    (..., q, d) array; the rows e = [1, c, c lam] of ``gp.span_posterior``
-    live in one buffer per search, reallocated only when lam's shape
-    changes.  A search whose box cannot reach the cap scores without it
-    (see the module docstring)."""
-    A = np.array([subspace.bias.values] + [h.values for h in subspace.basis])
-    l2_gram = (A @ A.T) * subspace.bias.spec.weight
+    computed from the coordinates and the subspace's rows ``subspace.A``:
+    equal to posterior_batch on candidate_values(subspace, search, lam) up
+    to rounding.  lam is a (..., q, d) array; the rows e = [1, c, c lam] of
+    ``gp.span_posterior`` live in one buffer per search, reallocated only
+    when lam's shape changes.  A search whose box cannot reach the cap
+    scores without it (see the module docstring)."""
+    A = subspace.A
+    l2_gram = (A @ A.T) * subspace.grid.weight
     span = gp.span_posterior(model, A)
     norms = np.sqrt(np.diagonal(l2_gram)).tolist()
     bound = norms[0] + search.lambda_box * sum(norms[1:])

@@ -9,14 +9,15 @@ external experiments share a single code path.
 
 The subspace engine and the Bernstein line baseline are one engine
 class.  Each outer iteration starts a ``Subspace``, bias (the best
-function so far) + span(basis), evaluates an initial design of N(0, I)
-coordinate draws, then runs GP-UCB over the coordinates until the inner
-budget or the simple-regret certificate ends it.  The engine keeps no
-step counters: the next step's (kind, s, t) follows from the last trace
-record and the cached certificate decisions, and ``done`` is the end of
-that schedule.  For the subspace engine the basis is d GP sample paths;
-the line baseline is the d = 1 case, a random direction in
-Bernstein-weight space mapped to the grid, and a fresh model per line.
+function so far) + span(basis), one matrix A of those rows; evaluates an
+initial design of N(0, I) coordinate draws, then runs GP-UCB over the
+coordinates until the inner budget or the simple-regret certificate ends
+it.  The engine keeps no step counters: the next step's (kind, s, t)
+follows from the last trace record and the cached certificate
+decisions, and ``done`` is the end of that schedule.  For the subspace
+engine the basis is d GP sample paths; the line baseline is the d = 1
+case, a random direction in Bernstein-weight space mapped to the grid,
+and a fresh model per line.
 Both model the functions they evaluate with one functional GP, map
 coordinates to functions through ``acquisition.candidate_values``, and
 use the same UCB search and the same regret certificate.  The search
@@ -54,8 +55,8 @@ from typing import Protocol
 import numpy as np
 
 from . import acquisition, gp, kernels
-from .acquisition import AcqSearchConfig, UcbSchedule
-from .errors import ConfigError, InputError, NumericalError, ProtocolError
+from .acquisition import AcqSearchConfig
+from .errors import ConfigError, InputError, NumericalError, ProtocolError, ShapeError
 from .gridfn import GridFunction, GridSpec, grid_coordinates
 from .kernels import FunctionalKernelSpec, ScalarKernelSpec
 
@@ -79,22 +80,27 @@ MAX_MODEL_BYTES = 2**30
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """Affine search set bias + span(basis) for one outer iteration."""
+    """Affine search set A[0] + span(A[1:]) of outer iteration s: A holds
+    the grid values of its bias, the incumbent, and of its d basis
+    functions, (d + 1, N) finite floats, kept as a read-only copy."""
 
     s: int
-    bias: GridFunction
-    basis: tuple[GridFunction, ...]
+    grid: GridSpec
+    A: np.ndarray
 
     def __post_init__(self):
-        if not self.basis:
-            raise InputError("subspace needs at least one basis function")
-        for h in self.basis:
-            if h.spec != self.bias.spec:
-                raise InputError("subspace functions must share one grid")
+        A = np.array(self.A, dtype=float)
+        if A.ndim != 2 or len(A) < 2 or A.shape[1] != self.grid.size:
+            raise ShapeError(f"a subspace needs a bias and at least one basis row of "
+                             f"{self.grid.size} grid values, got shape {A.shape}")
+        if not np.isfinite(A).all():
+            raise InputError("subspace rows must be finite")
+        A.setflags(write=False)
+        object.__setattr__(self, "A", A)
 
     @property
     def d(self) -> int:
-        return len(self.basis)
+        return len(self.A) - 1
 
 
 @dataclass(frozen=True)
@@ -161,7 +167,7 @@ class OptConfig:
             raise ConfigError("mle.grid_min and mle.grid_max must satisfy 0 < min <= max")
         if self.mle_grid_points < 1:
             raise ConfigError("mle.grid_points must be >= 1")
-        # the model's and the UCB schedule's own checks, run before any engine
+        # the model's and the UCB constant's own checks, run before any engine
         # is built, so a bad value stops a bench before its first cell; the
         # mle candidates rise from one checked end to the other, so the ends
         # stand for them, and no array of mle.grid_points is built
@@ -173,7 +179,7 @@ class OptConfig:
         except InputError as exc:
             raise ConfigError(f"bad value for 'K.lengthscale': {exc}") from exc
         try:
-            UcbSchedule(self.acq_delta, self.d)
+            acquisition.beta(self.acq_delta, self.d, 1)
         except InputError as exc:
             raise ConfigError(f"bad value for 'acq.delta': {exc}") from exc
 
@@ -247,8 +253,9 @@ def simple_regret_err(
     subspace optimum, so values below epsilon justify ending the inner
     loop of a maximisation run.
 
-    ``subspace`` is a Subspace, the Bernstein line included (d = 1), and
-    ``incumbent`` a function of it; ``model`` is a functional GP.
+    ``subspace`` is a Subspace, the Bernstein line included (d = 1), read
+    through its rows ``subspace.A``, and ``incumbent`` a GridFunction of
+    it; ``model`` is a functional GP.
     The inner maximisation is the acquisition UCB search with unit width;
     its restart seeds come from a fixed internal stream, so the test does
     not perturb an optimiser's draw sequence.
@@ -279,9 +286,11 @@ class _EngineBase:
     """Trace, incumbent and ask/tell/replay bookkeeping shared by all
     optimisers.  Subclasses supply ``_position()`` (the next step's
     (kind, s, t), read from the trace; None once the run is done),
-    ``_step(position, lam=None)`` (set the pending suggestion there;
-    replay passes the stored coordinates) and ``_observe`` (absorb a
-    told value)."""
+    ``_step(position, lam=None)`` (set ``pending`` there, (kind, s, t,
+    lam, g) with g the GridFunction to evaluate; replay passes the stored
+    coordinates) and ``_observe(g, y)`` (absorb a told value, or raise
+    and change nothing).  ``best`` is the incumbent (g, y), the zero
+    function and 0.0 before any observation."""
 
     def __init__(self, cfg: OptConfig):
         self.cfg = cfg
@@ -289,48 +298,42 @@ class _EngineBase:
         self.trace: list[RunRecord] = []  # the run so far, and its position
         # whether the inner loop ends at (s, t): certified, or taken from a trace
         self._inner_ends: dict[tuple[int, int], bool] = {}
-        self._best_values: np.ndarray | None = None
-        self.pending = None  # (kind, s, t, lam, g_values)
+        self.best = (GridFunction(cfg.grid, np.zeros(cfg.grid.size)), 0.0)
+        self.pending = None  # (kind, s, t, lam, g)
 
     @property
     def done(self) -> bool:
         return self._position() is None
 
-    @property
-    def best(self) -> tuple[GridFunction, float]:
-        """Best real observation so far; the zero function before any."""
-        if self._best_values is None:
-            return GridFunction(self.cfg.grid, np.zeros(self.cfg.grid.size)), 0.0
-        return GridFunction(self.cfg.grid, self._best_values), self.trace[-1].best_y
-
     def ask(self) -> GridFunction:
+        """The next function to evaluate, ``pending[4]`` itself: an immutable
+        GridFunction, which ``best`` holds if its told value is the best so far."""
         if self.pending is not None:
             raise ProtocolError("a suggestion is pending; call tell first")
         if self.done:
             raise ProtocolError("run is complete")
         self._step(self._position())
-        return GridFunction(self.cfg.grid, self.pending[4])
+        return self.pending[4]
 
     def tell(self, y: float, aux=None) -> RunRecord:
+        """Record the pending suggestion's observed value y, with the
+        objective's diagnostics ``aux``, and return its RunRecord.  The model
+        is conditioned first, so a tell that raises (InputError, NumericalError,
+        or ConfigError for a model that does not fit in memory) records
+        nothing and keeps the suggestion pending."""
         if self.pending is None:
             raise ProtocolError("no pending suggestion; call ask first")
         if not np.isfinite(y):
             raise InputError(f"observed value must be finite, got {y}")
-        _, s, t, lam, g_values = self.pending
+        _, s, t, lam, g = self.pending
         prev = self.trace[-1].best_y if self.trace else -math.inf
-        rec = RunRecord(
-            eval_index=len(self.trace),
-            s=s,
-            t=t,
-            lam=tuple(float(v) for v in np.atleast_1d(lam)),
-            y=float(y),
-            best_y=float(max(prev, y)),
-            aux=dict(aux or {}),
-        )
+        rec = RunRecord(eval_index=len(self.trace), s=s, t=t,
+                        lam=tuple(float(v) for v in np.atleast_1d(lam)), y=float(y),
+                        best_y=float(max(prev, y)), aux=dict(aux or {}))
+        self._observe(g, rec.y)
         self.trace.append(rec)
         if rec.y > prev:  # ties keep the earlier function
-            self._best_values = np.array(g_values)
-        self._observe(rec)
+            self.best = (g, rec.y)
         self.pending = None
         return rec
 
@@ -370,17 +373,17 @@ class _EngineBase:
         if self.pending[3].shape != lam.shape or not np.array_equal(self.pending[3], lam):
             raise ProtocolError(f"state replay diverged at {where}")
 
-    def _observe(self, rec: RunRecord):
+    def _observe(self, g: GridFunction, y: float):
         pass
 
 
 class SubspaceSearchEngine(_EngineBase):
     """GP-UCB over a sequence of random function subspaces.
 
-    Per outer iteration s: start a Subspace (``_start_outer``), by default
-    the incumbent plus the span of `d` basis sample paths from the
-    solution prior; evaluate ``n_init`` coordinate draws from N(0, I),
-    then run the inner UCB loop until its budget T or the simple-regret
+    Per outer iteration s: start a Subspace (``_start_outer``, which stacks
+    its rows A once), by default the incumbent plus the span of `d` basis
+    sample paths from the solution prior; evaluate ``n_init`` coordinate
+    draws from N(0, I), then run the inner UCB loop until its budget T or the simple-regret
     certificate ends it.  The position in that schedule is read from the
     trace (``_position``).
 
@@ -402,14 +405,11 @@ class SubspaceSearchEngine(_EngineBase):
                                     reserve=reserve)
         self.subspace = None  # the current outer iteration's Subspace
         self._outer_best = None  # (function, y) within the current subspace
-        self._schedule = UcbSchedule(cfg.acq_delta, cfg.d)
 
     def _start_outer(self, s: int) -> Subspace:
-        basis = tuple(
-            gp.sample_on_grid(self.cfg.kappa, self.cfg.grid, self._rng)
-            for _ in range(self.cfg.d)
-        )
-        return Subspace(s, self.best[0], basis)
+        cfg = self.cfg
+        basis = [gp.sample_on_grid(cfg.kappa, cfg.grid, self._rng).values for _ in range(cfg.d)]
+        return Subspace(s, cfg.grid, np.array([self.best[0].values] + basis))
 
     def _position(self):
         """The next step's (kind, s, t), or None once the run is done:
@@ -440,38 +440,33 @@ class SubspaceSearchEngine(_EngineBase):
         if self.subspace is None or self.subspace.s != s:
             self._outer_best = None
             self.subspace = self._start_outer(s)
-        d = self.subspace.d
-        if kind == "init":
+        A, d = self.subspace.A, self.subspace.d
+        if kind == "init":  # bias + lam @ basis, uncapped
             lam = self._rng.standard_normal(d)
-        elif lam is None:
-            sqrt_beta = math.sqrt(acquisition.beta(self._schedule, t + 1))
-            lam, _ = acquisition.ucb_search(
-                acquisition.subspace_posterior(self.model, self.subspace, search), d, search,
-                self._rng, sqrt_beta,
-            )
-        else:
-            acquisition.restart_seeds(search, d, self._rng)
-        self.pending = (kind, s, t, lam, self._function(lam, cap=kind == "inner"))
+            values = A[0] + lam @ A[1:]
+        else:  # radially capped
+            if lam is None:
+                sqrt_beta = math.sqrt(acquisition.beta(self.cfg.acq_delta, d, t + 1))
+                lam, _ = acquisition.ucb_search(
+                    acquisition.subspace_posterior(self.model, self.subspace, search), d,
+                    search, self._rng, sqrt_beta,
+                )
+            else:
+                acquisition.restart_seeds(search, d, self._rng)
+            values = acquisition.candidate_values(self.subspace, search, lam[None, :])[0]
+        self.pending = (kind, s, t, lam, GridFunction(self.cfg.grid, values))
 
-    def _function(self, lam, cap):
-        """bias + lam @ basis, radially capped for inner steps."""
-        if cap:
-            return acquisition.candidate_values(self.subspace, self.cfg.search, lam[None, :])[0]
-        basis = np.array([h.values for h in self.subspace.basis])
-        return self.subspace.bias.values + lam @ basis
-
-    def _observe(self, rec: RunRecord):
-        g = GridFunction(self.cfg.grid, self.pending[4])
-        if self._outer_best is None or rec.y > self._outer_best[1]:
-            self._outer_best = (g, rec.y)
+    def _observe(self, g: GridFunction, y: float):
         try:
-            self.model = gp.condition(self.model, g, rec.y)
+            self.model = gp.condition(self.model, g, y)
         except MemoryError as exc:  # a budget run reserves its buffers for every point at once
             raise ConfigError(
                 f"the model does not fit in memory ({exc}): it holds mle.grid_points factors "
                 "of n x n floats, n up to opt.S * (opt.n_init + opt.T); lower opt.S, opt.T "
                 "or mle.grid_points"
             ) from exc
+        if self._outer_best is None or y > self._outer_best[1]:
+            self._outer_best = (g, y)
 
 
 class BernsteinLineEngine(SubspaceSearchEngine):
@@ -495,8 +490,7 @@ class BernsteinLineEngine(SubspaceSearchEngine):
         norm = float(np.linalg.norm(u))
         if norm == 0.0:
             raise NumericalError("degenerate zero direction draw")
-        direction = GridFunction(self.cfg.grid, (u / norm) @ self._B)
-        return Subspace(s, self.best[0], (direction,))
+        return Subspace(s, self.cfg.grid, np.array([self.best[0].values, (u / norm) @ self._B]))
 
 
 class RandomSearchEngine(_EngineBase):
@@ -509,14 +503,11 @@ class RandomSearchEngine(_EngineBase):
 
     def _step(self, position, lam=None):
         # every value is drawn, so replay only checks its stored coordinates
-        basis = np.array(
-            [
-                gp.sample_on_grid(self.cfg.kappa, self.cfg.grid, self._rng).values
-                for _ in range(self.cfg.d)
-            ]
-        )
-        lam = self._rng.standard_normal(self.cfg.d)
-        self.pending = (*position, lam, lam @ basis)
+        cfg = self.cfg
+        basis = np.array([gp.sample_on_grid(cfg.kappa, cfg.grid, self._rng).values
+                          for _ in range(cfg.d)])
+        lam = self._rng.standard_normal(cfg.d)
+        self.pending = (*position, lam, GridFunction(cfg.grid, lam @ basis))
 
 
 def search_dim(algorithm: str, d: int) -> int:

@@ -397,8 +397,8 @@ def cap_scale(sq_norms, l_max):
 
 
 def subspace_posterior(model, subspace, search):
-    A = np.array([subspace.bias.values] + [h.values for h in subspace.basis])
-    l2_gram = (A @ A.T) * subspace.bias.spec.weight
+    A = subspace.A
+    l2_gram = (A @ A.T) * subspace.grid.weight
     span = span_posterior(model, A)
 
     def posterior(lam_batch):

@@ -11,7 +11,6 @@ from conftest import GRID_1D, random_grid_function, short_grid_function
 from funcbo import acquisition, gp
 from funcbo.acquisition import (
     AcqSearchConfig,
-    UcbSchedule,
     beta,
     candidate_values,
     restart_seeds,
@@ -32,41 +31,44 @@ SE_L2 = FunctionalKernelSpec(ScalarKernelSpec("se", 1.0), "l2grid")
 def _subspace(rng, d=1, bias=None):
     bias = bias if bias is not None else zeros(GRID_1D)
     kappa = ScalarKernelSpec("se", 0.3)
-    basis = tuple(gp.sample_on_grid(kappa, GRID_1D, rng) for _ in range(d))
-    return Subspace(0, bias, basis)
+    basis = [gp.sample_on_grid(kappa, GRID_1D, rng).values for _ in range(d)]
+    return Subspace(0, GRID_1D, np.array([bias.values] + basis))
 
 
-def test_schedule_validation():
+def _functions(sub):
+    """The subspace's bias and basis functions, from its rows A."""
+    return GridFunction(sub.grid, sub.A[0]), [GridFunction(sub.grid, h) for h in sub.A[1:]]
+
+
+def test_beta_validation():
     with pytest.raises(InputError):
-        UcbSchedule(0.0, 1)
+        beta(0.0, 1, 1)
     with pytest.raises(InputError):
-        UcbSchedule(1.0, 1)
+        beta(1.0, 1, 1)
     with pytest.raises(InputError):
-        UcbSchedule(0.1, 0)
+        beta(0.1, 0, 1)
     with pytest.raises(InputError):
-        beta(UcbSchedule(0.1, 1), 0)
+        beta(0.1, 1, 0)
 
 
 def test_beta_direct_formula():
     # d=1, delta=0.1, t=1: 2 log(pi^2 / 0.3), evaluated independently
-    assert beta(UcbSchedule(0.1, 1), 1) == pytest.approx(
-        2.0 * math.log(math.pi**2 / 0.3), rel=1e-12
-    )
+    assert beta(0.1, 1, 1) == pytest.approx(2.0 * math.log(math.pi**2 / 0.3), rel=1e-12)
 
 
 def test_beta_monotone_in_t_and_delta():
-    sched = UcbSchedule(0.1, 1)
-    values = [beta(sched, t) for t in range(1, 101)]
+    values = [beta(0.1, 1, t) for t in range(1, 101)]
     assert all(b2 > b1 for b1, b2 in zip(values, values[1:]))
-    assert beta(UcbSchedule(0.9, 1), 5) < beta(UcbSchedule(0.1, 1), 5)
+    assert beta(0.9, 1, 5) < beta(0.1, 1, 5)
 
 
-def maximise(model, sub, sched, search, t, rng):
-    """The engine's pick: the UCB search over the subspace's coordinates,
-    the winner mapped to its capped function.  Returns (lam, g, acq)."""
+def maximise(model, sub, search, t, rng):
+    """The engine's pick at delta = 0.1: the UCB search over the
+    subspace's coordinates, the winner mapped to its capped function.
+    Returns (lam, g, acq)."""
     lam, acq = ucb_search(
-        subspace_posterior(model, sub, search), len(sub.basis), search, rng,
-        math.sqrt(beta(sched, t)),
+        subspace_posterior(model, sub, search), sub.d, search, rng,
+        math.sqrt(beta(0.1, sub.d, t)),
     )
     return lam, GridFunction(GRID_1D, candidate_values(sub, search, lam[None, :])[0]), acq
 
@@ -75,22 +77,20 @@ def test_maximise_flat_prior_surface():
     rng = np.random.default_rng(0)
     sub = _subspace(np.random.default_rng(1))
     model = empty_model(SE_L2, 0.01, GRID_1D)
-    sched = UcbSchedule(0.1, 1)
     search = AcqSearchConfig()
-    lam, g, acq = maximise(model, sub, sched, search, 1, rng)
-    assert acq == pytest.approx(math.sqrt(beta(sched, 1)) * 1.0, abs=1e-6)
+    lam, g, acq = maximise(model, sub, search, 1, rng)
+    assert acq == pytest.approx(math.sqrt(beta(0.1, 1, 1)) * 1.0, abs=1e-6)
     assert l2_norm(g) <= search.l_max + 1e-9
 
 
 def test_maximise_beats_probes_and_incumbent():
     rng = np.random.default_rng(2)
     sub = _subspace(np.random.default_rng(3))
-    g0 = linear_combine(sub.bias, list(sub.basis), np.zeros(1))
+    g0 = linear_combine(*_functions(sub), np.zeros(1))
     model = rebuild_model(SE_L2, 0.01, [(g0, 5.0)])
-    sched = UcbSchedule(0.1, 1)
     search = AcqSearchConfig()
-    beta_t = beta(sched, 2)
-    lam, g, acq = maximise(model, sub, sched, search, 2, rng)
+    beta_t = beta(0.1, 1, 2)
+    lam, g, acq = maximise(model, sub, search, 2, rng)
 
     def acq_at(lam_scalar):
         row = candidate_values(sub, search, np.array([[lam_scalar]]))[0]
@@ -108,16 +108,15 @@ def test_maximise_never_below_own_seeds():
     rng = np.random.default_rng(9)
     obs = [
         (
-            linear_combine(sub.bias, list(sub.basis), rng.standard_normal(2)),
+            linear_combine(*_functions(sub), rng.standard_normal(2)),
             float(rng.standard_normal()),
         )
         for _ in range(4)
     ]
     model = rebuild_model(SE_L2, 0.01, obs)
-    sched = UcbSchedule(0.1, 2)
     search = AcqSearchConfig()
-    beta_t = beta(sched, 3)
-    lam, g, acq = maximise(model, sub, sched, search, 3, np.random.default_rng(seed))
+    beta_t = beta(0.1, 2, 3)
+    lam, g, acq = maximise(model, sub, search, 3, np.random.default_rng(seed))
     seeds = np.random.default_rng(seed).uniform(
         -search.lambda_box, search.lambda_box, size=(search.restarts, 2)
     )
@@ -133,17 +132,16 @@ def test_maximise_d1_close_to_dense_scan():
         sub = _subspace(rng)
         obs = [
             (
-                linear_combine(sub.bias, list(sub.basis), rng.standard_normal(1)),
+                linear_combine(*_functions(sub), rng.standard_normal(1)),
                 float(rng.standard_normal()),
             )
             for _ in range(3)
         ]
         model = rebuild_model(SE_L2, 0.01, obs)
-        sched = UcbSchedule(0.1, 1)
         search = AcqSearchConfig()
         t = 4
-        beta_t = beta(sched, t)
-        _, _, acq = maximise(model, sub, sched, search, t, np.random.default_rng(1))
+        beta_t = beta(0.1, 1, t)
+        _, _, acq = maximise(model, sub, search, t, np.random.default_rng(1))
         grid = np.linspace(-search.lambda_box, search.lambda_box, 1024)[:, None]
         rows = candidate_values(sub, search, grid)
         means, variances = gp.posterior_batch(model, rows)
@@ -158,7 +156,7 @@ def test_maximise_enforces_norm_cap():
     sub = _subspace(np.random.default_rng(14), bias=constant(GRID_1D, 3.0))
     model = empty_model(SE_L2, 0.01, GRID_1D)
     search = AcqSearchConfig(l_max=0.5)
-    _, g, _ = maximise(model, sub, UcbSchedule(0.1, 1), search, 1, rng)
+    _, g, _ = maximise(model, sub, search, 1, rng)
     assert l2_norm(g) <= 0.5 + 1e-9
     # every candidate row is capped, not just the winner
     rows = candidate_values(sub, search, np.array([[0.0], [2.0], [-3.5]]))
@@ -171,7 +169,7 @@ def test_minimise_lcb_below_posterior_means():
     sub = _subspace(np.random.default_rng(16))
     obs = [
         (
-            linear_combine(sub.bias, list(sub.basis), rng.standard_normal(1)),
+            linear_combine(*_functions(sub), rng.standard_normal(1)),
             float(rng.standard_normal()),
         )
         for _ in range(4)
@@ -322,7 +320,7 @@ def test_search_matches_the_reference_bit_for_bit(
             GridFunction(GRID_1D, candidate_values(s, search, rng.normal(size=(1, d)))[0])
             for s in rng.choice([earlier, sub], n_points)
         ]
-        caller = [sub.bias.values] + [h.values for h in sub.basis]
+        caller = [sub.A]
     model = empty_model(kernel, 0.01, points[0].spec, np.geomspace(0.05, 20.0, 5))
     for p in points:
         model = gp.condition(model, p, float(rng.standard_normal()))
@@ -378,7 +376,8 @@ def test_uncapped_and_capped_searches_match_the_reference(monkeypatch):
         model = gp.condition(model, point, float(rng.standard_normal()))
     search = AcqSearchConfig()
     # the triangle inequality over the box: no candidate is longer than bound
-    bound = l2_norm(sub.bias) + search.lambda_box * sum(l2_norm(h) for h in sub.basis)
+    bias, basis = _functions(sub)
+    bound = l2_norm(bias) + search.lambda_box * sum(l2_norm(h) for h in basis)
     assert bound < (1.0 - 1e-3) * search.l_max
     calls = _counting_cap_scale(monkeypatch)
     for search, skips in ((search, True), (AcqSearchConfig(l_max=bound * (1.0 + 5e-4)), False)):
@@ -600,12 +599,12 @@ def test_textbook_and_two_point_searches_agree_on_2d_grid_models(seed):
     bias = GridFunction(grid, np.zeros(grid.size))
     search = AcqSearchConfig()
     for s in range(3):
-        sub = Subspace(s, bias, (gp.sample_on_grid(kappa, grid, rng),))
+        sub = Subspace(s, grid, [bias.values, gp.sample_on_grid(kappa, grid, rng).values])
         for t in range(10):
             if t < 5:
                 lam = rng.standard_normal(1)
             else:
-                sqrt_beta = math.sqrt(beta(UcbSchedule(0.1, 1), t - 4))
+                sqrt_beta = math.sqrt(beta(0.1, 1, t - 4))
                 posterior = subspace_posterior(model, sub, search)
                 lam, value = ucb_search(posterior, 1, search, np.random.default_rng(t), sqrt_beta)
                 ref_lam, ref_value = reference.ucb_search(

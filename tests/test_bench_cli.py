@@ -644,21 +644,21 @@ def _listed(value):
 def _engine_state(engine):
     """What a load rebuilds, with arrays as lists: the records, the pending
     suggestion, the random generator's state, the inner-loop decisions and
-    the incumbent; for a subspace engine also the current subspace, the best
-    function of its outer iteration and the model's written rows and pick."""
+    the incumbent; for a subspace engine also the current subspace's rows,
+    the best function of its outer iteration and the model's written rows
+    and pick."""
     state = {"rng": engine._rng.bit_generator.state,
              "inner_ends": sorted(engine._inner_ends.items()),
-             "best_values": _listed(engine._best_values)}
+             "best": (engine.best[0].values.tolist(), engine.best[1])}
     if isinstance(engine, optimizer.SubspaceSearchEngine):
         sub, best, model, n = engine.subspace, engine._outer_best, engine.model, engine.model.n
-        state["subspace"] = sub and (sub.s, sub.bias.values.tolist(),
-                                     [h.values.tolist() for h in sub.basis])
+        state["subspace"] = sub and (sub.s, sub.A.tolist())
         state["outer_best"] = best and (best[0].values.tolist(), best[1])
         state["model"] = (n, model.zs.shape[1], model.pick, model.lengthscales.tolist(),
                           model.Ws[:, :n, :n].tolist(), model.zs[:, :n].tolist(),
                           _listed(model.MV), _listed(model.row_q))
     pending = engine.pending and (*engine.pending[:3], np.asarray(engine.pending[3]).tolist(),
-                                  engine.pending[4].tolist())
+                                  engine.pending[4].values.tolist())
     return engine.trace, pending, state
 
 

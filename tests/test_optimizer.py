@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import GRID_1D, random_grid_function
 from funcbo import acquisition, bench, gp, kernels, optimizer
 from funcbo.acquisition import AcqSearchConfig, candidate_values
-from funcbo.errors import ConfigError, InputError, ProtocolError, ShapeError
+from funcbo.errors import ConfigError, InputError, NumericalError, ProtocolError, ShapeError
 from funcbo.gridfn import GridFunction, GridSpec, l2_dist_sq
 from funcbo.kernels import FunctionalKernelSpec, ScalarKernelSpec
 from funcbo.objectives import EffectiveDimObjective, MatchingObjective
@@ -153,7 +153,7 @@ def test_incumbent_threading():
         s = eng.pending[1]
         if s not in seen_outer:
             seen_outer.add(s)
-            np.testing.assert_array_equal(eng.subspace.bias.values, my_best_g)
+            np.testing.assert_array_equal(eng.subspace.A[0], my_best_g)
         y = obj.evaluate(g, noise)
         eng.tell(y, obj.aux(g))
         if my_best_y is None or y > my_best_y:
@@ -292,22 +292,26 @@ def test_inner_step_scores_in_coordinates(monkeypatch, engine_cls, grid):
     np.testing.assert_array_equal(g.values, expected)
 
 
+def _span_of_one_draw(rng):
+    """The subspace through the zero function along one basis draw."""
+    h = gp.sample_on_grid(KAPPA, GRID_1D, rng)
+    return Subspace(0, GRID_1D, [np.zeros(GRID_1D.size), h.values])
+
+
 def test_simple_regret_constant_posterior():
     # data so far away in kernel distance that the posterior is the prior
     kernel = FunctionalKernelSpec(ScalarKernelSpec("se", 0.01), "l2grid")
     far = GridFunction(GRID_1D, np.full(GRID_1D.size, 100.0))
     model = rebuild_model(kernel, 0.01, [(far, 1.0)])
     rng = np.random.default_rng(2)
-    basis = tuple(gp.sample_on_grid(KAPPA, GRID_1D, rng) for _ in range(1))
-    sub = Subspace(0, zeros(GRID_1D), basis)
+    sub = _span_of_one_draw(rng)
     err = simple_regret_err(model, sub, zeros(GRID_1D), AcqSearchConfig())
     assert err == pytest.approx(2.0, abs=1e-9)
 
 
 def test_simple_regret_nonnegative_and_matches_dense_scan():
     rng = np.random.default_rng(3)
-    basis = tuple(gp.sample_on_grid(KAPPA, GRID_1D, rng) for _ in range(1))
-    sub = Subspace(0, zeros(GRID_1D), basis)
+    sub = _span_of_one_draw(rng)
     search = AcqSearchConfig()
     obs = []
     kernel = FunctionalKernelSpec(ScalarKernelSpec("se", 0.5), "l2grid")
@@ -405,7 +409,7 @@ def test_linebo_models_the_functions_it_evaluates(termination):
     while not eng.done:
         g = eng.ask()
         kind, s, _, lam, _ = eng.pending
-        on_line = eng.subspace.bias.values + lam[0] * eng.subspace.basis[0].values
+        on_line = eng.subspace.A[0] + lam[0] * eng.subspace.A[1]
         capped += kind == "inner" and np.sum(on_line**2) * g.spec.weight > 0.5**2
         if not eng.trace or eng.trace[-1].s != s:  # a new line, a new model
             line = []
@@ -536,8 +540,8 @@ def test_linebo_zero_weights_give_zero_function():
     # the first suggestion lies on a line through the zero incumbent
     g = eng.ask()
     theta = eng.pending[3][0]
-    direction = eng.subspace.basis[0].values
-    assert not eng.subspace.bias.values.any()
+    direction = eng.subspace.A[1]
+    assert not eng.subspace.A[0].any()
     np.testing.assert_allclose(g.values, theta * direction, atol=1e-12)
     # the direction is a unit vector of Bernstein weights mapped to the grid
     weights = np.linalg.lstsq(eng._B.T, direction, rcond=None)[0]
@@ -557,9 +561,9 @@ def test_linebo_line_passes_through_incumbent():
     assert eng.pending[:3] == ("init", 1, -1)
     best = eng.best[0].values
     assert best.any()
-    np.testing.assert_array_equal(eng.subspace.bias.values, best)
+    np.testing.assert_array_equal(eng.subspace.A[0], best)
     theta = eng.pending[3][0]
-    np.testing.assert_allclose(g.values, best + theta * eng.subspace.basis[0].values, atol=1e-12)
+    np.testing.assert_allclose(g.values, best + theta * eng.subspace.A[1], atol=1e-12)
 
 
 def test_linebo_budget_and_monotone():
@@ -665,17 +669,55 @@ def test_nonfinite_objective_value_aborts():
 def test_ask_tell_protocol_guards():
     cfg = _cfg(S=1, T=1, n_init=1)
     eng = SubspaceSearchEngine(cfg)
+    assert not eng.best[0].values.any() and eng.best[1] == 0.0
     with pytest.raises(ProtocolError):
         eng.tell(0.0)
-    eng.ask()
+    g = eng.ask()
+    assert eng.pending[4] is g
     with pytest.raises(ProtocolError):
         eng.ask()
     eng.tell(0.5)
+    assert eng.best == (g, 0.5)  # the incumbent is the suggestion itself
     eng.ask()
     eng.tell(0.25)
+    assert eng.best[0] is g
     assert eng.done
     with pytest.raises(ProtocolError):
         eng.ask()
+
+
+@pytest.mark.parametrize("algorithm", ["s3bfo", "fixed_subspace", "linebo_bernstein"])
+def test_rejected_tell_records_nothing_and_keeps_the_suggestion(algorithm):
+    """A value that leaves no lengthscale a finite likelihood raises before
+    the engine records it: the trace, the model, the incumbent and the
+    pending suggestion stay as they were, and the run goes on as one that
+    was never told it."""
+    cfg = _cfg(S=1, T=3, n_init=2)
+    eng = make_engine(cfg, algorithm)
+    eng.ask()
+    eng.tell(0.1)
+    g = eng.ask()
+    with pytest.raises(NumericalError):
+        eng.tell(1e300)
+    assert len(eng.trace) == 1
+    assert eng.model.n == 1
+    assert eng.best[1] == 0.1
+    assert eng.pending[4] is g
+    eng.tell(0.2)
+    fresh = make_engine(cfg, algorithm)
+    for y in (0.1, 0.2):
+        fresh.ask()
+        fresh.tell(y)
+    assert eng.trace == fresh.trace
+    n = fresh.model.n
+    assert (eng.model.n, eng.model.pick) == (n, fresh.model.pick)
+    for got, want in ((eng.model.Ws[:, :n, :n], fresh.model.Ws[:, :n, :n]),
+                      (eng.model.zs[:, :n], fresh.model.zs[:, :n]),
+                      (eng.model.MV, fresh.model.MV), (eng.model.row_q, fresh.model.row_q)):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(eng.ask().values, fresh.ask().values)
+    assert eng.pending[:3] == fresh.pending[:3]
+    np.testing.assert_array_equal(eng.pending[3], fresh.pending[3])
 
 
 def test_se_prior_on_2d_grid_builds_no_dense_gram(monkeypatch):
@@ -711,10 +753,26 @@ def test_make_engine_dispatch():
 
 def test_subspace_validation():
     rng = np.random.default_rng(11)
-    with pytest.raises(InputError):
-        Subspace(0, zeros(GRID_1D), ())
-    with pytest.raises(InputError):
-        Subspace(0, zeros(GRID_1D), (random_grid_function(rng, GridSpec(1, 50)),))
+    rows = rng.standard_normal((3, GRID_1D.size))
+    with pytest.raises(ShapeError):  # a bias without a basis
+        Subspace(0, GRID_1D, rows[:1])
+    with pytest.raises(ShapeError):
+        Subspace(0, GRID_1D, rows[0])
+    with pytest.raises(ShapeError):  # rows of another grid's width
+        Subspace(0, GRID_1D, rng.standard_normal((2, 50)))
+    for bad in (np.nan, np.inf):
+        broken = rows.copy()
+        broken[2, 7] = bad
+        with pytest.raises(InputError):
+            Subspace(0, GRID_1D, broken)
+    # A is a read-only copy: the caller's array stays the caller's
+    sub = Subspace(0, GRID_1D, rows)
+    assert sub.d == 2 and not sub.A.flags.writeable
+    kept = rows.copy()
+    rows[1] += 1.0
+    np.testing.assert_array_equal(sub.A, kept)
+    with pytest.raises(ValueError):
+        sub.A[0, 0] = 1.0
 
 
 _L2 = FunctionalKernelSpec(ScalarKernelSpec("se", 0.5), "l2grid")
@@ -759,7 +817,7 @@ def _conditioned(kernel, *points):
                  id="opt-config-no-mle-candidates"),
     pytest.param(lambda: simple_regret_err(
         gp.empty_model(_L2, 0.01, GRID_1D),
-        Subspace(0, zeros(GRID_1D), (random_grid_function(np.random.default_rng(0)),)),
+        Subspace(0, GRID_1D, [np.zeros(GRID_1D.size), np.ones(GRID_1D.size)]),
         zeros(GRID_1D), AcqSearchConfig()), InputError, id="certificate-on-an-empty-model"),
 ])
 def test_library_rejections_raise_their_error(build, error):
